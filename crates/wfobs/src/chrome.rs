@@ -11,7 +11,8 @@
 //! property test) expects.
 
 use crate::bus::ObsReport;
-use crate::event::{Event, Phase};
+use crate::event::Event;
+use crate::fold::{Attempt, AttemptFold, Outcome, Step};
 
 /// Human-readable labels the exporter joins back onto integer ids.
 #[derive(Debug, Clone, Default)]
@@ -64,12 +65,8 @@ const COUNTER_PID: u32 = 1;
 /// Sublane stride: lane id = node * STRIDE + sublane.
 const STRIDE: u32 = 256;
 
-#[derive(Debug, Clone, Copy)]
-struct OpenTask {
-    node: u32,
-    tid: u32,
-    start: u64,
-    phase: Option<(Phase, u64)>,
+fn tid(att: &Attempt) -> u32 {
+    att.node * STRIDE + att.lane
 }
 
 fn push_span(spans: &mut Vec<String>, name: &str, cat: &str, tid: u32, start: u64, end: u64) {
@@ -85,93 +82,47 @@ fn push_span(spans: &mut Vec<String>, name: &str, cat: &str, tid: u32, start: u6
     ));
 }
 
-/// Claim the first free sublane of `node`, registering a lane label the
-/// first time a sublane is used.
-fn claim_lane(
-    busy: &mut Vec<Vec<bool>>,
-    lanes: &mut Vec<(u32, String)>,
-    labels: &ChromeLabels,
-    node: u32,
-) -> u32 {
-    let n = node as usize;
-    if busy.len() <= n {
-        busy.resize_with(n + 1, Vec::new);
-    }
-    let sub = match busy[n].iter().position(|&b| !b) {
-        Some(s) => s,
-        None => {
-            busy[n].push(false);
-            busy[n].len() - 1
-        }
-    };
-    busy[n][sub] = true;
-    let tid = node * STRIDE + sub as u32;
-    if !lanes.iter().any(|(t, _)| *t == tid) {
-        let name = if sub == 0 {
-            labels.node(node)
-        } else {
-            format!("{}+{}", labels.node(node), sub)
-        };
-        lanes.push((tid, name));
-    }
-    tid
-}
-
 /// Render the report as a Trace Event Format JSON document.
 pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
     let mut spans: Vec<String> = Vec::new();
     let mut instants: Vec<String> = Vec::new();
     let mut lanes: Vec<(u32, String)> = Vec::new();
-    let mut busy: Vec<Vec<bool>> = Vec::new();
-    let mut open: Vec<Option<OpenTask>> = Vec::new();
-    let mut t_end: u64 = 0;
+    let mut fold = AttemptFold::default();
+    let mut render = |step: Step| match step {
+        Step::Start(att) => {
+            let tid = tid(&att);
+            if !lanes.iter().any(|(t, _)| *t == tid) {
+                let name = if att.lane == 0 {
+                    labels.node(att.node)
+                } else {
+                    format!("{}+{}", labels.node(att.node), att.lane)
+                };
+                lanes.push((tid, name));
+            }
+        }
+        // The dispatch-overhead interval has no span of its own.
+        Step::Interval {
+            att,
+            phase: Some(p),
+            start,
+            end,
+            ..
+        } => push_span(&mut spans, p.label(), "phase", tid(&att), start, end),
+        Step::Interval { .. } => {}
+        Step::Close { att, end, outcome } => {
+            let cat = match outcome {
+                Outcome::Ok | Outcome::Unfinished => "task",
+                Outcome::Killed { .. } => "task-killed",
+                Outcome::Failed => "task-failed",
+            };
+            let name = labels.task(att.task);
+            push_span(&mut spans, &name, cat, tid(&att), att.start, end);
+        }
+    };
 
     for &(t, ev) in &report.events {
-        t_end = t_end.max(t);
+        fold.push(t, &ev).for_each(&mut render);
         match ev {
-            Event::TaskStart { task, node, .. } => {
-                let ix = task as usize;
-                if open.len() <= ix {
-                    open.resize(ix + 1, None);
-                }
-                let tid = claim_lane(&mut busy, &mut lanes, labels, node);
-                open[ix] = Some(OpenTask {
-                    node,
-                    tid,
-                    start: t,
-                    phase: None,
-                });
-            }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(Some(o)) = open.get_mut(task as usize) {
-                    if let Some((p, p0)) = o.phase.take() {
-                        push_span(&mut spans, p.label(), "phase", o.tid, p0, t);
-                    }
-                    o.phase = Some((phase, t));
-                }
-            }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some(o) = open.get_mut(task as usize).and_then(Option::take) {
-                    if let Some((p, p0)) = o.phase {
-                        push_span(&mut spans, p.label(), "phase", o.tid, p0, t);
-                    }
-                    let cat = match ev {
-                        Event::TaskEnd { .. } => "task",
-                        Event::TaskKilled { .. } => "task-killed",
-                        _ => "task-failed",
-                    };
-                    push_span(&mut spans, &labels.task(task), cat, o.tid, o.start, t);
-                    let sub = (o.tid % STRIDE) as usize;
-                    if let Some(b) = busy
-                        .get_mut(o.node as usize)
-                        .and_then(|row| row.get_mut(sub))
-                    {
-                        *b = false;
-                    }
-                }
-            }
             Event::Fault { kind, node } => {
                 instants.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
@@ -194,24 +145,9 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
             _ => {}
         }
     }
-
     // Any task still open at the end of the stream (e.g. a truncated
     // trace) closes at the last observed timestamp.
-    for (task, slot) in open.iter_mut().enumerate() {
-        if let Some(o) = slot.take() {
-            if let Some((p, p0)) = o.phase {
-                push_span(&mut spans, p.label(), "phase", o.tid, p0, t_end);
-            }
-            push_span(
-                &mut spans,
-                &labels.task(task as u32),
-                "task",
-                o.tid,
-                o.start,
-                t_end,
-            );
-        }
-    }
+    fold.finish().for_each(render);
 
     let mut parts: Vec<String> = Vec::new();
     parts.push(format!(
@@ -264,6 +200,7 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
 mod tests {
     use super::*;
     use crate::bus::{ObsHandle, ObsLevel};
+    use crate::event::Phase;
 
     fn sample_report() -> ObsReport {
         let h = ObsHandle::new(ObsLevel::Full, 3);

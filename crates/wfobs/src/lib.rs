@@ -3,7 +3,8 @@
 //! A dependency-free instrumentation layer the rest of the stack emits
 //! into: a zero-overhead-when-disabled [event bus](bus::ObsHandle) of
 //! typed [events](event::Event), a deterministic [metrics
-//! registry](metrics::Metrics), a [Chrome-trace exporter](chrome), an
+//! registry](metrics::Metrics), a [task-attempt fold](fold) that every
+//! attempt view is rendered from, a [Chrome-trace exporter](chrome), an
 //! [OTLP/JSON exporter](otlp) with an in-repo conformance
 //! [decoder](otlp::decode), a [folded-stack flamegraph
 //! exporter](folded), and a [streaming run digest](digest::RunDigest)
@@ -29,6 +30,7 @@ pub mod bus;
 pub mod chrome;
 pub mod digest;
 pub mod event;
+pub mod fold;
 pub mod folded;
 pub mod metrics;
 pub mod otlp;
@@ -39,6 +41,7 @@ pub use bus::{nanos_from_secs, ObsHandle, ObsLevel, ObsReport, DEFAULT_TICK_NANO
 pub use chrome::{chrome_trace, ChromeLabels};
 pub use digest::RunDigest;
 pub use event::{Event, FaultKind, OpKind, Phase};
+pub use fold::{Attempt, AttemptFold, Outcome, Step};
 pub use folded::folded_storage_stacks;
 pub use metrics::{Histogram, Metrics};
 pub use otlp::{otlp_metrics, otlp_trace, OtlpLabels, SegmentLabel};
