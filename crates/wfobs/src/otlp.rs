@@ -43,6 +43,8 @@
 
 use crate::bus::ObsReport;
 use crate::event::{Event, OpKind, Phase};
+use crate::fold::{AttemptFold, Outcome, Step};
+use std::collections::BTreeSet;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
@@ -209,45 +211,11 @@ fn op_event_name(op: OpKind) -> &'static str {
     }
 }
 
-/// Mapper state for one open task attempt.
-struct OpenAttempt {
-    span_ix: usize,
-    node: u32,
-    /// Occurrence ordinal of this attempt (counts `TaskStart`s).
-    ordinal: u64,
-    /// Currently open phase interval (`None` = dispatch overhead).
-    phase: Option<Phase>,
-    phase_start: u64,
-    phase_seq: u64,
-}
-
 /// Everything the span mapper produced.
 struct SpanForest {
     trace_hi: u64,
     trace_lo: u64,
     spans: Vec<SpanBuf>,
-}
-
-/// Close the task's open phase interval as a phase span.
-#[allow(clippy::too_many_arguments)]
-fn close_phase(spans: &mut Vec<SpanBuf>, ids: &IdGen, task: u32, att: &mut OpenAttempt, t: u64) {
-    let id = ids.span_id(
-        TAG_PHASE,
-        u64::from(task),
-        (att.ordinal << 16) | att.phase_seq,
-    );
-    let mut s = SpanBuf::new(
-        id,
-        spans[att.span_ix].id,
-        phase_label(att.phase).to_string(),
-        att.phase_start,
-    );
-    s.end = t;
-    s.attrs
-        .push(("wf.phase", Attr::Str(phase_label(att.phase).to_string())));
-    spans.push(s);
-    att.phase_seq += 1;
-    att.phase_start = t;
 }
 
 /// Build the span tree from the recorded event stream.
@@ -279,14 +247,80 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                                              // Per-node billing cursor into `labels.segments` (grouped by node).
     let mut seg_cursor: Vec<usize> = Vec::new();
 
-    // Per-task attempt bookkeeping (BTreeMap: end-of-stream closing must
-    // iterate deterministically).
-    let mut open_tasks: std::collections::BTreeMap<u32, OpenAttempt> =
-        std::collections::BTreeMap::new();
-    let mut starts_seen: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    let mut prev_attempt: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    let mut rescue_pending: std::collections::BTreeMap<u32, bool> =
-        std::collections::BTreeMap::new();
+    // Span index of each task's open attempt, and tasks whose next
+    // attempt is a rescue re-run.
+    let mut task_span: Vec<usize> = Vec::new();
+    let mut rescue_pending: BTreeSet<u32> = BTreeSet::new();
+    let mut fold = AttemptFold::default();
+    let mut task_step = |spans: &mut Vec<SpanBuf>,
+                         rescue_pending: &mut BTreeSet<u32>,
+                         inc_open: &[Option<usize>],
+                         step: Step| match step {
+        Step::Start(att) => {
+            let task = att.task;
+            let parent = inc_open
+                .get(att.node as usize)
+                .copied()
+                .flatten()
+                .map_or(root_id, |ix| spans[ix].id);
+            let id = ids.span_id(TAG_TASK, u64::from(task), u64::from(att.ordinal));
+            let mut s = SpanBuf::new(id, parent, labels.task(task), att.start);
+            s.attrs.push(("wf.task.id", Attr::I64(i64::from(task))));
+            s.attrs
+                .push(("wf.task.attempt", Attr::I64(i64::from(att.attempt))));
+            s.attrs.push(("wf.node.id", Attr::I64(i64::from(att.node))));
+            if att.ordinal > 0 {
+                let kind = if rescue_pending.remove(&task) {
+                    "rescue_rerun_of"
+                } else {
+                    "retry_of"
+                };
+                let prev = ids.span_id(TAG_TASK, u64::from(task), u64::from(att.ordinal - 1));
+                s.links.push((prev, kind));
+            }
+            if task_span.len() <= task as usize {
+                task_span.resize(task as usize + 1, 0);
+            }
+            task_span[task as usize] = spans.len();
+            spans.push(s);
+        }
+        Step::Interval {
+            att,
+            phase,
+            start,
+            end,
+            seq,
+        } => {
+            let id = ids.span_id(
+                TAG_PHASE,
+                u64::from(att.task),
+                (u64::from(att.ordinal) << 16) | u64::from(seq),
+            );
+            let parent = spans[task_span[att.task as usize]].id;
+            let mut s = SpanBuf::new(id, parent, phase_label(phase).to_string(), start);
+            s.end = end;
+            s.attrs
+                .push(("wf.phase", Attr::Str(phase_label(phase).to_string())));
+            spans.push(s);
+        }
+        Step::Close { att, end, outcome } => {
+            let s = &mut spans[task_span[att.task as usize]];
+            s.end = end;
+            let (label, status) = match outcome {
+                Outcome::Ok => ("ok", 1),
+                Outcome::Killed { .. } => ("killed", 2),
+                Outcome::Failed => ("failed", 2),
+                Outcome::Unfinished => ("unfinished", 0),
+            };
+            s.attrs
+                .push(("wf.task.outcome", Attr::Str(label.to_string())));
+            s.status = status;
+            if let Outcome::Killed { wasted_nanos } = outcome {
+                s.attrs
+                    .push(("wf.task.wasted_nanos", Attr::I64(wasted_nanos as i64)));
+            }
+        }
+    };
 
     let grow = |v: &mut Vec<Option<usize>>, n: usize| {
         if v.len() <= n {
@@ -297,6 +331,9 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
     let mut t_end: u64 = 0;
     for &(t, ev) in &report.events {
         t_end = t_end.max(t);
+        for step in fold.push(t, &ev) {
+            task_step(&mut spans, &mut rescue_pending, &inc_open, step);
+        }
         match ev {
             Event::SegmentOpen { node, spot } => {
                 let n = node as usize;
@@ -349,77 +386,6 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                     spans[ix].end = t;
                 }
             }
-            Event::TaskStart {
-                task,
-                node,
-                attempt,
-            } => {
-                let ordinal = {
-                    let c = starts_seen.entry(task).or_insert(0);
-                    let o = *c;
-                    *c += 1;
-                    o
-                };
-                let parent = inc_open
-                    .get(node as usize)
-                    .copied()
-                    .flatten()
-                    .map_or(root_id, |ix| spans[ix].id);
-                let id = ids.span_id(TAG_TASK, u64::from(task), ordinal);
-                let mut s = SpanBuf::new(id, parent, labels.task(task), t);
-                s.attrs.push(("wf.task.id", Attr::I64(i64::from(task))));
-                s.attrs
-                    .push(("wf.task.attempt", Attr::I64(i64::from(attempt))));
-                s.attrs.push(("wf.node.id", Attr::I64(i64::from(node))));
-                if let Some(prev) = prev_attempt.get(&task) {
-                    let kind = if rescue_pending.remove(&task).is_some() {
-                        "rescue_rerun_of"
-                    } else {
-                        "retry_of"
-                    };
-                    s.links.push((*prev, kind));
-                }
-                prev_attempt.insert(task, id);
-                open_tasks.insert(
-                    task,
-                    OpenAttempt {
-                        span_ix: spans.len(),
-                        node,
-                        ordinal,
-                        phase: None,
-                        phase_start: t,
-                        phase_seq: 0,
-                    },
-                );
-                spans.push(s);
-            }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(att) = open_tasks.get_mut(&task) {
-                    close_phase(&mut spans, &ids, task, att, t);
-                    att.phase = Some(phase);
-                }
-            }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some(mut att) = open_tasks.remove(&task) {
-                    close_phase(&mut spans, &ids, task, &mut att, t);
-                    let s = &mut spans[att.span_ix];
-                    s.end = t;
-                    let (outcome, status) = match ev {
-                        Event::TaskEnd { .. } => ("ok", 1),
-                        Event::TaskKilled { .. } => ("killed", 2),
-                        _ => ("failed", 2),
-                    };
-                    s.attrs
-                        .push(("wf.task.outcome", Attr::Str(outcome.to_string())));
-                    s.status = status;
-                    if let Event::TaskKilled { wasted_nanos, .. } = ev {
-                        s.attrs
-                            .push(("wf.task.wasted_nanos", Attr::I64(wasted_nanos as i64)));
-                    }
-                }
-            }
             Event::StorageOp { op, node, bytes } => {
                 let target = inc_open.get(node as usize).copied().flatten().unwrap_or(0);
                 spans[target].events.push((
@@ -466,7 +432,7 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 ));
             }
             Event::RescueResubmit { task } => {
-                rescue_pending.insert(task, true);
+                rescue_pending.insert(task);
                 spans[0].events.push((
                     t,
                     "rescue_resubmit",
@@ -487,15 +453,8 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
 
     // Close everything still open (a run that ended mid-fault, rescue
     // pending) at the last observed timestamp so intervals stay nested.
-    let open_left: Vec<u32> = open_tasks.keys().copied().collect();
-    for task in open_left {
-        let mut att = open_tasks.remove(&task).expect("key just listed");
-        close_phase(&mut spans, &ids, task, &mut att, t_end);
-        let s = &mut spans[att.span_ix];
-        s.end = t_end;
-        s.attrs
-            .push(("wf.task.outcome", Attr::Str("unfinished".to_string())));
-        let _ = att.node;
+    for step in fold.finish() {
+        task_step(&mut spans, &mut rescue_pending, &inc_open, step);
     }
     for slot in inc_open.iter_mut() {
         if let Some(ix) = slot.take() {
