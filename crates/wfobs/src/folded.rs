@@ -17,7 +17,8 @@
 //! task produce no line.
 
 use crate::bus::ObsReport;
-use crate::event::{Event, Phase};
+use crate::event::Phase;
+use crate::fold::{AttemptFold, Step};
 use std::collections::BTreeMap;
 
 /// Map a lifecycle phase to the storage operation kind it times, if any.
@@ -43,46 +44,26 @@ const OP_ORDER: [&str; 5] = ["read", "write", "stage_in", "stage_out", "op_storm
 pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend: &str) -> String {
     // (op label, task id) -> accumulated nanos.
     let mut weights: BTreeMap<(&'static str, u32), u64> = BTreeMap::new();
-    // task id -> (current phase, phase start).
-    let mut open: BTreeMap<u32, (Option<Phase>, u64)> = BTreeMap::new();
-    let mut t_end = 0u64;
-
-    let close = |weights: &mut BTreeMap<(&'static str, u32), u64>,
-                 task: u32,
-                 slot: (Option<Phase>, u64),
-                 t: u64| {
-        if let (Some(phase), start) = slot {
+    let mut fold = AttemptFold::default();
+    let mut add = |step: Step| {
+        if let Step::Interval {
+            att,
+            phase: Some(phase),
+            start,
+            end,
+            ..
+        } = step
+        {
             if let Some(op) = phase_op(phase) {
-                *weights.entry((op, task)).or_insert(0) += t.saturating_sub(start);
+                *weights.entry((op, att.task)).or_insert(0) += end.saturating_sub(start);
             }
         }
     };
-
     for &(t, ev) in &report.events {
-        t_end = t_end.max(t);
-        match ev {
-            Event::TaskStart { task, .. } => {
-                open.insert(task, (None, t));
-            }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(slot) = open.insert(task, (Some(phase), t)) {
-                    close(&mut weights, task, slot, t);
-                }
-            }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some(slot) = open.remove(&task) {
-                    close(&mut weights, task, slot, t);
-                }
-            }
-            _ => {}
-        }
+        fold.push(t, &ev).for_each(&mut add);
     }
     // A run that ended mid-task still accounts the open interval.
-    for (task, slot) in std::mem::take(&mut open) {
-        close(&mut weights, task, slot, t_end);
-    }
+    fold.finish().for_each(add);
 
     let name = |id: u32| {
         task_names
@@ -110,6 +91,7 @@ pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend:
 mod tests {
     use super::*;
     use crate::bus::{ObsHandle, ObsLevel};
+    use crate::event::Event;
 
     #[test]
     fn stacks_weight_storage_phases_only() {
