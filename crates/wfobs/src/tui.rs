@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 
 use crate::event::{Event, FaultKind, Phase};
+use crate::fold::{Attempt, AttemptFold, Outcome, Step};
 use crate::metrics::Metrics;
 use crate::sink::ObsSink;
 
@@ -93,20 +94,13 @@ struct Seg {
     ch: u8,
 }
 
-/// The open stretch of a sublane: a task attempt in some phase.
-#[derive(Debug, Clone, Copy)]
-struct Cur {
-    start: u64,
-    ch: u8,
-    task: u32,
-    attempt: u32,
-}
-
 /// One task-attempt sublane of a node's Gantt row.
 #[derive(Debug, Default)]
 struct Lane {
     segs: VecDeque<Seg>,
-    cur: Option<Cur>,
+    /// Task of the attempt open on this sublane; its current phase is
+    /// read from the fold.
+    cur: Option<u32>,
 }
 
 /// Per-node Gantt state.
@@ -137,6 +131,7 @@ pub struct TuiState {
     /// Open billing segments: node id → (opened-at, spot).
     open_segments: BTreeMap<u32, (u64, bool)>,
     nodes: BTreeMap<u32, NodeLanes>,
+    fold: AttemptFold,
     ticker: VecDeque<(u64, String)>,
     bytes_since_tick: u64,
     io_spark: VecDeque<f64>,
@@ -144,28 +139,15 @@ pub struct TuiState {
     last_tick: Option<u64>,
 }
 
-fn phase_char(p: Phase) -> u8 {
+fn phase_char(p: Option<Phase>) -> u8 {
     match p {
-        Phase::Ops => b':',
-        Phase::StageIn => b'i',
-        Phase::Read => b'r',
-        Phase::Compute => b'#',
-        Phase::Write => b'w',
-        Phase::StageOut => b'o',
-    }
-}
-
-fn phase_name(ch: u8) -> &'static str {
-    match ch {
-        b'.' => "dispatch",
-        b':' => "ops",
-        b'i' => "stage-in",
-        b'r' => "read",
-        b'#' => "compute",
-        b'w' => "write",
-        b'o' => "stage-out",
-        b'x' => "killed",
-        _ => "",
+        None => b'.',
+        Some(Phase::Ops) => b':',
+        Some(Phase::StageIn) => b'i',
+        Some(Phase::Read) => b'r',
+        Some(Phase::Compute) => b'#',
+        Some(Phase::Write) => b'w',
+        Some(Phase::StageOut) => b'o',
     }
 }
 
@@ -182,6 +164,7 @@ impl TuiState {
             closed_cents: 0,
             open_segments: BTreeMap::new(),
             nodes: BTreeMap::new(),
+            fold: AttemptFold::default(),
             ticker: VecDeque::new(),
             bytes_since_tick: 0,
             io_spark: VecDeque::new(),
@@ -257,72 +240,19 @@ impl TuiState {
         self.ticker.push_back((t, msg));
     }
 
-    fn lane_close(&mut self, node: u32, task: u32, t: u64, kill_ch: Option<u8>) {
-        if let Some(nl) = self.nodes.get_mut(&node) {
-            for lane in &mut nl.lanes {
-                if lane.cur.is_some_and(|c| c.task == task) {
-                    let c = lane.cur.take().expect("checked");
-                    lane.segs.push_back(Seg {
-                        start: c.start,
-                        end: t,
-                        ch: kill_ch.unwrap_or(c.ch),
-                    });
-                    return;
-                }
-            }
-        }
-    }
-
     /// Fold one event into the model. Pure sim-time; no I/O.
     pub fn apply(&mut self, t: u64, ev: &Event) {
         self.now = self.now.max(t);
+        for step in self.fold.push(t, ev) {
+            paint(&mut self.nodes, step);
+        }
         match *ev {
-            Event::TaskStart {
-                task,
-                node,
-                attempt,
-            } => {
+            Event::TaskStart { attempt, .. } => {
                 if attempt > 0 {
                     self.retries += 1;
                 }
-                let nl = self.nodes.entry(node).or_default();
-                let lane = match nl.lanes.iter_mut().position(|l| l.cur.is_none()) {
-                    Some(i) => &mut nl.lanes[i],
-                    None => {
-                        nl.lanes.push(Lane::default());
-                        nl.lanes.last_mut().expect("just pushed")
-                    }
-                };
-                lane.cur = Some(Cur {
-                    start: t,
-                    ch: b'.',
-                    task,
-                    attempt,
-                });
             }
-            Event::TaskPhase { task, node, phase } => {
-                if let Some(nl) = self.nodes.get_mut(&node) {
-                    for lane in &mut nl.lanes {
-                        if let Some(c) = &mut lane.cur {
-                            if c.task == task {
-                                let closed = Seg {
-                                    start: c.start,
-                                    end: t,
-                                    ch: c.ch,
-                                };
-                                lane.segs.push_back(closed);
-                                c.start = t;
-                                c.ch = phase_char(phase);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            Event::TaskEnd { task, node, .. } => {
-                self.done += 1;
-                self.lane_close(node, task, t, None);
-            }
+            Event::TaskEnd { .. } => self.done += 1,
             Event::TaskKilled { task, node, .. } => {
                 let msg = format!(
                     "task {} killed on {}",
@@ -330,7 +260,6 @@ impl TuiState {
                     self.node_name(node)
                 );
                 self.push_ticker(t, msg);
-                self.lane_close(node, task, t, Some(b'x'));
             }
             Event::TaskFailed { task, node } => {
                 let msg = format!(
@@ -339,7 +268,6 @@ impl TuiState {
                     self.node_name(node)
                 );
                 self.push_ticker(t, msg);
-                self.lane_close(node, task, t, Some(b'x'));
             }
             Event::ReadyDepth { depth } => self.ready_depth = depth,
             Event::StorageOp { bytes, .. } => self.bytes_since_tick += bytes,
@@ -380,7 +308,8 @@ impl TuiState {
                 }
             }
             // Flow- and cache-level events carry no widget today.
-            Event::TaskReady { .. }
+            Event::TaskPhase { .. }
+            | Event::TaskReady { .. }
             | Event::FlowStart { .. }
             | Event::FlowRes { .. }
             | Event::FlowEnd { .. }
@@ -435,6 +364,51 @@ impl TuiState {
             }
         }
     }
+}
+
+/// Paint one fold step onto the Gantt lanes: an attempt takes its
+/// sublane, each closed interval becomes a segment, and a killed or
+/// failed attempt repaints its last segment `x`.
+fn paint(nodes: &mut BTreeMap<u32, NodeLanes>, step: Step) {
+    match step {
+        Step::Start(att) => {
+            let lanes = &mut nodes.entry(att.node).or_default().lanes;
+            let ix = att.lane as usize;
+            if lanes.len() <= ix {
+                lanes.resize_with(ix + 1, Lane::default);
+            }
+            lanes[ix].cur = Some(att.task);
+        }
+        Step::Interval {
+            att,
+            phase,
+            start,
+            end,
+            ..
+        } => {
+            if let Some(lane) = lane_mut(nodes, &att) {
+                lane.segs.push_back(Seg {
+                    start,
+                    end,
+                    ch: phase_char(phase),
+                });
+            }
+        }
+        Step::Close { att, outcome, .. } => {
+            if let Some(lane) = lane_mut(nodes, &att) {
+                if matches!(outcome, Outcome::Killed { .. } | Outcome::Failed) {
+                    if let Some(last) = lane.segs.back_mut() {
+                        last.ch = b'x';
+                    }
+                }
+                lane.cur = None;
+            }
+        }
+    }
+}
+
+fn lane_mut<'a>(nodes: &'a mut BTreeMap<u32, NodeLanes>, att: &Attempt) -> Option<&'a mut Lane> {
+    nodes.get_mut(&att.node)?.lanes.get_mut(att.lane as usize)
 }
 
 fn push_spark(ring: &mut VecDeque<f64>, v: f64) {
@@ -592,13 +566,14 @@ pub fn render_frame(state: &TuiState, cols: usize, rows: usize) -> String {
                 } else {
                     name.clone()
                 };
-                let band = render_band(lane, nl, t0, now, band_w);
-                let right = match lane.cur {
-                    Some(c) => format!(
+                let cur = lane.cur.and_then(|task| state.fold.open(task));
+                let band = render_band(lane, cur, nl, t0, now, band_w);
+                let right = match cur {
+                    Some(att) => format!(
                         " {}:{} {}",
-                        state.task_name(c.task),
-                        c.attempt,
-                        phase_name(c.ch)
+                        state.task_name(att.task),
+                        att.attempt,
+                        att.phase.map_or("dispatch", Phase::label)
                     ),
                     None if nl.is_down() => " down".to_owned(),
                     None => String::new(),
@@ -643,7 +618,14 @@ pub fn render_frame(state: &TuiState, cols: usize, rows: usize) -> String {
 /// Paint one sublane band over `[t0, now]`: each column shows the phase
 /// char of the segment covering its midpoint, `~` where the node was
 /// down, space where idle.
-fn render_band(lane: &Lane, nl: &NodeLanes, t0: u64, now: u64, w: usize) -> String {
+fn render_band(
+    lane: &Lane,
+    cur: Option<&Attempt>,
+    nl: &NodeLanes,
+    t0: u64,
+    now: u64,
+    w: usize,
+) -> String {
     let mut out = String::with_capacity(w);
     let span = (now - t0).max(1);
     for c in 0..w {
@@ -657,10 +639,8 @@ fn render_band(lane: &Lane, nl: &NodeLanes, t0: u64, now: u64, w: usize) -> Stri
             }
         }
         if ch == b' ' {
-            if let Some(cur) = lane.cur {
-                if cur.start <= mid {
-                    ch = cur.ch;
-                }
+            if let Some(att) = cur.filter(|att| att.phase_start <= mid) {
+                ch = phase_char(att.phase);
             }
         }
         if ch == b' '
