@@ -2,12 +2,11 @@
 //! Pegasus-style jobstate logs, per-node Gantt charts and utilization
 //! summaries over a completed run.
 
-use crate::run::{FaultSummary, RunStats};
+use crate::run::RunStats;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use wfdag::{TaskId, Workflow};
-use wfobs::{Event, ObsReport, Phase};
+use wfdag::Workflow;
+use wfobs::{AttemptFold, ObsReport, Outcome, Phase, Step};
 
 /// Slot-seconds spent in each phase of the task lifecycle, summed over
 /// all tasks — where the cluster's time actually went.
@@ -129,27 +128,12 @@ pub fn jobstate_log(stats: &RunStats, wf: &Workflow) -> String {
 /// A per-node occupancy Gantt chart: each node row shows how many slots
 /// were busy over time (digits 0–9, `*` for ≥10), over `width` buckets.
 pub fn render_gantt(stats: &RunStats, workers: u32, width: usize) -> String {
-    let spans: Vec<(u32, u64, u64)> = stats
-        .records
-        .iter()
-        .map(|r| (r.node.0, r.start_at.as_nanos(), r.end_at.as_nanos()))
-        .collect();
-    render_gantt_rows(&spans, stats.makespan_secs, workers, width)
-}
-
-/// Shared Gantt renderer over raw `(node, start_nanos, end_nanos)` spans.
-fn render_gantt_rows(
-    spans: &[(u32, u64, u64)],
-    makespan_secs: f64,
-    workers: u32,
-    width: usize,
-) -> String {
     let mut s = String::new();
     if width == 0 || workers == 0 {
         let _ = writeln!(s, "NODE OCCUPANCY — nothing to draw (0 buckets or 0 nodes)");
         return s;
     }
-    let span = makespan_secs.max(1e-9);
+    let span = stats.makespan_secs.max(1e-9);
     let _ = writeln!(
         s,
         "NODE OCCUPANCY — busy slots over time ({width} buckets of {:.1}s)",
@@ -157,12 +141,9 @@ fn render_gantt_rows(
     );
     for w in 0..workers {
         let mut busy = vec![0u32; width];
-        for &(node, start, end) in spans {
-            if node != w {
-                continue;
-            }
-            let start = start as f64 / 1e9;
-            let end = end as f64 / 1e9;
+        for r in stats.records.iter().filter(|r| r.node.0 == w) {
+            let start = r.start_at.as_secs_f64();
+            let end = r.end_at.as_secs_f64();
             // Clamp both ends into [0, width]; an empty clamped range
             // (start beyond the makespan) simply paints nothing.
             let a = ((start / span * width as f64) as usize).min(width);
@@ -202,195 +183,71 @@ pub fn render_fault_summary(f: &crate::run::FaultSummary) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Bus consumers: the same post-mortem views, rebuilt from the wfobs
-// event stream alone (no `TaskRecord` access). Running a workflow at
-// `ObsLevel::Full` yields the report these functions consume; the test
-// suite asserts the bus-derived phase totals match the record-derived
-// ones to 1e-6.
+// Bus consumer: the phase breakdown rebuilt from the wfobs event stream
+// alone (no `TaskRecord` access). Running a workflow at `ObsLevel::Full`
+// yields the report it consumes; the test suite asserts the bus-derived
+// phase totals match the record-derived ones to 1e-6.
 // ---------------------------------------------------------------------
 
-fn phase_bucket(p: &mut PhaseBreakdown, phase: Phase) -> &mut f64 {
+/// The breakdown field that sums `phase` (`None` = dispatch overhead).
+fn phase_secs(p: &mut PhaseBreakdown, phase: Option<Phase>) -> &mut f64 {
     match phase {
-        Phase::Ops => &mut p.ops,
-        Phase::StageIn => &mut p.stage_in,
-        Phase::Read => &mut p.read,
-        Phase::Compute => &mut p.compute,
-        Phase::Write => &mut p.write,
-        Phase::StageOut => &mut p.stage_out,
-    }
-}
-
-/// Per-task phase accumulator for the bus walk: tracks the currently
-/// open interval (`None` phase = the dispatch-overhead interval).
-#[derive(Clone, Copy, Default)]
-struct PhaseAcc {
-    p: PhaseBreakdown,
-    mark: u64,
-    phase: Option<Phase>,
-    open: bool,
-}
-
-impl PhaseAcc {
-    fn close_interval(&mut self, t: u64) {
-        let d = (t - self.mark) as f64 / 1e9;
-        match self.phase {
-            None => self.p.overhead += d,
-            Some(ph) => *phase_bucket(&mut self.p, ph) += d,
-        }
-        self.mark = t;
+        None => &mut p.overhead,
+        Some(Phase::Ops) => &mut p.ops,
+        Some(Phase::StageIn) => &mut p.stage_in,
+        Some(Phase::Read) => &mut p.read,
+        Some(Phase::Compute) => &mut p.compute,
+        Some(Phase::Write) => &mut p.write,
+        Some(Phase::StageOut) => &mut p.stage_out,
     }
 }
 
 /// Rebuild the phase breakdown from the observability event stream.
 ///
-/// A `TaskStart` resets the task's accumulator (so a retried task counts
-/// only its final attempt, matching [`phase_breakdown`]'s record-based
-/// semantics); `TaskKilled`/`TaskFailed` discard the partial attempt.
+/// Only attempts that end `ok` count, so a retried task counts only its
+/// final attempt, matching [`phase_breakdown`]'s record-based semantics;
+/// killed, failed and unfinished attempts are discarded.
 pub fn phase_breakdown_from_bus(report: &ObsReport) -> PhaseBreakdown {
-    let mut acc: HashMap<u32, PhaseAcc> = HashMap::new();
+    let mut fold = AttemptFold::default();
+    // Per-attempt sums by task id, added to the totals at an `ok` close.
+    let mut acc: Vec<PhaseBreakdown> = Vec::new();
     let mut totals = PhaseBreakdown::default();
     for &(t, ev) in &report.events {
-        match ev {
-            Event::TaskStart { task, .. } => {
-                acc.insert(
-                    task,
-                    PhaseAcc {
-                        mark: t,
-                        open: true,
-                        ..PhaseAcc::default()
-                    },
-                );
-            }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(a) = acc.get_mut(&task) {
-                    if a.open {
-                        a.close_interval(t);
-                        a.phase = Some(phase);
+        for step in fold.push(t, &ev) {
+            match step {
+                Step::Start(att) => {
+                    let ix = att.task as usize;
+                    if acc.len() <= ix {
+                        acc.resize(ix + 1, PhaseBreakdown::default());
                     }
+                    acc[ix] = PhaseBreakdown::default();
                 }
-            }
-            Event::TaskEnd { task, .. } => {
-                if let Some(a) = acc.get_mut(&task) {
-                    if a.open {
-                        a.close_interval(t);
-                        a.open = false;
-                        totals.overhead += a.p.overhead;
-                        totals.ops += a.p.ops;
-                        totals.stage_in += a.p.stage_in;
-                        totals.read += a.p.read;
-                        totals.compute += a.p.compute;
-                        totals.write += a.p.write;
-                        totals.stage_out += a.p.stage_out;
-                    }
+                Step::Interval {
+                    att,
+                    phase,
+                    start,
+                    end,
+                    ..
+                } => *phase_secs(&mut acc[att.task as usize], phase) += (end - start) as f64 / 1e9,
+                Step::Close {
+                    att,
+                    outcome: Outcome::Ok,
+                    ..
+                } => {
+                    let a = acc[att.task as usize];
+                    totals.overhead += a.overhead;
+                    totals.ops += a.ops;
+                    totals.stage_in += a.stage_in;
+                    totals.read += a.read;
+                    totals.compute += a.compute;
+                    totals.write += a.write;
+                    totals.stage_out += a.stage_out;
                 }
+                Step::Close { .. } => {}
             }
-            Event::TaskKilled { task, .. } | Event::TaskFailed { task, .. } => {
-                if let Some(a) = acc.get_mut(&task) {
-                    a.open = false;
-                }
-            }
-            _ => {}
         }
     }
     totals
-}
-
-/// Rebuild a Pegasus-jobstate-style log from the event stream. Richer
-/// than [`jobstate_log`]: every attempt appears (including evicted and
-/// failed ones), not just the final successful execution.
-pub fn jobstate_log_from_bus(report: &ObsReport, wf: &Workflow) -> String {
-    let mut s = String::new();
-    for &(t, ev) in &report.events {
-        let secs = t as f64 / 1e9;
-        match ev {
-            Event::TaskStart { task, node, .. } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} SUBMIT node_{node}");
-            }
-            Event::TaskPhase {
-                task,
-                node,
-                phase: Phase::Compute,
-            } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} EXECUTE node_{node}");
-            }
-            Event::TaskEnd {
-                task,
-                node,
-                attempt,
-            } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(
-                    s,
-                    "{secs:.3} {name} JOB_TERMINATED node_{node} attempts={attempt}"
-                );
-            }
-            Event::TaskKilled { task, node, .. } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} JOB_EVICTED node_{node}");
-            }
-            Event::TaskFailed { task, node } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} JOB_FAILURE node_{node}");
-            }
-            _ => {}
-        }
-    }
-    s
-}
-
-/// Rebuild the fault counters from the event stream. Billing segments
-/// are left empty — instance types never cross the bus; take them from
-/// `RunStats::faults::segments`.
-pub fn fault_summary_from_bus(report: &ObsReport) -> FaultSummary {
-    let mut f = FaultSummary::default();
-    for &(_, ev) in &report.events {
-        match ev {
-            Event::Fault { kind, .. } => match kind {
-                wfobs::FaultKind::NodeCrash => f.node_crashes += 1,
-                wfobs::FaultKind::SpotTermination => f.spot_terminations += 1,
-                wfobs::FaultKind::StorageFailure => f.storage_failures += 1,
-            },
-            Event::TaskKilled { wasted_nanos, .. } => {
-                f.tasks_killed += 1;
-                f.wasted_task_secs += wasted_nanos as f64 / 1e9;
-            }
-            Event::RescueResubmit { .. } => f.rescue_resubmits += 1,
-            Event::FilesLost { count } => f.files_lost += count as u64,
-            _ => {}
-        }
-    }
-    f
-}
-
-/// Rebuild the per-node occupancy Gantt chart from the event stream:
-/// task spans are `TaskStart` to `TaskEnd`/`TaskKilled` per node, so
-/// evicted attempts paint the chart too (unlike the record-based view).
-pub fn render_gantt_from_bus(report: &ObsReport, workers: u32, width: usize) -> String {
-    let mut open: HashMap<u32, (u32, u64)> = HashMap::new();
-    let mut spans: Vec<(u32, u64, u64)> = Vec::new();
-    let mut t_end = 0u64;
-    for &(t, ev) in &report.events {
-        t_end = t_end.max(t);
-        match ev {
-            Event::TaskStart { task, node, .. } => {
-                open.insert(task, (node, t));
-            }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some((node, start)) = open.remove(&task) {
-                    spans.push((node, start, t));
-                }
-            }
-            _ => {}
-        }
-    }
-    for (_, (node, start)) in open {
-        spans.push((node, start, t_end));
-    }
-    render_gantt_rows(&spans, t_end as f64 / 1e9, workers, width)
 }
 
 // ---------------------------------------------------------------------
