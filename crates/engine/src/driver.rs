@@ -13,6 +13,7 @@ use crate::exec::exec_plan_guarded;
 use crate::failures;
 use crate::world::{TaskRecord, World};
 use simcore::{Sim, SimDuration, SimTime};
+use vcluster::NodeId;
 use wfdag::TaskId;
 use wfobs::{Event, Phase};
 
@@ -138,22 +139,33 @@ fn dispatch(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: us
     });
 }
 
+/// Enter a lifecycle phase: stamp its start on the task record (`Write`
+/// has no field of its own) and emit the `TaskPhase` event.
+fn enter_phase(world: &mut World, task: TaskId, node: NodeId, phase: Phase, now: SimTime) {
+    let rec = world.records[task.index()].as_mut().expect("record");
+    match phase {
+        Phase::Ops => rec.ops_start = now,
+        Phase::StageIn => rec.stage_in_start = now,
+        Phase::Read => rec.reads_start = now,
+        Phase::Compute => rec.compute_start = now,
+        Phase::Write => {}
+        Phase::StageOut => rec.stage_out_start = now,
+    }
+    world.obs.emit(Event::TaskPhase {
+        task: task.0,
+        node: node.0,
+        phase,
+    });
+}
+
 /// The task's POSIX operation storm, charged to storage systems with a
 /// central per-op bottleneck (NFS).
 fn job_ops(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: usize, epoch: u32) {
     if !world.live(task, epoch) {
         return;
     }
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .ops_start = sim.now();
     let node = world.cluster.workers()[worker_ix];
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::Ops,
-    });
+    enter_phase(world, task, node, Phase::Ops, sim.now());
     let io_ops = world.wf.task(task).io_ops;
     let plan = world.storage.plan_task_ops(&world.cluster, node, io_ops);
     exec_plan_guarded(
@@ -175,16 +187,8 @@ fn job_stage_in(
     if !world.live(task, epoch) {
         return;
     }
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .stage_in_start = sim.now();
     let node = world.cluster.workers()[worker_ix];
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::StageIn,
-    });
+    enter_phase(world, task, node, Phase::StageIn, sim.now());
     let inputs = world.task_inputs(task);
     let plan = world.storage.plan_stage_in(&world.cluster, node, &inputs);
     exec_plan_guarded(
@@ -207,16 +211,9 @@ fn job_read(
     if !world.live(task, epoch) {
         return;
     }
+    let node = world.cluster.workers()[worker_ix];
     if idx == 0 {
-        world.records[task.index()]
-            .as_mut()
-            .expect("record")
-            .reads_start = sim.now();
-        world.obs.emit(Event::TaskPhase {
-            task: task.0,
-            node: world.cluster.workers()[worker_ix].0,
-            phase: Phase::Read,
-        });
+        enter_phase(world, task, node, Phase::Read, sim.now());
     }
     let inputs = world.task_inputs(task);
     if idx >= inputs.len() {
@@ -235,7 +232,6 @@ fn job_read(
         failures::kill_task(sim, world, task, worker_ix, true);
         return;
     }
-    let node = world.cluster.workers()[worker_ix];
     let plan = world.storage.plan_read(&world.cluster, node, inputs[idx]);
     exec_plan_guarded(
         sim,
@@ -256,48 +252,27 @@ fn job_compute(
     let node = world.cluster.workers()[worker_ix];
     let speed = world.cluster.node(node).itype.core_speed();
     let dur = SimDuration::from_secs_f64(world.wf.task(task).cpu_secs / speed);
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .compute_start = sim.now();
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::Compute,
-    });
+    enter_phase(world, task, node, Phase::Compute, sim.now());
     sim.schedule_in(dur, move |sim, world| {
         if !world.live(task, epoch) {
             return;
         }
-        world.records[task.index()]
-            .as_mut()
-            .expect("record")
-            .compute_end = sim.now();
+        let rec = world.records[task.index()].as_mut().expect("record");
+        rec.compute_end = sim.now();
+        rec.attempts += 1;
         // Transient-failure injection (before any output is written, so
-        // the write-once discipline survives the retry).
+        // the write-once discipline survives the retry). Zero-probability
+        // models draw nothing, keeping a zero-rate plan bit-identical to
+        // no plan at all.
         let fm = world.faults.as_ref().and_then(|p| p.task_failures);
         if let Some(fm) = fm {
-            world.records[task.index()]
-                .as_mut()
-                .expect("record")
-                .attempts += 1;
-            // Zero-probability models draw nothing, keeping a zero-rate
-            // plan bit-identical to no plan at all.
             if fm.prob > 0.0 && world.fault_rng_task.chance(fm.prob) {
                 failures::fail_execution(sim, world, task, worker_ix, fm.max_retries);
                 return;
             }
-        } else {
-            world.records[task.index()]
-                .as_mut()
-                .expect("record")
-                .attempts += 1;
         }
-        world.obs.emit(Event::TaskPhase {
-            task: task.0,
-            node: world.cluster.workers()[worker_ix].0,
-            phase: Phase::Write,
-        });
+        let node = world.cluster.workers()[worker_ix];
+        enter_phase(world, task, node, Phase::Write, sim.now());
         job_write(sim, world, task, worker_ix, epoch, 0);
     });
 }
@@ -347,16 +322,8 @@ fn job_stage_out(
     if !world.live(task, epoch) {
         return;
     }
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .stage_out_start = sim.now();
     let node = world.cluster.workers()[worker_ix];
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::StageOut,
-    });
+    enter_phase(world, task, node, Phase::StageOut, sim.now());
     // Only stage out (and bill) each output once, even across retries.
     let outputs: Vec<_> = world
         .task_outputs(task)
