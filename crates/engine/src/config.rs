@@ -156,8 +156,8 @@ impl FaultPlan {
         }
     }
 
-    /// Lift a bare [`FailureModel`] (the `RunConfig::failures` field)
-    /// into a plan with only transient task failures.
+    /// A plan with only transient task failures, whose retry budget
+    /// also bounds fault-killed executions.
     pub fn from_failure_model(fm: FailureModel) -> Self {
         FaultPlan {
             task_failures: Some(fm),
@@ -188,12 +188,8 @@ pub struct RunConfig {
     pub job_overhead: SimDuration,
     /// Storage-system tunables (defaults are paper-calibrated).
     pub storage_cfgs: StorageConfigs,
-    /// Optional transient-failure injection with DAGMan-style retries.
-    /// Legacy shorthand: when `faults` is `None`, this is lifted into a
-    /// task-failure-only [`FaultPlan`].
-    pub failures: Option<FailureModel>,
-    /// Full multi-layer fault plan (node crashes, storage failover, spot
-    /// termination). Takes precedence over `failures` when set.
+    /// Fault plan: transient task failures with DAGMan-style retries,
+    /// node crashes, storage failover and spot termination.
     pub faults: Option<FaultPlan>,
     /// Observability level: `Off` (default, zero-overhead), `Digest`
     /// (streaming run digest only) or `Full` (events + metrics +
@@ -214,7 +210,6 @@ impl RunConfig {
             scheduler: SchedulerPolicy::LocalityBlind,
             job_overhead: SimDuration::from_nanos(250_000_000), // 0.25 s
             storage_cfgs: StorageConfigs::default(),
-            failures: None,
             faults: None,
             obs: wfobs::ObsLevel::Off,
         }

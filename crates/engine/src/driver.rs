@@ -264,7 +264,7 @@ fn job_compute(
         // the write-once discipline survives the retry). Zero-probability
         // models draw nothing, keeping a zero-rate plan bit-identical to
         // no plan at all.
-        let fm = world.faults.as_ref().and_then(|p| p.task_failures);
+        let fm = world.cfg.faults.as_ref().and_then(|p| p.task_failures);
         if let Some(fm) = fm {
             if fm.prob > 0.0 && world.fault_rng_task.chance(fm.prob) {
                 failures::fail_execution(sim, world, task, worker_ix, fm.max_retries);

@@ -30,7 +30,7 @@ fn exp_secs(rng: &mut DetRng, rate_per_hour: f64) -> f64 {
 /// Arm the fault plan at the start of a run: schedule explicit fault
 /// instants and sample the first stochastic arrival of each class.
 pub(crate) fn install_faults(sim: &mut Sim<World>, world: &mut World) {
-    let Some(plan) = world.faults.clone() else {
+    let Some(plan) = world.cfg.faults.clone() else {
         return;
     };
     if let Some(nc) = &plan.node_crash {
@@ -85,6 +85,7 @@ fn pick_storage_victim(world: &mut World) -> NodeId {
 
 fn schedule_next_crash(sim: &mut Sim<World>, world: &mut World, ix: usize) {
     let rate = world
+        .cfg
         .faults
         .as_ref()
         .and_then(|p| p.node_crash.as_ref())
@@ -113,6 +114,7 @@ fn node_crash(sim: &mut Sim<World>, world: &mut World, ix: usize, incarnation: u
     });
     take_down_worker(sim, world, ix);
     let reprovision = world
+        .cfg
         .faults
         .as_ref()
         .and_then(|p| p.node_crash.as_ref())
@@ -142,6 +144,7 @@ fn schedule_spot_termination(sim: &mut Sim<World>, world: &mut World, ix: usize,
         });
         take_down_worker(sim, world, ix);
         let replace = world
+            .cfg
             .faults
             .as_ref()
             .and_then(|p| p.spot.as_ref())
@@ -203,6 +206,7 @@ fn schedule_recovery(sim: &mut Sim<World>, world: &mut World, ix: usize) {
 
 fn schedule_next_storage_failure(sim: &mut Sim<World>, world: &mut World) {
     let rate = world
+        .cfg
         .faults
         .as_ref()
         .and_then(|p| p.storage_failure.as_ref())
@@ -252,6 +256,7 @@ fn apply_failover(sim: &mut Sim<World>, world: &mut World, resp: FailoverRespons
             // recovers. In-flight executions die (their I/O times out);
             // nothing dispatches until the stall lifts.
             let recovery = world
+                .cfg
                 .faults
                 .as_ref()
                 .and_then(|p| p.storage_failure.as_ref())
@@ -330,7 +335,7 @@ pub(crate) fn kill_task(
     if release_slot {
         world.release(worker_ix, task);
     }
-    let budget = world.faults.as_ref().map_or(0, |p| p.max_fault_retries);
+    let budget = world.cfg.faults.as_ref().map_or(0, |p| p.max_fault_retries);
     finish_failure(sim, world, task, budget);
 }
 
@@ -369,6 +374,7 @@ fn finish_failure(sim: &mut Sim<World>, world: &mut World, task: TaskId, budget:
     }
     world.retries += 1;
     let delay = world
+        .cfg
         .faults
         .as_ref()
         .map_or(SimDuration::ZERO, |p| p.backoff.delay(attempts));
@@ -466,10 +472,10 @@ mod tests {
     #[test]
     fn retries_recover_from_transient_failures() {
         let mut cfg = RunConfig::cell(StorageKind::GlusterNufa, 2);
-        cfg.failures = Some(FailureModel {
+        cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
             prob: 0.3,
             max_retries: 50,
-        });
+        }));
         let stats = run_workflow(chain(20), cfg).unwrap();
         assert_eq!(stats.tasks, 20, "all tasks complete despite failures");
         assert!(
@@ -484,10 +490,10 @@ mod tests {
     fn retries_lengthen_the_makespan() {
         let clean = run_workflow(chain(20), RunConfig::cell(StorageKind::GlusterNufa, 2)).unwrap();
         let mut cfg = RunConfig::cell(StorageKind::GlusterNufa, 2);
-        cfg.failures = Some(FailureModel {
+        cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
             prob: 0.3,
             max_retries: 50,
-        });
+        }));
         let faulty = run_workflow(chain(20), cfg).unwrap();
         assert!(
             faulty.makespan_secs > clean.makespan_secs,
@@ -500,10 +506,10 @@ mod tests {
     #[test]
     fn exhausted_retries_abort_the_run() {
         let mut cfg = RunConfig::cell(StorageKind::GlusterNufa, 2);
-        cfg.failures = Some(FailureModel {
+        cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
             prob: 1.0, // every execution fails
             max_retries: 3,
-        });
+        }));
         let err = run_workflow(chain(3), cfg).unwrap_err();
         assert!(matches!(err, RunError::RetriesExhausted { .. }), "{err}");
     }
@@ -512,10 +518,10 @@ mod tests {
     fn zero_probability_changes_nothing() {
         let clean = run_workflow(chain(10), RunConfig::cell(StorageKind::Nfs, 2)).unwrap();
         let mut cfg = RunConfig::cell(StorageKind::Nfs, 2);
-        cfg.failures = Some(FailureModel {
+        cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
             prob: 0.0,
             max_retries: 3,
-        });
+        }));
         let with_model = run_workflow(chain(10), cfg).unwrap();
         assert_eq!(
             clean.makespan_secs.to_bits(),
@@ -529,10 +535,10 @@ mod tests {
     fn failure_runs_are_deterministic() {
         let run = || {
             let mut cfg = RunConfig::cell(StorageKind::S3, 2).with_seed(7);
-            cfg.failures = Some(FailureModel {
+            cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
                 prob: 0.25,
                 max_retries: 20,
-            });
+            }));
             run_workflow(chain(15), cfg).unwrap()
         };
         let (a, b) = (run(), run());
@@ -545,10 +551,10 @@ mod tests {
         // Failures happen before writes, so storage write-once asserts
         // must hold even with heavy retrying on S3 (PUT discipline).
         let mut cfg = RunConfig::cell(StorageKind::S3, 2);
-        cfg.failures = Some(FailureModel {
+        cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
             prob: 0.4,
             max_retries: 100,
-        });
+        }));
         let stats = run_workflow(chain(20), cfg).unwrap();
         assert_eq!(stats.billing.s3_puts, 20, "exactly one PUT per output");
     }

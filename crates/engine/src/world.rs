@@ -1,6 +1,6 @@
 //! The simulation world: cluster + storage + workflow-management state.
 
-use crate::config::{FaultPlan, RunConfig, SchedulerPolicy};
+use crate::config::{RunConfig, SchedulerPolicy};
 use simcore::{DetRng, FlowId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use vcluster::{Cluster, NodeId};
@@ -167,9 +167,6 @@ pub struct World {
     /// Randomness for tie-breaking.
     pub rng: DetRng,
 
-    /// Effective fault plan: `cfg.faults`, or `cfg.failures` lifted into
-    /// a task-failure-only plan.
-    pub faults: Option<FaultPlan>,
     /// Per-task execution epoch. A fault kill bumps it, so continuations
     /// of the dead execution (which captured the old epoch) no-op.
     pub epoch: Vec<u32>,
@@ -249,14 +246,11 @@ impl World {
             })
             .collect();
         let rng = DetRng::stream(cfg.seed, "engine.schedule");
-        let faults = cfg
-            .faults
-            .clone()
-            .or_else(|| cfg.failures.map(FaultPlan::from_failure_model));
         let workers = cluster.workers().len();
         // A zero-rate spot spec is inert: workers stay on-demand, so a
         // FaultPlan::zero() run bills identically to a plan-free run.
-        let spot_active = faults
+        let spot_active = cfg
+            .faults
             .as_ref()
             .and_then(|p| p.spot.as_ref())
             .is_some_and(|s| s.rate_per_hour > 0.0);
@@ -301,7 +295,6 @@ impl World {
             bg_active: false,
             rr_cursor: 0,
             rng,
-            faults,
             epoch: vec![0; n],
             running: vec![Vec::new(); workers],
             inflight: HashMap::new(),

@@ -22,7 +22,7 @@ use wfcost::{BillingGranularity, CostModel};
 use wfdag::{cluster_horizontal, Workflow};
 use wfengine::{
     jobstate_log, phase_breakdown, run_workflow, run_workflow_with_obs, trace, FailureModel,
-    RunConfig, SchedulerPolicy,
+    FaultPlan, RunConfig, SchedulerPolicy,
 };
 use wfgen::{classify, profile, App};
 use wfstorage::{cluster_spec_for, StorageKind};
@@ -205,7 +205,10 @@ fn build_config(args: &Args) -> RunConfig {
             .get("retries")
             .map_or(Ok(3), |r| r.parse())
             .unwrap_or_else(|_| die("--retries must be a number"));
-        cfg.failures = Some(FailureModel { prob, max_retries });
+        cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
+            prob,
+            max_retries,
+        }));
     }
     cfg
 }

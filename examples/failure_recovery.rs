@@ -6,7 +6,7 @@
 //! ```
 
 use ec2_workflow_sim::prelude::*;
-use ec2_workflow_sim::wfengine::{run_workflow, FailureModel, RunError};
+use ec2_workflow_sim::wfengine::{run_workflow, FailureModel, FaultPlan, RunError};
 use ec2_workflow_sim::wfgen::App;
 
 fn main() {
@@ -17,10 +17,10 @@ fn main() {
     );
     for prob in [0.0, 0.05, 0.15, 0.30, 0.50] {
         let mut cfg = RunConfig::cell(StorageKind::GlusterNufa, 2);
-        cfg.failures = Some(FailureModel {
+        cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
             prob,
             max_retries: 10,
-        });
+        }));
         match run_workflow(App::Broadband.tiny_workflow(), cfg) {
             Ok(stats) => println!(
                 "{:<22} {:>9.1}s {:>9} {:>10}",
@@ -42,10 +42,10 @@ fn main() {
 
     // A hopeless configuration: every attempt fails.
     let mut cfg = RunConfig::cell(StorageKind::GlusterNufa, 2);
-    cfg.failures = Some(FailureModel {
+    cfg.faults = Some(FaultPlan::from_failure_model(FailureModel {
         prob: 1.0,
         max_retries: 2,
-    });
+    }));
     let err = run_workflow(App::Broadband.tiny_workflow(), cfg).unwrap_err();
     println!("\nwith p=100% the run aborts as expected: {err}");
 }
