@@ -99,29 +99,7 @@ pub enum Step {
 
 /// The steps of one event, in order: at most a stale attempt's interval
 /// and close followed by a start.
-#[derive(Debug, Default)]
-pub struct Steps {
-    buf: [Option<Step>; 3],
-    len: usize,
-    next: usize,
-}
-
-impl Steps {
-    fn push(&mut self, step: Step) {
-        self.buf[self.len] = Some(step);
-        self.len += 1;
-    }
-}
-
-impl Iterator for Steps {
-    type Item = Step;
-
-    fn next(&mut self) -> Option<Step> {
-        let step = self.buf.get_mut(self.next)?.take();
-        self.next += 1;
-        step
-    }
-}
+pub type Steps = std::iter::Flatten<std::array::IntoIter<Option<Step>, 3>>;
 
 /// The streaming task-attempt reducer. Feed it every event of a stream
 /// with [`push`](Self::push), then call [`finish`](Self::finish).
@@ -143,43 +121,49 @@ impl AttemptFold {
         self.open.get(task as usize)?.as_ref()
     }
 
-    /// Fold one event in; returns the steps it produced.
+    /// Fold one event in and return the steps it produced. The fold's own
+    /// state is updated eagerly; the steps are only a report.
     pub fn push(&mut self, t: u64, ev: &Event) -> Steps {
         self.t_end = self.t_end.max(t);
-        match *ev {
+        let steps = match *ev {
             Event::TaskStart {
                 task,
                 node,
                 attempt,
             } => {
                 let mut steps = self.close(task, t, Outcome::Unfinished);
-                steps.push(Step::Start(self.start(task, node, attempt, t)));
+                steps[2] = Some(Step::Start(self.start(task, node, attempt, t)));
                 steps
             }
             Event::TaskPhase { task, phase, .. } => {
-                let mut steps = Steps::default();
-                if let Some(att) = self.open.get_mut(task as usize).and_then(Option::as_mut) {
-                    steps.push(interval(*att, t));
-                    att.phase = Some(phase);
-                    att.phase_start = t;
-                    att.seq += 1;
+                match self.open.get_mut(task as usize).and_then(Option::as_mut) {
+                    Some(att) => {
+                        let step = interval(*att, t);
+                        att.phase = Some(phase);
+                        att.phase_start = t;
+                        att.seq += 1;
+                        [Some(step), None, None]
+                    }
+                    None => [None; 3],
                 }
-                steps
             }
             Event::TaskEnd { task, .. } => self.close(task, t, Outcome::Ok),
             Event::TaskKilled {
                 task, wasted_nanos, ..
             } => self.close(task, t, Outcome::Killed { wasted_nanos }),
             Event::TaskFailed { task, .. } => self.close(task, t, Outcome::Failed),
-            _ => Steps::default(),
-        }
+            _ => [None; 3],
+        };
+        steps.into_iter().flatten()
     }
 
     /// Close every still-open attempt as [`Outcome::Unfinished`] at the
     /// last timestamp seen, in ascending task id.
     pub fn finish(&mut self) -> impl Iterator<Item = Step> + '_ {
         let t = self.t_end;
-        (0..self.open.len() as u32).flat_map(move |task| self.close(task, t, Outcome::Unfinished))
+        (0..self.open.len() as u32)
+            .flat_map(move |task| self.close(task, t, Outcome::Unfinished))
+            .flatten()
     }
 
     fn start(&mut self, task: u32, node: u32, attempt: u32, t: u64) -> Attempt {
@@ -213,18 +197,19 @@ impl AttemptFold {
         att
     }
 
-    fn close(&mut self, task: u32, t: u64, outcome: Outcome) -> Steps {
-        let mut steps = Steps::default();
-        if let Some(att) = self.open.get_mut(task as usize).and_then(Option::take) {
-            self.busy[att.node as usize][att.lane as usize] = false;
-            steps.push(interval(att, t));
-            steps.push(Step::Close {
-                att,
-                end: t,
-                outcome,
-            });
-        }
-        steps
+    /// Close `task`'s open attempt, if any: its last interval, then the
+    /// close itself (the third slot is for a following start).
+    fn close(&mut self, task: u32, t: u64, outcome: Outcome) -> [Option<Step>; 3] {
+        let Some(att) = self.open.get_mut(task as usize).and_then(Option::take) else {
+            return [None; 3];
+        };
+        self.busy[att.node as usize][att.lane as usize] = false;
+        let close = Step::Close {
+            att,
+            end: t,
+            outcome,
+        };
+        [Some(interval(att, t)), Some(close), None]
     }
 }
 
@@ -264,8 +249,8 @@ mod tests {
     #[test]
     fn lifecycle_reports_overhead_phases_and_outcome() {
         let mut f = AttemptFold::default();
-        f.push(10, &start(3, 1));
-        f.push(
+        let _ = f.push(10, &start(3, 1));
+        let _ = f.push(
             15,
             &Event::TaskPhase {
                 task: 3,
@@ -301,7 +286,7 @@ mod tests {
     #[test]
     fn restart_while_open_closes_the_stale_attempt_as_unfinished() {
         let mut f = AttemptFold::default();
-        f.push(0, &start(4, 0));
+        let _ = f.push(0, &start(4, 0));
         let steps: Vec<Step> = f.push(7, &start(4, 0)).collect();
         assert_eq!(
             kinds(steps.iter().copied()),
@@ -345,8 +330,8 @@ mod tests {
         for ev in &orphans {
             assert_eq!(f.push(1, ev).count(), 0, "{ev:?}");
         }
-        f.push(2, &start(9, 0));
-        f.push(3, &Event::TaskFailed { task: 9, node: 0 });
+        let _ = f.push(2, &start(9, 0));
+        let _ = f.push(3, &Event::TaskFailed { task: 9, node: 0 });
         for ev in &orphans {
             assert_eq!(f.push(4, ev).count(), 0, "after close: {ev:?}");
         }
@@ -356,9 +341,9 @@ mod tests {
     #[test]
     fn finish_closes_in_ascending_task_id_at_the_last_timestamp() {
         let mut f = AttemptFold::default();
-        f.push(0, &start(5, 0));
-        f.push(1, &start(2, 0));
-        f.push(9, &Event::BgDone);
+        let _ = f.push(0, &start(5, 0));
+        let _ = f.push(1, &start(2, 0));
+        let _ = f.push(9, &Event::BgDone);
         let closes: Vec<(u32, u64, u32)> = f
             .finish()
             .filter_map(|s| match s {
