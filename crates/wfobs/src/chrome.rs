@@ -13,6 +13,7 @@
 use crate::bus::ObsReport;
 use crate::event::Event;
 use crate::fold::{Attempt, AttemptFold, Outcome, Step};
+use crate::{esc, name_or};
 
 /// Human-readable labels the exporter joins back onto integer ids.
 #[derive(Debug, Clone, Default)]
@@ -21,39 +22,6 @@ pub struct ChromeLabels {
     pub task_names: Vec<String>,
     /// Node labels by node id (missing ids render as `w<id>`).
     pub node_names: Vec<String>,
-}
-
-impl ChromeLabels {
-    fn task(&self, id: u32) -> String {
-        self.task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
-    }
-
-    fn node(&self, id: u32) -> String {
-        self.node_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("w{id}"))
-    }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn us(t_nanos: u64) -> f64 {
@@ -92,10 +60,10 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
         Step::Start(att) => {
             let tid = tid(&att);
             if !lanes.iter().any(|(t, _)| *t == tid) {
-                let name = if att.lane == 0 {
-                    labels.node(att.node)
-                } else {
-                    format!("{}+{}", labels.node(att.node), att.lane)
+                let node = name_or(&labels.node_names, "w", att.node);
+                let name = match att.lane {
+                    0 => node,
+                    lane => format!("{node}+{lane}"),
                 };
                 lanes.push((tid, name));
             }
@@ -115,7 +83,7 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
                 Outcome::Killed { .. } => "task-killed",
                 Outcome::Failed => "task-failed",
             };
-            let name = labels.task(att.task);
+            let name = name_or(&labels.task_names, "t", att.task);
             push_span(&mut spans, &name, cat, tid(&att), att.start, end);
         }
     };

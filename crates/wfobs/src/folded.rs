@@ -19,6 +19,7 @@
 use crate::bus::ObsReport;
 use crate::event::Phase;
 use crate::fold::{AttemptFold, Step};
+use crate::name_or;
 use std::collections::BTreeMap;
 
 /// Map a lifecycle phase to the storage operation kind it times, if any.
@@ -65,12 +66,6 @@ pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend:
     // A run that ended mid-task still accounts the open interval.
     fold.finish().for_each(add);
 
-    let name = |id: u32| {
-        task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
-    };
     let mut out = String::new();
     for op in OP_ORDER {
         for (&(w_op, task), &nanos) in &weights {
@@ -81,7 +76,10 @@ pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend:
             if micros == 0 {
                 continue;
             }
-            out.push_str(&format!("{backend};{op};{} {micros}\n", name(task)));
+            out.push_str(&format!(
+                "{backend};{op};{} {micros}\n",
+                name_or(task_names, "t", task)
+            ));
         }
     }
     out

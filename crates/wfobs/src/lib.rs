@@ -50,3 +50,29 @@ pub use tui::{
     detect_live_mode, render_frame, term_size_from_env, FrameSink, LiveMode, LiveSink, NodeRate,
     TuiConfig, TuiState,
 };
+
+/// `names[id]`, or `{prefix}{id}` for an id with no name: how every
+/// renderer joins names back onto integer ids.
+pub(crate) fn name_or(names: &[String], prefix: &str, id: u32) -> String {
+    names
+        .get(id as usize)
+        .cloned()
+        .unwrap_or_else(|| format!("{prefix}{id}"))
+}
+
+/// Escape a string for embedding in a JSON string literal.
+pub(crate) fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}

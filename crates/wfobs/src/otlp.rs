@@ -44,6 +44,7 @@
 use crate::bus::ObsReport;
 use crate::event::{Event, OpKind, Phase};
 use crate::fold::{AttemptFold, Outcome, Step};
+use crate::{esc, name_or};
 use std::collections::BTreeSet;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -91,22 +92,6 @@ pub struct SegmentLabel {
     pub spot: bool,
     /// Billed seconds from acquisition to release.
     pub secs: f64,
-}
-
-impl OtlpLabels {
-    fn task(&self, id: u32) -> String {
-        self.task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
-    }
-
-    fn node(&self, id: u32) -> String {
-        self.node_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("w{id}"))
-    }
 }
 
 /// A typed attribute value (the subset of OTLP `AnyValue` we emit).
@@ -264,7 +249,12 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 .flatten()
                 .map_or(root_id, |ix| spans[ix].id);
             let id = ids.span_id(TAG_TASK, u64::from(task), u64::from(att.ordinal));
-            let mut s = SpanBuf::new(id, parent, labels.task(task), att.start);
+            let mut s = SpanBuf::new(
+                id,
+                parent,
+                name_or(&labels.task_names, "t", task),
+                att.start,
+            );
             s.attrs.push(("wf.task.id", Attr::I64(i64::from(task))));
             s.attrs
                 .push(("wf.task.attempt", Attr::I64(i64::from(att.attempt))));
@@ -322,12 +312,6 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
         }
     };
 
-    let grow = |v: &mut Vec<Option<usize>>, n: usize| {
-        if v.len() <= n {
-            v.resize(n + 1, None);
-        }
-    };
-
     let mut t_end: u64 = 0;
     for &(t, ev) in &report.events {
         t_end = t_end.max(t);
@@ -337,8 +321,8 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
         match ev {
             Event::SegmentOpen { node, spot } => {
                 let n = node as usize;
-                grow(&mut inc_open, n);
                 if inc_seen.len() <= n {
+                    inc_open.resize(n + 1, None);
                     inc_seen.resize(n + 1, 0);
                     inc_prev.resize(n + 1, 0);
                     seg_cursor.resize(n + 1, 0);
@@ -347,9 +331,9 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 inc_seen[n] += 1;
                 let id = ids.span_id(TAG_NODE, u64::from(node), ordinal);
                 let name = if ordinal == 0 {
-                    labels.node(node)
+                    name_or(&labels.node_names, "w", node)
                 } else {
-                    format!("{} #{ordinal}", labels.node(node))
+                    format!("{} #{ordinal}", name_or(&labels.node_names, "w", node))
                 };
                 let mut s = SpanBuf::new(id, root_id, name, t);
                 s.attrs.push(("wf.node.id", Attr::I64(i64::from(node))));
@@ -380,9 +364,7 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 spans.push(s);
             }
             Event::SegmentClose { node } => {
-                let n = node as usize;
-                grow(&mut inc_open, n);
-                if let Some(ix) = inc_open[n].take() {
+                if let Some(ix) = inc_open.get_mut(node as usize).and_then(Option::take) {
                     spans[ix].end = t;
                 }
             }
@@ -473,23 +455,6 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
 // ---------------------------------------------------------------------
 // JSON rendering
 // ---------------------------------------------------------------------
-
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// OTLP `AnyValue` JSON. int64 values are decimal strings, per the
 /// proto3 JSON mapping OTLP/JSON uses.

@@ -29,6 +29,7 @@ use std::io::Write;
 use crate::event::{Event, FaultKind, Phase};
 use crate::fold::{Attempt, AttemptFold, Outcome, Step};
 use crate::metrics::Metrics;
+use crate::name_or;
 use crate::sink::ObsSink;
 
 /// Most fault-ticker entries kept.
@@ -218,19 +219,11 @@ impl TuiState {
     }
 
     fn task_name(&self, id: u32) -> String {
-        self.cfg
-            .task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
+        name_or(&self.cfg.task_names, "t", id)
     }
 
     fn node_name(&self, id: u32) -> String {
-        self.cfg
-            .node_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("n{id}"))
+        name_or(&self.cfg.node_names, "n", id)
     }
 
     fn push_ticker(&mut self, t: u64, msg: String) {
@@ -247,11 +240,7 @@ impl TuiState {
             paint(&mut self.nodes, step);
         }
         match *ev {
-            Event::TaskStart { attempt, .. } => {
-                if attempt > 0 {
-                    self.retries += 1;
-                }
-            }
+            Event::TaskStart { attempt, .. } => self.retries += u64::from(attempt > 0),
             Event::TaskEnd { .. } => self.done += 1,
             Event::TaskKilled { task, node, .. } => {
                 let msg = format!(
