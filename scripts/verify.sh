@@ -21,10 +21,17 @@
 # OTLP conformance:    the wfengine/expt otlp test targets (well-formedness
 #                      proptests, edge cases, phase/cost parity), plus
 #                      wfobs standing alone without default features
+# Exporter goldens:    Chrome, OTLP, folded and TUI-frame fixtures of a
+#                      clean, a crash, a transient-failure and a truncated
+#                      run, plus the task-attempt fold's unit tests and
+#                      proptest (every exporter renders from that fold)
 # Live TUI:            golden-frame + live-determinism test targets, the
 #                      frame-geometry proptest, and `wfsim run --live`
 #                      under TERM=dumb (must fall back to plain `live:`
 #                      lines with zero ANSI escape bytes on stderr)
+# Benchmark compat:    perfbench/ (its own workspace, path deps on the
+#                      crates) still builds and passes its tests, and
+#                      doing so leaves perfbench/Cargo.lock untouched
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,6 +74,11 @@ cargo test -q -p wfengine --test prop_otlp --test otlp_edge
 cargo test -q -p expt --test otlp_parity --test folded_golden
 cargo test -q -p wfobs --no-default-features
 
+echo "== exporter goldens + task-attempt fold =="
+cargo test -q -p expt --test chrome_golden --test fault_golden
+cargo test -q -p wfobs --lib fold::
+cargo test -q -p wfobs --test prop_fold
+
 echo "== live TUI: golden frames + determinism + geometry =="
 cargo test -q -p expt --test tui_golden --test live_determinism
 cargo test -q -p wfobs --test prop_tui
@@ -90,6 +102,10 @@ if ! grep -q '^wfsim: makespan ' "$live_err"; then
     exit 1
 fi
 rm -f "$live_err"
+
+echo "== benchmark compat: perfbench builds and tests, lockfile unchanged =="
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+git diff --exit-code -- perfbench/Cargo.lock
 
 echo "== perf smoke =="
 cargo run --release -q -p expt --bin repro -- --bench-smoke
