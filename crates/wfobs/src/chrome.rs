@@ -14,6 +14,7 @@ use crate::bus::ObsReport;
 use crate::event::Event;
 use crate::fold::{Attempt, AttemptFold, Outcome, Step};
 use crate::{esc, name_or};
+use std::collections::BTreeMap;
 
 /// Human-readable labels the exporter joins back onto integer ids.
 #[derive(Debug, Clone, Default)]
@@ -54,19 +55,18 @@ fn push_span(spans: &mut Vec<String>, name: &str, cat: &str, tid: u32, start: u6
 pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
     let mut spans: Vec<String> = Vec::new();
     let mut instants: Vec<String> = Vec::new();
-    let mut lanes: Vec<(u32, String)> = Vec::new();
+    // Lane labels by tid, registered the first time a sublane is used.
+    let mut lanes: BTreeMap<u32, String> = BTreeMap::new();
     let mut fold = AttemptFold::default();
     let mut render = |step: Step| match step {
         Step::Start(att) => {
-            let tid = tid(&att);
-            if !lanes.iter().any(|(t, _)| *t == tid) {
+            lanes.entry(tid(&att)).or_insert_with(|| {
                 let node = name_or(&labels.node_names, "w", att.node);
-                let name = match att.lane {
+                match att.lane {
                     0 => node,
                     lane => format!("{node}+{lane}"),
-                };
-                lanes.push((tid, name));
-            }
+                }
+            });
         }
         // The dispatch-overhead interval has no span of its own.
         Step::Interval {
@@ -126,7 +126,6 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{COUNTER_PID},\"tid\":0,\
          \"args\":{{\"name\":\"counters\"}}}}"
     ));
-    lanes.sort_by_key(|(tid, _)| *tid);
     for (tid, name) in &lanes {
         parts.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{WF_PID},\"tid\":{tid},\

@@ -240,7 +240,11 @@ impl TuiState {
             paint(&mut self.nodes, step);
         }
         match *ev {
-            Event::TaskStart { attempt, .. } => self.retries += u64::from(attempt > 0),
+            Event::TaskStart { attempt, .. } => {
+                if attempt > 0 {
+                    self.retries += 1;
+                }
+            }
             Event::TaskEnd { .. } => self.done += 1,
             Event::TaskKilled { task, node, .. } => {
                 let msg = format!(
