@@ -300,7 +300,8 @@ impl TuiState {
                     self.closed_cents += self.segment_cents(node, open, t, spot);
                 }
             }
-            // Flow- and cache-level events carry no widget today.
+            // Phases are painted from the fold's steps above; flow- and
+            // cache-level events carry no widget today.
             Event::TaskPhase { .. }
             | Event::TaskReady { .. }
             | Event::FlowStart { .. }
