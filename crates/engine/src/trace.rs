@@ -213,39 +213,37 @@ pub fn phase_breakdown_from_bus(report: &ObsReport) -> PhaseBreakdown {
     let mut acc: Vec<PhaseBreakdown> = Vec::new();
     let mut totals = PhaseBreakdown::default();
     for &(t, ev) in &report.events {
-        for step in fold.push(t, &ev) {
-            match step {
-                Step::Start(att) => {
-                    let ix = att.task as usize;
-                    if acc.len() <= ix {
-                        acc.resize(ix + 1, PhaseBreakdown::default());
-                    }
-                    acc[ix] = PhaseBreakdown::default();
+        fold.push(t, &ev, |step| match step {
+            Step::Start(att) => {
+                let ix = att.task as usize;
+                if acc.len() <= ix {
+                    acc.resize(ix + 1, PhaseBreakdown::default());
                 }
-                Step::Interval {
-                    att,
-                    phase,
-                    start,
-                    end,
-                    ..
-                } => *phase_secs(&mut acc[att.task as usize], phase) += (end - start) as f64 / 1e9,
-                Step::Close {
-                    att,
-                    outcome: Outcome::Ok,
-                    ..
-                } => {
-                    let a = acc[att.task as usize];
-                    totals.overhead += a.overhead;
-                    totals.ops += a.ops;
-                    totals.stage_in += a.stage_in;
-                    totals.read += a.read;
-                    totals.compute += a.compute;
-                    totals.write += a.write;
-                    totals.stage_out += a.stage_out;
-                }
-                Step::Close { .. } => {}
+                acc[ix] = PhaseBreakdown::default();
             }
-        }
+            Step::Interval {
+                att,
+                phase,
+                start,
+                end,
+                ..
+            } => *phase_secs(&mut acc[att.task as usize], phase) += (end - start) as f64 / 1e9,
+            Step::Close {
+                att,
+                outcome: Outcome::Ok,
+                ..
+            } => {
+                let a = acc[att.task as usize];
+                totals.overhead += a.overhead;
+                totals.ops += a.ops;
+                totals.stage_in += a.stage_in;
+                totals.read += a.read;
+                totals.compute += a.compute;
+                totals.write += a.write;
+                totals.stage_out += a.stage_out;
+            }
+            Step::Close { .. } => {}
+        });
     }
     totals
 }

@@ -89,7 +89,7 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
     };
 
     for &(t, ev) in &report.events {
-        fold.push(t, &ev).for_each(&mut render);
+        fold.push(t, &ev, &mut render);
         match ev {
             Event::Fault { kind, node } => {
                 instants.push(format!(
@@ -115,7 +115,7 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
     }
     // Any task still open at the end of the stream (e.g. a truncated
     // trace) closes at the last observed timestamp.
-    fold.finish().for_each(render);
+    fold.finish(render);
 
     let mut parts: Vec<String> = Vec::new();
     parts.push(format!(

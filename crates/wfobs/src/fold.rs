@@ -97,10 +97,6 @@ pub enum Step {
     },
 }
 
-/// The steps of one event, in order: at most a stale attempt's interval
-/// and close followed by a start.
-pub type Steps = std::iter::Flatten<std::array::IntoIter<Option<Step>, 3>>;
-
 /// The streaming task-attempt reducer. Feed it every event of a stream
 /// with [`push`](Self::push), then call [`finish`](Self::finish).
 #[derive(Debug, Default)]
@@ -121,49 +117,43 @@ impl AttemptFold {
         self.open.get(task as usize)?.as_ref()
     }
 
-    /// Fold one event in and return the steps it produced. The fold's own
-    /// state is updated eagerly; the steps are only a report.
-    pub fn push(&mut self, t: u64, ev: &Event) -> Steps {
+    /// Fold one event in, handing the steps it produces to `f` in order:
+    /// at most a stale attempt's interval and close, then a start.
+    /// Events that are not task lifecycle events only move the clock.
+    pub fn push(&mut self, t: u64, ev: &Event, mut f: impl FnMut(Step)) {
         self.t_end = self.t_end.max(t);
-        let steps = match *ev {
+        match *ev {
             Event::TaskStart {
                 task,
                 node,
                 attempt,
             } => {
-                let mut steps = self.close(task, t, Outcome::Unfinished);
-                steps[2] = Some(Step::Start(self.start(task, node, attempt, t)));
-                steps
+                self.close(task, t, Outcome::Unfinished, &mut f);
+                f(Step::Start(self.start(task, node, attempt, t)));
             }
             Event::TaskPhase { task, phase, .. } => {
-                match self.open.get_mut(task as usize).and_then(Option::as_mut) {
-                    Some(att) => {
-                        let step = interval(*att, t);
-                        att.phase = Some(phase);
-                        att.phase_start = t;
-                        att.seq += 1;
-                        [Some(step), None, None]
-                    }
-                    None => [None; 3],
+                if let Some(att) = self.open.get_mut(task as usize).and_then(Option::as_mut) {
+                    f(interval(*att, t));
+                    att.phase = Some(phase);
+                    att.phase_start = t;
+                    att.seq += 1;
                 }
             }
-            Event::TaskEnd { task, .. } => self.close(task, t, Outcome::Ok),
+            Event::TaskEnd { task, .. } => self.close(task, t, Outcome::Ok, &mut f),
             Event::TaskKilled {
                 task, wasted_nanos, ..
-            } => self.close(task, t, Outcome::Killed { wasted_nanos }),
-            Event::TaskFailed { task, .. } => self.close(task, t, Outcome::Failed),
-            _ => [None; 3],
-        };
-        steps.into_iter().flatten()
+            } => self.close(task, t, Outcome::Killed { wasted_nanos }, &mut f),
+            Event::TaskFailed { task, .. } => self.close(task, t, Outcome::Failed, &mut f),
+            _ => {}
+        }
     }
 
     /// Close every still-open attempt as [`Outcome::Unfinished`] at the
     /// last timestamp seen, in ascending task id.
-    pub fn finish(&mut self) -> impl Iterator<Item = Step> + '_ {
-        let t = self.t_end;
-        (0..self.open.len() as u32)
-            .flat_map(move |task| self.close(task, t, Outcome::Unfinished))
-            .flatten()
+    pub fn finish(&mut self, mut f: impl FnMut(Step)) {
+        for task in 0..self.open.len() as u32 {
+            self.close(task, self.t_end, Outcome::Unfinished, &mut f);
+        }
     }
 
     fn start(&mut self, task: u32, node: u32, attempt: u32, t: u64) -> Attempt {
@@ -198,18 +188,17 @@ impl AttemptFold {
     }
 
     /// Close `task`'s open attempt, if any: its last interval, then the
-    /// close itself (the third slot is for a following start).
-    fn close(&mut self, task: u32, t: u64, outcome: Outcome) -> [Option<Step>; 3] {
-        let Some(att) = self.open.get_mut(task as usize).and_then(Option::take) else {
-            return [None; 3];
-        };
-        self.busy[att.node as usize][att.lane as usize] = false;
-        let close = Step::Close {
-            att,
-            end: t,
-            outcome,
-        };
-        [Some(interval(att, t)), Some(close), None]
+    /// close itself.
+    fn close(&mut self, task: u32, t: u64, outcome: Outcome, f: &mut impl FnMut(Step)) {
+        if let Some(att) = self.open.get_mut(task as usize).and_then(Option::take) {
+            self.busy[att.node as usize][att.lane as usize] = false;
+            f(interval(att, t));
+            f(Step::Close {
+                att,
+                end: t,
+                outcome,
+            });
+        }
     }
 }
 
@@ -236,9 +225,17 @@ mod tests {
         }
     }
 
-    fn kinds(steps: impl Iterator<Item = Step>) -> Vec<(&'static str, u32)> {
+    /// The steps `ev` produces.
+    fn push(f: &mut AttemptFold, t: u64, ev: &Event) -> Vec<Step> {
+        let mut steps = Vec::new();
+        f.push(t, ev, |s| steps.push(s));
         steps
-            .map(|s| match s {
+    }
+
+    fn kinds(steps: &[Step]) -> Vec<(&'static str, u32)> {
+        steps
+            .iter()
+            .map(|s| match *s {
                 Step::Start(a) => ("start", a.task),
                 Step::Interval { att, .. } => ("interval", att.task),
                 Step::Close { att, .. } => ("close", att.task),
@@ -249,8 +246,9 @@ mod tests {
     #[test]
     fn lifecycle_reports_overhead_phases_and_outcome() {
         let mut f = AttemptFold::default();
-        let _ = f.push(10, &start(3, 1));
-        let _ = f.push(
+        push(&mut f, 10, &start(3, 1));
+        push(
+            &mut f,
             15,
             &Event::TaskPhase {
                 task: 3,
@@ -258,16 +256,15 @@ mod tests {
                 phase: Phase::Read,
             },
         );
-        let steps: Vec<Step> = f
-            .push(
-                40,
-                &Event::TaskKilled {
-                    task: 3,
-                    node: 1,
-                    wasted_nanos: 30,
-                },
-            )
-            .collect();
+        let steps = push(
+            &mut f,
+            40,
+            &Event::TaskKilled {
+                task: 3,
+                node: 1,
+                wasted_nanos: 30,
+            },
+        );
         let Step::Interval {
             phase, start, end, ..
         } = steps[0]
@@ -286,12 +283,9 @@ mod tests {
     #[test]
     fn restart_while_open_closes_the_stale_attempt_as_unfinished() {
         let mut f = AttemptFold::default();
-        let _ = f.push(0, &start(4, 0));
-        let steps: Vec<Step> = f.push(7, &start(4, 0)).collect();
-        assert_eq!(
-            kinds(steps.iter().copied()),
-            [("interval", 4), ("close", 4), ("start", 4)]
-        );
+        push(&mut f, 0, &start(4, 0));
+        let steps = push(&mut f, 7, &start(4, 0));
+        assert_eq!(kinds(&steps), [("interval", 4), ("close", 4), ("start", 4)]);
         assert!(matches!(
             steps[1],
             Step::Close {
@@ -328,33 +322,33 @@ mod tests {
             Event::TaskFailed { task: 9, node: 0 },
         ];
         for ev in &orphans {
-            assert_eq!(f.push(1, ev).count(), 0, "{ev:?}");
+            assert_eq!(push(&mut f, 1, ev), [], "{ev:?}");
         }
-        let _ = f.push(2, &start(9, 0));
-        let _ = f.push(3, &Event::TaskFailed { task: 9, node: 0 });
+        push(&mut f, 2, &start(9, 0));
+        push(&mut f, 3, &Event::TaskFailed { task: 9, node: 0 });
         for ev in &orphans {
-            assert_eq!(f.push(4, ev).count(), 0, "after close: {ev:?}");
+            assert_eq!(push(&mut f, 4, ev), [], "after close: {ev:?}");
         }
-        assert_eq!(f.finish().count(), 0);
+        f.finish(|s| panic!("nothing open, got {s:?}"));
     }
 
     #[test]
     fn finish_closes_in_ascending_task_id_at_the_last_timestamp() {
         let mut f = AttemptFold::default();
-        let _ = f.push(0, &start(5, 0));
-        let _ = f.push(1, &start(2, 0));
-        let _ = f.push(9, &Event::BgDone);
-        let closes: Vec<(u32, u64, u32)> = f
-            .finish()
-            .filter_map(|s| match s {
-                Step::Close {
-                    att,
-                    end,
-                    outcome: Outcome::Unfinished,
-                } => Some((att.task, end, att.lane)),
-                _ => None,
-            })
-            .collect();
+        push(&mut f, 0, &start(5, 0));
+        push(&mut f, 1, &start(2, 0));
+        push(&mut f, 9, &Event::BgDone);
+        let mut closes = Vec::new();
+        f.finish(|s| {
+            if let Step::Close {
+                att,
+                end,
+                outcome: Outcome::Unfinished,
+            } = s
+            {
+                closes.push((att.task, end, att.lane));
+            }
+        });
         assert_eq!(closes, [(2, 9, 1), (5, 9, 0)]);
     }
 }

@@ -61,10 +61,10 @@ pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend:
         }
     };
     for &(t, ev) in &report.events {
-        fold.push(t, &ev).for_each(&mut add);
+        fold.push(t, &ev, &mut add);
     }
     // A run that ended mid-task still accounts the open interval.
-    fold.finish().for_each(add);
+    fold.finish(add);
 
     let mut out = String::new();
     for op in OP_ORDER {

@@ -315,9 +315,9 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
     let mut t_end: u64 = 0;
     for &(t, ev) in &report.events {
         t_end = t_end.max(t);
-        for step in fold.push(t, &ev) {
-            task_step(&mut spans, &mut rescue_pending, &inc_open, step);
-        }
+        fold.push(t, &ev, |step| {
+            task_step(&mut spans, &mut rescue_pending, &inc_open, step)
+        });
         match ev {
             Event::SegmentOpen { node, spot } => {
                 let n = node as usize;
@@ -435,9 +435,7 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
 
     // Close everything still open (a run that ended mid-fault, rescue
     // pending) at the last observed timestamp so intervals stay nested.
-    for step in fold.finish() {
-        task_step(&mut spans, &mut rescue_pending, &inc_open, step);
-    }
+    fold.finish(|step| task_step(&mut spans, &mut rescue_pending, &inc_open, step));
     for slot in inc_open.iter_mut() {
         if let Some(ix) = slot.take() {
             spans[ix].end = t_end;

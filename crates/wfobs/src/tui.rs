@@ -236,9 +236,7 @@ impl TuiState {
     /// Fold one event into the model. Pure sim-time; no I/O.
     pub fn apply(&mut self, t: u64, ev: &Event) {
         self.now = self.now.max(t);
-        for step in self.fold.push(t, ev) {
-            paint(&mut self.nodes, step);
-        }
+        self.fold.push(t, ev, |step| paint(&mut self.nodes, step));
         match *ev {
             Event::TaskStart { attempt, .. } => {
                 if attempt > 0 {

@@ -139,15 +139,18 @@ proptest! {
         let events = stream(&draws);
         let mut fold = AttemptFold::default();
         let mut model = Model::default();
+        let mut steps = Vec::new();
         for (t, ev) in &events {
-            for step in fold.push(*t, ev) {
+            fold.push(*t, ev, |step| steps.push(step));
+            for step in steps.drain(..) {
                 model.check(step)?;
             }
         }
         let left: Vec<u32> = model.tiling.keys().copied().collect();
         let t_end = events.last().map_or(0, |&(t, _)| t);
         let mut closed = Vec::new();
-        for step in fold.finish() {
+        fold.finish(|step| steps.push(step));
+        for step in steps {
             if let Step::Close { att, end, outcome } = step {
                 prop_assert_eq!(outcome, Outcome::Unfinished);
                 prop_assert_eq!(end, t_end);
