@@ -15,6 +15,19 @@
 //!   disjoint components the lazy engine coalesces several small
 //!   `remaining -= rate·dt` steps into one, which can move a prediction
 //!   by a few ULPs (bounded here at relative 1e-12, ≥2 ns).
+//!
+//! Two schedule shapes target the solver's shortcuts:
+//!
+//! * **PVFS-shaped** — every operation stripes its bytes over every node
+//!   in legs that start at one instant and share one cap. Resource
+//!   capacities are drawn either far above the caps crossing them (every
+//!   flow runs at its cap: the all-at-cap fast path) or as small
+//!   multiples of the cap unit, so the sum of caps on a resource lands
+//!   exactly on its capacity or above it (the full progressive filling).
+//! * **Bursts** — many starts share an instant, and rates are compared
+//!   only once the instant's last start has been applied. The engine may
+//!   defer solving until it is read; reading after every start would
+//!   force a solve per start and never test the deferred path.
 
 use proptest::prelude::*;
 use simcore::naive::NaiveFlowEngine;
@@ -31,11 +44,30 @@ struct GenFlow {
 }
 
 fn gen_flow(n_res: usize) -> impl Strategy<Value = GenFlow> {
+    gen_flow_at(n_res, 0u64..8_000)
+}
+
+/// Like [`gen_flow`], but starting at one of a few coarse instants, so
+/// many flows start together.
+fn gen_burst_flow(n_res: usize) -> impl Strategy<Value = GenFlow> {
+    gen_flow_at(n_res, coarse_ms())
+}
+
+/// One of the few coarse instants bursts start at (in ms). Cancels drawn
+/// from it land inside a burst, between its starts.
+fn coarse_ms() -> impl Strategy<Value = u64> {
+    (0u64..12).prop_map(|k| k * 500)
+}
+
+fn gen_flow_at(
+    n_res: usize,
+    start_ms: impl Strategy<Value = u64>,
+) -> impl Strategy<Value = GenFlow> {
     (
         1u64..5_000_000,
         proptest::collection::vec(0..n_res, 1..=n_res.min(4)),
         proptest::option::of(10.0f64..1e8),
-        0u64..8_000,
+        start_ms,
     )
         .prop_map(|(bytes, mut path, cap, start_ms)| {
             path.sort_unstable();
@@ -47,6 +79,73 @@ fn gen_flow(n_res: usize) -> impl Strategy<Value = GenFlow> {
                 start_ms,
             }
         })
+}
+
+/// The cap unit of the PVFS-shaped schedules (a power of two, so sums of
+/// whole units are exact).
+const CAP_UNIT: f64 = 65_536.0;
+
+/// A PVFS-shaped cluster of `n` nodes: resources `3i`, `3i+1`, `3i+2`
+/// are node `i`'s disk, outbound NIC and inbound NIC. Each capacity is
+/// either far above any sum of caps (slack) or a small whole number of
+/// cap units (tight: sums of caps reach it exactly, or exceed it).
+fn gen_pvfs_caps(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(
+        prop_oneof![
+            1e8f64..1e9,
+            (1u32..=8).prop_map(|m| f64::from(m) * CAP_UNIT),
+        ],
+        3 * n,
+    )
+}
+
+/// PVFS-shaped operations over `n` nodes: a client reads or writes
+/// `bytes` striped over every node, one leg per node, all legs starting
+/// at the same instant with the same cap (a whole number of
+/// [`CAP_UNIT`]s). Every operation crosses every disk, so all flows form
+/// one component.
+fn gen_pvfs_ops(n: usize) -> impl Strategy<Value = Vec<GenFlow>> {
+    proptest::collection::vec(
+        (
+            0..n,
+            1_000u64..5_000_000,
+            (0u8..2).prop_map(|w| w == 1),
+            1u32..=4,
+            coarse_ms(),
+        ),
+        1..14,
+    )
+    .prop_map(move |ops| {
+        // (disk, outbound NIC, inbound NIC) of node `i`.
+        let node = |i: usize| (3 * i, 3 * i + 1, 3 * i + 2);
+        let mut legs = Vec::new();
+        for (client, bytes, write, units, start_ms) in ops {
+            let k = n as u64;
+            let (_, c_out, c_in) = node(client);
+            for srv in 0..n {
+                let (s_disk, s_out, s_in) = node(srv);
+                let mut path = Vec::new();
+                if write {
+                    if srv != client {
+                        path.extend([c_out, s_in]);
+                    }
+                    path.push(s_disk);
+                } else {
+                    path.push(s_disk);
+                    if srv != client {
+                        path.extend([s_out, c_in]);
+                    }
+                }
+                legs.push(GenFlow {
+                    bytes: bytes / k + u64::from((srv as u64) < bytes % k),
+                    path,
+                    cap: Some(f64::from(units) * CAP_UNIT),
+                    start_ms,
+                });
+            }
+        }
+        legs
+    })
 }
 
 /// One scheduled mutation of the engines.
@@ -61,15 +160,26 @@ enum Op {
     Crash(usize),
 }
 
+/// When the harness compares the engines' rate vectors.
+#[derive(Clone, Copy, PartialEq)]
+enum Check {
+    /// After every operation and completion.
+    EveryOp,
+    /// Only once no further operation shares the instant (and after every
+    /// completion), so same-instant starts reach the engine as a burst.
+    InstantBoundary,
+}
+
 /// Drive both engines through the same schedule, asserting agreement after
-/// every event. `tol_ns(t)` bounds the allowed next-completion divergence
-/// at simulated nanosecond `t`.
+/// every event (or every instant, per `check`). `tol_ns(t)` bounds the
+/// allowed next-completion divergence at simulated nanosecond `t`.
 fn run_differential(
     caps: &[f64],
     flows: &[GenFlow],
     cancels: &[(usize, u64)],
     crashes: &[(usize, u64)],
     force_shared: bool,
+    check: Check,
     tol_ns: impl Fn(u64) -> u64,
 ) -> Result<(), TestCaseError> {
     let mut naive: NaiveFlowEngine<usize> = NaiveFlowEngine::new();
@@ -186,6 +296,10 @@ fn run_differential(
                     }
                 }
             }
+            if check == Check::InstantBoundary && ops.get(op_ix).is_some_and(|&(t, _, _)| t == t_ns)
+            {
+                continue;
+            }
         } else {
             let (t_n, id_n) = next_done.unwrap();
             let (t_i, id_i) = inc
@@ -267,7 +381,7 @@ proptest! {
         flows in proptest::collection::vec(gen_flow(4), 1..40),
         cancels in proptest::collection::vec((0usize..64, 0u64..10_000), 0..8),
     ) {
-        run_differential(&caps, &flows, &cancels, &[], true, |_| 0)?;
+        run_differential(&caps, &flows, &cancels, &[], true, Check::EveryOp, |_| 0)?;
     }
 
     /// General case: random paths form multiple components that split and
@@ -280,7 +394,7 @@ proptest! {
         cancels in proptest::collection::vec((0usize..64, 0u64..10_000), 0..8),
     ) {
         // Relative 1e-12 of the completion instant, floored at 2 ns.
-        run_differential(&caps, &flows, &cancels, &[], false,
+        run_differential(&caps, &flows, &cancels, &[], false, Check::EveryOp,
             |t| 2 + (t as f64 * 1e-12) as u64)?;
     }
 
@@ -294,7 +408,7 @@ proptest! {
         flows in proptest::collection::vec(gen_flow(4), 1..40),
         crashes in proptest::collection::vec((0usize..8, 0u64..10_000), 1..6),
     ) {
-        run_differential(&caps, &flows, &[], &crashes, true, |_| 0)?;
+        run_differential(&caps, &flows, &[], &crashes, true, Check::EveryOp, |_| 0)?;
     }
 
     /// Crash-shaped schedules over disjoint components, mixed with plain
@@ -308,7 +422,61 @@ proptest! {
         cancels in proptest::collection::vec((0usize..64, 0u64..10_000), 0..8),
         crashes in proptest::collection::vec((0usize..8, 0u64..10_000), 1..6),
     ) {
-        run_differential(&caps, &flows, &cancels, &crashes, false,
+        run_differential(&caps, &flows, &cancels, &crashes, false, Check::EveryOp,
+            |t| 2 + (t as f64 * 1e-12) as u64)?;
+    }
+
+    /// PVFS-shaped schedules, read after every operation: striped legs
+    /// with one shared cap per operation, over slack and tight
+    /// capacities. All flows form one component, so agreement is
+    /// bit-identical.
+    #[test]
+    fn pvfs_stripes_bit_identical(
+        n in 2usize..=4,
+        caps in gen_pvfs_caps(n),
+        flows in gen_pvfs_ops(n),
+        cancels in proptest::collection::vec((0usize..64, 0u64..8_000), 0..6),
+    ) {
+        run_differential(&caps, &flows, &cancels, &[], false, Check::EveryOp, |_| 0)?;
+    }
+
+    /// PVFS-shaped schedules read only at instant boundaries: each
+    /// operation's legs (and every operation sharing its instant) reach
+    /// the engine as one burst of starts.
+    #[test]
+    fn pvfs_stripe_bursts_bit_identical(
+        n in 2usize..=4,
+        caps in gen_pvfs_caps(n),
+        flows in gen_pvfs_ops(n),
+        cancels in proptest::collection::vec((0usize..64, coarse_ms()), 0..6),
+        crashes in proptest::collection::vec((0usize..12, coarse_ms()), 0..3),
+    ) {
+        run_differential(&caps, &flows, &cancels, &crashes, false, Check::InstantBoundary,
+            |_| 0)?;
+    }
+
+    /// Bursts of same-instant starts on one shared resource, read only at
+    /// instant boundaries: bit-identical.
+    #[test]
+    fn bursts_single_component_bit_identical(
+        caps in proptest::collection::vec(1e3f64..1e9, 1..5),
+        flows in proptest::collection::vec(gen_burst_flow(4), 1..40),
+        cancels in proptest::collection::vec((0usize..64, coarse_ms()), 0..8),
+    ) {
+        run_differential(&caps, &flows, &cancels, &[], true, Check::InstantBoundary, |_| 0)?;
+    }
+
+    /// Bursts of same-instant starts over disjoint components that merge
+    /// within the burst, read only at instant boundaries. Rates stay
+    /// bit-exact, predictions within the lazy-sync bound.
+    #[test]
+    fn bursts_multi_component(
+        caps in proptest::collection::vec(1e3f64..1e9, 2..6),
+        flows in proptest::collection::vec(gen_burst_flow(5), 1..40),
+        cancels in proptest::collection::vec((0usize..64, coarse_ms()), 0..8),
+        crashes in proptest::collection::vec((0usize..8, coarse_ms()), 0..4),
+    ) {
+        run_differential(&caps, &flows, &cancels, &crashes, false, Check::InstantBoundary,
             |t| 2 + (t as f64 * 1e-12) as u64)?;
     }
 }
