@@ -540,11 +540,92 @@ impl<C> FlowEngine<C> {
         }
     }
 
-    /// Progressive-filling max–min fair allocation over the collected
-    /// component, then rate/heap/statistics bookkeeping. Flows are solved
-    /// in ascending external-id order so the arithmetic matches a global
-    /// recompute restricted to this component bit for bit.
+    /// Max–min fair allocation over the collected component, then
+    /// rate/heap/statistics bookkeeping.
     fn solve_and_apply(&mut self, now: SimTime) {
+        // All-at-cap fast path. If every flow has a cap and, on every
+        // resource, the caps crossing it sum to at most capacity·(1 − 1e-9),
+        // progressive filling freezes every flow at exactly its cap, in
+        // whatever order: in each round the resource bound `share` is
+        // cap_left/load on some resource, whose unfixed flows' caps sum to
+        // at most cap_left − 1e-9·capacity, so their smallest cap (and with
+        // it `min_cap`) is strictly below `share` and only flows whose cap
+        // equals `min_cap` freeze, at that cap. The rounding error carried
+        // in `cap_left` is about load·2⁻⁵²·capacity, far below the 1e-9
+        // margin. Skipping the sort and the filling rounds then yields the
+        // same bits; debug builds run the full filling and check that.
+        let at_cap = self.caps_fit();
+        if cfg!(debug_assertions) || !at_cap {
+            self.fill();
+        }
+
+        // Apply rates and push fresh completion predictions for every flow
+        // of the component (its remaining bytes were just synced to `now`,
+        // so the prediction is exactly what the reference engine's linear
+        // scan would derive). Superseded heap entries go stale via `gen`.
+        let sc = &mut self.scratch;
+        for (i, &s) in sc.comp_slots.iter().enumerate() {
+            let f = self.slots[s as usize].as_mut().expect("vacant");
+            if at_cap {
+                f.rate = f.cap.expect("capped").max(f64::MIN_POSITIVE);
+                debug_assert_eq!(
+                    f.rate.to_bits(),
+                    sc.new_rate[i].max(f64::MIN_POSITIVE).to_bits(),
+                    "all-at-cap fast path disagrees with progressive filling"
+                );
+            } else {
+                f.rate = sc.new_rate[i].max(f64::MIN_POSITIVE);
+            }
+            f.gen += 1;
+            let eta = SimDuration::from_secs_f64(f.remaining / f.rate);
+            self.heap.push(Reverse((now + eta, f.id, f.gen)));
+        }
+
+        // Per-resource rate sums open a fresh constant-rate interval. On
+        // the fast path `caps_fit` already summed the applied rates, in
+        // the same list order.
+        for &r in &sc.comp_res {
+            let res = &mut self.resources[r as usize];
+            if !at_cap {
+                let mut sum = 0.0;
+                for &s in &res.flows {
+                    sum += self.slots[s as usize].as_ref().expect("vacant").rate;
+                }
+                res.rate_sum = sum;
+            }
+            debug_assert_eq!(res.stat_sync, now, "stats not flushed before re-rating");
+        }
+    }
+
+    /// The all-at-cap test of [`Self::solve_and_apply`]: true when every
+    /// flow of the component has a cap and every resource's caps sum to at
+    /// most `capacity · (1 − 1e-9)`. Each sum runs over the resource's flow
+    /// list in order and is stored as its `rate_sum`, which on the fast
+    /// path is exactly the sum of the rates the flows get. On false, some
+    /// `rate_sum`s may hold partial sums; the full solve rewrites them.
+    fn caps_fit(&mut self) -> bool {
+        for &r in &self.scratch.comp_res {
+            let res = &mut self.resources[r as usize];
+            let mut sum = 0.0;
+            for &s in &res.flows {
+                match self.slots[s as usize].as_ref().expect("vacant").cap {
+                    Some(c) => sum += c.max(f64::MIN_POSITIVE),
+                    None => return false,
+                }
+            }
+            if sum > res.capacity * (1.0 - 1e-9) {
+                return false;
+            }
+            res.rate_sum = sum;
+        }
+        true
+    }
+
+    /// Progressive-filling max–min fair allocation over the collected
+    /// component into `scratch.new_rate` (parallel to `comp_slots`). Flows
+    /// are solved in ascending external-id order so the arithmetic matches
+    /// a global recompute restricted to this component bit for bit.
+    fn fill(&mut self) {
         let sc = &mut self.scratch;
         sc.comp_slots.sort_unstable_by_key(|&s| {
             self.slots[s as usize]
@@ -655,29 +736,6 @@ impl<C> FlowEngine<C> {
             if !progressed {
                 break;
             }
-        }
-
-        // Apply rates and push fresh completion predictions for every flow
-        // of the component (its remaining bytes were just synced to `now`,
-        // so the prediction is exactly what the reference engine's linear
-        // scan would derive). Superseded heap entries go stale via `gen`.
-        for (i, &s) in sc.comp_slots.iter().enumerate() {
-            let f = self.slots[s as usize].as_mut().expect("vacant");
-            f.rate = sc.new_rate[i].max(f64::MIN_POSITIVE);
-            f.gen += 1;
-            let eta = SimDuration::from_secs_f64(f.remaining / f.rate);
-            self.heap.push(Reverse((now + eta, f.id, f.gen)));
-        }
-
-        // Per-resource rate sums open a fresh constant-rate interval.
-        for &r in &sc.comp_res {
-            let res = &mut self.resources[r as usize];
-            let mut sum = 0.0;
-            for &s in &res.flows {
-                sum += self.slots[s as usize].as_ref().expect("vacant").rate;
-            }
-            res.rate_sum = sum;
-            debug_assert_eq!(res.stat_sync, now, "stats not flushed before re-rating");
         }
     }
 
