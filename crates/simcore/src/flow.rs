@@ -174,6 +174,9 @@ struct Slot<C> {
     rate: f64,
     /// Instant `remaining` was last brought forward.
     sync: SimTime,
+    /// Predicted completion instant of the live heap entry (`None` before
+    /// the flow's first solve).
+    pred: Option<SimTime>,
     /// Heap-entry generation; entries with an older generation are stale.
     gen: u64,
     completion: Option<C>,
@@ -328,6 +331,7 @@ impl<C> FlowEngine<C> {
             cap: spec.rate_cap,
             rate: 0.0,
             sync: now,
+            pred: None,
             gen: 0,
             completion: Some(completion),
         });
@@ -559,10 +563,13 @@ impl<C> FlowEngine<C> {
             self.fill();
         }
 
-        // Apply rates and push fresh completion predictions for every flow
+        // Apply rates and recompute the completion prediction of every flow
         // of the component (its remaining bytes were just synced to `now`,
         // so the prediction is exactly what the reference engine's linear
-        // scan would derive). Superseded heap entries go stale via `gen`.
+        // scan would derive). A prediction that moved gets a fresh heap
+        // entry, and the superseded one goes stale via `gen`; one that did
+        // not move keeps its entry, since live entries are ordered by
+        // `(time, id)` alone.
         let sc = &mut self.scratch;
         for (i, &s) in sc.comp_slots.iter().enumerate() {
             let f = self.slots[s as usize].as_mut().expect("vacant");
@@ -576,9 +583,12 @@ impl<C> FlowEngine<C> {
             } else {
                 f.rate = sc.new_rate[i].max(f64::MIN_POSITIVE);
             }
-            f.gen += 1;
-            let eta = SimDuration::from_secs_f64(f.remaining / f.rate);
-            self.heap.push(Reverse((now + eta, f.id, f.gen)));
+            let pred = now + SimDuration::from_secs_f64(f.remaining / f.rate);
+            if f.pred != Some(pred) {
+                f.pred = Some(pred);
+                f.gen += 1;
+                self.heap.push(Reverse((pred, f.id, f.gen)));
+            }
         }
 
         // Per-resource rate sums open a fresh constant-rate interval. On
