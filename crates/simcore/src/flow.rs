@@ -134,14 +134,7 @@ impl Resource {
     /// invariant. Must run *before* this resource's flow list or rates
     /// change.
     fn flush_stats(&mut self, now: SimTime) {
-        let dt = now.since(self.stat_sync).as_secs_f64();
-        if dt > 0.0 {
-            self.stats.bytes += self.rate_sum * dt;
-            if !self.flows.is_empty() {
-                self.stats.busy_secs += dt;
-            }
-            self.stats.util_integral += (self.rate_sum / self.capacity).min(1.0) * dt;
-        }
+        self.stats = self.stats_at(now);
         self.stat_sync = now;
     }
 
@@ -206,6 +199,21 @@ struct Scratch {
     res_queue: Vec<u32>,
 }
 
+impl Scratch {
+    /// Add the resources of `path` not yet seen in the current walk to the
+    /// component and the work queue.
+    fn enqueue_path(&mut self, path: &[ResourceId]) {
+        for r in path {
+            let ri = r.index();
+            if self.res_stamp[ri] != self.stamp {
+                self.res_stamp[ri] = self.stamp;
+                self.comp_res.push(r.0);
+                self.res_queue.push(r.0);
+            }
+        }
+    }
+}
+
 /// The fluid-flow engine. `C` is an opaque completion payload returned to
 /// the caller when a flow finishes (the simulation driver stores event
 /// closures here).
@@ -220,6 +228,9 @@ pub struct FlowEngine<C> {
     last_advance: SimTime,
     flows_started: u64,
     flows_completed: u64,
+    /// Slots of the flows started at `last_advance` whose components are
+    /// not solved yet (see [`Self::start`]).
+    pending: Vec<u32>,
     scratch: Scratch,
 }
 
@@ -242,6 +253,7 @@ impl<C> FlowEngine<C> {
             last_advance: SimTime::ZERO,
             flows_started: 0,
             flows_completed: 0,
+            pending: Vec::new(),
             scratch: Scratch::default(),
         }
     }
@@ -302,6 +314,11 @@ impl<C> FlowEngine<C> {
     /// (check [`FlowSpec::is_instant`] first); panics otherwise. Panics if a
     /// rate cap is present but not finite and positive, or if the path
     /// names an unregistered resource.
+    ///
+    /// Starts at one instant form a burst: the flow is attached, but its
+    /// component is solved only when the engine is next asked for a rate
+    /// or a completion, or mutated otherwise (a removal, or a start at a
+    /// later instant).
     pub fn start(&mut self, now: SimTime, spec: FlowSpec, completion: C) -> FlowId {
         assert!(
             !spec.is_instant(),
@@ -313,12 +330,15 @@ impl<C> FlowEngine<C> {
         for r in &spec.path {
             assert!(r.index() < self.resources.len(), "unknown resource in path");
         }
+        if now != self.last_advance {
+            self.solve_pending();
+        }
         self.advance_clock(now);
-        // Sync the component the new flow is about to join (statistics
-        // must close their constant-rate interval before the flow lists
-        // change).
-        self.collect_component(&spec.path, None);
-        self.sync_component(now);
+        // The new flow's resources close their constant-rate interval
+        // before their flow lists change.
+        for r in &spec.path {
+            self.resources[r.index()].flush_stats(now);
+        }
 
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -337,14 +357,14 @@ impl<C> FlowEngine<C> {
         });
         self.attach(slot);
         self.by_id.insert(id.0, slot);
-        self.scratch.comp_slots.push(slot);
-        self.solve_and_apply(now);
+        self.pending.push(slot);
         id
     }
 
     /// Cancel an active flow, returning its completion payload if it was
     /// still active.
     pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<C> {
+        self.solve_pending();
         let slot = *self.by_id.get(&id.0)?;
         Some(self.remove_flow(now, id, slot))
     }
@@ -352,14 +372,17 @@ impl<C> FlowEngine<C> {
     /// Complete flow `id` at time `now` (as previously announced by
     /// [`Self::next_completion`]) and return its completion payload.
     pub fn complete(&mut self, now: SimTime, id: FlowId) -> C {
+        self.solve_pending();
         let slot = *self.by_id.get(&id.0).expect("completing unknown flow");
         self.flows_completed += 1;
         self.remove_flow(now, id, slot)
     }
 
     /// The earliest (time, flow) completion among active flows, if any.
-    /// Takes `&mut self` to discard stale heap entries.
+    /// Takes `&mut self` to solve a pending burst of starts and to discard
+    /// stale heap entries.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
+        self.solve_pending();
         while let Some(Reverse((t, id, gen))) = self.heap.peek().copied() {
             let live = self
                 .by_id
@@ -374,8 +397,10 @@ impl<C> FlowEngine<C> {
         None
     }
 
-    /// Instantaneous rate of an active flow (testing/diagnostics).
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
+    /// Instantaneous rate of an active flow (testing/diagnostics). Takes
+    /// `&mut self` to solve a pending burst of starts.
+    pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
+        self.solve_pending();
         let slot = *self.by_id.get(&id.0)?;
         self.slots[slot as usize].as_ref().map(|f| f.rate)
     }
@@ -465,17 +490,12 @@ impl<C> FlowEngine<C> {
 
     fn remove_flow(&mut self, now: SimTime, id: FlowId, slot: u32) -> C {
         self.advance_clock(now);
-        let path: Vec<ResourceId> = self.slots[slot as usize]
-            .as_ref()
-            .expect("removing vacant slot")
-            .path
-            .clone();
         // The component is discovered while the flow is still attached, so
         // parts that the removal splits apart are all re-solved this event.
-        self.collect_component(&path, Some(slot));
+        self.collect_component(slot);
         self.sync_component(now);
         self.detach(slot);
-        self.scratch.comp_slots.retain(|&s| s != slot);
+        self.scratch.comp_slots.swap_remove(0); // the walk's seed
         let f = self.slots[slot as usize].take().expect("slot vanished");
         self.by_id.remove(&id.0);
         self.free.push(slot);
@@ -484,28 +504,50 @@ impl<C> FlowEngine<C> {
         f.completion.expect("completion payload taken twice")
     }
 
-    /// Stamped BFS over the resource↔flow bipartite graph, seeded from
-    /// `seed_res` (and optionally a seed flow). Fills `scratch.comp_slots`
-    /// and `scratch.comp_res`.
-    fn collect_component(&mut self, seed_res: &[ResourceId], seed_slot: Option<u32>) {
+    /// Solve the components of a pending burst of starts, at the burst's
+    /// instant `last_advance`: walk from each started flow not yet reached,
+    /// then sync and solve that component on its own. Starts only merge
+    /// components, so each component solved here is the one the burst's
+    /// last start into it would have solved, and gets the same bits as one
+    /// solve per start. Solving components jointly instead could move
+    /// ε-near ties, so each is solved alone.
+    fn solve_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let now = self.last_advance;
+        let mut seeds = std::mem::take(&mut self.pending);
+        // Every walk below takes a fresh stamp, so a slot reached by one of
+        // them has a stamp of at least `first`.
+        let first = self.scratch.stamp + 1;
+        for &seed in &seeds {
+            if self.scratch.slot_stamp[seed as usize] >= first {
+                continue;
+            }
+            self.collect_component(seed);
+            self.sync_component(now);
+            self.solve_and_apply(now);
+        }
+        seeds.clear();
+        self.pending = seeds;
+    }
+
+    /// Stamped BFS over the resource↔flow bipartite graph from the
+    /// attached flow in `seed`, which comes first in `scratch.comp_slots`.
+    /// Fills `scratch.comp_slots` and `scratch.comp_res`.
+    fn collect_component(&mut self, seed: u32) {
         let sc = &mut self.scratch;
         sc.stamp += 1;
         let stamp = sc.stamp;
         sc.comp_slots.clear();
         sc.comp_res.clear();
         sc.res_queue.clear();
-        if let Some(s) = seed_slot {
-            sc.slot_stamp[s as usize] = stamp;
-            sc.comp_slots.push(s);
-        }
-        for r in seed_res {
-            let ri = r.index();
-            if sc.res_stamp[ri] != stamp {
-                sc.res_stamp[ri] = stamp;
-                sc.comp_res.push(r.0);
-                sc.res_queue.push(r.0);
-            }
-        }
+        sc.slot_stamp[seed as usize] = stamp;
+        sc.comp_slots.push(seed);
+        let f = self.slots[seed as usize]
+            .as_ref()
+            .expect("seed slot vacant");
+        sc.enqueue_path(&f.path);
         while let Some(ri) = sc.res_queue.pop() {
             for &s in &self.resources[ri as usize].flows {
                 if sc.slot_stamp[s as usize] == stamp {
@@ -514,14 +556,7 @@ impl<C> FlowEngine<C> {
                 sc.slot_stamp[s as usize] = stamp;
                 sc.comp_slots.push(s);
                 let f = self.slots[s as usize].as_ref().expect("listed slot vacant");
-                for pr in &f.path {
-                    let pi = pr.index();
-                    if sc.res_stamp[pi] != stamp {
-                        sc.res_stamp[pi] = stamp;
-                        sc.comp_res.push(pr.0);
-                        sc.res_queue.push(pr.0);
-                    }
-                }
+                sc.enqueue_path(&f.path);
             }
         }
     }
@@ -958,6 +993,67 @@ mod tests {
         let (done, fid) = fe.next_completion().unwrap();
         assert_eq!(fid, b);
         assert!((done.as_secs_f64() - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn reading_rates_mid_burst_changes_nothing() {
+        // Two engines see the same burst of starts at t=2.5 on top of a
+        // flow in flight since t=0. One reads each new flow's rate right
+        // after starting it, which solves per start; the other reads
+        // nothing until the burst is over, so it solves once. Rates,
+        // completion instants and statistics agree bit for bit, and the
+        // `&self` getters are exact in the middle of the burst.
+        let build = || {
+            let mut fe: FlowEngine<u32> = FlowEngine::new();
+            let r: Vec<ResourceId> = (0..4)
+                .map(|i| fe.add_resource(format!("r{i}"), 100.0 + 7.0 * f64::from(i)))
+                .collect();
+            let first = fe.start(t(0.0), FlowSpec::new(900, vec![r[0]]), 0);
+            (fe, r, first)
+        };
+        let (mut eager, r, first) = build();
+        let (mut lazy, _, _) = build();
+        let burst = [
+            FlowSpec::new(400, vec![r[1]]).with_cap(30.0),
+            FlowSpec::new(700, vec![r[2]]),
+            // Merges r0's component with r1's.
+            FlowSpec::new(500, vec![r[0], r[1]]),
+            FlowSpec::new(300, vec![r[2], r[3]]).with_cap(45.0),
+            FlowSpec::new(800, vec![]).with_cap(12.5),
+        ];
+        let mut ids = vec![first];
+        for (k, spec) in (1..).zip(burst) {
+            let id = eager.start(t(2.5), spec.clone(), k);
+            eager.flow_rate(id);
+            assert_eq!(lazy.start(t(2.5), spec, k), id);
+            assert_eq!(
+                lazy.flow_remaining(first).map(f64::to_bits),
+                eager.flow_remaining(first).map(f64::to_bits)
+            );
+            for &res in &r {
+                let (a, b) = (eager.resource_stats(res), lazy.resource_stats(res));
+                assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
+                assert_eq!(a.util_integral.to_bits(), b.util_integral.to_bits());
+            }
+            ids.push(id);
+        }
+        for &id in &ids {
+            assert_eq!(
+                eager.flow_rate(id).map(f64::to_bits),
+                lazy.flow_rate(id).map(f64::to_bits),
+                "rate of {id:?}"
+            );
+        }
+        while let Some((tt, id)) = eager.next_completion() {
+            assert_eq!(lazy.next_completion(), Some((tt, id)));
+            assert_eq!(eager.complete(tt, id), lazy.complete(tt, id));
+        }
+        assert_eq!(lazy.next_completion(), None);
+        for &res in &r {
+            let (a, b) = (eager.resource_stats(res), lazy.resource_stats(res));
+            assert_eq!(a.util_integral.to_bits(), b.util_integral.to_bits());
+            assert_eq!(a.busy_secs.to_bits(), b.busy_secs.to_bits());
+        }
     }
 
     #[test]

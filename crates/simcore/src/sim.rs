@@ -205,7 +205,14 @@ impl<W> Sim<W> {
     pub fn run(&mut self, world: &mut W) {
         loop {
             let tq = self.queue.peek().map(|s| s.time);
-            let tf = self.flows.next_completion();
+            // A calendar event due now wins any tie, so it fires without
+            // asking the flow engine, which would solve a pending burst of
+            // same-instant starts early.
+            let tf = if tq == Some(self.now) {
+                None
+            } else {
+                self.flows.next_completion()
+            };
             let next = match (tq, tf) {
                 (None, None) => break,
                 (Some(q), None) => Step::Event(q),

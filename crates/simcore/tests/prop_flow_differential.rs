@@ -355,15 +355,21 @@ fn run_differential(
         "observed-stream digests diverged"
     );
     prop_assert_eq!(inc.active_flows(), 0);
-    // Byte accounting agrees to rounding (the engines accumulate resource
-    // statistics with differently-associated but equivalent arithmetic).
+    // Resource accounting agrees to rounding (the engines accumulate
+    // resource statistics with differently-associated but equivalent
+    // arithmetic).
     for (rn, ri) in rids_n.iter().zip(&rids_i) {
-        let bn = naive.resource_stats(*rn).bytes;
-        let bi = inc.resource_stats(*ri).bytes;
-        prop_assert!(
-            (bn - bi).abs() <= bn.abs().max(1.0) * 1e-9,
-            "resource bytes diverged: {bn} vs {bi}"
-        );
+        let (sn, si) = (naive.resource_stats(*rn), inc.resource_stats(*ri));
+        for (what, a, b) in [
+            ("bytes", sn.bytes, si.bytes),
+            ("busy_secs", sn.busy_secs, si.busy_secs),
+            ("util_integral", sn.util_integral, si.util_integral),
+        ] {
+            prop_assert!(
+                (a - b).abs() <= a.abs().max(1.0) * 1e-9,
+                "resource {what} diverged: {a} vs {b}"
+            );
+        }
     }
     Ok(())
 }
