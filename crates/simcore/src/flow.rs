@@ -29,14 +29,40 @@
 //!   breadth-first walk over per-resource flow lists. Rates elsewhere are
 //!   untouched (they would re-derive to the same bits).
 //! * **Lazy completion heap** — instead of scanning every active flow for
-//!   the earliest completion, predictions are computed once per rate
-//!   change and kept in a binary min-heap keyed `(time, flow id)`.
-//!   Per-flow generation counters invalidate superseded entries lazily.
+//!   the earliest completion, predictions are kept in a binary min-heap
+//!   keyed `(time, flow id)`. Each solve recomputes the prediction of every
+//!   flow it re-rates, but pushes an entry only when the predicted instant
+//!   moved; per-flow generation counters invalidate superseded entries
+//!   lazily.
 //! * **Lazy accounting** — per-flow remaining bytes and per-resource
 //!   statistics are only brought forward when their component is touched
 //!   (rates are constant in between, so the update is a single
 //!   multiply-add per flow/resource), using reusable scratch buffers
 //!   instead of per-event allocations.
+//!
+//! Two shortcuts skip work that cannot change the answer:
+//!
+//! * **All-at-cap fast path** — when every flow of a component has a cap
+//!   and, on every resource, the caps crossing it sum to at most
+//!   `capacity · (1 − 1e-9)`, progressive filling freezes each flow at
+//!   exactly its cap in whatever order it runs (the smallest unfixed cap
+//!   stays strictly below every resource's fair share in every round, with
+//!   a margin far above the rounding carried in the remaining capacities).
+//!   The solver then sets each rate to its cap, with no sort by flow id and
+//!   no filling rounds; the per-resource cap sums, taken in flow-list order
+//!   during the component walk, are the new rate sums bit for bit. Debug
+//!   builds still run the full filling and assert bit equality.
+//! * **One solve per burst of same-instant starts** — a start attaches its
+//!   flow (after closing the statistics interval of the flow's resources)
+//!   but does not solve. The pending solve runs when the engine is next
+//!   asked for a rate or a completion, on a removal, or on a start at a
+//!   later instant. It walks from each started flow and solves each
+//!   component once, on its own. Starts only merge components, so this is
+//!   bit for bit what one solve per start leaves behind. Removals solve
+//!   eagerly: solving the pieces of several removals jointly could move
+//!   ε-near ties. The `&self` getters (`flow_remaining`,
+//!   `resource_stats`) are exact during a burst, because no time passes
+//!   within it.
 //!
 //! The reference single-threaded solver with global recompute and a linear
 //! completion scan is preserved as `NaiveFlowEngine` in the `naive` module
@@ -490,23 +516,29 @@ impl<C> FlowEngine<C> {
 
     fn remove_flow(&mut self, now: SimTime, id: FlowId, slot: u32) -> C {
         self.advance_clock(now);
-        // The component is discovered while the flow is still attached, so
-        // parts that the removal splits apart are all re-solved this event.
-        self.collect_component(slot);
-        self.sync_component(now);
+        // The flow's resources close their constant-rate interval before
+        // their flow lists change.
+        let f = self.slots[slot as usize]
+            .as_ref()
+            .expect("removing vacant slot");
+        for r in &f.path {
+            self.resources[r.index()].flush_stats(now);
+        }
         self.detach(slot);
-        self.scratch.comp_slots.swap_remove(0); // the walk's seed
+        // Walking from the removed flow's resources reaches every part the
+        // removal splits apart, so all of them are re-solved this event.
+        let at_cap = self.collect_component(now, None, slot);
         let f = self.slots[slot as usize].take().expect("slot vanished");
         self.by_id.remove(&id.0);
         self.free.push(slot);
-        self.solve_and_apply(now);
+        self.solve_and_apply(now, at_cap);
         self.maybe_shrink_heap();
         f.completion.expect("completion payload taken twice")
     }
 
     /// Solve the components of a pending burst of starts, at the burst's
-    /// instant `last_advance`: walk from each started flow not yet reached,
-    /// then sync and solve that component on its own. Starts only merge
+    /// instant `last_advance`: walk from each started flow not yet reached
+    /// and solve that component on its own. Starts only merge
     /// components, so each component solved here is the one the burst's
     /// last start into it would have solved, and gets the same bits as one
     /// solve per start. Solving components jointly instead could move
@@ -524,64 +556,63 @@ impl<C> FlowEngine<C> {
             if self.scratch.slot_stamp[seed as usize] >= first {
                 continue;
             }
-            self.collect_component(seed);
-            self.sync_component(now);
-            self.solve_and_apply(now);
+            let at_cap = self.collect_component(now, Some(seed), seed);
+            self.solve_and_apply(now, at_cap);
         }
         seeds.clear();
         self.pending = seeds;
     }
 
     /// Stamped BFS over the resource↔flow bipartite graph from the
-    /// attached flow in `seed`, which comes first in `scratch.comp_slots`.
-    /// Fills `scratch.comp_slots` and `scratch.comp_res`.
-    fn collect_component(&mut self, seed: u32) {
+    /// resources on slot `from`'s path, plus the flow in `seed` (listed
+    /// first). Fills `scratch.comp_slots` and `scratch.comp_res`.
+    ///
+    /// Each resource reached closes its constant-rate interval at `now`,
+    /// and its flows' caps are summed, in list order, into its `rate_sum`
+    /// (an uncapped flow counts as an infinite cap). Returns whether every
+    /// flow has a cap and every resource's caps sum to at most
+    /// `capacity · (1 − 1e-9)`: the all-at-cap test of
+    /// [`Self::solve_and_apply`], on whose fast path these sums are the new
+    /// rate sums bit for bit. Otherwise the full solve rewrites them.
+    fn collect_component(&mut self, now: SimTime, seed: Option<u32>, from: u32) -> bool {
         let sc = &mut self.scratch;
         sc.stamp += 1;
         let stamp = sc.stamp;
         sc.comp_slots.clear();
         sc.comp_res.clear();
         sc.res_queue.clear();
-        sc.slot_stamp[seed as usize] = stamp;
-        sc.comp_slots.push(seed);
-        let f = self.slots[seed as usize]
+        if let Some(s) = seed {
+            sc.slot_stamp[s as usize] = stamp;
+            sc.comp_slots.push(s);
+        }
+        let f = self.slots[from as usize]
             .as_ref()
-            .expect("seed slot vacant");
+            .expect("walk from vacant slot");
         sc.enqueue_path(&f.path);
+        let mut at_cap = true;
         while let Some(ri) = sc.res_queue.pop() {
-            for &s in &self.resources[ri as usize].flows {
-                if sc.slot_stamp[s as usize] == stamp {
-                    continue;
-                }
-                sc.slot_stamp[s as usize] = stamp;
-                sc.comp_slots.push(s);
+            let res = &mut self.resources[ri as usize];
+            res.flush_stats(now);
+            let mut cap_sum = 0.0;
+            for &s in &res.flows {
                 let f = self.slots[s as usize].as_ref().expect("listed slot vacant");
-                sc.enqueue_path(&f.path);
+                cap_sum += f.cap.map_or(f64::INFINITY, |c| c.max(f64::MIN_POSITIVE));
+                if sc.slot_stamp[s as usize] != stamp {
+                    sc.slot_stamp[s as usize] = stamp;
+                    sc.comp_slots.push(s);
+                    sc.enqueue_path(&f.path);
+                }
             }
+            res.rate_sum = cap_sum;
+            at_cap &= cap_sum <= res.capacity * (1.0 - 1e-9);
         }
-    }
-
-    /// Bring every flow and resource of the collected component forward to
-    /// `now` (rates were constant since their last sync).
-    fn sync_component(&mut self, now: SimTime) {
-        for &s in &self.scratch.comp_slots {
-            let f = self.slots[s as usize]
-                .as_mut()
-                .expect("sync of vacant slot");
-            let dt = now.since(f.sync).as_secs_f64();
-            if dt > 0.0 {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-            }
-            f.sync = now;
-        }
-        for &r in &self.scratch.comp_res {
-            self.resources[r as usize].flush_stats(now);
-        }
+        at_cap
     }
 
     /// Max–min fair allocation over the collected component, then
-    /// rate/heap/statistics bookkeeping.
-    fn solve_and_apply(&mut self, now: SimTime) {
+    /// rate/heap/statistics bookkeeping. `at_cap` is the verdict of
+    /// [`Self::collect_component`]'s all-at-cap test.
+    fn solve_and_apply(&mut self, now: SimTime, at_cap: bool) {
         // All-at-cap fast path. If every flow has a cap and, on every
         // resource, the caps crossing it sum to at most capacity·(1 − 1e-9),
         // progressive filling freezes every flow at exactly its cap, in
@@ -593,21 +624,24 @@ impl<C> FlowEngine<C> {
         // in `cap_left` is about load·2⁻⁵²·capacity, far below the 1e-9
         // margin. Skipping the sort and the filling rounds then yields the
         // same bits; debug builds run the full filling and check that.
-        let at_cap = self.caps_fit();
         if cfg!(debug_assertions) || !at_cap {
             self.fill();
         }
 
-        // Apply rates and recompute the completion prediction of every flow
-        // of the component (its remaining bytes were just synced to `now`,
-        // so the prediction is exactly what the reference engine's linear
-        // scan would derive). A prediction that moved gets a fresh heap
-        // entry, and the superseded one goes stale via `gen`; one that did
-        // not move keeps its entry, since live entries are ordered by
-        // `(time, id)` alone.
+        // Bring each flow of the component forward to `now` under its old
+        // rate, apply its new rate and recompute its completion prediction
+        // (exactly what the reference engine's linear scan would derive).
+        // A prediction that moved gets a fresh heap entry, and the
+        // superseded one goes stale via `gen`; one that did not move keeps
+        // its entry, since live entries are ordered by `(time, id)` alone.
         let sc = &mut self.scratch;
         for (i, &s) in sc.comp_slots.iter().enumerate() {
             let f = self.slots[s as usize].as_mut().expect("vacant");
+            let dt = now.since(f.sync).as_secs_f64();
+            if dt > 0.0 {
+                f.remaining = (f.remaining - f.rate * dt).max(0.0);
+            }
+            f.sync = now;
             if at_cap {
                 f.rate = f.cap.expect("capped").max(f64::MIN_POSITIVE);
                 debug_assert_eq!(
@@ -627,8 +661,8 @@ impl<C> FlowEngine<C> {
         }
 
         // Per-resource rate sums open a fresh constant-rate interval. On
-        // the fast path `caps_fit` already summed the applied rates, in
-        // the same list order.
+        // the fast path `collect_component` already summed the applied
+        // rates, in the same list order.
         for &r in &sc.comp_res {
             let res = &mut self.resources[r as usize];
             if !at_cap {
@@ -640,30 +674,6 @@ impl<C> FlowEngine<C> {
             }
             debug_assert_eq!(res.stat_sync, now, "stats not flushed before re-rating");
         }
-    }
-
-    /// The all-at-cap test of [`Self::solve_and_apply`]: true when every
-    /// flow of the component has a cap and every resource's caps sum to at
-    /// most `capacity · (1 − 1e-9)`. Each sum runs over the resource's flow
-    /// list in order and is stored as its `rate_sum`, which on the fast
-    /// path is exactly the sum of the rates the flows get. On false, some
-    /// `rate_sum`s may hold partial sums; the full solve rewrites them.
-    fn caps_fit(&mut self) -> bool {
-        for &r in &self.scratch.comp_res {
-            let res = &mut self.resources[r as usize];
-            let mut sum = 0.0;
-            for &s in &res.flows {
-                match self.slots[s as usize].as_ref().expect("vacant").cap {
-                    Some(c) => sum += c.max(f64::MIN_POSITIVE),
-                    None => return false,
-                }
-            }
-            if sum > res.capacity * (1.0 - 1e-9) {
-                return false;
-            }
-            res.rate_sum = sum;
-        }
-        true
     }
 
     /// Progressive-filling max–min fair allocation over the collected
