@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p expt --bin repro [-- --seed N] [--skip-ablations]
-//! cargo run --release -p expt --bin repro -- --bench-smoke   # BENCH.json
+//! cargo run --release -p expt --bin repro -- --bench-smoke [--update]
 //! ```
 //!
 //! Prints Table I, the §III.C disk microbenchmark, Figs 2–7, the XtreemFS
@@ -165,7 +165,8 @@ fn main() {
 
     if args.iter().any(|a| a == "--bench-smoke") {
         // Quick kernel perf smoke: time the incremental engine against the
-        // preserved reference solver and record the result in BENCH.json.
+        // preserved reference solver and gate it on the committed
+        // BENCH.json, which only `--bench-smoke --update` rewrites.
         //
         // The kernel hot path runs with the event bus disabled; hold it to
         // within 5% of the committed baseline so instrumentation cost can
@@ -177,9 +178,9 @@ fn main() {
         // process, so a sustained slowdown moves them together), and a
         // violation is re-measured up to twice before it is declared a
         // regression. The tolerance must stay above the benchmark's own
-        // run-to-run jitter of min_ms on shared hosts (observed >2%),
-        // because each passing run rewrites the baseline and a lucky fast
-        // sample would otherwise fail every honest run after it.
+        // run-to-run jitter of min_ms on shared hosts (observed >2%).
+        const TOLERANCE: f64 = 0.05;
+        let update = args.iter().any(|a| a == "--update");
         let baseline = bench_baseline();
         let mut smoke = expt::perf::bench_smoke(20_000);
         print!("{}", expt::perf::render(&smoke));
@@ -195,7 +196,7 @@ fn main() {
                 let inc = minutes(&smoke, "incremental");
                 let naive = minutes(&smoke, "naive");
                 let scale = naive / old_naive;
-                let bound = old_inc * scale * 1.05;
+                let bound = old_inc * scale * (1.0 + TOLERANCE);
                 println!(
                     "  disabled-bus check: {inc:.2}ms vs baseline {old_inc:.2}ms \
                      × load {scale:.3} → bound {bound:.2}ms"
@@ -206,7 +207,8 @@ fn main() {
                 if attempt == 3 {
                     eprintln!(
                         "disabled-bus kernel path regressed: {inc:.2}ms vs \
-                         load-normalized bound {bound:.2}ms (>2%) on 3 attempts"
+                         load-normalized bound {bound:.2}ms (>{:.0}%) on 3 attempts",
+                        TOLERANCE * 100.0
                     );
                     std::process::exit(1);
                 }
@@ -214,6 +216,10 @@ fn main() {
                 smoke = expt::perf::bench_smoke(20_000);
                 print!("{}", expt::perf::render(&smoke));
             }
+        }
+        if !update {
+            println!("BENCH.json unchanged (rerun with --bench-smoke --update to record this run)");
+            return;
         }
         std::fs::write(
             "BENCH.json",

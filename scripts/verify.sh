@@ -10,14 +10,18 @@
 # Lint gates:          cargo clippy --workspace --all-targets -- -D warnings
 #                      cargo fmt --check
 #                      no #[ignore] without a reason string
-# Perf smoke:          repro --bench-smoke (writes BENCH.json; asserts the
-#                      incremental and reference flow engines agree, and
-#                      that the disabled-bus kernel path stays within 5%
-#                      of the committed baseline)
+# Perf smoke:          repro --bench-smoke (asserts the incremental and
+#                      reference flow engines agree, and that the
+#                      disabled-bus kernel path stays within 5% of the
+#                      committed BENCH.json, which it leaves untouched;
+#                      `--bench-smoke --update` re-records the baseline)
 # Golden digest:       repro --golden-digest (the fixed tiny workflow must
 #                      reproduce tests/golden_digest.txt bit for bit)
 # Golden OTLP:         repro --golden-otlp (the fixed run must re-export
 #                      tests/golden_otlp.json byte for byte)
+# Storage goldens:     the storage_golden test target (makespan, events,
+#                      digest and per-resource utilisation bits of the tiny
+#                      workflows on every storage kind at 2 and 4 workers)
 # OTLP conformance:    the wfengine/expt otlp test targets (well-formedness
 #                      proptests, edge cases, phase/cost parity), plus
 #                      wfobs standing alone without default features
@@ -68,6 +72,9 @@ cargo run --release -q -p expt --bin repro -- --golden-digest
 
 echo "== golden OTLP =="
 cargo run --release -q -p expt --bin repro -- --golden-otlp
+
+echo "== storage goldens =="
+cargo test -q -p expt --test storage_golden
 
 echo "== otlp conformance =="
 cargo test -q -p wfengine --test prop_otlp --test otlp_edge
