@@ -25,9 +25,10 @@
 //!   multiples of the cap unit, so the sum of caps on a resource lands
 //!   exactly on its capacity or above it (the full progressive filling).
 //! * **Bursts** — many starts share an instant, and rates are compared
-//!   only once the instant's last start has been applied. The engine may
-//!   defer solving until it is read; reading after every start would
-//!   force a solve per start and never test the deferred path.
+//!   only once the instant's last operation has been applied, or only
+//!   after completions. The engine may defer solving until it is read;
+//!   reading after every start would force a solve per start and never
+//!   test the deferred path.
 
 use proptest::prelude::*;
 use simcore::naive::NaiveFlowEngine;
@@ -161,13 +162,22 @@ enum Op {
 }
 
 /// When the harness compares the engines' rate vectors.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Check {
     /// After every operation and completion.
     EveryOp,
     /// Only once no further operation shares the instant (and after every
     /// completion), so same-instant starts reach the engine as a burst.
     InstantBoundary,
+    /// Only after completions, so a burst's solve is left to whatever
+    /// touches the engine next: a start at a later instant, a cancel, or
+    /// the next completion query.
+    Completions,
+}
+
+/// The two ways of reading a burst-shaped schedule, drawn per case.
+fn burst_check() -> impl Strategy<Value = Check> {
+    prop_oneof![Just(Check::InstantBoundary), Just(Check::Completions)]
 }
 
 /// Drive both engines through the same schedule, asserting agreement after
@@ -296,8 +306,8 @@ fn run_differential(
                     }
                 }
             }
-            if check == Check::InstantBoundary && ops.get(op_ix).is_some_and(|&(t, _, _)| t == t_ns)
-            {
+            let burst_goes_on = ops.get(op_ix).is_some_and(|&(t, _, _)| t == t_ns);
+            if check == Check::Completions || (check == Check::InstantBoundary && burst_goes_on) {
                 continue;
             }
         } else {
@@ -446,9 +456,9 @@ proptest! {
         run_differential(&caps, &flows, &cancels, &[], false, Check::EveryOp, |_| 0)?;
     }
 
-    /// PVFS-shaped schedules read only at instant boundaries: each
-    /// operation's legs (and every operation sharing its instant) reach
-    /// the engine as one burst of starts.
+    /// PVFS-shaped schedules read only at instant boundaries or only after
+    /// completions: each operation's legs (and every operation sharing
+    /// its instant) reach the engine as one burst of starts.
     #[test]
     fn pvfs_stripe_bursts_bit_identical(
         n in 2usize..=4,
@@ -456,33 +466,36 @@ proptest! {
         flows in gen_pvfs_ops(n),
         cancels in proptest::collection::vec((0usize..64, coarse_ms()), 0..6),
         crashes in proptest::collection::vec((0usize..12, coarse_ms()), 0..3),
+        check in burst_check(),
     ) {
-        run_differential(&caps, &flows, &cancels, &crashes, false, Check::InstantBoundary,
-            |_| 0)?;
+        run_differential(&caps, &flows, &cancels, &crashes, false, check, |_| 0)?;
     }
 
     /// Bursts of same-instant starts on one shared resource, read only at
-    /// instant boundaries: bit-identical.
+    /// instant boundaries or after completions: bit-identical.
     #[test]
     fn bursts_single_component_bit_identical(
         caps in proptest::collection::vec(1e3f64..1e9, 1..5),
         flows in proptest::collection::vec(gen_burst_flow(4), 1..40),
         cancels in proptest::collection::vec((0usize..64, coarse_ms()), 0..8),
+        check in burst_check(),
     ) {
-        run_differential(&caps, &flows, &cancels, &[], true, Check::InstantBoundary, |_| 0)?;
+        run_differential(&caps, &flows, &cancels, &[], true, check, |_| 0)?;
     }
 
     /// Bursts of same-instant starts over disjoint components that merge
-    /// within the burst, read only at instant boundaries. Rates stay
-    /// bit-exact, predictions within the lazy-sync bound.
+    /// within the burst, read only at instant boundaries or after
+    /// completions. Rates stay bit-exact, predictions within the
+    /// lazy-sync bound.
     #[test]
     fn bursts_multi_component(
         caps in proptest::collection::vec(1e3f64..1e9, 2..6),
         flows in proptest::collection::vec(gen_burst_flow(5), 1..40),
         cancels in proptest::collection::vec((0usize..64, coarse_ms()), 0..8),
         crashes in proptest::collection::vec((0usize..8, coarse_ms()), 0..4),
+        check in burst_check(),
     ) {
-        run_differential(&caps, &flows, &cancels, &crashes, false, Check::InstantBoundary,
+        run_differential(&caps, &flows, &cancels, &crashes, false, check,
             |t| 2 + (t as f64 * 1e-12) as u64)?;
     }
 }
