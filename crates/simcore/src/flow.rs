@@ -145,8 +145,9 @@ pub struct ResourceStats {
 struct Resource {
     name: String,
     capacity: f64,
-    /// Slots of the active flows crossing this resource.
-    flows: Vec<u32>,
+    /// Slots of the active flows crossing this resource, each with its cap
+    /// as the all-at-cap sums count it (∞ when uncapped).
+    flows: Vec<(u32, f64)>,
     /// Sum of those flows' current rates (constant between recomputes of
     /// this resource's component).
     rate_sum: f64,
@@ -465,11 +466,12 @@ impl<C> FlowEngine<C> {
         let f = self.slots[slot as usize]
             .as_mut()
             .expect("attach to vacant slot");
+        let cap = f.cap.map_or(f64::INFINITY, |c| c.max(f64::MIN_POSITIVE));
         for r in &f.path {
             let list = &mut self.resources[r.index()].flows;
             f.path_pos
                 .push(u32::try_from(list.len()).expect("flow list fits u32"));
-            list.push(slot);
+            list.push((slot, cap));
         }
     }
 
@@ -485,7 +487,7 @@ impl<C> FlowEngine<C> {
             let r = f.path[k];
             let pos = f.path_pos[k];
             let list = &mut self.resources[r.index()].flows;
-            let moved = *list.last().expect("flow list empty on detach");
+            let moved = list.last().expect("flow list empty on detach").0;
             list.swap_remove(pos as usize);
             if (pos as usize) >= list.len() {
                 continue; // removed the tail itself; nothing moved
@@ -594,10 +596,10 @@ impl<C> FlowEngine<C> {
             let res = &mut self.resources[ri as usize];
             res.flush_stats(now);
             let mut cap_sum = 0.0;
-            for &s in &res.flows {
-                let f = self.slots[s as usize].as_ref().expect("listed slot vacant");
-                cap_sum += f.cap.map_or(f64::INFINITY, |c| c.max(f64::MIN_POSITIVE));
+            for &(s, cap) in &res.flows {
+                cap_sum += cap;
                 if sc.slot_stamp[s as usize] != stamp {
+                    let f = self.slots[s as usize].as_ref().expect("listed slot vacant");
                     sc.slot_stamp[s as usize] = stamp;
                     sc.comp_slots.push(s);
                     sc.enqueue_path(&f.path);
@@ -667,7 +669,7 @@ impl<C> FlowEngine<C> {
             let res = &mut self.resources[r as usize];
             if !at_cap {
                 let mut sum = 0.0;
-                for &s in &res.flows {
+                for &(s, _) in &res.flows {
                     sum += self.slots[s as usize].as_ref().expect("vacant").rate;
                 }
                 res.rate_sum = sum;
