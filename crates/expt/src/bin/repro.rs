@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! cargo run --release -p expt --bin repro [-- --seed N] [--skip-ablations]
-//! cargo run --release -p expt --bin repro -- --bench-smoke [--update]
+//! cargo run --release -p expt --bin repro -- --golden-digest [--update]
+//! cargo run --release -p expt --bin repro -- --golden-otlp [--update]
 //! ```
 //!
 //! Prints Table I, the §III.C disk microbenchmark, Figs 2–7, the XtreemFS
@@ -73,41 +74,37 @@ fn golden_otlp_run() -> String {
     doc
 }
 
-/// One engine's best wall time recorded in an existing `BENCH.json`, if
-/// present and well-formed.
-fn baseline_min_ms(doc: &serde_json::Value, engine: &str) -> Option<f64> {
-    for e in doc.get("engines")?.as_array()? {
-        if matches!(e.get("engine"), Some(serde_json::Value::Str(s)) if s == engine) {
-            return match e.get("min_ms")? {
-                serde_json::Value::F64(f) => Some(*f),
-                serde_json::Value::I64(n) => Some(*n as f64),
-                serde_json::Value::U64(n) => Some(*n as f64),
-                _ => None,
-            };
-        }
-    }
-    None
-}
+/// Flags `repro` accepts besides `--seed N`.
+const FLAGS: [&str; 4] = [
+    "--skip-ablations",
+    "--golden-digest",
+    "--golden-otlp",
+    "--update",
+];
 
-/// The committed baseline for the disabled-bus regression gate:
-/// `(incremental min_ms, naive min_ms)` from the existing `BENCH.json`.
-fn bench_baseline() -> Option<(f64, f64)> {
-    let text = std::fs::read_to_string("BENCH.json").ok()?;
-    let doc: serde_json::Value = serde_json::from_str(&text).ok()?;
-    Some((
-        baseline_min_ms(&doc, "incremental")?,
-        baseline_min_ms(&doc, "naive")?,
-    ))
+/// Report a bad command line and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "repro: {msg}\nusage: repro [--seed N] [--skip-ablations] \
+         | --golden-digest [--update] | --golden-otlp [--update]"
+    );
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42u64);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut seed = 42u64;
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if a == "--seed" {
+            match rest.next().and_then(|v| v.parse().ok()) {
+                Some(s) => seed = s,
+                None => usage_error("--seed needs an unsigned integer"),
+            }
+        } else if !FLAGS.contains(&a.as_str()) {
+            usage_error(&format!("unknown argument `{a}`"));
+        }
+    }
     let skip_ablations = args.iter().any(|a| a == "--skip-ablations");
 
     if args.iter().any(|a| a == "--golden-digest") {
@@ -160,73 +157,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("golden OTLP ok: {} bytes", doc.len());
-        return;
-    }
-
-    if args.iter().any(|a| a == "--bench-smoke") {
-        // Quick kernel perf smoke: time the incremental engine against the
-        // preserved reference solver and gate it on the committed
-        // BENCH.json, which only `--bench-smoke --update` rewrites.
-        //
-        // The kernel hot path runs with the event bus disabled; hold it to
-        // within 5% of the committed baseline so instrumentation cost can
-        // never creep into the default configuration unnoticed (the digest
-        // bus alone costs ~15% on this path, so a real leak clears 5% by a
-        // wide margin). Raw wall time shifts with machine load, so the
-        // comparison is normalized by the co-measured reference solver
-        // (both engines run unchanged byte-for-byte code in the same
-        // process, so a sustained slowdown moves them together), and a
-        // violation is re-measured up to twice before it is declared a
-        // regression. The tolerance must stay above the benchmark's own
-        // run-to-run jitter of min_ms on shared hosts (observed >2%).
-        const TOLERANCE: f64 = 0.05;
-        let update = args.iter().any(|a| a == "--update");
-        let baseline = bench_baseline();
-        let mut smoke = expt::perf::bench_smoke(20_000);
-        print!("{}", expt::perf::render(&smoke));
-        if let Some((old_inc, old_naive)) = baseline {
-            let minutes = |s: &expt::perf::BenchSmoke, name: &str| {
-                s.engines
-                    .iter()
-                    .find(|e| e.engine == name)
-                    .expect("engine timing present")
-                    .min_ms
-            };
-            for attempt in 1..=3u32 {
-                let inc = minutes(&smoke, "incremental");
-                let naive = minutes(&smoke, "naive");
-                let scale = naive / old_naive;
-                let bound = old_inc * scale * (1.0 + TOLERANCE);
-                println!(
-                    "  disabled-bus check: {inc:.2}ms vs baseline {old_inc:.2}ms \
-                     × load {scale:.3} → bound {bound:.2}ms"
-                );
-                if inc <= bound {
-                    break;
-                }
-                if attempt == 3 {
-                    eprintln!(
-                        "disabled-bus kernel path regressed: {inc:.2}ms vs \
-                         load-normalized bound {bound:.2}ms (>{:.0}%) on 3 attempts",
-                        TOLERANCE * 100.0
-                    );
-                    std::process::exit(1);
-                }
-                println!("  over bound — re-measuring ({attempt}/3)…");
-                smoke = expt::perf::bench_smoke(20_000);
-                print!("{}", expt::perf::render(&smoke));
-            }
-        }
-        if !update {
-            println!("BENCH.json unchanged (rerun with --bench-smoke --update to record this run)");
-            return;
-        }
-        std::fs::write(
-            "BENCH.json",
-            serde_json::to_string_pretty(&smoke).expect("serialise bench smoke"),
-        )
-        .expect("write BENCH.json");
-        println!("written to BENCH.json");
         return;
     }
 

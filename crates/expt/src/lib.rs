@@ -27,7 +27,6 @@ pub mod figures;
 pub mod future_work;
 pub mod grid;
 pub mod microbench;
-pub mod perf;
 pub mod render;
 pub mod report;
 pub mod shape;

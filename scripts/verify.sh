@@ -6,15 +6,14 @@
 #
 # Tier-1 (ROADMAP.md): cargo build --release && cargo test -q
 # Oracle tests:        cargo test -q -p simcore --features oracle (the
-#                      differential suite against the reference solver)
+#                      differential suite and the Montage-scale agreement
+#                      test against the reference solver)
+# Oracle feature gate: the production `expt` build must not enable
+#                      simcore's `oracle` feature (the reference solver
+#                      compiles only for tests)
 # Lint gates:          cargo clippy --workspace --all-targets -- -D warnings
 #                      cargo fmt --check
 #                      no #[ignore] without a reason string
-# Perf smoke:          repro --bench-smoke (asserts the incremental and
-#                      reference flow engines agree, and that the
-#                      disabled-bus kernel path stays within 5% of the
-#                      committed BENCH.json, which it leaves untouched;
-#                      `--bench-smoke --update` re-records the baseline)
 # Golden digest:       repro --golden-digest (the fixed tiny workflow must
 #                      reproduce tests/golden_digest.txt bit for bit)
 # Golden OTLP:         repro --golden-otlp (the fixed run must re-export
@@ -48,6 +47,15 @@ cargo test -q --workspace
 echo "== oracle: simcore differential suite =="
 # The root crate has no `oracle` feature, so target the crate directly.
 cargo test -q -p simcore --features oracle
+
+echo "== oracle feature gate: production expt builds without it =="
+# Capture first, so a failing `cargo tree` stops the script instead of
+# reading as "feature absent".
+expt_features="$(cargo tree --offline --locked -e features,normal -p expt)"
+if grep -F 'simcore feature "oracle"' <<<"$expt_features"; then
+    echo "error: expt's normal dependencies enable simcore's \`oracle\` feature" >&2
+    exit 1
+fi
 
 echo "== lint: ignored tests must say why =="
 # `#[ignore]` without `= "reason"` hides a test with no paper trail.
@@ -113,8 +121,5 @@ rm -f "$live_err"
 echo "== benchmark compat: perfbench builds and tests, lockfile unchanged =="
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 git diff --exit-code -- perfbench/Cargo.lock
-
-echo "== perf smoke =="
-cargo run --release -q -p expt --bin repro -- --bench-smoke
 
 echo "verify: OK"
