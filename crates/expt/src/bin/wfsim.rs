@@ -58,6 +58,18 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Exit with status 2 unless `storage` can be deployed on `workers`
+/// nodes, before the cluster or the storage backend is built (both
+/// panic on an infeasible size). The rule ignores the application.
+fn require_deployable(storage: StorageKind, workers: u32) {
+    if !expt::Cell::new(App::Montage, storage, workers).is_valid() {
+        die(&format!(
+            "storage {} cannot run on {workers} worker(s)",
+            storage.label()
+        ));
+    }
+}
+
 struct Args {
     flags: Vec<String>,
     opts: HashMap<String, String>,
@@ -184,6 +196,7 @@ fn build_config(args: &Args) -> RunConfig {
         .get("workers")
         .map_or(Ok(2), |w| w.parse())
         .unwrap_or_else(|_| die("--workers must be a number"));
+    require_deployable(storage, workers);
     let mut cfg = RunConfig::cell(storage, workers);
     if let Some(seed) = args.opts.get("seed") {
         cfg.seed = seed
@@ -241,8 +254,8 @@ fn tui_config(wf: &Workflow, cfg: &RunConfig, backend: &str) -> wfobs::TuiConfig
 }
 
 fn cmd_run(args: &Args) {
-    let wf = load_workflow(args);
     let mut cfg = build_config(args);
+    let wf = load_workflow(args);
     // Exporters need the recorded event stream; everything else runs at
     // Digest level (streaming hash + sink fan-out, bounded memory) so the
     // end-of-run summary always has a digest to report.
@@ -453,6 +466,7 @@ fn cmd_bottleneck(args: &Args) {
         .get("workers")
         .map_or(Ok(4), |w| w.parse())
         .unwrap_or_else(|_| die("--workers must be a number"));
+    require_deployable(storage, workers);
     let tiny = args.flags.iter().any(|f| f == "tiny");
     print!(
         "{}",

@@ -1,0 +1,71 @@
+//! `wfsim` refuses a storage option that cannot be deployed on the
+//! requested number of workers: it names the storage and the worker
+//! count on stderr and exits with status 2, instead of panicking while
+//! it builds the cluster or the storage backend.
+
+use std::process::{Command, Stdio};
+use std::thread::sleep;
+use std::time::{Duration, Instant};
+
+/// Run `wfsim` with the whitespace-separated `cmdline` and assert it
+/// fails fast with status 2 and every one of `needles` on stderr. A
+/// `wfsim` that accepts the arguments runs the simulation; it is killed
+/// at the deadline and the test fails.
+fn assert_rejected(cmdline: &str, needles: &[&str]) {
+    let args: Vec<&str> = cmdline.split_whitespace().collect();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wfsim"))
+        .args(&args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn wfsim");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll wfsim").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill wfsim");
+            panic!("wfsim {cmdline} was still running after 60 s: it accepted the arguments");
+        }
+        sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect wfsim output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "wfsim {cmdline}: {stderr}");
+    for needle in needles {
+        assert!(
+            stderr.contains(needle),
+            "wfsim {cmdline} must name `{needle}` on stderr, got: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn nfs_on_zero_workers_is_rejected() {
+    assert_rejected(
+        "run --app montage --tiny --storage nfs --workers 0",
+        &["NFS", "0 worker"],
+    );
+}
+
+#[test]
+fn pvfs_on_one_worker_is_rejected() {
+    assert_rejected(
+        "run --app montage --tiny --storage pvfs --workers 1",
+        &["PVFS", "1 worker"],
+    );
+}
+
+#[test]
+fn local_on_two_workers_is_rejected() {
+    assert_rejected(
+        "run --app montage --tiny --storage local --workers 2",
+        &["Local", "2 worker"],
+    );
+}
+
+#[test]
+fn bottleneck_on_an_infeasible_cluster_is_rejected() {
+    assert_rejected(
+        "bottleneck --app montage --tiny --storage pvfs --workers 1",
+        &["PVFS", "1 worker"],
+    );
+}

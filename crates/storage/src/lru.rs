@@ -1,17 +1,19 @@
 //! A byte-budgeted LRU set of files, used for the NFS server page cache
 //! and other whole-file caches.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use wfdag::FileId;
 
 /// Tracks which files are resident in a cache of fixed byte capacity,
-/// evicting least-recently-used entries when space runs out.
+/// evicting least-recently-used entries when space runs out. A hit, an
+/// insert and each eviction cost O(log n) in the number of resident files.
 #[derive(Debug, Clone)]
 pub struct LruBytes {
     capacity: u64,
     used: u64,
     stamp: u64,
     entries: HashMap<FileId, (u64, u64)>, // file -> (bytes, last-use stamp)
+    by_stamp: BTreeMap<u64, FileId>,      // last-use stamp -> file, oldest first
 }
 
 impl LruBytes {
@@ -22,6 +24,7 @@ impl LruBytes {
             used: 0,
             stamp: 0,
             entries: HashMap::new(),
+            by_stamp: BTreeMap::new(),
         }
     }
 
@@ -53,12 +56,20 @@ impl LruBytes {
     /// Look up `file`, refreshing its recency on a hit.
     pub fn touch(&mut self, file: FileId) -> bool {
         self.stamp += 1;
-        if let Some(e) = self.entries.get_mut(&file) {
-            e.1 = self.stamp;
-            true
-        } else {
-            false
-        }
+        let hit = self.refresh(file);
+        debug_assert_eq!(self.by_stamp.len(), self.entries.len());
+        hit
+    }
+
+    /// Move a resident `file` to the current stamp; false if absent.
+    fn refresh(&mut self, file: FileId) -> bool {
+        let Some(e) = self.entries.get_mut(&file) else {
+            return false;
+        };
+        self.by_stamp.remove(&e.1);
+        e.1 = self.stamp;
+        self.by_stamp.insert(self.stamp, file);
+        true
     }
 
     /// Insert `file` of `bytes`, evicting LRU entries as needed. Files
@@ -66,30 +77,27 @@ impl LruBytes {
     /// file ids.
     pub fn insert(&mut self, file: FileId, bytes: u64) -> Vec<FileId> {
         self.stamp += 1;
-        if let Some(e) = self.entries.get_mut(&file) {
-            // Write-once workloads never change a file's size.
-            e.1 = self.stamp;
-            return Vec::new();
-        }
-        if bytes > self.capacity {
+        // A resident file is only refreshed: write-once workloads never
+        // change a file's size.
+        if self.refresh(file) || bytes > self.capacity {
+            debug_assert_eq!(self.by_stamp.len(), self.entries.len());
             return Vec::new();
         }
         let mut evicted = Vec::new();
         while self.used + bytes > self.capacity {
-            // O(n) LRU scan: caches hold at most tens of thousands of
-            // entries and evictions are rare at these workload sizes.
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(id, (_, st))| (*st, **id))
-                .map(|(id, _)| *id)
+            // Stamps are unique, so the oldest one is the (stamp, id) minimum: ids never tie-break.
+            let (_, victim) = self
+                .by_stamp
+                .pop_first()
                 .expect("over budget implies non-empty");
             let (vbytes, _) = self.entries.remove(&victim).expect("victim resident");
             self.used -= vbytes;
             evicted.push(victim);
         }
         self.entries.insert(file, (bytes, self.stamp));
+        self.by_stamp.insert(self.stamp, file);
         self.used += bytes;
+        debug_assert_eq!(self.by_stamp.len(), self.entries.len());
         evicted
     }
 }
