@@ -1,7 +1,8 @@
 //! `wfsim` refuses a storage option that cannot be deployed on the
 //! requested number of workers: it names the storage and the worker
 //! count on stderr and exits with status 2, instead of panicking while
-//! it builds the cluster or the storage backend.
+//! it builds the cluster or the storage backend. It refuses a workflow
+//! document that does not load the same way.
 
 use std::process::{Command, Stdio};
 use std::thread::sleep;
@@ -67,5 +68,26 @@ fn bottleneck_on_an_infeasible_cluster_is_rejected() {
     assert_rejected(
         "bottleneck --app montage --tiny --storage pvfs --workers 1",
         &["PVFS", "1 worker"],
+    );
+}
+
+#[test]
+fn dax_with_negative_cpu_secs_is_rejected() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("negative_cpu_secs.json");
+    let json = r#"{
+        "version": 1, "name": "bad",
+        "files": [{"name": "f", "size": 1}],
+        "tasks": [
+            {"name": "neg", "transformation": "x", "cpu_secs": -1.0, "peak_mem": 0, "io_ops": 1, "inputs": [], "outputs": [0]}
+        ]
+    }"#;
+    std::fs::write(&path, json).expect("write DAX document");
+    assert_rejected(
+        &format!(
+            "run --dax {} --storage nfs --workers 2",
+            path.to_str().expect("UTF-8 temp path")
+        ),
+        &["`neg`", "cpu_secs -1"],
     );
 }

@@ -24,10 +24,21 @@
 //! (the bottleneck sequence of one component never reads another's state).
 //! The engine exploits this three ways:
 //!
-//! * **Component-scoped recompute** — each event re-solves only the
-//!   component reachable from the affected flow, discovered by a stamped
-//!   breadth-first walk over per-resource flow lists. Rates elsewhere are
-//!   untouched (they would re-derive to the same bits).
+//! * **Kept components** — each event re-solves only the affected flow's
+//!   component, and the engine keeps the components between events
+//!   instead of re-discovering them. A component lists its flow slots and
+//!   resources, and counts its resources whose caps fail the all-at-cap
+//!   test below. A resource knows its component and keeps `cap_sum`, the
+//!   left fold of its flow list's caps in list order. A start merges the
+//!   components its path bridges into the largest one, relabelling the
+//!   others, and adds its cap at the end of each fold. A removal re-folds
+//!   the lists it touched from 0.0, so the sums stay bit-equal to a walk
+//!   over the lists. It then solves the whole old component jointly (what
+//!   a walk from the removed flow's resources would reach), drops the
+//!   resources left with no flows, and checks with a walk that stops early
+//!   that the flow's remaining path resources are still connected. Only a
+//!   real split re-derives the pieces. Rates elsewhere are untouched (they
+//!   would re-derive to the same bits).
 //! * **Lazy completion heap** — instead of scanning every active flow for
 //!   the earliest completion, predictions are kept in a binary min-heap
 //!   keyed `(time, flow id)`. Each solve recomputes the prediction of every
@@ -49,20 +60,30 @@
 //!   stays strictly below every resource's fair share in every round, with
 //!   a margin far above the rounding carried in the remaining capacities).
 //!   The solver then sets each rate to its cap, with no sort by flow id and
-//!   no filling rounds; the per-resource cap sums, taken in flow-list order
-//!   during the component walk, are the new rate sums bit for bit. Debug
-//!   builds still run the full filling and assert bit equality.
+//!   no filling rounds; the kept per-resource cap sums are the new rate
+//!   sums bit for bit. Debug builds still run the full filling and assert
+//!   bit equality.
 //! * **One solve per burst of same-instant starts** — a start attaches its
 //!   flow (after closing the statistics interval of the flow's resources)
 //!   but does not solve. The pending solve runs when the engine is next
 //!   asked for a rate or a completion, on a removal, or on a start at a
-//!   later instant. It walks from each started flow and solves each
-//!   component once, on its own. Starts only merge components, so this is
-//!   bit for bit what one solve per start leaves behind. Removals solve
+//!   later instant. It solves each component the burst's starts joined
+//!   once, on its own. Starts only merge components, so this is bit for
+//!   bit what one solve per start leaves behind. Removals solve
 //!   eagerly: solving the pieces of several removals jointly could move
 //!   ε-near ties. The `&self` getters (`flow_remaining`,
 //!   `resource_stats`) are exact during a burst, because no time passes
 //!   within it.
+//!
+//! Keeping components changes the order in which a solve visits flows and
+//! resources, never a bit of its result, for four reasons: the filling
+//! sorts the component's flows by id, the bottleneck minimum and the
+//! saturation test do not depend on order, each rate sum folds its own
+//! resource's flow list, and heap keys `(time, id, gen)` are unique.
+//! Debug builds check every component before solving it against a fresh
+//! stamped breadth-first walk of the graph: the walk must reach the same
+//! flows and resources, and every kept cap sum must equal its list's fold
+//! bit for bit.
 //!
 //! The reference single-threaded solver with global recompute and a linear
 //! completion scan is preserved as `NaiveFlowEngine` in the `naive` module
@@ -148,6 +169,13 @@ struct Resource {
     /// Slots of the active flows crossing this resource, each with its cap
     /// as the all-at-cap sums count it (∞ when uncapped).
     flows: Vec<(u32, f64)>,
+    /// Left fold of the caps in `flows`, from 0.0 in list order: the sum a
+    /// walk over the list would take, bit for bit.
+    cap_sum: f64,
+    /// Component this resource belongs to while it has flows, and its
+    /// position in that component's resource list.
+    comp: u32,
+    comp_pos: u32,
     /// Sum of those flows' current rates (constant between recomputes of
     /// this resource's component).
     rate_sum: f64,
@@ -178,6 +206,18 @@ impl Resource {
         }
         s
     }
+
+    /// Whether the caps crossing this resource fail the all-at-cap test:
+    /// they must sum to at most `capacity · (1 − 1e-9)` (an uncapped flow
+    /// counts as an infinite cap, and a sum of positive caps is never NaN).
+    fn over_cap(&self) -> bool {
+        self.cap_sum > self.capacity * (1.0 - 1e-9)
+    }
+
+    /// The left fold of the caps in the flow list, from 0.0.
+    fn fold_caps(&self) -> f64 {
+        self.flows.iter().fold(0.0, |sum, &(_, cap)| sum + cap)
+    }
 }
 
 /// One active flow in the slab.
@@ -199,22 +239,37 @@ struct Slot<C> {
     pred: Option<SimTime>,
     /// Heap-entry generation; entries with an older generation are stale.
     gen: u64,
+    /// Component this flow belongs to, and its position in that
+    /// component's flow list.
+    comp: u32,
+    comp_pos: u32,
     completion: Option<C>,
+}
+
+/// A connected component of the resource↔flow graph, kept between events.
+/// Its resources are those with at least one flow (a removal's solve also
+/// covers the path resources the removal left empty, which are dropped
+/// right after). A pathless flow is a component of its own.
+#[derive(Default)]
+struct Component {
+    slots: Vec<u32>,
+    res: Vec<u32>,
+    /// Number of `res` that fail the all-at-cap test
+    /// ([`Resource::over_cap`]); zero means the fast path applies.
+    over: u32,
+    /// Listed in `FlowEngine::pending`, waiting for its burst's solve.
+    pending: bool,
 }
 
 /// Reusable per-event buffers (no allocation on the hot path once warm).
 #[derive(Default)]
 struct Scratch {
-    /// Visitation epoch for the stamp vectors below.
-    stamp: u64,
-    res_stamp: Vec<u64>,
-    slot_stamp: Vec<u64>,
-    /// The touched component: flow slots (sorted by external id before
-    /// solving) and resource indices (BFS discovery order).
+    /// The component being solved: flow slots (sorted by external id
+    /// before filling) and resource indices.
     comp_slots: Vec<u32>,
     comp_res: Vec<u32>,
     /// Per-resource local index into `cap_left`/`load`/`saturated`
-    /// (valid when `res_stamp` matches `stamp`).
+    /// (valid for the resources of `comp_res`).
     res_local: Vec<u32>,
     cap_left: Vec<f64>,
     load: Vec<u32>,
@@ -222,22 +277,48 @@ struct Scratch {
     /// Per-component-flow solver state, parallel to `comp_slots`.
     fixed: Vec<bool>,
     new_rate: Vec<f64>,
-    /// BFS work queue of resource indices.
-    res_queue: Vec<u32>,
+    /// Visitation epoch of the walks below, and per-resource / per-slot
+    /// stamps of the epoch that last reached them.
+    stamp: u64,
+    res_stamp: Vec<u64>,
+    slot_stamp: Vec<u64>,
+    /// What the current walk has reached, in order (`walk_res` doubles as
+    /// its queue).
+    walk_res: Vec<u32>,
+    walk_slots: Vec<u32>,
+    /// The distinct path resources a removal left with flows: the walk
+    /// that checks for a split stops once it has reached them all.
+    targets: Vec<u32>,
 }
 
 impl Scratch {
-    /// Add the resources of `path` not yet seen in the current walk to the
-    /// component and the work queue.
-    fn enqueue_path(&mut self, path: &[ResourceId]) {
-        for r in path {
-            let ri = r.index();
-            if self.res_stamp[ri] != self.stamp {
-                self.res_stamp[ri] = self.stamp;
-                self.comp_res.push(r.0);
-                self.res_queue.push(r.0);
-            }
+    /// Start a walk under a fresh stamp.
+    fn begin_walk(&mut self) {
+        self.stamp += 1;
+        self.walk_res.clear();
+        self.walk_slots.clear();
+    }
+
+    /// Add resource `r` to the current walk unless it has reached it
+    /// already. Returns whether it was new.
+    fn reach_res(&mut self, r: u32) -> bool {
+        let new = self.res_stamp[r as usize] != self.stamp;
+        if new {
+            self.res_stamp[r as usize] = self.stamp;
+            self.walk_res.push(r);
         }
+        new
+    }
+
+    /// Add flow slot `s` to the current walk unless it has reached it
+    /// already. Returns whether it was new.
+    fn reach_slot(&mut self, s: u32) -> bool {
+        let new = self.slot_stamp[s as usize] != self.stamp;
+        if new {
+            self.slot_stamp[s as usize] = self.stamp;
+            self.walk_slots.push(s);
+        }
+        new
     }
 }
 
@@ -249,14 +330,19 @@ pub struct FlowEngine<C> {
     slots: Vec<Option<Slot<C>>>,
     free: Vec<u32>,
     by_id: HashMap<u64, u32>,
+    /// Connected components, by id; ids of dissolved ones are in
+    /// `free_comps`.
+    comps: Vec<Component>,
+    free_comps: Vec<u32>,
     /// Lazy min-heap of predicted completions `(time, id, gen)`.
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     next_id: u64,
     last_advance: SimTime,
     flows_started: u64,
     flows_completed: u64,
-    /// Slots of the flows started at `last_advance` whose components are
-    /// not solved yet (see [`Self::start`]).
+    /// Components that flows started at `last_advance` joined and that are
+    /// not solved yet (see [`Self::start`]). An id whose component is no
+    /// longer `pending` (solved, or merged away) is skipped.
     pending: Vec<u32>,
     scratch: Scratch,
 }
@@ -275,6 +361,8 @@ impl<C> FlowEngine<C> {
             slots: Vec::new(),
             free: Vec::new(),
             by_id: HashMap::new(),
+            comps: Vec::new(),
+            free_comps: Vec::new(),
             heap: BinaryHeap::new(),
             next_id: 0,
             last_advance: SimTime::ZERO,
@@ -297,6 +385,9 @@ impl<C> FlowEngine<C> {
             name: name.into(),
             capacity,
             flows: Vec::new(),
+            cap_sum: 0.0,
+            comp: 0,
+            comp_pos: 0,
             rate_sum: 0.0,
             stats: ResourceStats::default(),
             stat_sync: self.last_advance,
@@ -370,6 +461,7 @@ impl<C> FlowEngine<C> {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows_started += 1;
+        let comp = self.bridge(&spec.path);
         let slot = self.alloc_slot(Slot {
             id: id.0,
             remaining: spec.bytes as f64,
@@ -380,11 +472,16 @@ impl<C> FlowEngine<C> {
             sync: now,
             pred: None,
             gen: 0,
+            comp,
+            comp_pos: 0,
             completion: Some(completion),
         });
-        self.attach(slot);
+        self.attach(slot, comp);
         self.by_id.insert(id.0, slot);
-        self.pending.push(slot);
+        if !self.comps[comp as usize].pending {
+            self.comps[comp as usize].pending = true;
+            self.pending.push(comp);
+        }
         id
     }
 
@@ -461,38 +558,163 @@ impl<C> FlowEngine<C> {
         }
     }
 
-    /// Insert `slot` into its path resources' flow lists.
-    fn attach(&mut self, slot: u32) {
+    fn new_comp(&mut self) -> u32 {
+        self.free_comps.pop().unwrap_or_else(|| {
+            self.comps.push(Component::default());
+            u32::try_from(self.comps.len() - 1).expect("too many components")
+        })
+    }
+
+    /// Dissolve the empty component `c`, keeping its buffers for reuse.
+    fn free_comp(&mut self, c: u32) {
+        let comp = &mut self.comps[c as usize];
+        debug_assert!(comp.slots.is_empty() && comp.res.is_empty() && comp.over == 0);
+        comp.pending = false;
+        self.free_comps.push(c);
+    }
+
+    fn comp_add_slot(&mut self, c: u32, s: u32) {
+        let comp = &mut self.comps[c as usize];
+        let f = self.slots[s as usize].as_mut().expect("vacant slot");
+        f.comp = c;
+        f.comp_pos = u32::try_from(comp.slots.len()).expect("component fits u32");
+        comp.slots.push(s);
+    }
+
+    fn comp_add_res(&mut self, c: u32, r: u32) {
+        let comp = &mut self.comps[c as usize];
+        let res = &mut self.resources[r as usize];
+        res.comp = c;
+        res.comp_pos = u32::try_from(comp.res.len()).expect("component fits u32");
+        comp.res.push(r);
+        comp.over += u32::from(res.over_cap());
+    }
+
+    /// Drop resource `r` from its component (swap-remove, patching the
+    /// moved resource's position).
+    fn comp_remove_res(&mut self, r: u32) {
+        let res = &self.resources[r as usize];
+        let pos = res.comp_pos;
+        let comp = &mut self.comps[res.comp as usize];
+        comp.over -= u32::from(res.over_cap());
+        comp.res.swap_remove(pos as usize);
+        if let Some(&moved) = comp.res.get(pos as usize) {
+            self.resources[moved as usize].comp_pos = pos;
+        }
+    }
+
+    /// Move every flow and resource of component `from` into `into`.
+    fn merge(&mut self, into: u32, from: u32) {
+        let mut moved = std::mem::take(&mut self.comps[from as usize]);
+        for &s in &moved.slots {
+            self.comp_add_slot(into, s);
+        }
+        for &r in &moved.res {
+            self.comp_add_res(into, r);
+        }
+        moved.slots.clear();
+        moved.res.clear();
+        moved.over = 0;
+        self.comps[from as usize] = moved;
+        self.free_comp(from);
+    }
+
+    /// The component a new flow on `path` joins: the largest of the
+    /// components its path resources belong to, once the others are
+    /// merged into it (relabelling the smaller side), or a new one when
+    /// none of those resources has a flow.
+    fn bridge(&mut self, path: &[ResourceId]) -> u32 {
+        let mut joined: Option<u32> = None;
+        for r in path {
+            let res = &self.resources[r.index()];
+            if res.flows.is_empty() {
+                continue;
+            }
+            let c = res.comp;
+            joined = Some(match joined {
+                Some(j) if j != c => {
+                    let size = |k: u32| {
+                        let k = &self.comps[k as usize];
+                        k.slots.len() + k.res.len()
+                    };
+                    let (big, small) = if size(j) >= size(c) { (j, c) } else { (c, j) };
+                    self.merge(big, small);
+                    big
+                }
+                _ => c,
+            });
+        }
+        joined.unwrap_or_else(|| self.new_comp())
+    }
+
+    /// Set resource `ri`'s cap sum, keeping its component's count of
+    /// resources that fail the all-at-cap test.
+    fn set_cap_sum(&mut self, ri: usize, cap_sum: f64) {
+        let res = &mut self.resources[ri];
+        let was = res.over_cap();
+        res.cap_sum = cap_sum;
+        let over = &mut self.comps[res.comp as usize].over;
+        *over += u32::from(res.over_cap());
+        *over -= u32::from(was);
+    }
+
+    /// Insert `slot` into component `c` and into its path resources' flow
+    /// lists. Each cap is added at the end of its resource's cap fold, as
+    /// it is appended at the end of the list.
+    fn attach(&mut self, slot: u32, c: u32) {
+        self.comp_add_slot(c, slot);
         let f = self.slots[slot as usize]
             .as_mut()
             .expect("attach to vacant slot");
         let cap = f.cap.map_or(f64::INFINITY, |c| c.max(f64::MIN_POSITIVE));
-        for r in &f.path {
-            let list = &mut self.resources[r.index()].flows;
-            f.path_pos
-                .push(u32::try_from(list.len()).expect("flow list fits u32"));
-            list.push((slot, cap));
+        let path = std::mem::take(&mut f.path);
+        let mut path_pos = std::mem::take(&mut f.path_pos);
+        for r in &path {
+            let ri = r.index();
+            if self.resources[ri].flows.is_empty() {
+                self.comp_add_res(c, r.0);
+            }
+            let res = &mut self.resources[ri];
+            path_pos.push(u32::try_from(res.flows.len()).expect("flow list fits u32"));
+            res.flows.push((slot, cap));
+            let sum = res.cap_sum + cap;
+            self.set_cap_sum(ri, sum);
         }
+        let f = self.slots[slot as usize].as_mut().expect("slot vanished");
+        f.path = path;
+        f.path_pos = path_pos;
     }
 
-    /// Remove `slot` from its path resources' flow lists (swap-remove,
-    /// patching the moved flow's back-pointer). A flow can cross the same
-    /// resource more than once, so the moved flow's matching path entry is
-    /// found by its recorded position, not just the resource id.
+    /// Remove `slot` from its component's flow list and from its path
+    /// resources' flow lists (swap-remove, patching the moved flow's
+    /// back-pointer), and re-fold each touched list's cap sum from 0.0. A
+    /// flow can cross the same resource more than once, so the moved
+    /// flow's matching path entry is found by its recorded position, not
+    /// just the resource id.
     fn detach(&mut self, slot: u32) {
         let mut f = self.slots[slot as usize]
             .take()
             .expect("detach of vacant slot");
+        let comp = &mut self.comps[f.comp as usize];
+        comp.slots.swap_remove(f.comp_pos as usize);
+        if let Some(&moved) = comp.slots.get(f.comp_pos as usize) {
+            self.slots[moved as usize]
+                .as_mut()
+                .expect("moved slot vacant")
+                .comp_pos = f.comp_pos;
+        }
         for k in 0..f.path.len() {
             let r = f.path[k];
             let pos = f.path_pos[k];
-            let list = &mut self.resources[r.index()].flows;
-            let moved = list.last().expect("flow list empty on detach").0;
-            list.swap_remove(pos as usize);
-            if (pos as usize) >= list.len() {
+            let res = &mut self.resources[r.index()];
+            let moved = res.flows.last().expect("flow list empty on detach").0;
+            res.flows.swap_remove(pos as usize);
+            let old_tail = u32::try_from(res.flows.len()).expect("flow list fits u32");
+            let sum = res.fold_caps();
+            self.set_cap_sum(r.index(), sum);
+            if pos >= old_tail {
                 continue; // removed the tail itself; nothing moved
             }
-            let old_tail = u32::try_from(list.len()).expect("flow list fits u32");
             if moved == slot {
                 // The tail was another crossing of this same flow.
                 for j in 0..f.path.len() {
@@ -526,21 +748,132 @@ impl<C> FlowEngine<C> {
         for r in &f.path {
             self.resources[r.index()].flush_stats(now);
         }
+        let c = f.comp;
         self.detach(slot);
-        // Walking from the removed flow's resources reaches every part the
-        // removal splits apart, so all of them are re-solved this event.
-        let at_cap = self.collect_component(now, None, slot);
+        // Whatever the removal splits apart is still one component here,
+        // so all of its parts are solved jointly this event.
+        self.solve_component(now, c, None, slot);
+        self.prune(c, slot);
         let f = self.slots[slot as usize].take().expect("slot vanished");
         self.by_id.remove(&id.0);
         self.free.push(slot);
-        self.solve_and_apply(now, at_cap);
         self.maybe_shrink_heap();
         f.completion.expect("completion payload taken twice")
     }
 
+    /// Bring component `c` up to date after the flow in `slot` left it and
+    /// it was solved: drop the path resources left with no flows, dissolve
+    /// `c` if it is empty, and split it if the removal disconnected it.
+    /// Every part of `c` hangs off the removed flow's path, so `c` is still
+    /// connected exactly when the path resources that kept flows are.
+    fn prune(&mut self, c: u32, slot: u32) {
+        let mut targets = std::mem::take(&mut self.scratch.targets);
+        targets.clear();
+        let f = self.slots[slot as usize]
+            .as_ref()
+            .expect("removed slot vacant");
+        for r in &f.path {
+            if !targets.contains(&r.0) {
+                targets.push(r.0);
+            }
+        }
+        targets.retain(|&r| {
+            let emptied = self.resources[r as usize].flows.is_empty();
+            if emptied {
+                self.comp_remove_res(r);
+            }
+            !emptied
+        });
+        self.scratch.targets = targets;
+        if self.comps[c as usize].slots.is_empty() {
+            self.free_comp(c);
+        } else if self.scratch.targets.len() > 1 && !self.targets_joined() {
+            self.split(c);
+        }
+    }
+
+    /// Whether the resources in `scratch.targets` (at least one) are still
+    /// connected: a walk from the first, stopped once it reaches them all.
+    fn targets_joined(&mut self) -> bool {
+        let sc = &mut self.scratch;
+        sc.begin_walk();
+        sc.reach_res(sc.targets[0]);
+        self.walk(true)
+    }
+
+    /// Re-derive the pieces of component `c`, which a removal split apart.
+    /// Each piece is walked from the first of `c`'s resources it holds; the
+    /// first piece keeps the id `c`, the others take new ids.
+    fn split(&mut self, c: u32) {
+        let old = std::mem::take(&mut self.comps[c as usize]);
+        debug_assert!(!old.pending, "split during a burst of starts");
+        self.scratch.begin_walk();
+        let mut piece = None;
+        for &r in &old.res {
+            let sc = &mut self.scratch;
+            if sc.res_stamp[r as usize] == sc.stamp {
+                continue;
+            }
+            sc.walk_res.clear();
+            sc.walk_slots.clear();
+            sc.reach_res(r);
+            self.walk(false);
+            let p = match piece {
+                None => c,
+                Some(_) => self.new_comp(),
+            };
+            piece = Some(p);
+            let (res, slots) = (
+                std::mem::take(&mut self.scratch.walk_res),
+                std::mem::take(&mut self.scratch.walk_slots),
+            );
+            for &s in &slots {
+                self.comp_add_slot(p, s);
+            }
+            for &r in &res {
+                self.comp_add_res(p, r);
+            }
+            self.scratch.walk_res = res;
+            self.scratch.walk_slots = slots;
+        }
+    }
+
+    /// Breadth-first walk over the resource↔flow graph from the resources
+    /// already in `scratch.walk_res`, adding every flow and resource it
+    /// reaches under the current stamp. With `stop`, it ends as soon as it
+    /// has reached every resource in `scratch.targets`, and returns whether
+    /// it did; without, it runs to the end of the component.
+    fn walk(&mut self, stop: bool) -> bool {
+        let sc = &mut self.scratch;
+        let mut left = if stop {
+            sc.targets
+                .iter()
+                .filter(|&&r| sc.res_stamp[r as usize] != sc.stamp)
+                .count()
+        } else {
+            usize::MAX
+        };
+        let mut head = 0;
+        while left > 0 && head < sc.walk_res.len() {
+            let ri = sc.walk_res[head] as usize;
+            head += 1;
+            for &(s, _) in &self.resources[ri].flows {
+                if !sc.reach_slot(s) {
+                    continue;
+                }
+                let f = self.slots[s as usize].as_ref().expect("listed slot vacant");
+                for r in &f.path {
+                    if sc.reach_res(r.0) && stop && sc.targets.contains(&r.0) {
+                        left -= 1;
+                    }
+                }
+            }
+        }
+        left == 0
+    }
+
     /// Solve the components of a pending burst of starts, at the burst's
-    /// instant `last_advance`: walk from each started flow not yet reached
-    /// and solve that component on its own. Starts only merge
+    /// instant `last_advance`, each once and on its own. Starts only merge
     /// components, so each component solved here is the one the burst's
     /// last start into it would have solved, and gets the same bits as one
     /// solve per start. Solving components jointly instead could move
@@ -550,70 +883,100 @@ impl<C> FlowEngine<C> {
             return;
         }
         let now = self.last_advance;
-        let mut seeds = std::mem::take(&mut self.pending);
-        // Every walk below takes a fresh stamp, so a slot reached by one of
-        // them has a stamp of at least `first`.
-        let first = self.scratch.stamp + 1;
-        for &seed in &seeds {
-            if self.scratch.slot_stamp[seed as usize] >= first {
-                continue;
+        let mut pending = std::mem::take(&mut self.pending);
+        for &c in &pending {
+            let comp = &mut self.comps[c as usize];
+            if !comp.pending {
+                continue; // merged away, or listed again after a merge
             }
-            let at_cap = self.collect_component(now, Some(seed), seed);
-            self.solve_and_apply(now, at_cap);
+            comp.pending = false;
+            let first = comp.slots[0];
+            self.solve_component(now, c, Some(first), first);
         }
-        seeds.clear();
-        self.pending = seeds;
+        pending.clear();
+        self.pending = pending;
     }
 
-    /// Stamped BFS over the resource↔flow bipartite graph from the
-    /// resources on slot `from`'s path, plus the flow in `seed` (listed
-    /// first). Fills `scratch.comp_slots` and `scratch.comp_res`.
-    ///
-    /// Each resource reached closes its constant-rate interval at `now`,
-    /// and its flows' caps are summed, in list order, into its `rate_sum`
-    /// (an uncapped flow counts as an infinite cap). Returns whether every
-    /// flow has a cap and every resource's caps sum to at most
-    /// `capacity · (1 − 1e-9)`: the all-at-cap test of
-    /// [`Self::solve_and_apply`], on whose fast path these sums are the new
-    /// rate sums bit for bit. Otherwise the full solve rewrites them.
-    fn collect_component(&mut self, now: SimTime, seed: Option<u32>, from: u32) -> bool {
+    /// Solve component `c` at `now`; its all-at-cap verdict is its count of
+    /// over-cap resources being zero. Debug builds first check the
+    /// maintained component against a walk from the resources on slot
+    /// `from`'s path plus the flow in `seed` (see
+    /// [`Self::check_component`]).
+    fn solve_component(&mut self, now: SimTime, c: u32, seed: Option<u32>, from: u32) {
+        if cfg!(debug_assertions) {
+            self.check_component(c, seed, from);
+        }
+        let comp = &self.comps[c as usize];
         let sc = &mut self.scratch;
-        sc.stamp += 1;
-        let stamp = sc.stamp;
         sc.comp_slots.clear();
+        sc.comp_slots.extend_from_slice(&comp.slots);
         sc.comp_res.clear();
-        sc.res_queue.clear();
+        sc.comp_res.extend_from_slice(&comp.res);
+        let at_cap = comp.over == 0;
+        self.solve_and_apply(now, at_cap);
+    }
+
+    /// Debug check of component `c`: a walk from the resources on slot
+    /// `from`'s path plus the flow in `seed` must reach exactly its flows
+    /// and resources. Each
+    /// resource's cap sum must equal its list's fold bit for bit, the
+    /// component's over-cap count must match, and every back-pointer must
+    /// point at its entry.
+    fn check_component(&mut self, c: u32, seed: Option<u32>, from: u32) {
+        let sc = &mut self.scratch;
+        sc.begin_walk();
         if let Some(s) = seed {
-            sc.slot_stamp[s as usize] = stamp;
-            sc.comp_slots.push(s);
+            sc.reach_slot(s);
         }
         let f = self.slots[from as usize]
             .as_ref()
             .expect("walk from vacant slot");
-        sc.enqueue_path(&f.path);
-        let mut at_cap = true;
-        while let Some(ri) = sc.res_queue.pop() {
-            let res = &mut self.resources[ri as usize];
-            res.flush_stats(now);
-            let mut cap_sum = 0.0;
-            for &(s, cap) in &res.flows {
-                cap_sum += cap;
-                if sc.slot_stamp[s as usize] != stamp {
-                    let f = self.slots[s as usize].as_ref().expect("listed slot vacant");
-                    sc.slot_stamp[s as usize] = stamp;
-                    sc.comp_slots.push(s);
-                    sc.enqueue_path(&f.path);
-                }
-            }
-            res.rate_sum = cap_sum;
-            at_cap &= cap_sum <= res.capacity * (1.0 - 1e-9);
+        for r in &f.path {
+            sc.reach_res(r.0);
         }
-        at_cap
+        self.walk(false);
+        // The walk lists each item once, so equal lengths and every
+        // component item stamped by the walk make equal sets.
+        let sc = &self.scratch;
+        let comp = &self.comps[c as usize];
+        assert!(
+            sc.walk_slots.len() == comp.slots.len()
+                && comp
+                    .slots
+                    .iter()
+                    .all(|&s| sc.slot_stamp[s as usize] == sc.stamp),
+            "component flows differ from the walk's"
+        );
+        assert!(
+            sc.walk_res.len() == comp.res.len()
+                && comp
+                    .res
+                    .iter()
+                    .all(|&r| sc.res_stamp[r as usize] == sc.stamp),
+            "component resources differ from the walk's"
+        );
+        let mut over = 0;
+        for (pos, &r) in comp.res.iter().enumerate() {
+            let res = &self.resources[r as usize];
+            assert_eq!(
+                res.cap_sum.to_bits(),
+                res.fold_caps().to_bits(),
+                "cap sum of {} differs from its list fold",
+                res.name
+            );
+            assert_eq!((res.comp, res.comp_pos as usize), (c, pos));
+            over += u32::from(res.over_cap());
+        }
+        assert_eq!(over, comp.over, "stale over-cap count");
+        for (pos, &s) in comp.slots.iter().enumerate() {
+            let f = self.slots[s as usize].as_ref().expect("vacant");
+            assert_eq!((f.comp, f.comp_pos as usize), (c, pos));
+        }
     }
 
-    /// Max–min fair allocation over the collected component, then
-    /// rate/heap/statistics bookkeeping. `at_cap` is the verdict of
-    /// [`Self::collect_component`]'s all-at-cap test.
+    /// Max–min fair allocation over the component in `scratch.comp_slots`
+    /// and `scratch.comp_res`, then rate/heap/statistics bookkeeping.
+    /// `at_cap` is the component's all-at-cap verdict.
     fn solve_and_apply(&mut self, now: SimTime, at_cap: bool) {
         // All-at-cap fast path. If every flow has a cap and, on every
         // resource, the caps crossing it sum to at most capacity·(1 − 1e-9),
@@ -636,10 +999,17 @@ impl<C> FlowEngine<C> {
         // A prediction that moved gets a fresh heap entry, and the
         // superseded one goes stale via `gen`; one that did not move keeps
         // its entry, since live entries are ordered by `(time, id)` alone.
+        // Flows of a component mostly share their last sync instant, so
+        // `dt` is computed once per distinct one.
         let sc = &mut self.scratch;
+        let mut last_sync = now;
+        let mut dt = 0.0;
         for (i, &s) in sc.comp_slots.iter().enumerate() {
             let f = self.slots[s as usize].as_mut().expect("vacant");
-            let dt = now.since(f.sync).as_secs_f64();
+            if f.sync != last_sync {
+                last_sync = f.sync;
+                dt = now.since(f.sync).as_secs_f64();
+            }
             if dt > 0.0 {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
@@ -662,19 +1032,20 @@ impl<C> FlowEngine<C> {
             }
         }
 
-        // Per-resource rate sums open a fresh constant-rate interval. On
-        // the fast path `collect_component` already summed the applied
-        // rates, in the same list order.
+        // Each resource closes its constant-rate interval and opens a
+        // fresh one. On the fast path the applied rates are the caps, and
+        // the cap sum is their sum in list order.
         for &r in &sc.comp_res {
             let res = &mut self.resources[r as usize];
-            if !at_cap {
-                let mut sum = 0.0;
-                for &(s, _) in &res.flows {
-                    sum += self.slots[s as usize].as_ref().expect("vacant").rate;
-                }
-                res.rate_sum = sum;
-            }
-            debug_assert_eq!(res.stat_sync, now, "stats not flushed before re-rating");
+            res.flush_stats(now);
+            res.rate_sum = if at_cap {
+                res.cap_sum
+            } else {
+                res.flows
+                    .iter()
+                    .map(|&(s, _)| self.slots[s as usize].as_ref().expect("vacant").rate)
+                    .fold(0.0, |sum, rate| sum + rate)
+            };
         }
     }
 

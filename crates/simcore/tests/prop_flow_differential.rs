@@ -16,7 +16,8 @@
 //!   `remaining -= rate·dt` steps into one, which can move a prediction
 //!   by a few ULPs (bounded here at relative 1e-12, ≥2 ns).
 //!
-//! Two schedule shapes target the solver's shortcuts:
+//! Three schedule shapes target the solver's shortcuts and its kept
+//! components:
 //!
 //! * **PVFS-shaped** — every operation stripes its bytes over every node
 //!   in legs that start at one instant and share one cap. Resource
@@ -29,6 +30,8 @@
 //!   after completions. The engine may defer solving until it is read;
 //!   reading after every start would force a solve per start and never
 //!   test the deferred path.
+//! * **Bridges** — flows join two resource clusters and leave again, so
+//!   the components the engine keeps between events merge and split.
 
 use proptest::prelude::*;
 use simcore::naive::NaiveFlowEngine;
@@ -149,6 +152,41 @@ fn gen_pvfs_ops(n: usize) -> impl Strategy<Value = Vec<GenFlow>> {
     })
 }
 
+/// Resources per cluster of the bridge-shaped schedules: cluster A is
+/// `0..BRIDGE_SIDE`, cluster B is `BRIDGE_SIDE..2 * BRIDGE_SIDE`.
+const BRIDGE_SIDE: usize = 3;
+
+/// A flow of a bridge-shaped schedule: inside cluster A, inside cluster
+/// B, across both (joining their components), across both with a path
+/// that crosses its A resource twice, or pathless with a cap. Caps are
+/// whole [`CAP_UNIT`]s, for capacities from [`gen_pvfs_caps`]. Starts
+/// fall on the coarse burst instants or anywhere between them.
+fn gen_bridge_flow() -> impl Strategy<Value = GenFlow> {
+    (
+        0u8..5,
+        0..BRIDGE_SIDE,
+        BRIDGE_SIDE..2 * BRIDGE_SIDE,
+        1_000u64..5_000_000,
+        proptest::option::of((1u32..=4).prop_map(|m| f64::from(m) * CAP_UNIT)),
+        prop_oneof![coarse_ms(), 0u64..6_000],
+    )
+        .prop_map(|(shape, a, b, bytes, cap, start_ms)| {
+            let (path, cap) = match shape {
+                0 => (vec![a], cap),
+                1 => (vec![b], cap),
+                2 => (vec![a, b], cap),
+                3 => (vec![a, b, a], cap),
+                _ => (vec![], Some(cap.unwrap_or(CAP_UNIT))),
+            };
+            GenFlow {
+                bytes,
+                path,
+                cap,
+                start_ms,
+            }
+        })
+}
+
 /// One scheduled mutation of the engines.
 enum Op {
     /// Start the flow at this index of the generated list.
@@ -173,6 +211,15 @@ enum Check {
     /// touches the engine next: a start at a later instant, a cancel, or
     /// the next completion query.
     Completions,
+}
+
+/// Any of the three ways of reading a schedule, drawn per case.
+fn any_check() -> impl Strategy<Value = Check> {
+    prop_oneof![
+        Just(Check::EveryOp),
+        Just(Check::InstantBoundary),
+        Just(Check::Completions)
+    ]
 }
 
 /// The two ways of reading a burst-shaped schedule, drawn per case.
@@ -481,6 +528,24 @@ proptest! {
         check in burst_check(),
     ) {
         run_differential(&caps, &flows, &cancels, &[], true, check, |_| 0)?;
+    }
+
+    /// Bridge-shaped schedules: two resource clusters, with flows that
+    /// join them starting and finishing, so components keep merging and
+    /// splitting, among cancels, crashes and pathless capped flows. In a
+    /// debug build the engine checks every component it solves against a
+    /// fresh walk of the graph. Rates stay bit-exact, predictions within
+    /// the lazy-sync bound.
+    #[test]
+    fn bridges_merge_and_split(
+        caps in gen_pvfs_caps(2),
+        flows in proptest::collection::vec(gen_bridge_flow(), 1..40),
+        cancels in proptest::collection::vec((0usize..64, 0u64..6_000), 0..8),
+        crashes in proptest::collection::vec((0usize..2 * BRIDGE_SIDE, coarse_ms()), 0..3),
+        check in any_check(),
+    ) {
+        run_differential(&caps, &flows, &cancels, &crashes, false, check,
+            |t| 2 + (t as f64 * 1e-12) as u64)?;
     }
 
     /// Bursts of same-instant starts over disjoint components that merge

@@ -50,6 +50,13 @@ pub enum LoadError {
         /// Version found in the document.
         found: u32,
     },
+    /// A task's compute demand is negative or not finite.
+    CpuSecs {
+        /// Name of the task.
+        task: String,
+        /// The `cpu_secs` found in the document.
+        found: f64,
+    },
     /// The workflow failed validation.
     Invalid(WorkflowError),
 }
@@ -64,6 +71,10 @@ impl std::fmt::Display for LoadError {
                     "unsupported document version {found} (expected {FORMAT_VERSION})"
                 )
             }
+            LoadError::CpuSecs { task, found } => write!(
+                f,
+                "task `{task}` has cpu_secs {found} (must be finite and non-negative)"
+            ),
             LoadError::Invalid(e) => write!(f, "invalid workflow: {e}"),
         }
     }
@@ -113,6 +124,12 @@ pub fn from_json(json: &str) -> Result<Workflow, LoadError> {
     }
     let nfiles = doc.files.len() as u32;
     for t in doc.tasks {
+        if !(t.cpu_secs.is_finite() && t.cpu_secs >= 0.0) {
+            return Err(LoadError::CpuSecs {
+                task: t.name,
+                found: t.cpu_secs,
+            });
+        }
         // Out-of-range indices surface as DanglingFile through build();
         // map them eagerly so the error names the right task.
         let to_ids = |ixs: &[u32]| {
@@ -218,6 +235,17 @@ mod tests {
             ]
         }"#;
         assert!(matches!(from_json(json), Err(LoadError::Invalid(_))));
+    }
+
+    #[test]
+    fn rejects_negative_cpu_secs_naming_the_task() {
+        let json = to_json(&sample()).replace("\"cpu_secs\": 1.5", "\"cpu_secs\": -2.0");
+        let err = from_json(&json).expect_err("negative cpu_secs must not load");
+        assert!(
+            matches!(&err, LoadError::CpuSecs { task, found } if task == "t0" && *found == -2.0),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("`t0`"), "{err}");
     }
 
     #[test]

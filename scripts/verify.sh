@@ -21,9 +21,10 @@
 # Storage goldens:     the storage_golden test target (makespan, events,
 #                      digest and per-resource utilisation bits of the tiny
 #                      workflows on every storage kind at 2 and 4 workers)
-# Checked release:     the storage goldens and a paper-scale `wfsim run`
-#                      (Montage, NFS, 4 workers) built with --release and
-#                      debug assertions on, in target/checked
+# Checked release:     the storage goldens and two paper-scale `wfsim run`s
+#                      (Montage on NFS with 4 workers, and on PVFS with 8)
+#                      built with --release and debug assertions on, in
+#                      target/checked
 # OTLP conformance:    the wfengine/expt otlp test targets (well-formedness
 #                      proptests, edge cases, phase/cost parity), plus
 #                      wfobs standing alone without default features
@@ -88,14 +89,17 @@ echo "== storage goldens =="
 cargo test -q -p expt --test storage_golden
 
 echo "== debug assertions at release speed =="
-# The storage goldens again, then one paper-scale Montage run on NFS,
-# from a release build with debug assertions on: the LRU index invariant
-# and the flow solver's fast-path bit-equality check run under real
-# load. A separate target dir keeps the normal release build cached.
+# The storage goldens again, then paper-scale Montage runs on NFS and on
+# PVFS, from a release build with debug assertions on: the LRU index
+# invariant, the flow solver's fast-path bit-equality check and its
+# check of every kept component against a fresh walk run under real
+# load. On PVFS @ 8 all flows share one component of ~260 flows. A
+# separate target dir keeps the normal release build cached.
 checked=(env CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/checked)
 "${checked[@]}" cargo test --release -q -p expt --test storage_golden
 "${checked[@]}" cargo build --release -q -p expt --bin wfsim
 ./target/checked/release/wfsim run --app montage --storage nfs --workers 4 >/dev/null
+./target/checked/release/wfsim run --app montage --storage pvfs --workers 8 >/dev/null
 
 echo "== otlp conformance =="
 cargo test -q -p wfengine --test prop_otlp --test otlp_edge
