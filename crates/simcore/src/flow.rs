@@ -39,6 +39,14 @@
 //!   that the flow's remaining path resources are still connected. Only a
 //!   real split re-derives the pieces. Rates elsewhere are untouched (they
 //!   would re-derive to the same bits).
+//! * **Hot state in component order** — a component keeps its flows'
+//!   per-solve state (remaining bytes, rate, fast-path cap, sync instant,
+//!   prediction) in a list parallel to its flow slots, so a solve re-syncs
+//!   the component in one linear pass with no slab lookup per flow. The
+//!   slab keeps what a solve rarely reads: the id and heap generation (read
+//!   only to push a heap entry), the path, the cap and the payload. A
+//!   removal swap-removes both lists in step, a merge moves the entries,
+//!   and a split reads each flow's entry at its old position.
 //! * **Lazy completion heap** — instead of scanning every active flow for
 //!   the earliest completion, predictions are kept in a binary min-heap
 //!   keyed `(time, flow id)`. Each solve recomputes the prediction of every
@@ -51,7 +59,7 @@
 //!   multiply-add per flow/resource), using reusable scratch buffers
 //!   instead of per-event allocations.
 //!
-//! Two shortcuts skip work that cannot change the answer:
+//! Three shortcuts skip work that cannot change the answer:
 //!
 //! * **All-at-cap fast path** — when every flow of a component has a cap
 //!   and, on every resource, the caps crossing it sum to at most
@@ -74,6 +82,18 @@
 //!   ε-near ties. The `&self` getters (`flow_remaining`,
 //!   `resource_stats`) are exact during a burst, because no time passes
 //!   within it.
+//! * **Same-instant skip** — a solve computes each flow's new rate first.
+//!   A flow already brought forward to this instant (`sync == now`) whose
+//!   new rate has its old rate's bits is skipped: `dt` is 0, so
+//!   `remaining` is untouched, and the prediction `now + remaining / rate`
+//!   has the same three inputs as the iteration that set `sync = now`,
+//!   which left the flow's prediction at that value. A flow not solved yet
+//!   has rate 0.0, which no solve applies (applied rates are at least
+//!   `f64::MIN_POSITIVE`), so it is never skipped. Components solved
+//!   several times at one instant (a burst followed by removals, or many
+//!   flows finishing together) mostly keep their rates, so most of such a
+//!   solve is skipped. Debug builds re-derive every skipped flow's
+//!   `remaining` and prediction and assert bit equality.
 //!
 //! Keeping components changes the order in which a solve visits flows and
 //! resources, never a bit of its result, for four reasons: the filling
@@ -220,30 +240,52 @@ impl Resource {
     }
 }
 
-/// One active flow in the slab.
+/// One active flow in the slab: the fields a solve's re-sync loop does not
+/// read (the hot ones are in its component's [`Hot`] entry).
 struct Slot<C> {
     /// External id (drives all deterministic orderings).
     id: u64,
-    /// Remaining bytes as of `sync`.
-    remaining: f64,
     path: Vec<ResourceId>,
     /// Position of this slot inside each path resource's flow list
     /// (parallel to `path`), for O(path) removal.
     path_pos: Vec<u32>,
     cap: Option<f64>,
+    /// Heap-entry generation; entries with an older generation are stale.
+    gen: u64,
+    /// Component this flow belongs to, and its position in that
+    /// component's flow list (and in its `hot` list).
+    comp: u32,
+    comp_pos: u32,
+    completion: Option<C>,
+}
+
+/// The per-flow state every solve of a component reads and re-syncs,
+/// kept in the component's order so the re-sync loop is a linear pass.
+#[derive(Clone, Copy)]
+struct Hot {
+    /// Remaining bytes as of `sync`.
+    remaining: f64,
     rate: f64,
+    /// The rate the all-at-cap fast path applies: the cap, at least
+    /// `f64::MIN_POSITIVE` (NaN when uncapped).
+    cap: f64,
     /// Instant `remaining` was last brought forward.
     sync: SimTime,
     /// Predicted completion instant of the live heap entry (`None` before
     /// the flow's first solve).
     pred: Option<SimTime>,
-    /// Heap-entry generation; entries with an older generation are stale.
-    gen: u64,
-    /// Component this flow belongs to, and its position in that
-    /// component's flow list.
-    comp: u32,
-    comp_pos: u32,
-    completion: Option<C>,
+}
+
+impl Hot {
+    /// `remaining` brought forward from `sync` to `now` under `rate`.
+    fn remaining_at(&self, now: SimTime) -> f64 {
+        let dt = now.since(self.sync).as_secs_f64();
+        if dt > 0.0 {
+            (self.remaining - self.rate * dt).max(0.0)
+        } else {
+            self.remaining
+        }
+    }
 }
 
 /// A connected component of the resource↔flow graph, kept between events.
@@ -253,6 +295,8 @@ struct Slot<C> {
 #[derive(Default)]
 struct Component {
     slots: Vec<u32>,
+    /// The flows' hot state, parallel to `slots`.
+    hot: Vec<Hot>,
     res: Vec<u32>,
     /// Number of `res` that fail the all-at-cap test
     /// ([`Resource::over_cap`]); zero means the fast path applies.
@@ -264,18 +308,18 @@ struct Component {
 /// Reusable per-event buffers (no allocation on the hot path once warm).
 #[derive(Default)]
 struct Scratch {
-    /// The component being solved: flow slots (sorted by external id
-    /// before filling) and resource indices.
+    /// The flow slots of the component being filled, sorted by external
+    /// id.
     comp_slots: Vec<u32>,
-    comp_res: Vec<u32>,
     /// Per-resource local index into `cap_left`/`load`/`saturated`
-    /// (valid for the resources of `comp_res`).
+    /// (valid for the resources of the component being filled).
     res_local: Vec<u32>,
     cap_left: Vec<f64>,
     load: Vec<u32>,
     saturated: Vec<bool>,
-    /// Per-component-flow solver state, parallel to `comp_slots`.
+    /// Whether each flow of `comp_slots` is frozen (parallel to it).
     fixed: Vec<bool>,
+    /// The filling's rate of each flow, by its position in the component.
     new_rate: Vec<f64>,
     /// Visitation epoch of the walks below, and per-resource / per-slot
     /// stamps of the epoch that last reached them.
@@ -462,21 +506,24 @@ impl<C> FlowEngine<C> {
         self.next_id += 1;
         self.flows_started += 1;
         let comp = self.bridge(&spec.path);
+        let hot = Hot {
+            remaining: spec.bytes as f64,
+            rate: 0.0,
+            cap: spec.rate_cap.map_or(f64::NAN, |c| c.max(f64::MIN_POSITIVE)),
+            sync: now,
+            pred: None,
+        };
         let slot = self.alloc_slot(Slot {
             id: id.0,
-            remaining: spec.bytes as f64,
             path_pos: Vec::with_capacity(spec.path.len()),
             path: spec.path,
             cap: spec.rate_cap,
-            rate: 0.0,
-            sync: now,
-            pred: None,
             gen: 0,
             comp,
             comp_pos: 0,
             completion: Some(completion),
         });
-        self.attach(slot, comp);
+        self.attach(slot, comp, hot);
         self.by_id.insert(id.0, slot);
         if !self.comps[comp as usize].pending {
             self.comps[comp as usize].pending = true;
@@ -525,21 +572,23 @@ impl<C> FlowEngine<C> {
     /// `&mut self` to solve a pending burst of starts.
     pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
         self.solve_pending();
-        let slot = *self.by_id.get(&id.0)?;
-        self.slots[slot as usize].as_ref().map(|f| f.rate)
+        self.hot(id).map(|h| h.rate)
     }
 
     /// Remaining bytes of an active flow as of the engine's latest
     /// accounting instant (testing/diagnostics).
     pub fn flow_remaining(&self, id: FlowId) -> Option<f64> {
-        let slot = *self.by_id.get(&id.0)?;
-        self.slots[slot as usize].as_ref().map(|f| {
-            let dt = self.last_advance.since(f.sync).as_secs_f64();
-            (f.remaining - f.rate * dt).max(0.0)
-        })
+        self.hot(id).map(|h| h.remaining_at(self.last_advance))
     }
 
     // ---- internals ----------------------------------------------------
+
+    /// The hot state of an active flow.
+    fn hot(&self, id: FlowId) -> Option<&Hot> {
+        let slot = *self.by_id.get(&id.0)?;
+        let f = self.slots[slot as usize].as_ref()?;
+        Some(&self.comps[f.comp as usize].hot[f.comp_pos as usize])
+    }
 
     fn advance_clock(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_advance, "time went backwards");
@@ -568,17 +617,20 @@ impl<C> FlowEngine<C> {
     /// Dissolve the empty component `c`, keeping its buffers for reuse.
     fn free_comp(&mut self, c: u32) {
         let comp = &mut self.comps[c as usize];
-        debug_assert!(comp.slots.is_empty() && comp.res.is_empty() && comp.over == 0);
+        debug_assert!(
+            comp.slots.is_empty() && comp.hot.is_empty() && comp.res.is_empty() && comp.over == 0
+        );
         comp.pending = false;
         self.free_comps.push(c);
     }
 
-    fn comp_add_slot(&mut self, c: u32, s: u32) {
+    fn comp_add_slot(&mut self, c: u32, s: u32, hot: Hot) {
         let comp = &mut self.comps[c as usize];
         let f = self.slots[s as usize].as_mut().expect("vacant slot");
         f.comp = c;
         f.comp_pos = u32::try_from(comp.slots.len()).expect("component fits u32");
         comp.slots.push(s);
+        comp.hot.push(hot);
     }
 
     fn comp_add_res(&mut self, c: u32, r: u32) {
@@ -606,13 +658,14 @@ impl<C> FlowEngine<C> {
     /// Move every flow and resource of component `from` into `into`.
     fn merge(&mut self, into: u32, from: u32) {
         let mut moved = std::mem::take(&mut self.comps[from as usize]);
-        for &s in &moved.slots {
-            self.comp_add_slot(into, s);
+        for (&s, &hot) in moved.slots.iter().zip(&moved.hot) {
+            self.comp_add_slot(into, s, hot);
         }
         for &r in &moved.res {
             self.comp_add_res(into, r);
         }
         moved.slots.clear();
+        moved.hot.clear();
         moved.res.clear();
         moved.over = 0;
         self.comps[from as usize] = moved;
@@ -658,11 +711,11 @@ impl<C> FlowEngine<C> {
         *over -= u32::from(was);
     }
 
-    /// Insert `slot` into component `c` and into its path resources' flow
-    /// lists. Each cap is added at the end of its resource's cap fold, as
-    /// it is appended at the end of the list.
-    fn attach(&mut self, slot: u32, c: u32) {
-        self.comp_add_slot(c, slot);
+    /// Insert `slot`, with its hot state, into component `c` and into its
+    /// path resources' flow lists. Each cap is added at the end of its
+    /// resource's cap fold, as it is appended at the end of the list.
+    fn attach(&mut self, slot: u32, c: u32, hot: Hot) {
+        self.comp_add_slot(c, slot, hot);
         let f = self.slots[slot as usize]
             .as_mut()
             .expect("attach to vacant slot");
@@ -685,8 +738,8 @@ impl<C> FlowEngine<C> {
         f.path_pos = path_pos;
     }
 
-    /// Remove `slot` from its component's flow list and from its path
-    /// resources' flow lists (swap-remove, patching the moved flow's
+    /// Remove `slot` from its component's flow and hot lists and from its
+    /// path resources' flow lists (swap-remove, patching the moved flow's
     /// back-pointer), and re-fold each touched list's cap sum from 0.0. A
     /// flow can cross the same resource more than once, so the moved
     /// flow's matching path entry is found by its recorded position, not
@@ -697,6 +750,7 @@ impl<C> FlowEngine<C> {
             .expect("detach of vacant slot");
         let comp = &mut self.comps[f.comp as usize];
         comp.slots.swap_remove(f.comp_pos as usize);
+        comp.hot.swap_remove(f.comp_pos as usize);
         if let Some(&moved) = comp.slots.get(f.comp_pos as usize) {
             self.slots[moved as usize]
                 .as_mut()
@@ -828,7 +882,10 @@ impl<C> FlowEngine<C> {
                 std::mem::take(&mut self.scratch.walk_slots),
             );
             for &s in &slots {
-                self.comp_add_slot(p, s);
+                // Read before relabelling: `comp_pos` is still `s`'s
+                // position in `old`.
+                let pos = self.slots[s as usize].as_ref().expect("vacant").comp_pos;
+                self.comp_add_slot(p, s, old.hot[pos as usize]);
             }
             for &r in &res {
                 self.comp_add_res(p, r);
@@ -840,9 +897,10 @@ impl<C> FlowEngine<C> {
 
     /// Breadth-first walk over the resource↔flow graph from the resources
     /// already in `scratch.walk_res`, adding every flow and resource it
-    /// reaches under the current stamp. With `stop`, it ends as soon as it
-    /// has reached every resource in `scratch.targets`, and returns whether
-    /// it did; without, it runs to the end of the component.
+    /// reaches under the current stamp. With `stop`, it returns `true` as
+    /// soon as it has reached every resource in `scratch.targets` (leaving
+    /// the walk unfinished), and `false` if it never does; without, it runs
+    /// to the end of the component.
     fn walk(&mut self, stop: bool) -> bool {
         let sc = &mut self.scratch;
         let mut left = if stop {
@@ -865,6 +923,9 @@ impl<C> FlowEngine<C> {
                 for r in &f.path {
                     if sc.reach_res(r.0) && stop && sc.targets.contains(&r.0) {
                         left -= 1;
+                        if left == 0 {
+                            return true;
+                        }
                     }
                 }
             }
@@ -906,14 +967,22 @@ impl<C> FlowEngine<C> {
         if cfg!(debug_assertions) {
             self.check_component(c, seed, from);
         }
-        let comp = &self.comps[c as usize];
-        let sc = &mut self.scratch;
-        sc.comp_slots.clear();
-        sc.comp_slots.extend_from_slice(&comp.slots);
-        sc.comp_res.clear();
-        sc.comp_res.extend_from_slice(&comp.res);
-        let at_cap = comp.over == 0;
-        self.solve_and_apply(now, at_cap);
+        // All-at-cap fast path. If every flow has a cap and, on every
+        // resource, the caps crossing it sum to at most capacity·(1 − 1e-9),
+        // progressive filling freezes every flow at exactly its cap, in
+        // whatever order: in each round the resource bound `share` is
+        // cap_left/load on some resource, whose unfixed flows' caps sum to
+        // at most cap_left − 1e-9·capacity, so their smallest cap (and with
+        // it `min_cap`) is strictly below `share` and only flows whose cap
+        // equals `min_cap` freeze, at that cap. The rounding error carried
+        // in `cap_left` is about load·2⁻⁵²·capacity, far below the 1e-9
+        // margin. Skipping the sort and the filling rounds then yields the
+        // same bits; debug builds run the full filling and check that.
+        let at_cap = self.comps[c as usize].over == 0;
+        if cfg!(debug_assertions) || !at_cap {
+            self.fill(c);
+        }
+        self.apply(now, c, at_cap);
     }
 
     /// Debug check of component `c`: a walk from the resources on slot
@@ -968,31 +1037,16 @@ impl<C> FlowEngine<C> {
             over += u32::from(res.over_cap());
         }
         assert_eq!(over, comp.over, "stale over-cap count");
+        assert_eq!(comp.hot.len(), comp.slots.len(), "hot list out of step");
         for (pos, &s) in comp.slots.iter().enumerate() {
             let f = self.slots[s as usize].as_ref().expect("vacant");
             assert_eq!((f.comp, f.comp_pos as usize), (c, pos));
         }
     }
 
-    /// Max–min fair allocation over the component in `scratch.comp_slots`
-    /// and `scratch.comp_res`, then rate/heap/statistics bookkeeping.
-    /// `at_cap` is the component's all-at-cap verdict.
-    fn solve_and_apply(&mut self, now: SimTime, at_cap: bool) {
-        // All-at-cap fast path. If every flow has a cap and, on every
-        // resource, the caps crossing it sum to at most capacity·(1 − 1e-9),
-        // progressive filling freezes every flow at exactly its cap, in
-        // whatever order: in each round the resource bound `share` is
-        // cap_left/load on some resource, whose unfixed flows' caps sum to
-        // at most cap_left − 1e-9·capacity, so their smallest cap (and with
-        // it `min_cap`) is strictly below `share` and only flows whose cap
-        // equals `min_cap` freeze, at that cap. The rounding error carried
-        // in `cap_left` is about load·2⁻⁵²·capacity, far below the 1e-9
-        // margin. Skipping the sort and the filling rounds then yields the
-        // same bits; debug builds run the full filling and check that.
-        if cfg!(debug_assertions) || !at_cap {
-            self.fill();
-        }
-
+    /// Apply the solve of component `c` at `now`: rates (the caps when
+    /// `at_cap`, else the filling's), then heap and statistics bookkeeping.
+    fn apply(&mut self, now: SimTime, c: u32, at_cap: bool) {
         // Bring each flow of the component forward to `now` under its old
         // rate, apply its new rate and recompute its completion prediction
         // (exactly what the reference engine's linear scan would derive).
@@ -1001,32 +1055,55 @@ impl<C> FlowEngine<C> {
         // its entry, since live entries are ordered by `(time, id)` alone.
         // Flows of a component mostly share their last sync instant, so
         // `dt` is computed once per distinct one.
-        let sc = &mut self.scratch;
+        let comp = &mut self.comps[c as usize];
+        let new_rate = &self.scratch.new_rate;
         let mut last_sync = now;
         let mut dt = 0.0;
-        for (i, &s) in sc.comp_slots.iter().enumerate() {
-            let f = self.slots[s as usize].as_mut().expect("vacant");
-            if f.sync != last_sync {
-                last_sync = f.sync;
-                dt = now.since(f.sync).as_secs_f64();
-            }
-            if dt > 0.0 {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-            }
-            f.sync = now;
-            if at_cap {
-                f.rate = f.cap.expect("capped").max(f64::MIN_POSITIVE);
+        for (pos, h) in comp.hot.iter_mut().enumerate() {
+            let rate = if at_cap {
                 debug_assert_eq!(
-                    f.rate.to_bits(),
-                    sc.new_rate[i].max(f64::MIN_POSITIVE).to_bits(),
+                    h.cap.to_bits(),
+                    new_rate[pos].max(f64::MIN_POSITIVE).to_bits(),
                     "all-at-cap fast path disagrees with progressive filling"
                 );
+                h.cap
             } else {
-                f.rate = sc.new_rate[i].max(f64::MIN_POSITIVE);
+                new_rate[pos].max(f64::MIN_POSITIVE)
+            };
+            // Same-instant skip. A flow already brought forward to `now`
+            // whose rate keeps its bits would re-derive the same
+            // `remaining` (no time passed) and the same prediction (the
+            // same three inputs as the iteration that set `sync = now`,
+            // which left `pred` at that value). A flow that has not been
+            // solved yet has rate 0.0, which no solve applies.
+            if h.sync == now && rate.to_bits() == h.rate.to_bits() {
+                if cfg!(debug_assertions) {
+                    let remaining = h.remaining_at(now);
+                    assert_eq!(
+                        remaining.to_bits(),
+                        h.remaining.to_bits(),
+                        "same-instant skip moved `remaining`"
+                    );
+                    let pred = now + SimDuration::from_secs_f64(remaining / rate);
+                    assert_eq!(h.pred, Some(pred), "same-instant skip moved a prediction");
+                }
+                continue;
             }
-            let pred = now + SimDuration::from_secs_f64(f.remaining / f.rate);
-            if f.pred != Some(pred) {
-                f.pred = Some(pred);
+            if h.sync != last_sync {
+                last_sync = h.sync;
+                dt = now.since(h.sync).as_secs_f64();
+            }
+            if dt > 0.0 {
+                h.remaining = (h.remaining - h.rate * dt).max(0.0);
+            }
+            h.sync = now;
+            h.rate = rate;
+            let pred = now + SimDuration::from_secs_f64(h.remaining / rate);
+            if h.pred != Some(pred) {
+                h.pred = Some(pred);
+                let f = self.slots[comp.slots[pos] as usize]
+                    .as_mut()
+                    .expect("vacant");
                 f.gen += 1;
                 self.heap.push(Reverse((pred, f.id, f.gen)));
             }
@@ -1034,8 +1111,10 @@ impl<C> FlowEngine<C> {
 
         // Each resource closes its constant-rate interval and opens a
         // fresh one. On the fast path the applied rates are the caps, and
-        // the cap sum is their sum in list order.
-        for &r in &sc.comp_res {
+        // the cap sum is their sum in list order. Every flow listed on a
+        // resource of `c` is a flow of `c`.
+        let comp = &self.comps[c as usize];
+        for &r in &comp.res {
             let res = &mut self.resources[r as usize];
             res.flush_stats(now);
             res.rate_sum = if at_cap {
@@ -1043,18 +1122,24 @@ impl<C> FlowEngine<C> {
             } else {
                 res.flows
                     .iter()
-                    .map(|&(s, _)| self.slots[s as usize].as_ref().expect("vacant").rate)
+                    .map(|&(s, _)| {
+                        let f = self.slots[s as usize].as_ref().expect("vacant");
+                        comp.hot[f.comp_pos as usize].rate
+                    })
                     .fold(0.0, |sum, rate| sum + rate)
             };
         }
     }
 
-    /// Progressive-filling max–min fair allocation over the collected
-    /// component into `scratch.new_rate` (parallel to `comp_slots`). Flows
-    /// are solved in ascending external-id order so the arithmetic matches
-    /// a global recompute restricted to this component bit for bit.
-    fn fill(&mut self) {
+    /// Progressive-filling max–min fair allocation over component `c` into
+    /// `scratch.new_rate` (indexed by each flow's `comp_pos`). Flows are
+    /// solved in ascending external-id order so the arithmetic matches a
+    /// global recompute restricted to this component bit for bit.
+    fn fill(&mut self, c: u32) {
+        let comp = &self.comps[c as usize];
         let sc = &mut self.scratch;
+        sc.comp_slots.clear();
+        sc.comp_slots.extend_from_slice(&comp.slots);
         sc.comp_slots.sort_unstable_by_key(|&s| {
             self.slots[s as usize]
                 .as_ref()
@@ -1062,7 +1147,7 @@ impl<C> FlowEngine<C> {
                 .id
         });
         let k = sc.comp_slots.len();
-        let nr = sc.comp_res.len();
+        let nr = comp.res.len();
 
         sc.fixed.clear();
         sc.fixed.resize(k, false);
@@ -1072,7 +1157,7 @@ impl<C> FlowEngine<C> {
         sc.load.clear();
         sc.saturated.clear();
         sc.saturated.resize(nr, false);
-        for (li, &r) in sc.comp_res.iter().enumerate() {
+        for (li, &r) in comp.res.iter().enumerate() {
             sc.res_local[r as usize] = u32::try_from(li).expect("component fits u32");
             sc.cap_left.push(self.resources[r as usize].capacity);
             sc.load.push(0);
@@ -1084,7 +1169,7 @@ impl<C> FlowEngine<C> {
                 .expect("solving vacant slot");
             if f.path.is_empty() {
                 // Only a cap constrains this flow.
-                sc.new_rate[i] = f.cap.expect("uncapped pathless flow");
+                sc.new_rate[f.comp_pos as usize] = f.cap.expect("uncapped pathless flow");
                 sc.fixed[i] = true;
             } else {
                 for r in &f.path {
@@ -1123,12 +1208,13 @@ impl<C> FlowEngine<C> {
                     }
                     let f = self.slots[s as usize].as_ref().expect("vacant");
                     if f.cap.is_some_and(|c| c <= share && c <= min_cap) {
-                        sc.new_rate[i] = f.cap.unwrap();
+                        let rate = f.cap.unwrap();
+                        sc.new_rate[f.comp_pos as usize] = rate;
                         sc.fixed[i] = true;
                         progressed = true;
                         for r in &f.path {
                             let li = sc.res_local[r.index()] as usize;
-                            sc.cap_left[li] -= sc.new_rate[i];
+                            sc.cap_left[li] -= rate;
                             sc.load[li] -= 1;
                         }
                     }
@@ -1149,7 +1235,7 @@ impl<C> FlowEngine<C> {
                         .iter()
                         .any(|r| sc.saturated[sc.res_local[r.index()] as usize])
                     {
-                        sc.new_rate[i] = share;
+                        sc.new_rate[f.comp_pos as usize] = share;
                         sc.fixed[i] = true;
                         progressed = true;
                         for r in &f.path {

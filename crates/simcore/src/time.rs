@@ -114,8 +114,18 @@ fn secs_to_nanos(secs: f64) -> u64 {
     if ns >= u64::MAX as f64 {
         u64::MAX
     } else {
-        ns.round() as u64
+        round_half_up(ns)
     }
+}
+
+/// `ns.round() as u64` for `0 < ns < 2^64`, without the libm call that
+/// `f64::round` is on the baseline x86-64 target. The fraction
+/// `ns - trunc(ns)` is exact for every finite f64 (and 0 from 2^52 up,
+/// where every f64 is an integer), so comparing it with 0.5 rounds half
+/// away from zero exactly as `round` does.
+fn round_half_up(ns: f64) -> u64 {
+    let t = ns as u64;
+    t + u64::from(ns - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -205,6 +215,45 @@ mod tests {
     fn huge_secs_saturate() {
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY).as_nanos(), 0);
         assert_eq!(SimDuration::from_secs_f64(1e30).as_nanos(), u64::MAX);
+    }
+
+    #[test]
+    fn round_half_up_matches_f64_round() {
+        use rand::{Rng, SeedableRng};
+        let check = |ns: f64| {
+            if ns > 0.0 && ns < u64::MAX as f64 {
+                assert_eq!(round_half_up(ns), ns.round() as u64, "{ns:e}");
+            }
+        };
+        let ulp_neighbours = |x: f64| {
+            [
+                f64::from_bits(x.to_bits() - 1),
+                x,
+                f64::from_bits(x.to_bits() + 1),
+            ]
+        };
+        for x in [
+            0.49999999999999994,
+            0.5,
+            2f64.powi(52),
+            2f64.powi(53),
+            2f64.powi(64),
+            u64::MAX as f64,
+        ] {
+            ulp_neighbours(x).into_iter().for_each(check);
+        }
+        for k in 0..100_000u64 {
+            ulp_neighbours(k as f64 + 0.5).into_iter().for_each(check);
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for _ in 0..1_000_000 {
+            // Any positive finite bit pattern (mostly far below 1), and
+            // one with its exponent drawn from the range nanosecond
+            // counts live in.
+            check(f64::from_bits(rng.gen_range(1..f64::INFINITY.to_bits())));
+            let exp = rng.gen_range(1021u64..1023 + 64);
+            check(f64::from_bits(exp << 52 | rng.gen_range(0..1u64 << 52)));
+        }
     }
 
     #[test]

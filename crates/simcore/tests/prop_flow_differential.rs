@@ -16,7 +16,7 @@
 //!   `remaining -= rate·dt` steps into one, which can move a prediction
 //!   by a few ULPs (bounded here at relative 1e-12, ≥2 ns).
 //!
-//! Three schedule shapes target the solver's shortcuts and its kept
+//! Four schedule shapes target the solver's shortcuts and its kept
 //! components:
 //!
 //! * **PVFS-shaped** — every operation stripes its bytes over every node
@@ -32,6 +32,13 @@
 //!   test the deferred path.
 //! * **Bridges** — flows join two resource clusters and leave again, so
 //!   the components the engine keeps between events merge and split.
+//! * **Same instant** — PVFS-shaped stripes of equal legs on a time grid
+//!   where, at their caps, they finish exactly on the grid: many flows
+//!   finish at one instant, and others start or are cancelled at it. A
+//!   component is then solved several times at one instant, with its
+//!   rates kept (all at cap) or moved (tight capacities). The engine skips
+//!   the flows a same-instant solve cannot change; debug builds re-derive
+//!   each skipped flow and compare.
 
 use proptest::prelude::*;
 use simcore::naive::NaiveFlowEngine;
@@ -89,10 +96,10 @@ fn gen_flow_at(
 /// whole units are exact).
 const CAP_UNIT: f64 = 65_536.0;
 
-/// A PVFS-shaped cluster of `n` nodes: resources `3i`, `3i+1`, `3i+2`
-/// are node `i`'s disk, outbound NIC and inbound NIC. Each capacity is
-/// either far above any sum of caps (slack) or a small whole number of
-/// cap units (tight: sums of caps reach it exactly, or exceed it).
+/// A PVFS-shaped cluster of `n` nodes (laid out as in [`stripe`]). Each
+/// capacity is either far above any sum of caps (slack) or a small whole
+/// number of cap units (tight: sums of caps reach it exactly, or exceed
+/// it).
 fn gen_pvfs_caps(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(
         prop_oneof![
@@ -101,6 +108,43 @@ fn gen_pvfs_caps(n: usize) -> impl Strategy<Value = Vec<f64>> {
         ],
         3 * n,
     )
+}
+
+/// The legs of one PVFS-shaped operation over `n` nodes: node `client`
+/// reads or writes a file striped over every node, one leg per node of
+/// `leg_bytes(node)` bytes, all starting at `start_ms` with cap `cap`.
+/// Resources `3i`, `3i+1`, `3i+2` are node `i`'s disk, outbound NIC and
+/// inbound NIC.
+fn stripe(
+    n: usize,
+    client: usize,
+    write: bool,
+    cap: f64,
+    start_ms: u64,
+    leg_bytes: impl Fn(usize) -> u64,
+) -> impl Iterator<Item = GenFlow> {
+    let (c_out, c_in) = (3 * client + 1, 3 * client + 2);
+    (0..n).map(move |srv| {
+        let (s_disk, s_out, s_in) = (3 * srv, 3 * srv + 1, 3 * srv + 2);
+        let mut path = Vec::new();
+        if write {
+            if srv != client {
+                path.extend([c_out, s_in]);
+            }
+            path.push(s_disk);
+        } else {
+            path.push(s_disk);
+            if srv != client {
+                path.extend([s_out, c_in]);
+            }
+        }
+        GenFlow {
+            bytes: leg_bytes(srv),
+            path,
+            cap: Some(cap),
+            start_ms,
+        }
+    })
 }
 
 /// PVFS-shaped operations over `n` nodes: a client reads or writes
@@ -120,35 +164,54 @@ fn gen_pvfs_ops(n: usize) -> impl Strategy<Value = Vec<GenFlow>> {
         1..14,
     )
     .prop_map(move |ops| {
-        // (disk, outbound NIC, inbound NIC) of node `i`.
-        let node = |i: usize| (3 * i, 3 * i + 1, 3 * i + 2);
-        let mut legs = Vec::new();
-        for (client, bytes, write, units, start_ms) in ops {
-            let k = n as u64;
-            let (_, c_out, c_in) = node(client);
-            for srv in 0..n {
-                let (s_disk, s_out, s_in) = node(srv);
-                let mut path = Vec::new();
-                if write {
-                    if srv != client {
-                        path.extend([c_out, s_in]);
-                    }
-                    path.push(s_disk);
-                } else {
-                    path.push(s_disk);
-                    if srv != client {
-                        path.extend([s_out, c_in]);
-                    }
-                }
-                legs.push(GenFlow {
-                    bytes: bytes / k + u64::from((srv as u64) < bytes % k),
-                    path,
-                    cap: Some(f64::from(units) * CAP_UNIT),
-                    start_ms,
-                });
-            }
-        }
-        legs
+        let k = n as u64;
+        ops.into_iter()
+            .flat_map(|(client, bytes, write, units, start_ms)| {
+                let cap = f64::from(units) * CAP_UNIT;
+                stripe(n, client, write, cap, start_ms, move |srv| {
+                    bytes / k + u64::from((srv as u64) < bytes % k)
+                })
+            })
+            .collect()
+    })
+}
+
+/// The step of the same-instant schedules' time grid, in ms.
+const GRID_MS: u64 = 125;
+
+/// One of the instants on the same-instant schedules' grid (in ms).
+fn grid_ms() -> impl Strategy<Value = u64> {
+    (0u64..48).prop_map(|k| k * GRID_MS)
+}
+
+/// Same-instant schedules over `n` PVFS-shaped nodes: operations whose
+/// legs share one size and one cap, starting on a [`GRID_MS`] grid. A leg
+/// of `steps · units · CAP_UNIT · GRID_MS / 1000` bytes running at its cap
+/// of `units · CAP_UNIT` lasts exactly `steps` grid steps, and every
+/// `remaining` and prediction along the way is exact. So where the caps
+/// are slack, an operation's legs finish at one instant, which is often
+/// another operation's start or finish; where they are tight, the
+/// filling moves rates at those instants.
+fn gen_same_instant_ops(n: usize) -> impl Strategy<Value = Vec<GenFlow>> {
+    proptest::collection::vec(
+        (
+            0..n,
+            1u64..=4,
+            (0u8..2).prop_map(|w| w == 1),
+            1u32..=2,
+            grid_ms(),
+        ),
+        1..14,
+    )
+    .prop_map(move |ops| {
+        let step_bytes = (CAP_UNIT * GRID_MS as f64 / 1000.0) as u64;
+        ops.into_iter()
+            .flat_map(|(client, steps, write, units, start_ms)| {
+                let cap = f64::from(units) * CAP_UNIT;
+                let bytes = steps * u64::from(units) * step_bytes;
+                stripe(n, client, write, cap, start_ms, move |_| bytes)
+            })
+            .collect()
     })
 }
 
@@ -542,6 +605,24 @@ proptest! {
         flows in proptest::collection::vec(gen_bridge_flow(), 1..40),
         cancels in proptest::collection::vec((0usize..64, 0u64..6_000), 0..8),
         crashes in proptest::collection::vec((0usize..2 * BRIDGE_SIDE, coarse_ms()), 0..3),
+        check in any_check(),
+    ) {
+        run_differential(&caps, &flows, &cancels, &crashes, false, check,
+            |t| 2 + (t as f64 * 1e-12) as u64)?;
+    }
+
+    /// Same-instant schedules: equal stripes that finish together, starts,
+    /// cancels and crashes at those instants, over slack and tight
+    /// capacities, read after every operation, at instant boundaries or
+    /// after completions. Rates stay bit-exact; predictions within the
+    /// lazy-sync bound, since finished legs can leave disjoint pieces.
+    #[test]
+    fn same_instant_resolves(
+        n in 2usize..=4,
+        caps in gen_pvfs_caps(n),
+        flows in gen_same_instant_ops(n),
+        cancels in proptest::collection::vec((0usize..64, grid_ms()), 0..6),
+        crashes in proptest::collection::vec((0usize..12, grid_ms()), 0..3),
         check in any_check(),
     ) {
         run_differential(&caps, &flows, &cancels, &crashes, false, check,

@@ -21,6 +21,10 @@
 # Storage goldens:     the storage_golden test target (makespan, events,
 #                      digest and per-resource utilisation bits of the tiny
 #                      workflows on every storage kind at 2 and 4 workers)
+# Paper-scale pins:    one seed-42 perfbench run of each benchmark workload
+#                      (a non-zero exit means an answer left
+#                      perfbench/pins.txt: makespan bits, events, digest,
+#                      or an F2 sweep row)
 # Checked release:     the storage goldens and two paper-scale `wfsim run`s
 #                      (Montage on NFS with 4 workers, and on PVFS with 8)
 #                      built with --release and debug assertions on, in
@@ -87,6 +91,19 @@ cargo run --release -q -p expt --bin repro -- --golden-otlp
 
 echo "== storage goldens =="
 cargo test -q -p expt --test storage_golden
+
+echo "== paper-scale pins =="
+# The goldens above cover tiny workflows; these are the paper-scale
+# Montage cells on PVFS, NFS and GlusterFS-NUFA, and the Broadband +
+# Epigenome F2 fault sweep, each checked against perfbench/pins.txt.
+for workload in montage-pvfs-8 montage-nfs-4 f2-sweep-bb-epi montage-gluster-nufa-8-full; do
+    if ! out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 0 --trace 0 2>&1)"; then
+        grep -v '^pin ' <<<"$out" >&2
+        echo "error: perfbench --workload $workload --seed 42 failed (it checks its answers against perfbench/pins.txt)" >&2
+        exit 1
+    fi
+done
 
 echo "== debug assertions at release speed =="
 # The storage goldens again, then paper-scale Montage runs on NFS and on
