@@ -42,8 +42,8 @@ pub use config::{
 };
 pub use run::{run_workflow, run_workflow_with_obs, FaultSummary, ResourceRow, RunError, RunStats};
 pub use trace::{
-    jobstate_log, otlp_labels, phase_breakdown, phase_breakdown_from_bus,
-    phase_breakdown_from_otlp, render_fault_summary, segments_from_otlp, PhaseBreakdown,
+    jobstate_log, otlp_labels, phase_breakdown, phase_breakdown_from_bus, render_fault_summary,
+    PhaseBreakdown,
 };
 pub use world::{FaultCounters, NodeSched, NodeSegment, TaskRecord, World};
 

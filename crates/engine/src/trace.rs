@@ -249,10 +249,9 @@ pub fn phase_breakdown_from_bus(report: &ObsReport) -> PhaseBreakdown {
 }
 
 // ---------------------------------------------------------------------
-// OTLP consumers: labels that join run metadata onto the exporter, and
-// the inverse mappings that reconstruct the paper's deliverables (phase
-// breakdown, billing segments) from a decoded OTLP document alone. The
-// parity suite holds both reconstructions to 1e-6 of the bus/record
+// OTLP labels: the run metadata the exporter joins onto the event stream.
+// `expt/tests/otlp_parity.rs` rebuilds the phase breakdown and the bill
+// from the decoded export alone and holds both to 1e-6 of the bus/record
 // paths — the proof that the exported trace carries the whole story.
 // ---------------------------------------------------------------------
 
@@ -286,74 +285,6 @@ pub fn otlp_labels(
             })
             .collect(),
     }
-}
-
-/// Rebuild the phase breakdown from a decoded OTLP trace: sum the phase
-/// spans of task attempts that finished `ok` (matching
-/// [`phase_breakdown_from_bus`], which drops killed/failed attempts).
-pub fn phase_breakdown_from_otlp(trace: &wfobs::otlp::decode::Trace) -> PhaseBreakdown {
-    let ok_tasks: std::collections::HashSet<&str> = trace
-        .spans
-        .iter()
-        .filter(|s| {
-            s.attr("wf.task.outcome")
-                .and_then(|v| v.as_str())
-                .is_some_and(|o| o == "ok")
-        })
-        .map(|s| s.span_id.as_str())
-        .collect();
-    let mut p = PhaseBreakdown::default();
-    for s in &trace.spans {
-        let Some(label) = s.attr("wf.phase").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        if !ok_tasks.contains(s.parent_span_id.as_str()) {
-            continue;
-        }
-        let d = (s.end - s.start) as f64 / 1e9;
-        match label {
-            "overhead" => p.overhead += d,
-            "ops" => p.ops += d,
-            "stage-in" => p.stage_in += d,
-            "read" => p.read += d,
-            "compute" => p.compute += d,
-            "write" => p.write += d,
-            "stage-out" => p.stage_out += d,
-            _ => {}
-        }
-    }
-    p
-}
-
-/// Rebuild the billed lease intervals from a decoded OTLP trace: every
-/// node-incarnation span carries `wf.billing.*` attributes, and the
-/// instance type parses back through `InstanceType::from_api_name`.
-/// Feeding the result to `wfcost::CostModel::segments_cents` reproduces
-/// the run's resource bill.
-pub fn segments_from_otlp(trace: &wfobs::otlp::decode::Trace) -> Vec<wfcost::BilledSegment> {
-    let mut out = Vec::new();
-    for s in &trace.spans {
-        let Some(itype) = s
-            .attr("wf.billing.itype")
-            .and_then(|v| v.as_str())
-            .and_then(vcluster::InstanceType::from_api_name)
-        else {
-            continue;
-        };
-        out.push(wfcost::BilledSegment {
-            node: s.attr("wf.node.id").and_then(|v| v.as_i64()).unwrap_or(0) as u32,
-            itype,
-            secs: s
-                .attr("wf.billing.secs")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0),
-            spot: s
-                .attr("wf.billing.spot")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-        });
-    }
-    out
 }
 
 /// The busiest resources of a run, by mean utilization — the first place

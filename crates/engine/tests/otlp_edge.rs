@@ -3,8 +3,8 @@
 //! node not yet up). Each must still produce a parseable, single-rooted
 //! OTLP document and a stable digest.
 
+use otlpcheck as decode;
 use wfengine::{run_workflow, RunConfig, RunStats};
-use wfobs::otlp::decode;
 use wfobs::{Event, FaultKind, ObsHandle, ObsLevel, OpKind, OtlpLabels, Phase};
 use wfstorage::StorageKind;
 

@@ -11,9 +11,9 @@
 //! 3. agree with the metrics document: same resource attributes, and
 //!    every counter in the registry round-trips through OTLP JSON.
 
+use otlpcheck as decode;
 use proptest::prelude::*;
 use wfengine::{run_workflow, FaultPlan, NodeCrashSpec, RunConfig, RunStats};
-use wfobs::otlp::decode;
 use wfobs::ObsLevel;
 use wfstorage::StorageKind;
 

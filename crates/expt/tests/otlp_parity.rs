@@ -6,13 +6,13 @@
 //! paper application and storage kind, and under node-crash and
 //! spot-market churn where the billing is segment-per-incarnation.
 
-use wfcost::{BillingGranularity, CostModel};
+use otlpcheck as decode;
+use wfcost::{BilledSegment, BillingGranularity, CostModel};
 use wfengine::{
-    phase_breakdown_from_bus, phase_breakdown_from_otlp, run_workflow, segments_from_otlp,
-    FaultPlan, NodeCrashSpec, RunConfig, RunStats, SpotSpec,
+    phase_breakdown_from_bus, run_workflow, FaultPlan, NodeCrashSpec, PhaseBreakdown, RunConfig,
+    RunStats, SpotSpec,
 };
 use wfgen::App;
-use wfobs::otlp::decode;
 use wfobs::ObsLevel;
 use wfstorage::StorageKind;
 
@@ -28,6 +28,74 @@ fn export_trace(stats: &RunStats, wf: &wfdag::Workflow, kind: StorageKind, worke
     let report = stats.obs.as_ref().expect("Full level records a report");
     let labels = wfengine::otlp_labels(stats, wf, kind.label(), workers);
     wfobs::otlp_trace(report, &labels)
+}
+
+/// Rebuild the phase breakdown from a decoded OTLP trace: sum the phase
+/// spans of task attempts that finished `ok` (matching
+/// `phase_breakdown_from_bus`, which drops killed/failed attempts).
+fn phase_breakdown_from_otlp(trace: &decode::Trace) -> PhaseBreakdown {
+    let ok_tasks: std::collections::HashSet<&str> = trace
+        .spans
+        .iter()
+        .filter(|s| {
+            s.attr("wf.task.outcome")
+                .and_then(|v| v.as_str())
+                .is_some_and(|o| o == "ok")
+        })
+        .map(|s| s.span_id.as_str())
+        .collect();
+    let mut p = PhaseBreakdown::default();
+    for s in &trace.spans {
+        let Some(label) = s.attr("wf.phase").and_then(|v| v.as_str()) else {
+            continue;
+        };
+        if !ok_tasks.contains(s.parent_span_id.as_str()) {
+            continue;
+        }
+        let d = (s.end - s.start) as f64 / 1e9;
+        match label {
+            "overhead" => p.overhead += d,
+            "ops" => p.ops += d,
+            "stage-in" => p.stage_in += d,
+            "read" => p.read += d,
+            "compute" => p.compute += d,
+            "write" => p.write += d,
+            "stage-out" => p.stage_out += d,
+            _ => {}
+        }
+    }
+    p
+}
+
+/// Rebuild the billed lease intervals from a decoded OTLP trace: every
+/// node-incarnation span carries `wf.billing.*` attributes, and the
+/// instance type parses back through `InstanceType::from_api_name`.
+/// Feeding the result to `CostModel::segments_cents` reproduces the run's
+/// resource bill.
+fn segments_from_otlp(trace: &decode::Trace) -> Vec<BilledSegment> {
+    let mut out = Vec::new();
+    for s in &trace.spans {
+        let Some(itype) = s
+            .attr("wf.billing.itype")
+            .and_then(|v| v.as_str())
+            .and_then(vcluster::InstanceType::from_api_name)
+        else {
+            continue;
+        };
+        out.push(BilledSegment {
+            node: s.attr("wf.node.id").and_then(|v| v.as_i64()).unwrap_or(0) as u32,
+            itype,
+            secs: s
+                .attr("wf.billing.secs")
+                .and_then(|v| v.as_f64())
+                .unwrap_or(0.0),
+            spot: s
+                .attr("wf.billing.spot")
+                .and_then(|v| v.as_bool())
+                .unwrap_or(false),
+        });
+    }
+    out
 }
 
 fn assert_phase_parity(ctx: &str, stats: &RunStats, trace: &decode::Trace) {
@@ -167,7 +235,7 @@ fn otlp_cost_parity_on_spot_instances() {
         .faults
         .segments
         .iter()
-        .map(|s| wfcost::BilledSegment { spot: false, ..*s })
+        .map(|s| BilledSegment { spot: false, ..*s })
         .collect();
     assert!(
         m.segments_cents(&on_demand, BillingGranularity::PerHour)

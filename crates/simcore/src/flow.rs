@@ -446,11 +446,6 @@ impl<C> FlowEngine<C> {
         &self.resources[id.index()].name
     }
 
-    /// Capacity of a resource in bytes/second.
-    pub fn resource_capacity(&self, id: ResourceId) -> f64 {
-        self.resources[id.index()].capacity
-    }
-
     /// Statistics accumulated for a resource up to the engine's latest
     /// accounting instant.
     pub fn resource_stats(&self, id: ResourceId) -> ResourceStats {

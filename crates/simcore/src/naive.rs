@@ -79,11 +79,6 @@ impl<C> NaiveFlowEngine<C> {
         &self.resources[id.index()].name
     }
 
-    /// Capacity of a resource in bytes/second.
-    pub fn resource_capacity(&self, id: ResourceId) -> f64 {
-        self.resources[id.index()].capacity
-    }
-
     /// Statistics accumulated for a resource so far.
     pub fn resource_stats(&self, id: ResourceId) -> ResourceStats {
         self.resources[id.index()].stats

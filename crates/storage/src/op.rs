@@ -41,12 +41,6 @@ impl FlowLeg {
         self
     }
 
-    /// Apply an *optional* per-flow rate cap.
-    pub fn with_cap_opt(mut self, cap: Option<f64>) -> Self {
-        self.rate_cap = cap;
-        self
-    }
-
     /// Convert to a [`FlowSpec`] for the simulator.
     pub fn to_spec(&self) -> FlowSpec {
         FlowSpec {

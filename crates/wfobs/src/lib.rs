@@ -5,11 +5,10 @@
 //! typed [events](event::Event), a deterministic [metrics
 //! registry](metrics::Metrics), a [task-attempt fold](fold) that every
 //! attempt view is rendered from, a [Chrome-trace exporter](chrome), an
-//! [OTLP/JSON exporter](otlp) with an in-repo conformance
-//! [decoder](otlp::decode), a [folded-stack flamegraph
-//! exporter](folded), and a [streaming run digest](digest::RunDigest)
-//! that turns "did this run replay byte-identically?" into a single
-//! `u64` comparison.
+//! [OTLP/JSON exporter](otlp) (its conformance reader is the test-only
+//! `otlpcheck` crate), a [folded-stack flamegraph exporter](folded), and
+//! a [streaming run digest](digest::RunDigest) that turns "did this run
+//! replay byte-identically?" into a single `u64` comparison.
 //!
 //! Design rules (see DESIGN.md § Observability):
 //!

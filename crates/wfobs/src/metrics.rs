@@ -1,5 +1,5 @@
-//! Deterministic metrics registry: counters, gauges, fixed-bucket
-//! histograms and per-resource time-series.
+//! Deterministic metrics registry: counters, fixed-bucket histograms and
+//! per-resource time-series.
 //!
 //! Everything here is sampled on *event boundaries* — a metric moves only
 //! when an [`Event`](crate::event::Event) is emitted, never on wall clock —
@@ -53,7 +53,6 @@ pub type SeriesPoint = (u64, f64);
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
     series: BTreeMap<String, Vec<SeriesPoint>>,
 }
@@ -62,11 +61,6 @@ impl Metrics {
     /// Add `by` to a named counter.
     pub fn count(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
-    }
-
-    /// Set a named gauge.
-    pub fn gauge(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert(name, v);
     }
 
     /// Record a value into a named histogram, creating it with the given
@@ -99,11 +93,6 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Read a gauge.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Read a histogram.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -124,11 +113,6 @@ impl Metrics {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(&k, &v)| (k, v))
-    }
-
     /// All histograms, sorted by name.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         self.histograms.iter().map(|(&k, v)| (k, v))
@@ -141,9 +125,6 @@ impl Metrics {
         out.push_str("kind,name,field,value\n");
         for (name, v) in &self.counters {
             out.push_str(&format!("counter,{name},value,{v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("gauge,{name},value,{v}\n"));
         }
         for (name, h) in &self.histograms {
             for (i, c) in h.counts.iter().enumerate() {
@@ -234,7 +215,6 @@ mod tests {
         let mut m = Metrics::default();
         m.count("b_counter", 2);
         m.count("a_counter", 1);
-        m.gauge("g", 0.5);
         m.observe("h", &[1], 3);
         m.sample("s", 1_500_000_000, 4.0);
         let csv = m.to_csv();

@@ -35,8 +35,8 @@
 //! like Jaeger/Tempo render such traces as early-1970 sessions, which is
 //! harmless; relative durations — the paper's deliverable — are exact.
 //!
-//! The [`decode`] submodule is the other half of the conformance
-//! contract: a minimal in-repo OTLP/JSON reader used only by tests, so
+//! The other half of the conformance contract is the test-only
+//! `otlpcheck` crate, an OTLP/JSON reader over the `serde_json` shim, so
 //! well-formedness (single root, resolving parents, nested intervals,
 //! unique reproducible ids) and parity (phase/cost reconstruction) are
 //! checked end to end through real bytes.
@@ -556,8 +556,8 @@ pub fn otlp_trace(report: &ObsReport, labels: &OtlpLabels) -> String {
 
 /// Render the metrics registry of a Full-level report as an OTLP/JSON
 /// `ExportMetricsServiceRequest`: counters become cumulative monotonic
-/// sums, gauges become gauges, histograms keep their explicit bounds,
-/// and event-boundary time series become multi-point gauges.
+/// sums, histograms keep their explicit bounds, and event-boundary time
+/// series become multi-point gauges.
 pub fn otlp_metrics(report: &ObsReport, labels: &OtlpLabels) -> String {
     let t_end = report.events.last().map_or(0, |&(t, _)| t);
     let mut metrics: Vec<String> = Vec::new();
@@ -567,12 +567,6 @@ pub fn otlp_metrics(report: &ObsReport, labels: &OtlpLabels) -> String {
             "{{\"name\":\"wf.{name}\",\"sum\":{{\"dataPoints\":[{{\"startTimeUnixNano\":\"0\",\
              \"timeUnixNano\":\"{t_end}\",\"asInt\":\"{v}\"}}],\"aggregationTemporality\":2,\
              \"isMonotonic\":true}}}}"
-        ));
-    }
-    for (name, v) in report.metrics.gauges() {
-        metrics.push(format!(
-            "{{\"name\":\"wf.{name}\",\"gauge\":{{\"dataPoints\":[{{\"timeUnixNano\":\
-             \"{t_end}\",\"asDouble\":{v}}}]}}}}"
         ));
     }
     for (name, h) in report.metrics.histograms() {
@@ -613,594 +607,12 @@ pub fn otlp_metrics(report: &ObsReport, labels: &OtlpLabels) -> String {
     )
 }
 
-pub mod decode {
-    //! Minimal OTLP/JSON reader — the conformance half of the export
-    //! contract, used only by tests. Dependency-free like the encoder: a
-    //! small JSON parser feeds plain structs that the property and parity
-    //! suites inspect. Not a general OTLP client; it reads exactly the
-    //! shape [`otlp_trace`](super::otlp_trace) and
-    //! [`otlp_metrics`](super::otlp_metrics) emit.
-
-    /// A decoded attribute value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum AttrVal {
-        /// `stringValue`.
-        Str(String),
-        /// `intValue` (decimal string in OTLP/JSON).
-        I64(i64),
-        /// `doubleValue`.
-        F64(f64),
-        /// `boolValue`.
-        Bool(bool),
-    }
-
-    impl AttrVal {
-        /// The string payload, if this is a string attribute.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                AttrVal::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The integer payload, if this is an int attribute.
-        pub fn as_i64(&self) -> Option<i64> {
-            match self {
-                AttrVal::I64(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The float payload, if this is a double attribute.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                AttrVal::F64(f) => Some(*f),
-                _ => None,
-            }
-        }
-
-        /// The bool payload, if this is a bool attribute.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                AttrVal::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-    }
-
-    /// A decoded span event.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct SpanEvent {
-        /// Event timestamp (simulated nanoseconds).
-        pub time: u64,
-        /// Event name.
-        pub name: String,
-        /// Event attributes.
-        pub attrs: Vec<(String, AttrVal)>,
-    }
-
-    /// A decoded span link.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Link {
-        /// Linked trace id (hex).
-        pub trace_id: String,
-        /// Linked span id (hex).
-        pub span_id: String,
-        /// Link attributes.
-        pub attrs: Vec<(String, AttrVal)>,
-    }
-
-    /// A decoded span.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Span {
-        /// Trace id (32 hex chars).
-        pub trace_id: String,
-        /// Span id (16 hex chars).
-        pub span_id: String,
-        /// Parent span id (empty for the root).
-        pub parent_span_id: String,
-        /// Span name.
-        pub name: String,
-        /// Start timestamp (simulated nanoseconds).
-        pub start: u64,
-        /// End timestamp (simulated nanoseconds).
-        pub end: u64,
-        /// Span attributes.
-        pub attrs: Vec<(String, AttrVal)>,
-        /// Span events.
-        pub events: Vec<SpanEvent>,
-        /// Span links.
-        pub links: Vec<Link>,
-        /// Status code: 0 unset, 1 ok, 2 error.
-        pub status_code: i64,
-    }
-
-    impl Span {
-        /// Look up an attribute by key.
-        pub fn attr(&self, key: &str) -> Option<&AttrVal> {
-            self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// A decoded `ExportTraceServiceRequest`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Trace {
-        /// Resource attributes.
-        pub resource: Vec<(String, AttrVal)>,
-        /// All spans, in document order.
-        pub spans: Vec<Span>,
-    }
-
-    impl Trace {
-        /// Look up a resource attribute by key.
-        pub fn resource_attr(&self, key: &str) -> Option<&AttrVal> {
-            self.resource.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// One decoded metric (the aggregation kinds the encoder emits).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Metric {
-        /// Cumulative monotonic sum: `(name, value)`.
-        Sum(String, i64),
-        /// Gauge: `(name, points)`.
-        Gauge(String, Vec<(u64, f64)>),
-        /// Histogram: `(name, count, sum, bucket counts, bounds)`.
-        Histogram(String, u64, u64, Vec<u64>, Vec<u64>),
-    }
-
-    /// A decoded `ExportMetricsServiceRequest`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct MetricsDoc {
-        /// Resource attributes.
-        pub resource: Vec<(String, AttrVal)>,
-        /// All metrics, in document order.
-        pub metrics: Vec<Metric>,
-    }
-
-    // --- tiny JSON value tree -----------------------------------------
-
-    #[derive(Debug, Clone, PartialEq)]
-    enum Json {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        fn arr(&self) -> &[Json] {
-            match self {
-                Json::Arr(items) => items,
-                _ => &[],
-            }
-        }
-
-        fn str_or(&self, default: &str) -> String {
-            match self {
-                Json::Str(s) => s.clone(),
-                _ => default.to_string(),
-            }
-        }
-
-        /// u64 encoded as a decimal string (OTLP/JSON int64 mapping) or a
-        /// bare number.
-        fn u64_of(&self) -> u64 {
-            match self {
-                Json::Str(s) => s.parse().unwrap_or(0),
-                Json::Num(f) => *f as u64,
-                _ => 0,
-            }
-        }
-
-        fn i64_of(&self) -> i64 {
-            match self {
-                Json::Str(s) => s.parse().unwrap_or(0),
-                Json::Num(f) => *f as i64,
-                _ => 0,
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        fn ws(&mut self) {
-            while self.b.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.pos).copied()
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            self.ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b't') => self.keyword("true", Json::Bool(true)),
-                Some(b'f') => self.keyword("false", Json::Bool(false)),
-                Some(b'n') => self.keyword("null", Json::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-            }
-        }
-
-        fn keyword(&mut self, kw: &str, v: Json) -> Result<Json, String> {
-            if self.b[self.pos..].starts_with(kw.as_bytes()) {
-                self.pos += kw.len();
-                Ok(v)
-            } else {
-                Err(format!("bad keyword at byte {}", self.pos))
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.pos += 1; // '{'
-            let mut pairs = Vec::new();
-            self.ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                self.ws();
-                let key = self.string()?;
-                self.ws();
-                if self.peek() != Some(b':') {
-                    return Err(format!("expected `:` at byte {}", self.pos));
-                }
-                self.pos += 1;
-                pairs.push((key, self.value()?));
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected `,`/`}}` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.pos += 1; // '['
-            let mut items = Vec::new();
-            self.ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,`/`]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            if self.peek() != Some(b'"') {
-                return Err(format!("expected string at byte {}", self.pos));
-            }
-            self.pos += 1;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .b
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                                self.pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        let rest = std::str::from_utf8(&self.b[self.pos..])
-                            .map_err(|_| "invalid UTF-8")?;
-                        let c = rest.chars().next().expect("nonempty");
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while let Some(b) = self.peek() {
-                match b {
-                    b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-' => self.pos += 1,
-                    _ => break,
-                }
-            }
-            std::str::from_utf8(&self.b[start..self.pos])
-                .map_err(|_| "invalid number".to_string())?
-                .parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| e.to_string())
-        }
-    }
-
-    fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.pos != p.b.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn decode_attrs(v: Option<&Json>) -> Vec<(String, AttrVal)> {
-        let mut out = Vec::new();
-        for kv in v.map_or(&[][..], Json::arr) {
-            let Some(key) = kv.get("key") else { continue };
-            let Some(value) = kv.get("value") else {
-                continue;
-            };
-            let decoded = if let Some(s) = value.get("stringValue") {
-                AttrVal::Str(s.str_or(""))
-            } else if let Some(n) = value.get("intValue") {
-                AttrVal::I64(n.i64_of())
-            } else if let Some(f) = value.get("doubleValue") {
-                match f {
-                    Json::Num(x) => AttrVal::F64(*x),
-                    _ => continue,
-                }
-            } else if let Some(b) = value.get("boolValue") {
-                match b {
-                    Json::Bool(x) => AttrVal::Bool(*x),
-                    _ => continue,
-                }
-            } else {
-                continue;
-            };
-            out.push((key.str_or(""), decoded));
-        }
-        out
-    }
-
-    /// Decode an `ExportTraceServiceRequest` JSON document.
-    pub fn trace(json: &str) -> Result<Trace, String> {
-        let doc = parse(json)?;
-        let mut resource = Vec::new();
-        let mut spans = Vec::new();
-        for rs in doc
-            .get("resourceSpans")
-            .ok_or("resourceSpans missing")?
-            .arr()
-        {
-            if resource.is_empty() {
-                resource = decode_attrs(rs.get("resource").and_then(|r| r.get("attributes")));
-            }
-            for ss in rs.get("scopeSpans").map_or(&[][..], Json::arr) {
-                for sp in ss.get("spans").map_or(&[][..], Json::arr) {
-                    let events = sp
-                        .get("events")
-                        .map_or(&[][..], Json::arr)
-                        .iter()
-                        .map(|e| SpanEvent {
-                            time: e.get("timeUnixNano").map_or(0, Json::u64_of),
-                            name: e.get("name").map_or(String::new(), |n| n.str_or("")),
-                            attrs: decode_attrs(e.get("attributes")),
-                        })
-                        .collect();
-                    let links = sp
-                        .get("links")
-                        .map_or(&[][..], Json::arr)
-                        .iter()
-                        .map(|l| Link {
-                            trace_id: l.get("traceId").map_or(String::new(), |v| v.str_or("")),
-                            span_id: l.get("spanId").map_or(String::new(), |v| v.str_or("")),
-                            attrs: decode_attrs(l.get("attributes")),
-                        })
-                        .collect();
-                    spans.push(Span {
-                        trace_id: sp.get("traceId").map_or(String::new(), |v| v.str_or("")),
-                        span_id: sp.get("spanId").map_or(String::new(), |v| v.str_or("")),
-                        parent_span_id: sp
-                            .get("parentSpanId")
-                            .map_or(String::new(), |v| v.str_or("")),
-                        name: sp.get("name").map_or(String::new(), |v| v.str_or("")),
-                        start: sp.get("startTimeUnixNano").map_or(0, Json::u64_of),
-                        end: sp.get("endTimeUnixNano").map_or(0, Json::u64_of),
-                        attrs: decode_attrs(sp.get("attributes")),
-                        events,
-                        links,
-                        status_code: sp
-                            .get("status")
-                            .and_then(|s| s.get("code"))
-                            .map_or(0, Json::i64_of),
-                    });
-                }
-            }
-        }
-        Ok(Trace { resource, spans })
-    }
-
-    /// Decode an `ExportMetricsServiceRequest` JSON document.
-    pub fn metrics(json: &str) -> Result<MetricsDoc, String> {
-        let doc = parse(json)?;
-        let mut resource = Vec::new();
-        let mut metrics = Vec::new();
-        for rm in doc
-            .get("resourceMetrics")
-            .ok_or("resourceMetrics missing")?
-            .arr()
-        {
-            if resource.is_empty() {
-                resource = decode_attrs(rm.get("resource").and_then(|r| r.get("attributes")));
-            }
-            for sm in rm.get("scopeMetrics").map_or(&[][..], Json::arr) {
-                for m in sm.get("metrics").map_or(&[][..], Json::arr) {
-                    let name = m.get("name").map_or(String::new(), |v| v.str_or(""));
-                    if let Some(sum) = m.get("sum") {
-                        let v = sum
-                            .get("dataPoints")
-                            .map_or(&[][..], Json::arr)
-                            .first()
-                            .and_then(|p| p.get("asInt"))
-                            .map_or(0, Json::i64_of);
-                        metrics.push(Metric::Sum(name, v));
-                    } else if let Some(g) = m.get("gauge") {
-                        let pts = g
-                            .get("dataPoints")
-                            .map_or(&[][..], Json::arr)
-                            .iter()
-                            .map(|p| {
-                                let t = p.get("timeUnixNano").map_or(0, Json::u64_of);
-                                let v = match p.get("asDouble") {
-                                    Some(Json::Num(x)) => *x,
-                                    _ => 0.0,
-                                };
-                                (t, v)
-                            })
-                            .collect();
-                        metrics.push(Metric::Gauge(name, pts));
-                    } else if let Some(h) = m.get("histogram") {
-                        let Some(p) = h.get("dataPoints").map_or(&[][..], Json::arr).first() else {
-                            continue;
-                        };
-                        let count = p.get("count").map_or(0, Json::u64_of);
-                        let sum = p.get("sum").map_or(0, Json::u64_of);
-                        let buckets = p
-                            .get("bucketCounts")
-                            .map_or(&[][..], Json::arr)
-                            .iter()
-                            .map(Json::u64_of)
-                            .collect();
-                        let bounds = p
-                            .get("explicitBounds")
-                            .map_or(&[][..], Json::arr)
-                            .iter()
-                            .map(Json::u64_of)
-                            .collect();
-                        metrics.push(Metric::Histogram(name, count, sum, buckets, bounds));
-                    }
-                }
-            }
-        }
-        Ok(MetricsDoc { resource, metrics })
-    }
-
-    /// Check the structural invariants every exported span tree must
-    /// satisfy: a single root, parent ids that resolve within the
-    /// document, one trace id shared by all spans, unique non-zero span
-    /// ids, and child intervals nested inside their parents'.
-    pub fn check_well_formed(trace: &Trace) -> Result<(), String> {
-        if trace.spans.is_empty() {
-            return Err("no spans in document".into());
-        }
-        let mut roots = 0usize;
-        let mut ids = std::collections::BTreeMap::new();
-        let trace_id = &trace.spans[0].trace_id;
-        if trace_id.len() != 32 || trace_id.chars().all(|c| c == '0') {
-            return Err(format!("bad trace id {trace_id:?}"));
-        }
-        for (i, s) in trace.spans.iter().enumerate() {
-            if s.trace_id != *trace_id {
-                return Err(format!("span {i} trace id {:?} differs", s.trace_id));
-            }
-            if s.span_id.len() != 16 || s.span_id.chars().all(|c| c == '0') {
-                return Err(format!("span {i} has invalid id {:?}", s.span_id));
-            }
-            if ids.insert(s.span_id.clone(), i).is_some() {
-                return Err(format!("duplicate span id {:?}", s.span_id));
-            }
-            if s.parent_span_id.is_empty() {
-                roots += 1;
-            }
-            if s.end < s.start {
-                return Err(format!("span {i} ends before it starts"));
-            }
-        }
-        if roots != 1 {
-            return Err(format!("expected a single root span, found {roots}"));
-        }
-        for (i, s) in trace.spans.iter().enumerate() {
-            if s.parent_span_id.is_empty() {
-                continue;
-            }
-            let Some(&p) = ids.get(&s.parent_span_id) else {
-                return Err(format!(
-                    "span {i} parent {:?} does not resolve",
-                    s.parent_span_id
-                ));
-            };
-            let parent = &trace.spans[p];
-            if s.start < parent.start || s.end > parent.end {
-                return Err(format!(
-                    "span {i} [{}, {}] not nested in parent [{}, {}]",
-                    s.start, s.end, parent.start, parent.end
-                ));
-            }
-            for l in &s.links {
-                if !ids.contains_key(&l.span_id) {
-                    return Err(format!("span {i} link {:?} does not resolve", l.span_id));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::{ObsHandle, ObsLevel};
     use crate::event::FaultKind;
+    use otlpcheck as decode;
 
     fn sample_report() -> ObsReport {
         let h = ObsHandle::new(ObsLevel::Full, 7);

@@ -11,6 +11,9 @@
 # Oracle feature gate: the production `expt` build must not enable
 #                      simcore's `oracle` feature (the reference solver
 #                      compiles only for tests)
+# otlpcheck gate:      the production `expt` build must not link the
+#                      test-only OTLP reader `otlpcheck` (dev-dependency
+#                      of wfobs, wfengine and expt only)
 # Lint gates:          cargo clippy --workspace --all-targets -- -D warnings
 #                      cargo fmt --check
 #                      no #[ignore] without a reason string
@@ -29,9 +32,10 @@
 #                      (Montage on NFS with 4 workers, and on PVFS with 8)
 #                      built with --release and debug assertions on, in
 #                      target/checked
-# OTLP conformance:    the wfengine/expt otlp test targets (well-formedness
-#                      proptests, edge cases, phase/cost parity), plus
-#                      wfobs standing alone without default features
+# OTLP conformance:    the otlpcheck reader's own tests, the wfengine/expt
+#                      otlp test targets (well-formedness proptests, edge
+#                      cases, phase/cost parity), plus wfobs standing alone
+#                      without default features
 # Exporter goldens:    Chrome, OTLP, folded and TUI-frame fixtures of a
 #                      clean, a crash, a transient-failure and a truncated
 #                      run, plus the task-attempt fold's unit tests and
@@ -62,6 +66,13 @@ echo "== oracle feature gate: production expt builds without it =="
 expt_features="$(cargo tree --offline --locked -e features,normal -p expt)"
 if grep -F 'simcore feature "oracle"' <<<"$expt_features"; then
     echo "error: expt's normal dependencies enable simcore's \`oracle\` feature" >&2
+    exit 1
+fi
+
+echo "== otlpcheck gate: production expt does not link the OTLP test reader =="
+expt_deps="$(cargo tree --offline --locked -e normal -p expt)"
+if grep -F 'otlpcheck' <<<"$expt_deps"; then
+    echo "error: expt's normal dependencies include the test-only \`otlpcheck\` crate" >&2
     exit 1
 fi
 
@@ -119,6 +130,7 @@ checked=(env CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target
 ./target/checked/release/wfsim run --app montage --storage pvfs --workers 8 >/dev/null
 
 echo "== otlp conformance =="
+cargo test -q -p otlpcheck
 cargo test -q -p wfengine --test prop_otlp --test otlp_edge
 cargo test -q -p expt --test otlp_parity --test folded_golden
 cargo test -q -p wfobs --no-default-features
