@@ -80,6 +80,12 @@ pub(crate) fn mark_ready(sim: &mut Sim<World>, world: &mut World, task: TaskId) 
 
 /// One matchmaking cycle: dispatch every queued job (within the backfill
 /// window) that fits on some node.
+///
+/// The window is examined in place: a dispatched job leaves the queue,
+/// a job that fits nowhere keeps its place ahead of the untouched tail,
+/// so one cycle costs O(window) however deep the queue is. The scan
+/// stops early once no worker has a free slot, since `pick_node` then
+/// answers `None` for every job without changing any state.
 pub fn try_dispatch(sim: &mut Sim<World>, world: &mut World) {
     if let Some(t) = world.stall_until {
         // Storage is down and every client call hangs: nothing dispatches
@@ -89,25 +95,25 @@ pub fn try_dispatch(sim: &mut Sim<World>, world: &mut World) {
         }
         world.stall_until = None;
     }
-    let mut examined = 0;
+    let mut open = world.any_free_slot();
+    let mut pos = 0;
     let mut dispatched = 0u32;
-    let mut kept = std::collections::VecDeque::new();
-    while let Some(task) = world.ready.pop_front() {
-        if examined >= BACKFILL_WINDOW {
-            kept.push_back(task);
-            continue;
+    for _ in 0..BACKFILL_WINDOW.min(world.ready.len()) {
+        if !open {
+            break;
         }
-        examined += 1;
+        let task = world.ready[pos];
         match world.pick_node(task) {
             Some(i) => {
+                world.ready.remove(pos);
                 dispatch(sim, world, task, i);
                 dispatched += 1;
+                open = world.any_free_slot();
             }
-            None => kept.push_back(task),
+            None => pos += 1,
         }
     }
-    world.ready = kept;
-    // Re-sample queue depth after the drain, so depth decreases are
+    // Re-sample queue depth after the cycle, so depth decreases are
     // observable too (live ready-depth widgets track both edges).
     if dispatched > 0 {
         world.obs.emit(Event::ReadyDepth {
@@ -119,6 +125,7 @@ pub fn try_dispatch(sim: &mut Sim<World>, world: &mut World) {
 fn dispatch(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: usize) {
     world.reserve(worker_ix, task);
     world.running[worker_ix].push(task);
+    world.open_inflight(task);
     let epoch = world.epoch[task.index()];
     let node = world.cluster.workers()[worker_ix];
     let attempt = {
@@ -346,6 +353,7 @@ fn job_done(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: us
     }
     world.release(worker_ix, task);
     world.running[worker_ix].retain(|&t| t != task);
+    world.close_inflight(task);
     let attempt = {
         let rec = world.records[task.index()].as_mut().expect("record");
         rec.end_at = sim.now();

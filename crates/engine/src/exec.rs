@@ -1,8 +1,8 @@
 //! Executing storage [`OpPlan`]s against the simulator.
 
 use crate::world::World;
-use simcore::{FlowId, Sim};
-use std::cell::{Cell, RefCell};
+use simcore::Sim;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use wfdag::TaskId;
@@ -16,6 +16,13 @@ pub type Cont = Box<dyn FnOnce(&mut Sim<World>, &mut World)>;
 /// check it before starting work (a killed execution's stale events
 /// no-op) and register their flows so a kill can cancel them.
 pub type ExecGuard = Option<(TaskId, u32)>;
+
+/// The join of one stage's parallel legs: how many are still in flight,
+/// and the continuation the last one to land runs.
+struct Join {
+    left: Cell<usize>,
+    done: Cell<Option<Cont>>,
+}
 
 /// Execute a plan: background stages are queued onto the world's single
 /// writeback stream; foreground stages run in order; `done` fires when the
@@ -69,36 +76,30 @@ fn exec_stage(sim: &mut Sim<World>, stage: Stage, guard: ExecGuard, done: Cont) 
             if !world.live(task, epoch) {
                 return;
             }
+            // The task's stages run one after another, so every flow of
+            // its previous stage has landed.
+            world.inflight_mut(task).clear();
         }
         if stage.legs.is_empty() {
             done(sim, world);
             return;
         }
-        let remaining = Rc::new(Cell::new(stage.legs.len()));
-        let done_slot = Rc::new(RefCell::new(Some(done)));
-        for leg in &stage.legs {
-            let remaining = Rc::clone(&remaining);
-            let done_slot = Rc::clone(&done_slot);
-            // The flow's own id, captured by its completion callback so
-            // it can unregister itself (set right after start_flow).
-            let id_cell: Rc<Cell<Option<FlowId>>> = Rc::new(Cell::new(None));
-            let id_for_cb = Rc::clone(&id_cell);
-            let id = sim.start_flow(leg.to_spec(), move |sim, world| {
-                if let (Some((task, _)), Some(id)) = (guard, id_for_cb.get()) {
-                    world.unregister_flow(task, id);
-                }
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    let d = done_slot
-                        .borrow_mut()
-                        .take()
-                        .expect("continuation fired twice");
+        let join = Rc::new(Join {
+            left: Cell::new(stage.legs.len()),
+            done: Cell::new(Some(done)),
+        });
+        for leg in stage.legs {
+            let join = Rc::clone(&join);
+            let id = sim.start_flow(leg.into(), move |sim, world| {
+                let left = join.left.get() - 1;
+                join.left.set(left);
+                if left == 0 {
+                    let d = join.done.take().expect("continuation fired twice");
                     d(sim, world);
                 }
             });
-            id_cell.set(id);
             if let (Some((task, _)), Some(id)) = (guard, id) {
-                world.register_flow(task, id);
+                world.inflight_mut(task).push(id);
             }
         }
     });

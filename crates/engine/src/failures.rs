@@ -326,11 +326,10 @@ pub(crate) fn kill_task(
         wasted_nanos: now.since(start_at).as_nanos(),
     });
     world.epoch[task.index()] += 1;
-    if let Some(ids) = world.inflight.remove(&task) {
-        for id in ids {
-            sim.cancel_flow(id);
-        }
+    for &id in world.inflight(task) {
+        sim.cancel_flow(id);
     }
+    world.close_inflight(task);
     world.running[worker_ix].retain(|&t| t != task);
     if release_slot {
         world.release(worker_ix, task);
@@ -351,6 +350,7 @@ pub(crate) fn fail_execution(
 ) {
     world.running[worker_ix].retain(|&t| t != task);
     world.release(worker_ix, task);
+    world.close_inflight(task);
     world.epoch[task.index()] += 1;
     world.obs.emit(Event::TaskFailed {
         task: task.0,
@@ -403,7 +403,7 @@ pub(crate) fn rescue_defer(sim: &mut Sim<World>, world: &mut World, task: TaskId
     missing.dedup();
     let mut producers: Vec<TaskId> = Vec::new();
     for f in missing {
-        match world.producer_of.get(&f).copied() {
+        match world.wf.file(f).producer {
             Some(p) => {
                 if !producers.contains(&p) {
                     producers.push(p);

@@ -9,6 +9,9 @@ use wfobs::{Event, ObsHandle};
 use wfstorage::op::{Note, Stage};
 use wfstorage::{FileRef, StorageSystem};
 
+/// `World::lane` of a task that is not running.
+const NO_LANE: u32 = u32::MAX;
+
 /// Scheduling state of one worker node.
 #[derive(Debug, Clone)]
 pub struct NodeSched {
@@ -172,9 +175,16 @@ pub struct World {
     pub epoch: Vec<u32>,
     /// Tasks currently holding a slot on each worker.
     pub running: Vec<Vec<TaskId>>,
-    /// Active flow registrations per task, cancelled when the task is
-    /// killed.
-    pub inflight: HashMap<TaskId, Vec<FlowId>>,
+    /// Flows of each running execution's current guarded stage, one
+    /// list per lane, cancelled when the execution is killed. Some may
+    /// have landed already: flow ids are never reused, so cancelling one
+    /// is a no-op. A stage clears its execution's list when it starts.
+    inflight: Vec<Vec<FlowId>>,
+    /// Lane in `inflight` of each task's running execution (indexed by
+    /// task; `NO_LANE` while it is not running). Lanes are recycled, so
+    /// there are only as many lists as executions ever ran at once.
+    lane: Vec<u32>,
+    free_lanes: Vec<u32>,
     /// Whether each worker is up.
     pub node_up: Vec<bool>,
     /// Per-worker incarnation counter; crash and recovery events carry
@@ -189,8 +199,6 @@ pub struct World {
     pub rescued: HashSet<TaskId>,
     /// Tasks deferred until a rescued producer re-finishes.
     pub rescue_waiters: HashMap<TaskId, Vec<TaskId>>,
-    /// Producing task of every non-input file.
-    pub producer_of: HashMap<FileId, TaskId>,
     /// Files whose `plan_write` was issued. A retry of an execution
     /// killed mid-write skips these (re-writing would violate the
     /// storage write-once discipline); storage failover removes lost
@@ -267,12 +275,6 @@ impl World {
                 }]
             })
             .collect();
-        let mut producer_of = HashMap::new();
-        for (i, t) in wf.tasks().iter().enumerate() {
-            for &f in &t.outputs {
-                producer_of.insert(f, TaskId(i as u32));
-            }
-        }
         let fault_rng_node = (0..workers)
             .map(|i| DetRng::stream(cfg.seed, &format!("engine.faults.node.{i}")))
             .collect();
@@ -297,14 +299,15 @@ impl World {
             rng,
             epoch: vec![0; n],
             running: vec![Vec::new(); workers],
-            inflight: HashMap::new(),
+            inflight: Vec::new(),
+            lane: vec![NO_LANE; n],
+            free_lanes: Vec::new(),
             node_up: vec![true; workers],
             node_incarnation: vec![0; workers],
             node_spot: vec![spot_active; workers],
             completed: vec![false; n],
             rescued: HashSet::new(),
             rescue_waiters: HashMap::new(),
-            producer_of,
             written: HashSet::new(),
             staged_out: HashSet::new(),
             any_files_lost: false,
@@ -332,19 +335,32 @@ impl World {
         self.done == self.wf.task_count() || self.aborted.is_some()
     }
 
-    /// Register an active flow belonging to `task`'s current execution.
-    pub fn register_flow(&mut self, task: TaskId, id: FlowId) {
-        self.inflight.entry(task).or_default().push(id);
+    /// Give `task`'s new execution an empty in-flight flow list.
+    pub fn open_inflight(&mut self, task: TaskId) {
+        debug_assert_eq!(self.lane[task.index()], NO_LANE, "execution already open");
+        let lane = self.free_lanes.pop().unwrap_or_else(|| {
+            self.inflight.push(Vec::new());
+            u32::try_from(self.inflight.len() - 1).expect("lane fits u32")
+        });
+        self.inflight[lane as usize].clear();
+        self.lane[task.index()] = lane;
     }
 
-    /// Drop a completed flow's registration.
-    pub fn unregister_flow(&mut self, task: TaskId, id: FlowId) {
-        if let Some(ids) = self.inflight.get_mut(&task) {
-            ids.retain(|&i| i != id);
-            if ids.is_empty() {
-                self.inflight.remove(&task);
-            }
-        }
+    /// The in-flight flow list of `task`'s running execution.
+    pub fn inflight(&self, task: TaskId) -> &[FlowId] {
+        &self.inflight[self.lane[task.index()] as usize]
+    }
+
+    /// The in-flight flow list of `task`'s running execution, to update.
+    pub fn inflight_mut(&mut self, task: TaskId) -> &mut Vec<FlowId> {
+        &mut self.inflight[self.lane[task.index()] as usize]
+    }
+
+    /// Release `task`'s in-flight flow list: its execution ended.
+    pub fn close_inflight(&mut self, task: TaskId) {
+        let lane = std::mem::replace(&mut self.lane[task.index()], NO_LANE);
+        debug_assert_ne!(lane, NO_LANE, "execution not open");
+        self.free_lanes.push(lane);
     }
 
     /// Close the open billing segment of cluster node `node_ix`.
@@ -401,6 +417,12 @@ impl World {
             .filter(|(_, f)| f.class == FileClass::Input)
             .map(|(i, f)| (wfdag::FileId(i as u32), f.size))
             .collect()
+    }
+
+    /// Whether any worker has a free slot. When none has, `pick_node`
+    /// answers `None` for every task and changes nothing.
+    pub fn any_free_slot(&self) -> bool {
+        self.node_sched.iter().any(|s| s.free_slots > 0)
     }
 
     /// Pick a worker for `task` under the configured policy, or `None` if

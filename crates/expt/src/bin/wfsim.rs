@@ -184,6 +184,9 @@ fn load_workflow(args: &Args) -> Workflow {
         let k: u32 = k
             .parse()
             .unwrap_or_else(|_| die("--cluster must be a number"));
+        if k == 0 {
+            die("--cluster must be at least 1 (1 leaves the workflow unclustered)");
+        }
         wf = cluster_horizontal(&wf, k);
     }
     wf
@@ -212,7 +215,9 @@ fn build_config(args: &Args) -> RunConfig {
     if let Some(p) = args.opts.get("failures") {
         let prob: f64 = p
             .parse()
-            .unwrap_or_else(|_| die("--failures must be a probability"));
+            .ok()
+            .filter(|p: &f64| (0.0..=1.0).contains(p))
+            .unwrap_or_else(|| die("--failures must be a probability in [0, 1]"));
         let max_retries: u32 = args
             .opts
             .get("retries")

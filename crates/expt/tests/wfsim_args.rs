@@ -2,7 +2,8 @@
 //! requested number of workers: it names the storage and the worker
 //! count on stderr and exits with status 2, instead of panicking while
 //! it builds the cluster or the storage backend. It refuses a workflow
-//! document that does not load the same way.
+//! document that does not load the same way, a cluster size of 0 and a
+//! task-failure probability outside [0, 1].
 
 use std::process::{Command, Stdio};
 use std::thread::sleep;
@@ -69,6 +70,24 @@ fn bottleneck_on_an_infeasible_cluster_is_rejected() {
         "bottleneck --app montage --tiny --storage pvfs --workers 1",
         &["PVFS", "1 worker"],
     );
+}
+
+#[test]
+fn zero_cluster_size_is_rejected() {
+    assert_rejected(
+        "run --app montage --tiny --storage nfs --workers 2 --cluster 0",
+        &["--cluster", "at least 1"],
+    );
+}
+
+#[test]
+fn failure_probability_outside_the_unit_interval_is_rejected() {
+    for p in ["nan", "-0.5", "1.5", "inf"] {
+        assert_rejected(
+            &format!("run --app montage --tiny --storage nfs --workers 2 --failures {p}"),
+            &["--failures", "[0, 1]"],
+        );
+    }
 }
 
 #[test]

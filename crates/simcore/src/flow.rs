@@ -44,15 +44,18 @@
 //!   prediction) in a list parallel to its flow slots, so a solve re-syncs
 //!   the component in one linear pass with no slab lookup per flow. The
 //!   slab keeps what a solve rarely reads: the id and heap generation (read
-//!   only to push a heap entry), the path, the cap and the payload. A
-//!   removal swap-removes both lists in step, a merge moves the entries,
-//!   and a split reads each flow's entry at its old position.
+//!   to push a heap entry and to check one's liveness), the path, the cap
+//!   and the payload. A removal swap-removes both lists in step, a merge
+//!   moves the entries, and a split reads each flow's entry at its old
+//!   position.
 //! * **Lazy completion heap** — instead of scanning every active flow for
 //!   the earliest completion, predictions are kept in a binary min-heap
 //!   keyed `(time, flow id)`. Each solve recomputes the prediction of every
 //!   flow it re-rates, but pushes an entry only when the predicted instant
 //!   moved; per-flow generation counters invalidate superseded entries
-//!   lazily.
+//!   lazily. An entry carries its flow's slot, so a liveness check reads
+//!   the slab (id and generation must both match, since a freed slot may
+//!   hold a newer flow) with no map lookup.
 //! * **Lazy accounting** — per-flow remaining bytes and per-resource
 //!   statistics are only brought forward when their component is touched
 //!   (rates are constant in between, so the update is a single
@@ -99,7 +102,7 @@
 //! resources, never a bit of its result, for four reasons: the filling
 //! sorts the component's flows by id, the bottleneck minimum and the
 //! saturation test do not depend on order, each rate sum folds its own
-//! resource's flow list, and heap keys `(time, id, gen)` are unique.
+//! resource's flow list, and heap keys `(time, id, slot, gen)` are unique.
 //! Debug builds check every component before solving it against a fresh
 //! stamped breadth-first walk of the graph: the walk must reach the same
 //! flows and resources, and every kept cap sum must equal its list's fold
@@ -114,6 +117,7 @@
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Handle to a registered resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -366,6 +370,34 @@ impl Scratch {
     }
 }
 
+/// Hasher for the engine's sequential flow ids: one multiply spreads
+/// consecutive keys over the table (SipHash buys nothing against keys
+/// the engine hands out itself).
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A completion-heap entry `(time, id, slot, gen)`. The slot lets a
+/// liveness check read the slab directly; ordering is that of
+/// `(time, id, gen)`, because a flow keeps one slot for life and
+/// `(time, id)` is unique among live entries.
+type HeapEntry = Reverse<(SimTime, u64, u32, u64)>;
+
 /// The fluid-flow engine. `C` is an opaque completion payload returned to
 /// the caller when a flow finishes (the simulation driver stores event
 /// closures here).
@@ -373,13 +405,14 @@ pub struct FlowEngine<C> {
     resources: Vec<Resource>,
     slots: Vec<Option<Slot<C>>>,
     free: Vec<u32>,
-    by_id: HashMap<u64, u32>,
+    /// Slot of each active flow, for `complete`/`cancel` by id.
+    by_id: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
     /// Connected components, by id; ids of dissolved ones are in
     /// `free_comps`.
     comps: Vec<Component>,
     free_comps: Vec<u32>,
-    /// Lazy min-heap of predicted completions `(time, id, gen)`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    /// Lazy min-heap of predicted completions.
+    heap: BinaryHeap<HeapEntry>,
     next_id: u64,
     last_advance: SimTime,
     flows_started: u64,
@@ -404,7 +437,7 @@ impl<C> FlowEngine<C> {
             resources: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: HashMap::default(),
             comps: Vec::new(),
             free_comps: Vec::new(),
             heap: BinaryHeap::new(),
@@ -528,10 +561,11 @@ impl<C> FlowEngine<C> {
     }
 
     /// Cancel an active flow, returning its completion payload if it was
-    /// still active.
+    /// still active. Cancelling a flow that already finished changes
+    /// nothing.
     pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<C> {
-        self.solve_pending();
         let slot = *self.by_id.get(&id.0)?;
+        self.solve_pending();
         Some(self.remove_flow(now, id, slot))
     }
 
@@ -549,13 +583,8 @@ impl<C> FlowEngine<C> {
     /// stale heap entries.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
         self.solve_pending();
-        while let Some(Reverse((t, id, gen))) = self.heap.peek().copied() {
-            let live = self
-                .by_id
-                .get(&id)
-                .and_then(|&s| self.slots[s as usize].as_ref())
-                .is_some_and(|f| f.gen == gen);
-            if live {
+        while let Some(&Reverse((t, id, slot, gen))) = self.heap.peek() {
+            if self.is_live(id, slot, gen) {
                 return Some((t, FlowId(id)));
             }
             self.heap.pop();
@@ -583,6 +612,15 @@ impl<C> FlowEngine<C> {
         let slot = *self.by_id.get(&id.0)?;
         let f = self.slots[slot as usize].as_ref()?;
         Some(&self.comps[f.comp as usize].hot[f.comp_pos as usize])
+    }
+
+    /// Whether the heap entry of flow `id` in `slot` at generation `gen`
+    /// is the flow's live prediction. A freed slot may hold a newer flow,
+    /// so the id must match as well as the generation.
+    fn is_live(&self, id: u64, slot: u32, gen: u64) -> bool {
+        self.slots[slot as usize]
+            .as_ref()
+            .is_some_and(|f| f.id == id && f.gen == gen)
     }
 
     fn advance_clock(&mut self, now: SimTime) {
@@ -1096,11 +1134,10 @@ impl<C> FlowEngine<C> {
             let pred = now + SimDuration::from_secs_f64(h.remaining / rate);
             if h.pred != Some(pred) {
                 h.pred = Some(pred);
-                let f = self.slots[comp.slots[pos] as usize]
-                    .as_mut()
-                    .expect("vacant");
+                let slot = comp.slots[pos];
+                let f = self.slots[slot as usize].as_mut().expect("vacant");
                 f.gen += 1;
-                self.heap.push(Reverse((pred, f.id, f.gen)));
+                self.heap.push(Reverse((pred, f.id, slot, f.gen)));
             }
         }
 
@@ -1253,16 +1290,9 @@ impl<C> FlowEngine<C> {
     fn maybe_shrink_heap(&mut self) {
         let live = self.by_id.len();
         if self.heap.len() > 64 && self.heap.len() > 4 * live + 16 {
-            let old = std::mem::take(&mut self.heap);
-            self.heap = old
-                .into_iter()
-                .filter(|Reverse((_, id, gen))| {
-                    self.by_id
-                        .get(id)
-                        .and_then(|&s| self.slots[s as usize].as_ref())
-                        .is_some_and(|f| f.gen == *gen)
-                })
-                .collect();
+            let mut entries = std::mem::take(&mut self.heap).into_vec();
+            entries.retain(|&Reverse((_, id, slot, gen))| self.is_live(id, slot, gen));
+            self.heap = entries.into();
         }
     }
 }
@@ -1518,6 +1548,30 @@ mod tests {
             assert_eq!(a.util_integral.to_bits(), b.util_integral.to_bits());
             assert_eq!(a.busy_secs.to_bits(), b.busy_secs.to_bits());
         }
+    }
+
+    #[test]
+    fn stale_entry_in_a_reused_slot_is_discarded() {
+        // A is predicted to finish at t=1, then cancelled: its heap entry
+        // stays behind, stale. B reuses A's slot and reaches the same
+        // generation, so only the id tells the entries apart.
+        let mut fe: FlowEngine<char> = FlowEngine::new();
+        let r = fe.add_resource("nic", 100.0);
+        let a = fe.start(t(0.0), FlowSpec::new(100, vec![r]), 'a');
+        assert_eq!(fe.next_completion(), Some((t(1.0), a)));
+        assert_eq!(fe.cancel(t(0.5), a), Some('a'));
+        let b = fe.start(t(0.5), FlowSpec::new(500, vec![r]), 'b');
+        fe.solve_pending();
+        let stale = fe.heap.iter().find(|e| e.0 .1 == a.0).copied().unwrap();
+        let live = fe.heap.iter().find(|e| e.0 .1 == b.0).copied().unwrap();
+        assert_eq!(stale.0 .2, fe.by_id[&b.0], "B reuses A's slot");
+        assert_eq!(stale.0 .3, live.0 .3, "B reaches A's generation");
+        // The stale entry is at the top of the heap and must be skipped.
+        assert_eq!(fe.heap.peek(), Some(&stale));
+        assert_eq!(fe.next_completion(), Some((t(5.5), b)));
+        assert_eq!(fe.heap.len(), 1, "stale entry discarded");
+        assert_eq!(fe.complete(t(5.5), b), 'b');
+        assert_eq!(fe.next_completion(), None);
     }
 
     #[test]

@@ -43,10 +43,17 @@ impl FlowLeg {
 
     /// Convert to a [`FlowSpec`] for the simulator.
     pub fn to_spec(&self) -> FlowSpec {
+        self.clone().into()
+    }
+}
+
+impl From<FlowLeg> for FlowSpec {
+    /// Move the leg into a [`FlowSpec`], path and all.
+    fn from(leg: FlowLeg) -> Self {
         FlowSpec {
-            bytes: self.bytes,
-            path: self.path.clone(),
-            rate_cap: self.rate_cap,
+            bytes: leg.bytes,
+            path: leg.path,
+            rate_cap: leg.rate_cap,
         }
     }
 }

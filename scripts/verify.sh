@@ -28,7 +28,8 @@
 #                      (a non-zero exit means an answer left
 #                      perfbench/pins.txt: makespan bits, events, digest,
 #                      or an F2 sweep row)
-# Checked release:     the storage goldens and two paper-scale `wfsim run`s
+# Checked release:     the storage goldens, the fault goldens, the fault
+#                      metamorphic suite and two paper-scale `wfsim run`s
 #                      (Montage on NFS with 4 workers, and on PVFS with 8)
 #                      built with --release and debug assertions on, in
 #                      target/checked
@@ -121,10 +122,14 @@ echo "== debug assertions at release speed =="
 # PVFS, from a release build with debug assertions on: the LRU index
 # invariant, the flow solver's fast-path bit-equality check and its
 # check of every kept component against a fresh walk run under real
-# load. On PVFS @ 8 all flows share one component of ~260 flows. A
-# separate target dir keeps the normal release build cached.
+# load. On PVFS @ 8 all flows share one component of ~260 flows. The
+# fault goldens and the fault metamorphic suite drive the kill path
+# (a task's in-flight flow list, `cancel_flow`, the completion heap's
+# liveness check) with the same checks on. A separate target dir keeps
+# the normal release build cached.
 checked=(env CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/checked)
-"${checked[@]}" cargo test --release -q -p expt --test storage_golden
+"${checked[@]}" cargo test --release -q -p expt --test storage_golden --test fault_golden
+"${checked[@]}" cargo test --release -q -p wfengine --test prop_fault_metamorphic
 "${checked[@]}" cargo build --release -q -p expt --bin wfsim
 ./target/checked/release/wfsim run --app montage --storage nfs --workers 4 >/dev/null
 ./target/checked/release/wfsim run --app montage --storage pvfs --workers 8 >/dev/null
