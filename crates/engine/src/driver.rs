@@ -222,24 +222,20 @@ fn job_read(
     if idx == 0 {
         enter_phase(world, task, node, Phase::Read, sim.now());
     }
-    let inputs = world.task_inputs(task);
-    if idx >= inputs.len() {
+    // Only the one input this step reads is looked up: a fan-in task
+    // with n inputs costs O(n) over all its reads, not O(n²).
+    let Some(input) = world.task_input(task, idx) else {
         job_compute(sim, world, task, worker_ix, epoch);
         return;
-    }
+    };
     // An input can vanish *after* dispatch (a brick died under us): the
     // execution fails like a crashed one and the retry's rescue pass
     // resubmits the producer.
-    if world.any_files_lost
-        && !world
-            .storage
-            .missing_files(&inputs[idx..idx + 1])
-            .is_empty()
-    {
+    if world.any_files_lost && !world.storage.missing_files(&[input]).is_empty() {
         failures::kill_task(sim, world, task, worker_ix, true);
         return;
     }
-    let plan = world.storage.plan_read(&world.cluster, node, inputs[idx]);
+    let plan = world.storage.plan_read(&world.cluster, node, input);
     exec_plan_guarded(
         sim,
         world,
@@ -295,21 +291,20 @@ fn job_write(
     if !world.live(task, epoch) {
         return;
     }
-    let outputs = world.task_outputs(task);
-    if idx >= outputs.len() {
+    let Some(output) = world.task_output(task, idx) else {
         job_stage_out(sim, world, task, worker_ix, epoch);
         return;
-    }
+    };
     // Skip outputs this workflow already wrote: a retry of an execution
     // killed mid-write must not write twice, and a rescue re-run reuses
     // outputs that survived on healthy nodes (failover removed only the
     // lost ones from `written`).
-    if !world.written.insert(outputs[idx].0) {
+    if !world.written.insert(output.0) {
         job_write(sim, world, task, worker_ix, epoch, idx + 1);
         return;
     }
     let node = world.cluster.workers()[worker_ix];
-    let plan = world.storage.plan_write(&world.cluster, node, outputs[idx]);
+    let plan = world.storage.plan_write(&world.cluster, node, output);
     exec_plan_guarded(
         sim,
         world,
@@ -332,10 +327,13 @@ fn job_stage_out(
     let node = world.cluster.workers()[worker_ix];
     enter_phase(world, task, node, Phase::StageOut, sim.now());
     // Only stage out (and bill) each output once, even across retries.
-    let outputs: Vec<_> = world
-        .task_outputs(task)
-        .into_iter()
-        .filter(|&(f, _)| world.staged_out.insert(f))
+    let (wf, staged_out) = (&world.wf, &mut world.staged_out);
+    let outputs: Vec<_> = wf
+        .task(task)
+        .outputs
+        .iter()
+        .filter(|&&f| staged_out.insert(f))
+        .map(|&f| (f, wf.file(f).size))
         .collect();
     let plan = world.storage.plan_stage_out(&world.cluster, node, &outputs);
     exec_plan_guarded(

@@ -398,14 +398,16 @@ impl World {
             .collect()
     }
 
-    /// Output `FileRef`s of a task.
-    pub fn task_outputs(&self, t: TaskId) -> Vec<FileRef> {
-        self.wf
-            .task(t)
-            .outputs
-            .iter()
-            .map(|&f| (f, self.wf.file(f).size))
-            .collect()
+    /// The `idx`-th input of a task, or `None` past its last input.
+    pub fn task_input(&self, t: TaskId, idx: usize) -> Option<FileRef> {
+        let f = *self.wf.task(t).inputs.get(idx)?;
+        Some((f, self.wf.file(f).size))
+    }
+
+    /// The `idx`-th output of a task, or `None` past its last output.
+    pub fn task_output(&self, t: TaskId, idx: usize) -> Option<FileRef> {
+        let f = *self.wf.task(t).outputs.get(idx)?;
+        Some((f, self.wf.file(f).size))
     }
 
     /// Workflow input files (pre-staged before the run, §III.C).
