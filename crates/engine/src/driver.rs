@@ -9,13 +9,15 @@
 //! (b) writes skip outputs that survived on healthy nodes, so a rescue
 //! re-run regenerates only what was actually lost.
 
+use crate::event::{Ev, Job};
 use crate::exec::exec_plan_guarded;
 use crate::failures;
 use crate::world::{TaskRecord, World};
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Action, Sim, SimDuration, SimTime};
 use vcluster::NodeId;
 use wfdag::TaskId;
 use wfobs::{Event, Phase};
+use wfstorage::op::OpPlan;
 
 /// How many queued jobs the matchmaker examines per cycle (backfill
 /// window): a ready job that does not fit anywhere does not starve
@@ -141,9 +143,7 @@ fn dispatch(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: us
     });
     // DAGMan/Condor per-job overhead is paid while holding the slot.
     let overhead = world.cfg.job_overhead;
-    sim.schedule_in(overhead, move |sim, world| {
-        job_ops(sim, world, task, worker_ix, epoch);
-    });
+    sim.post_in(overhead, Ev::Ops(Job::new(task, worker_ix, epoch)));
 }
 
 /// Enter a lifecycle phase: stamp its start on the task record (`Write`
@@ -165,134 +165,103 @@ fn enter_phase(world: &mut World, task: TaskId, node: NodeId, phase: Phase, now:
     });
 }
 
+/// Execute `plan` on behalf of `j`; `next` fires when it completes.
+fn exec_job_plan(sim: &mut Sim<World>, world: &mut World, j: Job, plan: OpPlan, next: Ev) {
+    exec_plan_guarded(
+        sim,
+        world,
+        plan,
+        Some((j.task, j.epoch)),
+        Action::Event(next),
+    );
+}
+
 /// The task's POSIX operation storm, charged to storage systems with a
 /// central per-op bottleneck (NFS).
-fn job_ops(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: usize, epoch: u32) {
-    if !world.live(task, epoch) {
+pub(crate) fn job_ops(sim: &mut Sim<World>, world: &mut World, j: Job) {
+    if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[worker_ix];
-    enter_phase(world, task, node, Phase::Ops, sim.now());
-    let io_ops = world.wf.task(task).io_ops;
+    let node = world.cluster.workers()[j.worker()];
+    enter_phase(world, j.task, node, Phase::Ops, sim.now());
+    let io_ops = world.wf.task(j.task).io_ops;
     let plan = world.storage.plan_task_ops(&world.cluster, node, io_ops);
-    exec_plan_guarded(
-        sim,
-        world,
-        plan,
-        Some((task, epoch)),
-        Box::new(move |sim, world| job_stage_in(sim, world, task, worker_ix, epoch)),
-    );
+    exec_job_plan(sim, world, j, plan, Ev::StageIn(j));
 }
 
-fn job_stage_in(
-    sim: &mut Sim<World>,
-    world: &mut World,
-    task: TaskId,
-    worker_ix: usize,
-    epoch: u32,
-) {
-    if !world.live(task, epoch) {
+pub(crate) fn job_stage_in(sim: &mut Sim<World>, world: &mut World, j: Job) {
+    if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[worker_ix];
-    enter_phase(world, task, node, Phase::StageIn, sim.now());
-    let inputs = world.task_inputs(task);
+    let node = world.cluster.workers()[j.worker()];
+    enter_phase(world, j.task, node, Phase::StageIn, sim.now());
+    let inputs = world.task_inputs(j.task);
     let plan = world.storage.plan_stage_in(&world.cluster, node, &inputs);
-    exec_plan_guarded(
-        sim,
-        world,
-        plan,
-        Some((task, epoch)),
-        Box::new(move |sim, world| job_read(sim, world, task, worker_ix, epoch, 0)),
-    );
+    exec_job_plan(sim, world, j, plan, Ev::Read(j, 0));
 }
 
-fn job_read(
-    sim: &mut Sim<World>,
-    world: &mut World,
-    task: TaskId,
-    worker_ix: usize,
-    epoch: u32,
-    idx: usize,
-) {
-    if !world.live(task, epoch) {
+pub(crate) fn job_read(sim: &mut Sim<World>, world: &mut World, j: Job, idx: usize) {
+    if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[worker_ix];
+    let node = world.cluster.workers()[j.worker()];
     if idx == 0 {
-        enter_phase(world, task, node, Phase::Read, sim.now());
+        enter_phase(world, j.task, node, Phase::Read, sim.now());
     }
     // Only the one input this step reads is looked up: a fan-in task
     // with n inputs costs O(n) over all its reads, not O(n²).
-    let Some(input) = world.task_input(task, idx) else {
-        job_compute(sim, world, task, worker_ix, epoch);
+    let Some(input) = world.task_input(j.task, idx) else {
+        job_compute(sim, world, j);
         return;
     };
     // An input can vanish *after* dispatch (a brick died under us): the
     // execution fails like a crashed one and the retry's rescue pass
     // resubmits the producer.
     if world.any_files_lost && !world.storage.missing_files(&[input]).is_empty() {
-        failures::kill_task(sim, world, task, worker_ix, true);
+        failures::kill_task(sim, world, j.task, j.worker(), true);
         return;
     }
     let plan = world.storage.plan_read(&world.cluster, node, input);
-    exec_plan_guarded(
-        sim,
-        world,
-        plan,
-        Some((task, epoch)),
-        Box::new(move |sim, world| job_read(sim, world, task, worker_ix, epoch, idx + 1)),
-    );
+    exec_job_plan(sim, world, j, plan, Ev::Read(j, idx as u32 + 1));
 }
 
-fn job_compute(
-    sim: &mut Sim<World>,
-    world: &mut World,
-    task: TaskId,
-    worker_ix: usize,
-    epoch: u32,
-) {
-    let node = world.cluster.workers()[worker_ix];
+fn job_compute(sim: &mut Sim<World>, world: &mut World, j: Job) {
+    let node = world.cluster.workers()[j.worker()];
     let speed = world.cluster.node(node).itype.core_speed();
-    let dur = SimDuration::from_secs_f64(world.wf.task(task).cpu_secs / speed);
-    enter_phase(world, task, node, Phase::Compute, sim.now());
-    sim.schedule_in(dur, move |sim, world| {
-        if !world.live(task, epoch) {
-            return;
-        }
-        let rec = world.records[task.index()].as_mut().expect("record");
-        rec.compute_end = sim.now();
-        rec.attempts += 1;
-        // Transient-failure injection (before any output is written, so
-        // the write-once discipline survives the retry). Zero-probability
-        // models draw nothing, keeping a zero-rate plan bit-identical to
-        // no plan at all.
-        let fm = world.cfg.faults.as_ref().and_then(|p| p.task_failures);
-        if let Some(fm) = fm {
-            if fm.prob > 0.0 && world.fault_rng_task.chance(fm.prob) {
-                failures::fail_execution(sim, world, task, worker_ix, fm.max_retries);
-                return;
-            }
-        }
-        let node = world.cluster.workers()[worker_ix];
-        enter_phase(world, task, node, Phase::Write, sim.now());
-        job_write(sim, world, task, worker_ix, epoch, 0);
-    });
+    let dur = SimDuration::from_secs_f64(world.wf.task(j.task).cpu_secs / speed);
+    enter_phase(world, j.task, node, Phase::Compute, sim.now());
+    sim.post_in(dur, Ev::ComputeEnd(j));
 }
 
-fn job_write(
-    sim: &mut Sim<World>,
-    world: &mut World,
-    task: TaskId,
-    worker_ix: usize,
-    epoch: u32,
-    idx: usize,
-) {
-    if !world.live(task, epoch) {
+pub(crate) fn job_compute_end(sim: &mut Sim<World>, world: &mut World, j: Job) {
+    if !world.live(j.task, j.epoch) {
         return;
     }
-    let Some(output) = world.task_output(task, idx) else {
-        job_stage_out(sim, world, task, worker_ix, epoch);
+    let rec = world.records[j.task.index()].as_mut().expect("record");
+    rec.compute_end = sim.now();
+    rec.attempts += 1;
+    // Transient-failure injection (before any output is written, so
+    // the write-once discipline survives the retry). Zero-probability
+    // models draw nothing, keeping a zero-rate plan bit-identical to
+    // no plan at all.
+    let fm = world.cfg.faults.as_ref().and_then(|p| p.task_failures);
+    if let Some(fm) = fm {
+        if fm.prob > 0.0 && world.fault_rng_task.chance(fm.prob) {
+            failures::fail_execution(sim, world, j.task, j.worker(), fm.max_retries);
+            return;
+        }
+    }
+    let node = world.cluster.workers()[j.worker()];
+    enter_phase(world, j.task, node, Phase::Write, sim.now());
+    job_write(sim, world, j, 0);
+}
+
+pub(crate) fn job_write(sim: &mut Sim<World>, world: &mut World, j: Job, idx: usize) {
+    if !world.live(j.task, j.epoch) {
+        return;
+    }
+    let Some(output) = world.task_output(j.task, idx) else {
+        job_stage_out(sim, world, j);
         return;
     };
     // Skip outputs this workflow already wrote: a retry of an execution
@@ -300,55 +269,38 @@ fn job_write(
     // outputs that survived on healthy nodes (failover removed only the
     // lost ones from `written`).
     if !world.written.insert(output.0) {
-        job_write(sim, world, task, worker_ix, epoch, idx + 1);
+        job_write(sim, world, j, idx + 1);
         return;
     }
-    let node = world.cluster.workers()[worker_ix];
+    let node = world.cluster.workers()[j.worker()];
     let plan = world.storage.plan_write(&world.cluster, node, output);
-    exec_plan_guarded(
-        sim,
-        world,
-        plan,
-        Some((task, epoch)),
-        Box::new(move |sim, world| job_write(sim, world, task, worker_ix, epoch, idx + 1)),
-    );
+    exec_job_plan(sim, world, j, plan, Ev::Write(j, idx as u32 + 1));
 }
 
-fn job_stage_out(
-    sim: &mut Sim<World>,
-    world: &mut World,
-    task: TaskId,
-    worker_ix: usize,
-    epoch: u32,
-) {
-    if !world.live(task, epoch) {
+fn job_stage_out(sim: &mut Sim<World>, world: &mut World, j: Job) {
+    if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[worker_ix];
-    enter_phase(world, task, node, Phase::StageOut, sim.now());
+    let node = world.cluster.workers()[j.worker()];
+    enter_phase(world, j.task, node, Phase::StageOut, sim.now());
     // Only stage out (and bill) each output once, even across retries.
     let (wf, staged_out) = (&world.wf, &mut world.staged_out);
     let outputs: Vec<_> = wf
-        .task(task)
+        .task(j.task)
         .outputs
         .iter()
         .filter(|&&f| staged_out.insert(f))
         .map(|&f| (f, wf.file(f).size))
         .collect();
     let plan = world.storage.plan_stage_out(&world.cluster, node, &outputs);
-    exec_plan_guarded(
-        sim,
-        world,
-        plan,
-        Some((task, epoch)),
-        Box::new(move |sim, world| job_done(sim, world, task, worker_ix, epoch)),
-    );
+    exec_job_plan(sim, world, j, plan, Ev::Done(j));
 }
 
-fn job_done(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: usize, epoch: u32) {
-    if !world.live(task, epoch) {
+pub(crate) fn job_done(sim: &mut Sim<World>, world: &mut World, j: Job) {
+    if !world.live(j.task, j.epoch) {
         return;
     }
+    let (task, worker_ix) = (j.task, j.worker());
     world.release(worker_ix, task);
     world.running[worker_ix].retain(|&t| t != task);
     world.close_inflight(task);

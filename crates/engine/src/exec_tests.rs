@@ -5,7 +5,7 @@ mod tests {
     use crate::exec::exec_plan;
     use crate::world::World;
     use crate::RunConfig;
-    use simcore::{Sim, SimDuration, SimTime};
+    use simcore::{Action, Sim, SimDuration, SimTime};
     use vcluster::Cluster;
     use wfdag::WorkflowBuilder;
     use wfstorage::op::{FlowLeg, Note, OpPlan, Stage};
@@ -39,9 +39,9 @@ mod tests {
                 sim,
                 w,
                 plan,
-                Box::new(|sim, _| {
+                Action::Call(Box::new(|sim, _| {
                     assert!((sim.now().as_secs_f64() - 4.0).abs() < 1e-9);
-                }),
+                })),
             );
         });
         sim.run(&mut w);
@@ -63,7 +63,7 @@ mod tests {
             legs: vec![FlowLeg::new(100, vec![r]), FlowLeg::new(100, vec![r])],
         });
         sim.schedule_at(SimTime::ZERO, move |sim, w| {
-            exec_plan(sim, w, plan, Box::new(|_, _| {}));
+            exec_plan(sim, w, plan, Action::Call(Box::new(|_, _| {})));
         });
         sim.run(&mut w);
         assert!(
@@ -82,9 +82,9 @@ mod tests {
                 sim,
                 w,
                 OpPlan::empty(),
-                Box::new(|sim, _| {
+                Action::Call(Box::new(|sim, _| {
                     assert!((sim.now().as_secs_f64() - 5.0).abs() < 1e-12);
-                }),
+                })),
             );
         });
         sim.run(&mut w);
@@ -107,8 +107,8 @@ mod tests {
         };
         let (p1, p2) = (mk(r), mk(r));
         sim.schedule_at(SimTime::ZERO, move |sim, w| {
-            exec_plan(sim, w, p1, Box::new(|_, _| {}));
-            exec_plan(sim, w, p2, Box::new(|_, _| {}));
+            exec_plan(sim, w, p1, Action::Call(Box::new(|_, _| {})));
+            exec_plan(sim, w, p2, Action::Call(Box::new(|_, _| {})));
         });
         sim.run(&mut w);
         assert!(
@@ -118,6 +118,7 @@ mod tests {
         );
         assert!(!w.bg_active);
         assert!(w.bg_queue.is_empty());
+        assert!(w.ops.is_empty(), "every plan's slot was freed");
     }
 
     #[test]
@@ -134,9 +135,9 @@ mod tests {
                 sim,
                 w,
                 plan,
-                Box::new(move |sim, _| {
+                Action::Call(Box::new(move |sim, _| {
                     done_at2.set(sim.now().as_secs_f64());
-                }),
+                })),
             );
         });
         sim.run(&mut w);

@@ -13,8 +13,9 @@
 //! continuations of the dead execution compare epochs and no-op.
 
 use crate::driver::{mark_ready, try_dispatch};
+use crate::event::Ev;
 use crate::world::{NodeSched, World};
-use simcore::{DetRng, Sim, SimDuration, SimTime};
+use simcore::{Action, DetRng, Sim, SimDuration, SimTime};
 use vcluster::{Cluster, NodeId};
 use wfdag::TaskId;
 use wfobs::{Event, FaultKind};
@@ -40,9 +41,13 @@ pub(crate) fn install_faults(sim: &mut Sim<World>, world: &mut World) {
                 continue;
             }
             let incarnation = world.node_incarnation[ix];
-            sim.schedule_at(SimTime::from_secs_f64(at), move |sim, world| {
-                node_crash(sim, world, ix, incarnation);
-            });
+            sim.post_at(
+                SimTime::from_secs_f64(at),
+                Ev::NodeCrash {
+                    worker: ix as u32,
+                    incarnation,
+                },
+            );
         }
         if nc.rate_per_hour > 0.0 {
             for ix in 0..world.node_up.len() {
@@ -60,9 +65,7 @@ pub(crate) fn install_faults(sim: &mut Sim<World>, world: &mut World) {
     if let Some(sf) = &plan.storage_failure {
         for &at in &sf.scheduled {
             let victim = pick_storage_victim(world);
-            sim.schedule_at(SimTime::from_secs_f64(at), move |sim, world| {
-                storage_failure(sim, world, victim, false);
-            });
+            sim.post_at(SimTime::from_secs_f64(at), Ev::StorageFailure(victim));
         }
         if sf.rate_per_hour > 0.0 {
             schedule_next_storage_failure(sim, world);
@@ -95,12 +98,16 @@ fn schedule_next_crash(sim: &mut Sim<World>, world: &mut World, ix: usize) {
     }
     let dt = exp_secs(&mut world.fault_rng_node[ix], rate);
     let incarnation = world.node_incarnation[ix];
-    sim.schedule_in(SimDuration::from_secs_f64(dt), move |sim, world| {
-        node_crash(sim, world, ix, incarnation);
-    });
+    sim.post_in(
+        SimDuration::from_secs_f64(dt),
+        Ev::NodeCrash {
+            worker: ix as u32,
+            incarnation,
+        },
+    );
 }
 
-fn node_crash(sim: &mut Sim<World>, world: &mut World, ix: usize, incarnation: u32) {
+pub(crate) fn node_crash(sim: &mut Sim<World>, world: &mut World, ix: usize, incarnation: u32) {
     if world.run_over() {
         return; // post-run faults change nothing, and the sim drains
     }
@@ -130,31 +137,44 @@ fn schedule_spot_termination(sim: &mut Sim<World>, world: &mut World, ix: usize,
     }
     let dt = exp_secs(&mut world.fault_rng_spot[ix], rate);
     let incarnation = world.node_incarnation[ix];
-    sim.schedule_in(SimDuration::from_secs_f64(dt), move |sim, world| {
-        if world.run_over() {
-            return;
-        }
-        if world.node_incarnation[ix] != incarnation || !world.node_up[ix] || !world.node_spot[ix] {
-            return;
-        }
-        world.fault_counters.spot_terminations += 1;
-        world.obs.emit(Event::Fault {
-            kind: FaultKind::SpotTermination,
-            node: world.cluster.workers()[ix].0,
-        });
-        take_down_worker(sim, world, ix);
-        let replace = world
-            .cfg
-            .faults
-            .as_ref()
-            .and_then(|p| p.spot.as_ref())
-            .is_none_or(|s| s.replace);
-        if replace {
-            // The replacement is on-demand: recovery clears the spot flag,
-            // so this node is never terminated by the market again.
-            schedule_recovery(sim, world, ix);
-        }
+    sim.post_in(
+        SimDuration::from_secs_f64(dt),
+        Ev::SpotTermination {
+            worker: ix as u32,
+            incarnation,
+        },
+    );
+}
+
+pub(crate) fn spot_termination(
+    sim: &mut Sim<World>,
+    world: &mut World,
+    ix: usize,
+    incarnation: u32,
+) {
+    if world.run_over() {
+        return;
+    }
+    if world.node_incarnation[ix] != incarnation || !world.node_up[ix] || !world.node_spot[ix] {
+        return;
+    }
+    world.fault_counters.spot_terminations += 1;
+    world.obs.emit(Event::Fault {
+        kind: FaultKind::SpotTermination,
+        node: world.cluster.workers()[ix].0,
     });
+    take_down_worker(sim, world, ix);
+    let replace = world
+        .cfg
+        .faults
+        .as_ref()
+        .and_then(|p| p.spot.as_ref())
+        .is_none_or(|s| s.replace);
+    if replace {
+        // The replacement is on-demand: recovery clears the spot flag,
+        // so this node is never terminated by the market again.
+        schedule_recovery(sim, world, ix);
+    }
 }
 
 /// Common crash/termination path: the instance dies, its in-flight
@@ -181,27 +201,36 @@ fn take_down_worker(sim: &mut Sim<World>, world: &mut World, ix: usize) {
 fn schedule_recovery(sim: &mut Sim<World>, world: &mut World, ix: usize) {
     let delay = Cluster::boot_delay(&mut world.fault_rng_node[ix]);
     let incarnation = world.node_incarnation[ix];
-    sim.schedule_in(delay, move |sim, world| {
-        if world.run_over() {
-            return;
-        }
-        if world.node_incarnation[ix] != incarnation || world.node_up[ix] {
-            return;
-        }
-        let node_id = world.cluster.workers()[ix];
-        let node = world.cluster.node(node_id);
-        let sched = NodeSched {
-            free_slots: node.slots(),
-            free_mem: (node.memory_bytes() as f64 * 0.9) as u64,
-        };
-        world.node_up[ix] = true;
-        world.node_spot[ix] = false;
-        world.node_sched[ix] = sched;
-        world.obs.emit(Event::NodeRecovered { node: node_id.0 });
-        world.open_segment(node_id.index(), sim.now(), false);
-        schedule_next_crash(sim, world, ix);
-        try_dispatch(sim, world);
-    });
+    sim.post_in(
+        delay,
+        Ev::Recover {
+            worker: ix as u32,
+            incarnation,
+        },
+    );
+}
+
+/// The replacement instance is up: restore the worker's slots.
+pub(crate) fn recover(sim: &mut Sim<World>, world: &mut World, ix: usize, incarnation: u32) {
+    if world.run_over() {
+        return;
+    }
+    if world.node_incarnation[ix] != incarnation || world.node_up[ix] {
+        return;
+    }
+    let node_id = world.cluster.workers()[ix];
+    let node = world.cluster.node(node_id);
+    let sched = NodeSched {
+        free_slots: node.slots(),
+        free_mem: (node.memory_bytes() as f64 * 0.9) as u64,
+    };
+    world.node_up[ix] = true;
+    world.node_spot[ix] = false;
+    world.node_sched[ix] = sched;
+    world.obs.emit(Event::NodeRecovered { node: node_id.0 });
+    world.open_segment(node_id.index(), sim.now(), false);
+    schedule_next_crash(sim, world, ix);
+    try_dispatch(sim, world);
 }
 
 fn schedule_next_storage_failure(sim: &mut Sim<World>, world: &mut World) {
@@ -215,20 +244,28 @@ fn schedule_next_storage_failure(sim: &mut Sim<World>, world: &mut World) {
         return;
     }
     let dt = exp_secs(&mut world.fault_rng_storage, rate);
-    sim.schedule_in(SimDuration::from_secs_f64(dt), move |sim, world| {
-        if world.run_over() {
-            return;
-        }
-        let victim = pick_storage_victim(world);
-        storage_failure(sim, world, victim, true);
-    });
+    sim.post_in(SimDuration::from_secs_f64(dt), Ev::StorageFailureArrival);
+}
+
+/// A sampled storage failure arrives: the victim is drawn now.
+pub(crate) fn storage_failure_arrival(sim: &mut Sim<World>, world: &mut World) {
+    if world.run_over() {
+        return;
+    }
+    let victim = pick_storage_victim(world);
+    storage_failure(sim, world, victim, true);
 }
 
 /// A storage *service* failure: the daemon on `victim` dies. The node's
 /// compute capacity is unaffected (full node death is the node-crash
 /// class, which also reports the failed peer to the storage layer);
 /// per-backend consequences come from `StorageSystem::on_node_failed`.
-fn storage_failure(sim: &mut Sim<World>, world: &mut World, victim: NodeId, resample: bool) {
+pub(crate) fn storage_failure(
+    sim: &mut Sim<World>,
+    world: &mut World,
+    victim: NodeId,
+    resample: bool,
+) {
     if world.run_over() {
         return;
     }
@@ -276,15 +313,7 @@ fn apply_failover(sim: &mut Sim<World>, world: &mut World, resp: FailoverRespons
                     kill_task(sim, world, t, ix, true);
                 }
             }
-            sim.schedule_at(until, |sim, world| {
-                if world.run_over() {
-                    return;
-                }
-                if world.stall_until.is_some_and(|t| sim.now() >= t) {
-                    world.stall_until = None;
-                    try_dispatch(sim, world);
-                }
-            });
+            sim.post_at(until, Ev::StallLift);
         }
         FailoverResponse::LostFiles(files) => {
             world.any_files_lost = true;
@@ -298,6 +327,17 @@ fn apply_failover(sim: &mut Sim<World>, world: &mut World, resp: FailoverRespons
                 world.staged_out.remove(&f);
             }
         }
+    }
+}
+
+/// The stall may be over: resume dispatch if no later failure extended it.
+pub(crate) fn stall_lift(sim: &mut Sim<World>, world: &mut World) {
+    if world.run_over() {
+        return;
+    }
+    if world.stall_until.is_some_and(|t| sim.now() >= t) {
+        world.stall_until = None;
+        try_dispatch(sim, world);
     }
 }
 
@@ -326,8 +366,16 @@ pub(crate) fn kill_task(
         wasted_nanos: now.since(start_at).as_nanos(),
     });
     world.epoch[task.index()] += 1;
+    let mut stranded = None;
     for &id in world.inflight(task) {
-        sim.cancel_flow(id);
+        if let Some(Action::Event(Ev::LegDone(op))) = sim.cancel_flow(id) {
+            stranded = Some(op);
+        }
+    }
+    // A cancelled leg never lands, so its plan can never finish: free it
+    // now. Its other pending events carry a stale reference and no-op.
+    if let Some(op) = stranded {
+        world.ops.close(op);
     }
     world.close_inflight(task);
     world.running[worker_ix].retain(|&t| t != task);
@@ -378,14 +426,17 @@ fn finish_failure(sim: &mut Sim<World>, world: &mut World, task: TaskId, budget:
         .faults
         .as_ref()
         .map_or(SimDuration::ZERO, |p| p.backoff.delay(attempts));
-    let expected = world.epoch[task.index()];
-    sim.schedule_in(delay, move |sim, world| {
-        if world.aborted.is_some() || world.epoch[task.index()] != expected {
-            return;
-        }
-        mark_ready(sim, world, task);
-        try_dispatch(sim, world);
-    });
+    let epoch = world.epoch[task.index()];
+    sim.post_in(delay, Ev::Requeue { task, epoch });
+}
+
+/// A failed execution's backoff has passed: the task is ready again.
+pub(crate) fn requeue(sim: &mut Sim<World>, world: &mut World, task: TaskId, epoch: u32) {
+    if world.aborted.is_some() || world.epoch[task.index()] != epoch {
+        return;
+    }
+    mark_ready(sim, world, task);
+    try_dispatch(sim, world);
 }
 
 /// Rescue-DAG check at ready time: if any input of `task` is gone, defer

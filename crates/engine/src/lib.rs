@@ -29,6 +29,7 @@
 
 pub mod config;
 pub mod driver;
+pub mod event;
 pub mod exec;
 mod exec_tests;
 mod failures;

@@ -1,6 +1,7 @@
 //! The simulation world: cluster + storage + workflow-management state.
 
 use crate::config::{RunConfig, SchedulerPolicy};
+use crate::exec::Ops;
 use simcore::{DetRng, FlowId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use vcluster::{Cluster, NodeId};
@@ -164,6 +165,9 @@ pub struct World {
     pub bg_queue: VecDeque<(Stage, Option<Note>)>,
     /// Whether a background stage is in flight.
     pub bg_active: bool,
+    /// Plans in flight: each one's stages, current stage and leg
+    /// countdown.
+    pub(crate) ops: Ops,
 
     /// Rotating cursor for locality-blind node selection.
     pub rr_cursor: usize,
@@ -295,6 +299,7 @@ impl World {
             finished_at: None,
             bg_queue: VecDeque::new(),
             bg_active: false,
+            ops: Ops::default(),
             rr_cursor: 0,
             rng,
             epoch: vec![0; n],

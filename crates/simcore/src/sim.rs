@@ -1,39 +1,71 @@
 //! The simulation driver: a clock, an event calendar, and the fluid-flow
 //! engine, woven together.
 //!
-//! Events are `FnOnce(&mut Sim<W>, &mut W)` closures over a caller-owned
-//! world `W`. Flow completions fire closures of the same shape. Two events
-//! at the same instant fire in scheduling order (a monotonically increasing
-//! sequence number breaks ties), and calendar events win ties against flow
-//! completions — both rules are deterministic.
+//! The caller-owned world `W` is a [`Model`]: it names its own event type
+//! [`Model::Ev`] and says how to [fire](Model::fire) one. A calendar entry
+//! and a flow's completion payload are both an [`Action`]: a typed event
+//! of the world, or a one-off closure ([`EventFn`]) for set-up code and
+//! tests. A typed event is a plain value: firing one allocates nothing,
+//! and a model can inspect, compare or copy what it has pending. Two
+//! events at the same instant fire in scheduling order (a monotonically
+//! increasing sequence number breaks ties), and calendar events win ties
+//! against flow completions — both rules are deterministic.
 
 use crate::flow::{FlowEngine, FlowId, FlowSpec, ResourceId, ResourceStats};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 use wfobs::{Event, ObsHandle};
 
-/// An event handler: runs once with access to the simulation and the world.
-pub type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W)>;
+/// A world the simulation runs over: its event type, and how one fires.
+pub trait Model: Sized + 'static {
+    /// The world's typed events.
+    type Ev;
 
-struct Scheduled<W> {
-    time: SimTime,
-    seq: u64,
-    f: EventFn<W>,
+    /// Fire `ev` at the current instant.
+    fn fire(sim: &mut Sim<Self>, world: &mut Self, ev: Self::Ev);
 }
 
-impl<W> PartialEq for Scheduled<W> {
+/// The unit world has no events of its own; closures drive it.
+impl Model for () {
+    type Ev = Infallible;
+
+    fn fire(_: &mut Sim<Self>, _: &mut Self, ev: Infallible) {
+        match ev {}
+    }
+}
+
+/// A one-off event handler: runs once with access to the simulation and
+/// the world.
+pub type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W)>;
+
+/// What a calendar entry or a flow completion does when it fires.
+pub enum Action<W: Model> {
+    /// A typed event, handed to [`Model::fire`].
+    Event(W::Ev),
+    /// A closure, run as is.
+    Call(EventFn<W>),
+}
+
+struct Scheduled<W: Model> {
+    time: SimTime,
+    seq: u64,
+    action: Action<W>,
+}
+
+impl<W: Model> PartialEq for Scheduled<W> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<W> Eq for Scheduled<W> {}
-impl<W> PartialOrd for Scheduled<W> {
+impl<W: Model> Eq for Scheduled<W> {}
+impl<W: Model> PartialOrd for Scheduled<W> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<W> Ord for Scheduled<W> {
+impl<W: Model> Ord for Scheduled<W> {
     // Reversed: BinaryHeap is a max-heap, we want the earliest first.
     fn cmp(&self, other: &Self) -> Ordering {
         (other.time, other.seq).cmp(&(self.time, self.seq))
@@ -41,24 +73,24 @@ impl<W> Ord for Scheduled<W> {
 }
 
 /// A discrete-event simulation over a world `W`.
-pub struct Sim<W> {
+pub struct Sim<W: Model> {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Scheduled<W>>,
-    flows: FlowEngine<EventFn<W>>,
+    flows: FlowEngine<Action<W>>,
     events_fired: u64,
     /// Optional hard stop; `run` returns once the clock would pass it.
     horizon: Option<SimTime>,
     obs: ObsHandle,
 }
 
-impl<W> Default for Sim<W> {
+impl<W: Model> Default for Sim<W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> Sim<W> {
+impl<W: Model> Sim<W> {
     /// An empty simulation at `t = 0`.
     pub fn new() -> Self {
         Sim {
@@ -136,34 +168,54 @@ impl<W> Sim<W> {
         self.flows.flow_counters()
     }
 
-    /// Schedule `f` at absolute time `t` (clamped to the present if `t` is
-    /// in the past).
+    /// Schedule the closure `f` at absolute time `t` (clamped to the
+    /// present if `t` is in the past).
     pub fn schedule_at(&mut self, t: SimTime, f: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
+        self.push(t, Action::Call(Box::new(f)));
+    }
+
+    /// Schedule the closure `f` after a delay.
+    pub fn schedule_in(&mut self, d: SimDuration, f: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
+        self.push(self.now + d, Action::Call(Box::new(f)));
+    }
+
+    /// Schedule the event `ev` at absolute time `t` (clamped to the
+    /// present if `t` is in the past).
+    pub fn post_at(&mut self, t: SimTime, ev: W::Ev) {
+        self.push(t, Action::Event(ev));
+    }
+
+    /// Schedule the event `ev` after a delay.
+    pub fn post_in(&mut self, d: SimDuration, ev: W::Ev) {
+        self.push(self.now + d, Action::Event(ev));
+    }
+
+    fn push(&mut self, t: SimTime, action: Action<W>) {
         let time = t.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled {
-            time,
-            seq,
-            f: Box::new(f),
-        });
+        self.queue.push(Scheduled { time, seq, action });
     }
 
-    /// Schedule `f` after a delay.
-    pub fn schedule_in(&mut self, d: SimDuration, f: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
-        self.schedule_at(self.now + d, f);
-    }
-
-    /// Start a fluid flow; `done` fires when the last byte arrives.
-    /// Instantaneous specs (zero bytes, or unconstrained) degrade to an
-    /// immediate event.
+    /// Start a fluid flow; the closure `done` runs when the last byte
+    /// arrives. Instantaneous specs (zero bytes, or unconstrained) degrade
+    /// to an immediate calendar event.
     pub fn start_flow(
         &mut self,
         spec: FlowSpec,
         done: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
     ) -> Option<FlowId> {
+        self.start_flow_action(spec, Action::Call(Box::new(done)))
+    }
+
+    /// [`start_flow`](Self::start_flow) with a typed completion event.
+    pub fn start_flow_ev(&mut self, spec: FlowSpec, done: W::Ev) -> Option<FlowId> {
+        self.start_flow_action(spec, Action::Event(done))
+    }
+
+    fn start_flow_action(&mut self, spec: FlowSpec, done: Action<W>) -> Option<FlowId> {
         if spec.is_instant() {
-            self.schedule_at(self.now, done);
+            self.push(self.now, done);
             None
         } else {
             let path = if self.obs.enabled() {
@@ -172,7 +224,7 @@ impl<W> Sim<W> {
                 Vec::new()
             };
             let bytes = spec.bytes;
-            let id = self.flows.start(self.now, spec, Box::new(done));
+            let id = self.flows.start(self.now, spec, done);
             if self.obs.enabled() {
                 let rate = self.flows.flow_rate(id).unwrap_or(0.0);
                 self.obs.emit(Event::FlowStart {
@@ -191,14 +243,23 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Cancel an active flow; its completion closure is dropped. Returns
-    /// true if the flow was still active.
-    pub fn cancel_flow(&mut self, id: FlowId) -> bool {
-        let cancelled = self.flows.cancel(self.now, id).is_some();
-        if cancelled {
+    /// Cancel an active flow. Returns its completion action, which will
+    /// now never fire, if the flow was still active.
+    pub fn cancel_flow(&mut self, id: FlowId) -> Option<Action<W>> {
+        let done = self.flows.cancel(self.now, id);
+        if done.is_some() {
             self.obs.emit(Event::FlowCancel { id: id.0 });
         }
-        cancelled
+        done
+    }
+
+    /// Perform `action` now, as if it had just fired from the calendar
+    /// (without counting an event).
+    pub fn dispatch(&mut self, world: &mut W, action: Action<W>) {
+        match action {
+            Action::Event(ev) => W::fire(self, world, ev),
+            Action::Call(f) => f(self, world),
+        }
     }
 
     /// Run until no events or flows remain (or the horizon is reached).
@@ -234,7 +295,7 @@ impl<W> Sim<W> {
                     self.now = t;
                     self.obs.set_now(t.as_nanos());
                     self.events_fired += 1;
-                    (ev.f)(self, world);
+                    self.dispatch(world, ev.action);
                 }
                 Step::Flow(t, id) => {
                     if self.past_horizon(t) {
@@ -245,7 +306,7 @@ impl<W> Sim<W> {
                     let done = self.flows.complete(self.now, id);
                     self.events_fired += 1;
                     self.obs.emit(Event::FlowEnd { id: id.0 });
-                    done(self, world);
+                    self.dispatch(world, done);
                 }
             }
         }
@@ -270,6 +331,15 @@ mod tests {
     #[derive(Default)]
     struct World {
         log: Vec<(f64, &'static str)>,
+    }
+
+    /// The test world's typed event logs its name at the firing instant.
+    impl Model for World {
+        type Ev = &'static str;
+
+        fn fire(sim: &mut Sim<Self>, world: &mut Self, name: &'static str) {
+            world.log.push((sim.now().as_secs_f64(), name));
+        }
     }
 
     fn secs(s: f64) -> SimTime {
@@ -389,7 +459,7 @@ mod tests {
         let h3 = handle.clone();
         sim.schedule_at(secs(1.0), move |s, _| {
             let id = h3.borrow().expect("flow started");
-            assert!(s.cancel_flow(id));
+            assert!(s.cancel_flow(id).is_some());
         });
         sim.run(&mut w);
         assert!(w.log.is_empty());
@@ -423,5 +493,52 @@ mod tests {
         for pair in w.log.windows(2) {
             assert!(pair[0].0 <= pair[1].0, "time went backwards: {pair:?}");
         }
+    }
+
+    #[test]
+    fn typed_and_closure_events_share_one_calendar() {
+        // Ties break by scheduling order whichever kind an entry is.
+        let mut sim: Sim<World> = Sim::new();
+        let mut w = World::default();
+        sim.post_at(secs(1.0), "typed-1");
+        sim.schedule_at(secs(1.0), |s, w| w.log.push((s.now().as_secs_f64(), "closure")));
+        sim.post_at(secs(1.0), "typed-2");
+        sim.post_at(secs(0.5), "early");
+        sim.run(&mut w);
+        let names: Vec<&str> = w.log.iter().map(|(_, n)| *n).collect();
+        assert_eq!(names, vec!["early", "typed-1", "closure", "typed-2"]);
+        assert_eq!(sim.events_fired(), 4);
+    }
+
+    #[test]
+    fn typed_flow_completion_fires_at_right_time() {
+        let mut sim: Sim<World> = Sim::new();
+        let mut w = World::default();
+        let disk = sim.add_resource("disk", 100.0);
+        sim.schedule_at(secs(0.0), move |s, _| {
+            s.start_flow_ev(FlowSpec::new(1000, vec![disk]), "landed");
+            assert!(s.start_flow_ev(FlowSpec::new(0, vec![]), "instant").is_none());
+        });
+        sim.run(&mut w);
+        assert_eq!(w.log.len(), 2);
+        assert_eq!(w.log[0], (0.0, "instant"));
+        assert_eq!(w.log[1].1, "landed");
+        assert!((w.log[1].0 - 10.0).abs() < 1e-6, "{:?}", w.log);
+    }
+
+    #[test]
+    fn cancel_flow_hands_back_the_completion_event() {
+        let mut sim: Sim<World> = Sim::new();
+        let mut w = World::default();
+        let disk = sim.add_resource("disk", 100.0);
+        sim.schedule_at(secs(0.0), move |s, _| {
+            let id = s
+                .start_flow_ev(FlowSpec::new(1000, vec![disk]), "never")
+                .expect("a real flow");
+            assert!(matches!(s.cancel_flow(id), Some(Action::Event("never"))));
+            assert!(s.cancel_flow(id).is_none(), "already cancelled");
+        });
+        sim.run(&mut w);
+        assert!(w.log.is_empty());
     }
 }

@@ -1,7 +1,19 @@
 //! Property-based tests for the fluid-flow engine and the event calendar.
 
 use proptest::prelude::*;
-use simcore::{FlowEngine, FlowSpec, Sim, SimDuration, SimTime};
+use simcore::{FlowEngine, FlowSpec, Model, Sim, SimDuration, SimTime};
+
+/// A world that logs `(instant in ns, event)` for each typed event fired.
+#[derive(Default)]
+struct Log(Vec<(u64, usize)>);
+
+impl Model for Log {
+    type Ev = usize;
+
+    fn fire(sim: &mut Sim<Self>, log: &mut Self, ev: usize) {
+        log.0.push((sim.now().as_nanos(), ev));
+    }
+}
 
 /// A randomly generated flow description over `n_res` resources.
 #[derive(Debug, Clone)]
@@ -115,7 +127,7 @@ proptest! {
         flows in proptest::collection::vec(gen_flow(3), 1..20),
     ) {
         let run = || {
-            let mut sim: Sim<Vec<(u64, usize)>> = Sim::new();
+            let mut sim: Sim<Log> = Sim::new();
             let rids: Vec<_> = caps.iter().enumerate()
                 .map(|(i, c)| sim.add_resource(format!("r{i}"), *c))
                 .collect();
@@ -125,14 +137,12 @@ proptest! {
                 if let Some(c) = g.cap { spec = spec.with_cap(c); }
                 let at = SimTime::from_nanos(g.start_ms * 1_000_000);
                 sim.schedule_at(at, move |s, _| {
-                    s.start_flow(spec, move |s, log: &mut Vec<(u64, usize)>| {
-                        log.push((s.now().as_nanos(), fi));
-                    });
+                    s.start_flow_ev(spec, fi);
                 });
             }
-            let mut log = Vec::new();
+            let mut log = Log::default();
             sim.run(&mut log);
-            log
+            log.0
         };
         prop_assert_eq!(run(), run());
     }
@@ -140,14 +150,13 @@ proptest! {
     /// Calendar events always fire in non-decreasing time order.
     #[test]
     fn event_times_are_monotonic(times in proptest::collection::vec(0u64..1_000_000u64, 1..50)) {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        for &t in &times {
-            sim.schedule_at(SimTime::from_nanos(t), move |s, log: &mut Vec<u64>| {
-                log.push(s.now().as_nanos());
-            });
+        let mut sim: Sim<Log> = Sim::new();
+        for (i, &t) in times.iter().enumerate() {
+            sim.post_at(SimTime::from_nanos(t), i);
         }
-        let mut log = Vec::new();
+        let mut log = Log::default();
         sim.run(&mut log);
+        let log: Vec<u64> = log.0.iter().map(|&(t, _)| t).collect();
         prop_assert_eq!(log.len(), times.len());
         for w in log.windows(2) {
             prop_assert!(w[0] <= w[1]);
@@ -157,15 +166,14 @@ proptest! {
         prop_assert_eq!(log, sorted);
     }
 
-    /// schedule_in(d) fires exactly d after the present.
+    /// post_in(d) fires exactly d after the present.
     #[test]
     fn relative_scheduling_is_exact(d in 0u64..10_000_000_000u64) {
-        let mut sim: Sim<Option<u64>> = Sim::new();
-        sim.schedule_in(SimDuration::from_nanos(d), |s, out: &mut Option<u64>| {
-            *out = Some(s.now().as_nanos());
-        });
-        let mut out = None;
-        sim.run(&mut out);
+        let mut sim: Sim<Log> = Sim::new();
+        sim.post_in(SimDuration::from_nanos(d), 0);
+        let mut log = Log::default();
+        sim.run(&mut log);
+        let out = log.0.first().map(|&(t, _)| t);
         prop_assert_eq!(out, Some(d));
     }
 }

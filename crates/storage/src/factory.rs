@@ -8,7 +8,7 @@ use crate::pvfs::{Pvfs, PvfsConfig};
 use crate::s3::{S3Config, S3};
 use crate::traits::{StorageKind, StorageSystem};
 use crate::xtreemfs::{XtreemFs, XtreemFsConfig};
-use simcore::Sim;
+use simcore::{Model, Sim};
 use vcluster::{Cluster, ClusterSpec, InstanceType};
 
 /// Per-system configuration bundle with paper-calibrated defaults.
@@ -50,7 +50,7 @@ pub fn cluster_spec_for(
 ///
 /// Panics if the cluster violates the kind's constraints (too few workers,
 /// missing server).
-pub fn build_storage<W>(
+pub fn build_storage<W: Model>(
     kind: StorageKind,
     sim: &mut Sim<W>,
     cluster: &Cluster,

@@ -24,7 +24,7 @@
 use crate::lru::LruBytes;
 use crate::op::{FlowLeg, Note, OpPlan, Stage};
 use crate::traits::{Constraints, FailoverResponse, FileRef, StorageOpStats, StorageSystem};
-use simcore::{ResourceId, Sim, SimDuration};
+use simcore::{Model, ResourceId, Sim, SimDuration};
 use std::collections::HashSet;
 use vcluster::{net_path, Cluster, NodeId};
 use wfdag::FileId;
@@ -118,7 +118,7 @@ impl Nfs {
     /// Build an NFS system over a provisioned cluster. With
     /// [`NfsPlacement::DedicatedServer`] the cluster must have been
     /// provisioned with a server node.
-    pub fn new<W>(sim: &mut Sim<W>, cluster: &Cluster, cfg: NfsConfig) -> Self {
+    pub fn new<W: Model>(sim: &mut Sim<W>, cluster: &Cluster, cfg: NfsConfig) -> Self {
         let server = match cfg.placement {
             NfsPlacement::DedicatedServer => cluster
                 .server()

@@ -20,7 +20,7 @@ use crate::op::{FlowLeg, OpPlan, Stage};
 use crate::traits::{
     Constraints, FailoverResponse, FileRef, StorageBilling, StorageOpStats, StorageSystem,
 };
-use simcore::{ResourceId, Sim, SimDuration};
+use simcore::{Model, ResourceId, Sim, SimDuration};
 use std::collections::{HashMap, HashSet};
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
@@ -85,7 +85,7 @@ pub struct S3 {
 
 impl S3 {
     /// Build the S3 service, registering its backend resources.
-    pub fn new<W>(sim: &mut Sim<W>, cluster: &Cluster, cfg: S3Config) -> Self {
+    pub fn new<W: Model>(sim: &mut Sim<W>, cluster: &Cluster, cfg: S3Config) -> Self {
         let page_caches = cluster
             .nodes()
             .iter()

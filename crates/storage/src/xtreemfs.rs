@@ -9,7 +9,7 @@
 
 use crate::op::{FlowLeg, OpPlan, Stage};
 use crate::traits::{Constraints, FileRef, StorageOpStats, StorageSystem};
-use simcore::{ResourceId, Sim, SimDuration};
+use simcore::{Model, ResourceId, Sim, SimDuration};
 use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
@@ -50,7 +50,7 @@ pub struct XtreemFs {
 
 impl XtreemFs {
     /// Build the service, registering its shared resources.
-    pub fn new<W>(sim: &mut Sim<W>, cfg: XtreemFsConfig) -> Self {
+    pub fn new<W: Model>(sim: &mut Sim<W>, cfg: XtreemFsConfig) -> Self {
         XtreemFs {
             cfg,
             service_in: sim.add_resource("xtreemfs.in", cfg.service_bps),

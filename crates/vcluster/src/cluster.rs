@@ -4,7 +4,7 @@
 use crate::disk::DiskProfile;
 use crate::instance::InstanceType;
 use serde::{Deserialize, Serialize};
-use simcore::{DetRng, FlowSpec, ResourceId, Sim, SimDuration};
+use simcore::{DetRng, FlowSpec, Model, ResourceId, Sim, SimDuration};
 
 /// Identifier of a node within one provisioned cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -157,7 +157,7 @@ pub struct Cluster {
 impl Cluster {
     /// Provision the cluster: register every node's NIC and disk resources
     /// with the simulation.
-    pub fn provision<W>(sim: &mut Sim<W>, spec: &ClusterSpec) -> Cluster {
+    pub fn provision<W: Model>(sim: &mut Sim<W>, spec: &ClusterSpec) -> Cluster {
         assert!(spec.workers >= 1, "a cluster needs at least one worker");
         let mut nodes = Vec::new();
         let mut workers = Vec::new();
@@ -193,7 +193,7 @@ impl Cluster {
         }
     }
 
-    fn make_node<W>(
+    fn make_node<W: Model>(
         sim: &mut Sim<W>,
         id: NodeId,
         itype: InstanceType,
