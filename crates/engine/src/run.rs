@@ -118,6 +118,10 @@ pub enum RunError {
         /// Name of the failing task.
         task: String,
     },
+    /// The workflow finished at [`SimTime::MAX`]: the simulated clock
+    /// saturated (files or compute too large to time in `u64`
+    /// nanoseconds), so the makespan is a clamp, not an answer.
+    ClockSaturated,
 }
 
 impl std::fmt::Display for RunError {
@@ -132,6 +136,11 @@ impl std::fmt::Display for RunError {
             RunError::RetriesExhausted { task } => {
                 write!(f, "task {task} exhausted its retry budget")
             }
+            RunError::ClockSaturated => write!(
+                f,
+                "the simulated clock saturated at its maximum ({} s): the workflow is too large to time",
+                SimTime::MAX.as_secs_f64()
+            ),
         }
     }
 }
@@ -181,6 +190,7 @@ pub fn run_workflow_with_obs(
 
     sim.schedule_at(SimTime::ZERO, start_run);
     sim.run(&mut world);
+    debug_assert!(world.ops.is_empty(), "a plan's slot outlived the run");
     // Final metric tick + sink flush — before the error checks, so a
     // live viewer restores the terminal even when the run fails.
     sim.obs().flush_sinks();
@@ -200,6 +210,12 @@ pub fn run_workflow_with_obs(
     // A zero-task workflow never sets `finished_at` (nothing completes);
     // it finishes the moment it starts.
     let finished = makespan(&world).unwrap_or(SimTime::ZERO);
+    // The clock never runs backwards, so once any step of the workflow
+    // saturated it, the last completion sits at the limit too. Fault
+    // draws that land there after the finish do not count.
+    if finished == SimTime::MAX {
+        return Err(RunError::ClockSaturated);
+    }
     let makespan_secs = finished.as_secs_f64();
 
     let mut total_io_secs = 0.0;

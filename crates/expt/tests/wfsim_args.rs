@@ -3,7 +3,9 @@
 //! count on stderr and exits with status 2, instead of panicking while
 //! it builds the cluster or the storage backend. It refuses a workflow
 //! document that does not load the same way, a cluster size of 0 and a
-//! task-failure probability outside [0, 1].
+//! task-failure probability outside [0, 1]. A workflow too large to time
+//! (the simulated clock saturates) fails the same way instead of
+//! reporting the clock's limit as a makespan.
 
 use std::process::{Command, Stdio};
 use std::thread::sleep;
@@ -109,4 +111,29 @@ fn dax_with_negative_cpu_secs_is_rejected() {
         ),
         &["`neg`", "cpu_secs -1"],
     );
+}
+
+#[test]
+fn saturated_clock_is_an_error_not_a_makespan() {
+    // A 2^60-byte intermediate takes longer to move than `u64`
+    // nanoseconds can count, so the clock saturates on every storage
+    // kind that shares it over a network.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("saturated_clock.json");
+    let json = r#"{
+        "version": 1, "name": "huge",
+        "files": [{"name": "in", "size": 1000}, {"name": "huge", "size": 1152921504606846976}, {"name": "out", "size": 1000}],
+        "tasks": [
+            {"name": "make", "transformation": "x", "cpu_secs": 1.0, "peak_mem": 0, "io_ops": 1, "inputs": [0], "outputs": [1]},
+            {"name": "use", "transformation": "x", "cpu_secs": 1.0, "peak_mem": 0, "io_ops": 1, "inputs": [1], "outputs": [2]}
+        ]
+    }"#;
+    std::fs::write(&path, json).expect("write DAX document");
+    let path = path.to_str().expect("UTF-8 temp path");
+    for storage in ["nfs", "s3", "pvfs", "glusterfs-nufa", "direct"] {
+        assert_rejected(
+            &format!("run --dax {path} --storage {storage} --workers 2"),
+            &["clock saturated"],
+        );
+    }
 }

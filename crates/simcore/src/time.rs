@@ -28,6 +28,11 @@ impl SimTime {
     /// The simulation epoch, `t = 0`.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The last representable instant (about 584 years). Clock arithmetic
+    /// saturates here, so an instant at `MAX` is a clamp, not a
+    /// measurement.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Construct from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
