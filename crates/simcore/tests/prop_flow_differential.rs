@@ -462,7 +462,14 @@ fn run_differential(
         prop_assert_eq!(naive.active_flows(), inc.active_flows());
     }
 
-    prop_assert!(completions + cancelled > 0 || flows.iter().all(|f| f.bytes == 0));
+    // Every flow that reached the engines ended exactly once. A generated
+    // flow whose path lies wholly past the resource list and that has no
+    // cap is instant, so it never starts and is not counted here.
+    prop_assert_eq!(
+        (completions + cancelled) as usize,
+        started.len(),
+        "started flows neither completed nor cancelled"
+    );
     prop_assert_eq!(naive.flow_counters(), inc.flow_counters());
     prop_assert_eq!(
         dig_n.count(),
@@ -492,6 +499,68 @@ fn run_differential(
         }
     }
     Ok(())
+}
+
+/// A flow of `bytes` over `path`, uncapped, starting at `start_ms`.
+fn scripted(bytes: u64, path: Vec<usize>, start_ms: u64) -> GenFlow {
+    GenFlow {
+        bytes,
+        path,
+        cap: None,
+        start_ms,
+    }
+}
+
+/// `bursts_multi_component` case 146 of 3,000: the only flow's path lies
+/// past the two resources, so it is instant and never starts. Nothing
+/// completes or is cancelled, and the run is still correct.
+#[test]
+fn bursts_multi_component_lone_instant_flow() {
+    let flows = [scripted(706_553, vec![2], 4_500)];
+    run_differential(
+        &[130_452_747.951_758_2, 388_869_563.418_856_2],
+        &flows,
+        &[(22, 5_000)],
+        &[],
+        false,
+        Check::Completions,
+        |t| 2 + (t as f64 * 1e-12) as u64,
+    )
+    .unwrap();
+}
+
+/// `multi_component_rates_exact_times_tight` case 966 of 3,000: the same
+/// lone instant flow, among cancels that find nothing started.
+#[test]
+fn multi_component_lone_instant_flow() {
+    let flows = [scripted(1_135_368, vec![2], 6_374)];
+    run_differential(
+        &[893_616_683.405_884_9, 909_324_914.186_467_2],
+        &flows,
+        &[(2, 3_308), (0, 9_204)],
+        &[],
+        false,
+        Check::EveryOp,
+        |t| 2 + (t as f64 * 1e-12) as u64,
+    )
+    .unwrap();
+}
+
+/// `crash_bursts_multi_component` case 2,410 of 3,000: the same lone
+/// instant flow, among crashes of resources no flow crosses.
+#[test]
+fn crash_bursts_multi_component_lone_instant_flow() {
+    let flows = [scripted(2_344_803, vec![3], 2_227)];
+    run_differential(
+        &[49_378_558.567_192_56, 88_832_141.117_573_48],
+        &flows,
+        &[(45, 3_727)],
+        &[(0, 5_110), (5, 5_705)],
+        false,
+        Check::EveryOp,
+        |t| 2 + (t as f64 * 1e-12) as u64,
+    )
+    .unwrap();
 }
 
 proptest! {
