@@ -43,7 +43,7 @@ impl Job {
 }
 
 /// An engine event.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Ev {
     /// The dispatch overhead is paid: start the operation storm.
     Ops(Job),

@@ -30,7 +30,8 @@ pub struct OpRef {
 
 /// One slot of the [`Ops`] slab.
 struct Op {
-    /// Bumped each time the slot is freed.
+    /// Bumped each time the slot is freed, so no reference to an
+    /// earlier plan in it matches.
     gen: u32,
     stages: Vec<Stage>,
     /// Index in `stages` of the stage whose latency or legs are pending.
@@ -75,7 +76,7 @@ impl Ops {
     fn get(&mut self, r: OpRef) -> Option<&mut Op> {
         self.slots
             .get_mut(r.ix as usize)
-            .filter(|op| op.gen == r.gen && op.then.is_some())
+            .filter(|op| op.gen == r.gen)
     }
 
     /// Free `r`'s slot and hand back its completion action.
@@ -88,14 +89,9 @@ impl Ops {
         then
     }
 
-    /// Plans in flight.
-    pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
     /// Whether no plan is in flight.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slots.len() == self.free.len()
     }
 }
 

@@ -399,8 +399,8 @@ impl Hasher for IdHasher {
 type HeapEntry = Reverse<(SimTime, u64, u32, u64)>;
 
 /// The fluid-flow engine. `C` is an opaque completion payload returned to
-/// the caller when a flow finishes (the simulation driver stores event
-/// closures here).
+/// the caller when a flow finishes (the simulation driver stores each
+/// flow's completion [`Action`](crate::sim::Action) here).
 pub struct FlowEngine<C> {
     resources: Vec<Resource>,
     slots: Vec<Option<Slot<C>>>,

@@ -501,7 +501,9 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = World::default();
         sim.post_at(secs(1.0), "typed-1");
-        sim.schedule_at(secs(1.0), |s, w| w.log.push((s.now().as_secs_f64(), "closure")));
+        sim.schedule_at(secs(1.0), |s, w| {
+            w.log.push((s.now().as_secs_f64(), "closure"))
+        });
         sim.post_at(secs(1.0), "typed-2");
         sim.post_at(secs(0.5), "early");
         sim.run(&mut w);
@@ -517,7 +519,9 @@ mod tests {
         let disk = sim.add_resource("disk", 100.0);
         sim.schedule_at(secs(0.0), move |s, _| {
             s.start_flow_ev(FlowSpec::new(1000, vec![disk]), "landed");
-            assert!(s.start_flow_ev(FlowSpec::new(0, vec![]), "instant").is_none());
+            assert!(s
+                .start_flow_ev(FlowSpec::new(0, vec![]), "instant")
+                .is_none());
         });
         sim.run(&mut w);
         assert_eq!(w.log.len(), 2);

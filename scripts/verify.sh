@@ -29,10 +29,14 @@
 #                      perfbench/pins.txt: makespan bits, events, digest,
 #                      or an F2 sweep row)
 # Checked release:     the storage goldens, the fault goldens, the fault
-#                      metamorphic suite and two paper-scale `wfsim run`s
-#                      (Montage on NFS with 4 workers, and on PVFS with 8)
-#                      built with --release and debug assertions on, in
+#                      metamorphic suite, the dispatch-window model check
+#                      and two paper-scale `wfsim run`s (Montage on NFS
+#                      with 4 workers, and on PVFS with 8) built with
+#                      --release and debug assertions on, in
 #                      target/checked
+# Typed events gate:   the engine's event path holds no boxed closure:
+#                      no `Box<dyn FnOnce`, `type Cont` or `Rc<Join>` in
+#                      crates/engine/src outside the executor's tests
 # OTLP conformance:    the otlpcheck reader's own tests, the wfengine/expt
 #                      otlp test targets (well-formedness proptests, edge
 #                      cases, phase/cost parity), plus wfobs standing alone
@@ -74,6 +78,15 @@ echo "== otlpcheck gate: production expt does not link the OTLP test reader =="
 expt_deps="$(cargo tree --offline --locked -e normal -p expt)"
 if grep -F 'otlpcheck' <<<"$expt_deps"; then
     echo "error: expt's normal dependencies include the test-only \`otlpcheck\` crate" >&2
+    exit 1
+fi
+
+echo "== typed events gate: no boxed continuations in the engine =="
+# Calendar events and flow completions are `wfengine::event::Ev` values
+# and a plan's join lives in the world's op slab. Only the executor's
+# tests may hand it a closure.
+if git grep -nE 'Box<dyn FnOnce|type Cont|Rc<Join>' -- crates/engine/src ':!crates/engine/src/exec_tests.rs'; then
+    echo "error: a boxed continuation is back on the engine's event path" >&2
     exit 1
 fi
 
@@ -125,11 +138,12 @@ echo "== debug assertions at release speed =="
 # load. On PVFS @ 8 all flows share one component of ~260 flows. The
 # fault goldens and the fault metamorphic suite drive the kill path
 # (a task's in-flight flow list, `cancel_flow`, the completion heap's
-# liveness check) with the same checks on. A separate target dir keeps
-# the normal release build cached.
+# liveness check, freeing a killed plan's op slot) with the same checks
+# on, and every run asserts that no op slot outlives it. A separate
+# target dir keeps the normal release build cached.
 checked=(env CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/checked)
 "${checked[@]}" cargo test --release -q -p expt --test storage_golden --test fault_golden
-"${checked[@]}" cargo test --release -q -p wfengine --test prop_fault_metamorphic
+"${checked[@]}" cargo test --release -q -p wfengine --test prop_fault_metamorphic --test prop_dispatch
 "${checked[@]}" cargo build --release -q -p expt --bin wfsim
 ./target/checked/release/wfsim run --app montage --storage nfs --workers 4 >/dev/null
 ./target/checked/release/wfsim run --app montage --storage pvfs --workers 8 >/dev/null
