@@ -44,7 +44,10 @@
 # Exporter goldens:    Chrome, OTLP, folded and TUI-frame fixtures of a
 #                      clean, a crash, a transient-failure and a truncated
 #                      run, plus the task-attempt fold's unit tests and
-#                      proptest (every exporter renders from that fold)
+#                      proptest (every exporter renders from that fold),
+#                      and the reports built from the task records (phase
+#                      table, jobstate log, Gantt, I/O and CPU totals,
+#                      every record's instants) of a clean and a crash run
 # Live TUI:            golden-frame + live-determinism test targets, the
 #                      frame-geometry proptest, and `wfsim run --live`
 #                      under TERM=dumb (must fall back to plain `live:`
@@ -155,7 +158,7 @@ cargo test -q -p expt --test otlp_parity --test folded_golden
 cargo test -q -p wfobs --no-default-features
 
 echo "== exporter goldens + task-attempt fold =="
-cargo test -q -p expt --test chrome_golden --test fault_golden
+cargo test -q -p expt --test chrome_golden --test fault_golden --test records_golden
 cargo test -q -p wfobs --lib fold::
 cargo test -q -p wfobs --test prop_fold
 
