@@ -79,8 +79,6 @@ pub struct Sim<W: Model> {
     queue: BinaryHeap<Scheduled<W>>,
     flows: FlowEngine<Action<W>>,
     events_fired: u64,
-    /// Optional hard stop; `run` returns once the clock would pass it.
-    horizon: Option<SimTime>,
     obs: ObsHandle,
 }
 
@@ -99,7 +97,6 @@ impl<W: Model> Sim<W> {
             queue: BinaryHeap::new(),
             flows: FlowEngine::new(),
             events_fired: 0,
-            horizon: None,
             obs: ObsHandle::disabled(),
         }
     }
@@ -129,12 +126,6 @@ impl<W: Model> Sim<W> {
     /// Total events fired so far.
     pub fn events_fired(&self) -> u64 {
         self.events_fired
-    }
-
-    /// Set a horizon: `run` stops before executing anything later than `t`.
-    /// Used as a runaway guard in tests.
-    pub fn set_horizon(&mut self, t: SimTime) {
-        self.horizon = Some(t);
     }
 
     /// Register a shared resource (disk, NIC, server) with capacity in
@@ -262,7 +253,7 @@ impl<W: Model> Sim<W> {
         }
     }
 
-    /// Run until no events or flows remain (or the horizon is reached).
+    /// Run until no events or flows remain.
     pub fn run(&mut self, world: &mut W) {
         loop {
             let tq = self.queue.peek().map(|s| s.time);
@@ -288,9 +279,6 @@ impl<W: Model> Sim<W> {
             };
             match next {
                 Step::Event(t) => {
-                    if self.past_horizon(t) {
-                        break;
-                    }
                     let ev = self.queue.pop().expect("peeked event vanished");
                     self.now = t;
                     self.obs.set_now(t.as_nanos());
@@ -298,9 +286,6 @@ impl<W: Model> Sim<W> {
                     self.dispatch(world, ev.action);
                 }
                 Step::Flow(t, id) => {
-                    if self.past_horizon(t) {
-                        break;
-                    }
                     self.now = self.now.max(t);
                     self.obs.set_now(self.now.as_nanos());
                     let done = self.flows.complete(self.now, id);
@@ -310,10 +295,6 @@ impl<W: Model> Sim<W> {
                 }
             }
         }
-    }
-
-    fn past_horizon(&self, t: SimTime) -> bool {
-        self.horizon.is_some_and(|h| t > h)
     }
 }
 
@@ -463,17 +444,6 @@ mod tests {
         });
         sim.run(&mut w);
         assert!(w.log.is_empty());
-    }
-
-    #[test]
-    fn horizon_stops_run() {
-        let mut sim: Sim<World> = Sim::new();
-        let mut w = World::default();
-        sim.set_horizon(secs(5.0));
-        sim.schedule_at(secs(1.0), |_, w| w.log.push((1.0, "in")));
-        sim.schedule_at(secs(10.0), |_, w| w.log.push((10.0, "out")));
-        sim.run(&mut w);
-        assert_eq!(w.log, vec![(1.0, "in")]);
     }
 
     #[test]
