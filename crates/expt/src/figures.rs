@@ -1,7 +1,6 @@
 //! Experiments E1–E8: regenerating every table and figure of the paper.
 
-use crate::grid::{figure_cells, run_cell, run_cell_with, Cell, CellResult};
-use crate::microbench::{self, DiskMicrobench};
+use crate::grid::{figure_cells, run_cell, run_cell_with, run_cells, Cell, CellResult};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vcluster::InstanceType;
@@ -58,11 +57,7 @@ impl RuntimeFigure {
 
 /// Run Figure 2 (Montage), 3 (Epigenome) or 4 (Broadband).
 pub fn runtime_figure(app: App, seed: u64) -> RuntimeFigure {
-    let cells = figure_cells(app);
-    let mut results: Vec<CellResult> = cells
-        .par_iter()
-        .map(|c| run_cell(*c, seed).unwrap_or_else(|e| panic!("cell {c:?} failed: {e}")))
-        .collect();
+    let mut results = run_cells(&figure_cells(app), seed);
     results.sort_by_key(|r| (format!("{:?}", r.cell.storage), r.cell.workers));
     let nfs_m24 = (app == App::Broadband).then(|| {
         let mut cfg = RunConfig::cell(StorageKind::Nfs, 4).with_seed(seed);
@@ -125,11 +120,6 @@ pub fn xtreemfs_note(seed: u64) -> XtreemFsNote {
         })
         .collect();
     XtreemFsNote { rows }
-}
-
-/// The §III.C disk microbenchmark (E0).
-pub fn disk_microbench() -> DiskMicrobench {
-    microbench::run()
 }
 
 #[cfg(test)]

@@ -92,11 +92,6 @@ impl Stage {
             legs: vec![leg],
         }
     }
-
-    /// Total bytes moved by this stage.
-    pub fn bytes(&self) -> u64 {
-        self.legs.iter().map(|l| l.bytes).sum()
-    }
 }
 
 /// Bookkeeping messages a background stage can deliver back to the storage
@@ -149,18 +144,6 @@ impl OpPlan {
         self
     }
 
-    /// Total foreground bytes.
-    pub fn foreground_bytes(&self) -> u64 {
-        self.stages.iter().map(Stage::bytes).sum()
-    }
-
-    /// Total fixed latency across foreground stages.
-    pub fn total_latency(&self) -> SimDuration {
-        self.stages
-            .iter()
-            .fold(SimDuration::ZERO, |acc, s| acc + s.latency)
-    }
-
     /// True when the plan does nothing.
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty() && self.background.is_empty()
@@ -195,21 +178,9 @@ mod tests {
             SimDuration::from_millis(3),
             FlowLeg::new(200, vec![r]),
         ));
-        assert_eq!(plan.foreground_bytes(), 300);
-        assert_eq!(plan.total_latency(), SimDuration::from_millis(5));
+        assert_eq!(plan.stages.len(), 2);
         assert!(!plan.is_empty());
         assert!(OpPlan::empty().is_empty());
-    }
-
-    #[test]
-    fn stage_bytes_sums_parallel_legs() {
-        let mut sim: Sim<()> = Sim::new();
-        let r = sim.add_resource("r", 100.0);
-        let stage = Stage {
-            latency: SimDuration::ZERO,
-            legs: vec![FlowLeg::new(10, vec![r]), FlowLeg::new(20, vec![r])],
-        };
-        assert_eq!(stage.bytes(), 30);
     }
 
     #[test]
