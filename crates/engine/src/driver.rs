@@ -62,22 +62,8 @@ pub(crate) fn mark_ready(sim: &mut Sim<World>, world: &mut World, task: TaskId) 
     world.obs.emit(Event::ReadyDepth {
         depth: world.ready.len() as u32,
     });
-    let now = sim.now();
-    let attempts = world.records[task.index()].map_or(0, |r| r.attempts);
-    world.records[task.index()] = Some(TaskRecord {
-        task,
-        node: vcluster::NodeId(u32::MAX),
-        ready_at: now,
-        start_at: now,
-        ops_start: now,
-        stage_in_start: now,
-        reads_start: now,
-        compute_start: now,
-        compute_end: now,
-        stage_out_start: now,
-        end_at: now,
-        attempts,
-    });
+    let rec = &mut world.records[task.index()];
+    *rec = TaskRecord::new(task, sim.now(), rec.attempts);
 }
 
 /// One matchmaking cycle: dispatch every queued job (within the backfill
@@ -131,7 +117,7 @@ fn dispatch(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: us
     let epoch = world.epoch[task.index()];
     let node = world.cluster.workers()[worker_ix];
     let attempt = {
-        let rec = world.records[task.index()].as_mut().expect("record exists");
+        let rec = &mut world.records[task.index()];
         rec.node = node;
         rec.start_at = sim.now();
         rec.attempts
@@ -146,18 +132,10 @@ fn dispatch(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: us
     sim.post_in(overhead, Ev::Ops(Job::new(task, worker_ix, epoch)));
 }
 
-/// Enter a lifecycle phase: stamp its start on the task record (`Write`
-/// has no field of its own) and emit the `TaskPhase` event.
+/// Enter a lifecycle phase: stamp its start on the task record and emit
+/// the `TaskPhase` event.
 fn enter_phase(world: &mut World, task: TaskId, node: NodeId, phase: Phase, now: SimTime) {
-    let rec = world.records[task.index()].as_mut().expect("record");
-    match phase {
-        Phase::Ops => rec.ops_start = now,
-        Phase::StageIn => rec.stage_in_start = now,
-        Phase::Read => rec.reads_start = now,
-        Phase::Compute => rec.compute_start = now,
-        Phase::Write => {}
-        Phase::StageOut => rec.stage_out_start = now,
-    }
+    world.records[task.index()].phase_start[phase as usize] = now;
     world.obs.emit(Event::TaskPhase {
         task: task.0,
         node: node.0,
@@ -237,9 +215,7 @@ pub(crate) fn job_compute_end(sim: &mut Sim<World>, world: &mut World, j: Job) {
     if !world.live(j.task, j.epoch) {
         return;
     }
-    let rec = world.records[j.task.index()].as_mut().expect("record");
-    rec.compute_end = sim.now();
-    rec.attempts += 1;
+    world.records[j.task.index()].attempts += 1;
     // Transient-failure injection (before any output is written, so
     // the write-once discipline survives the retry). Zero-probability
     // models draw nothing, keeping a zero-rate plan bit-identical to
@@ -305,7 +281,7 @@ pub(crate) fn job_done(sim: &mut Sim<World>, world: &mut World, j: Job) {
     world.running[worker_ix].retain(|&t| t != task);
     world.close_inflight(task);
     let attempt = {
-        let rec = world.records[task.index()].as_mut().expect("record");
+        let rec = &mut world.records[task.index()];
         rec.end_at = sim.now();
         rec.attempts
     };

@@ -354,7 +354,7 @@ pub(crate) fn kill_task(
 ) {
     let now = sim.now();
     let start_at = {
-        let rec = world.records[task.index()].as_mut().expect("record");
+        let rec = &mut world.records[task.index()];
         rec.attempts += 1;
         rec.start_at
     };
@@ -413,7 +413,7 @@ fn finish_failure(sim: &mut Sim<World>, world: &mut World, task: TaskId, budget:
     if world.aborted.is_some() {
         return;
     }
-    let attempts = world.records[task.index()].expect("record").attempts;
+    let attempts = world.records[task.index()].attempts;
     if attempts > budget {
         world.aborted = Some(task);
         // Drain the queue so the run winds down.
@@ -675,9 +675,12 @@ mod tests {
         cfg.faults = Some(crash_plan(vec![(0, 2.0)], 10));
         let stats = run_workflow(wide(16, 60.0), cfg).unwrap();
         assert_eq!(stats.tasks, 16, "all tasks complete despite the crash");
-        assert_eq!(stats.faults.node_crashes, 1);
-        assert!(stats.faults.tasks_killed > 0, "tasks were in flight at 2 s");
-        assert!(stats.faults.wasted_task_secs > 0.0);
+        assert_eq!(stats.faults.counters.node_crashes, 1);
+        assert!(
+            stats.faults.counters.tasks_killed > 0,
+            "tasks were in flight at 2 s"
+        );
+        assert!(stats.faults.counters.wasted_task_secs > 0.0);
         assert!(
             stats.makespan_secs > clean.makespan_secs,
             "crash + 70-90 s reboot must cost time: {} vs {}",
@@ -719,7 +722,10 @@ mod tests {
         cfg.faults = Some(crash_plan(vec![(0, clean.makespan_secs + 50.0)], 10));
         let stats = run_workflow(wide(8, 4.0), cfg).unwrap();
         assert_eq!(stats.makespan_secs.to_bits(), clean.makespan_secs.to_bits());
-        assert_eq!(stats.faults.node_crashes, 0, "post-run crash is a no-op");
+        assert_eq!(
+            stats.faults.counters.node_crashes, 0,
+            "post-run crash is a no-op"
+        );
         assert_eq!(stats.faults.segments, clean.faults.segments);
     }
 
@@ -741,8 +747,14 @@ mod tests {
         let (a, b) = (run(), run());
         assert_eq!(a.makespan_secs.to_bits(), b.makespan_secs.to_bits());
         assert_eq!(a.events, b.events);
-        assert_eq!(a.faults.node_crashes, b.faults.node_crashes);
-        assert_eq!(a.faults.tasks_killed, b.faults.tasks_killed);
+        assert_eq!(
+            a.faults.counters.node_crashes,
+            b.faults.counters.node_crashes
+        );
+        assert_eq!(
+            a.faults.counters.tasks_killed,
+            b.faults.counters.tasks_killed
+        );
         assert_eq!(a.faults.segments, b.faults.segments);
     }
 
@@ -760,7 +772,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let stats = run_workflow(chain(8), cfg).unwrap();
-        assert_eq!(stats.faults.storage_failures, 1);
+        assert_eq!(stats.faults.counters.storage_failures, 1);
         assert!(
             stats.makespan_secs >= clean.makespan_secs + 250.0,
             "a 300 s NFS outage must stall the whole run: {} vs {}",
@@ -790,9 +802,12 @@ mod tests {
         });
         let stats = run_workflow(chain(12), cfg).unwrap();
         assert_eq!(stats.tasks, 12);
-        assert!(stats.faults.files_lost > 0, "the brick held chain files");
         assert!(
-            stats.faults.rescue_resubmits > 0,
+            stats.faults.counters.files_lost > 0,
+            "the brick held chain files"
+        );
+        assert!(
+            stats.faults.counters.rescue_resubmits > 0,
             "losing a mid-chain file forces producer resubmission"
         );
         assert!(stats.makespan_secs > clean.makespan_secs);
@@ -828,8 +843,8 @@ mod tests {
         assert_eq!(stats.tasks, 3);
         // Rescue only re-ran what was needed; the run completed without
         // write-once violations (reused outputs are never rewritten).
-        if stats.faults.files_lost > 0 && stats.faults.rescue_resubmits > 0 {
-            assert!(stats.faults.rescue_resubmits <= 2);
+        if stats.faults.counters.files_lost > 0 && stats.faults.counters.rescue_resubmits > 0 {
+            assert!(stats.faults.counters.rescue_resubmits <= 2);
         }
     }
 
@@ -846,7 +861,10 @@ mod tests {
         });
         let stats = run_workflow(wide(24, 60.0), cfg).unwrap();
         assert_eq!(stats.tasks, 24);
-        assert!(stats.faults.spot_terminations > 0, "rate ~1/min must fire");
+        assert!(
+            stats.faults.counters.spot_terminations > 0,
+            "rate ~1/min must fire"
+        );
         assert!(
             stats.faults.segments.iter().any(|s| s.spot),
             "initial worker segments are spot"
@@ -875,7 +893,7 @@ mod tests {
             );
             assert_eq!(clean.events, zero.events, "{kind:?}");
             assert_eq!(clean.faults.segments, zero.faults.segments, "{kind:?}");
-            assert_eq!(zero.faults.tasks_killed, 0);
+            assert_eq!(zero.faults.counters.tasks_killed, 0);
         }
     }
 }

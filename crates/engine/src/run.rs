@@ -2,12 +2,13 @@
 
 use crate::config::RunConfig;
 use crate::driver::{makespan, start_run};
-use crate::world::{TaskRecord, World};
+use crate::world::{FaultCounters, TaskRecord, World};
 use serde::{Deserialize, Serialize};
 use simcore::{Sim, SimTime};
 use vcluster::Cluster;
 use wfcost::BilledSegment;
 use wfdag::Workflow;
+use wfobs::Phase;
 use wfstorage::{build_storage, cluster_spec_for, StorageBilling, StorageOpStats};
 
 /// Injected faults and the recovery work they caused, plus the billing
@@ -15,20 +16,8 @@ use wfstorage::{build_storage, cluster_spec_for, StorageBilling, StorageOpStats}
 /// `wfcost::PriceBook::segments_cents` for the fault-adjusted bill).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSummary {
-    /// Worker instances that crashed.
-    pub node_crashes: u64,
-    /// Spot instances revoked by the market.
-    pub spot_terminations: u64,
-    /// Storage service failures injected.
-    pub storage_failures: u64,
-    /// Executions killed mid-flight by a fault.
-    pub tasks_killed: u64,
-    /// Completed tasks resubmitted by the rescue-DAG pass.
-    pub rescue_resubmits: u64,
-    /// Files reported lost by storage failover.
-    pub files_lost: u64,
-    /// Slot-seconds of partially-executed work thrown away by kills.
-    pub wasted_task_secs: f64,
+    /// Fault and recovery counters, as the world accumulated them.
+    pub counters: FaultCounters,
     /// Billed lease intervals, one per instance incarnation. A fault-free
     /// run has exactly one full-makespan segment per node.
     pub segments: Vec<BilledSegment>,
@@ -220,14 +209,10 @@ pub fn run_workflow_with_obs(
 
     let mut total_io_secs = 0.0;
     let mut total_cpu_secs = 0.0;
-    let records: Vec<TaskRecord> = world
-        .records
-        .iter()
-        .map(|r| r.expect("every task has a record"))
-        .collect();
+    let records = std::mem::take(&mut world.records);
     for r in &records {
         total_io_secs += r.io_secs();
-        total_cpu_secs += r.cpu_secs();
+        total_cpu_secs += r.secs(Some(Phase::Compute));
     }
 
     let resources = (0..sim.resource_count())
@@ -262,15 +247,8 @@ pub fn run_workflow_with_obs(
             });
         }
     }
-    let c = world.fault_counters;
     let faults = FaultSummary {
-        node_crashes: c.node_crashes,
-        spot_terminations: c.spot_terminations,
-        storage_failures: c.storage_failures,
-        tasks_killed: c.tasks_killed,
-        rescue_resubmits: c.rescue_resubmits,
-        files_lost: c.files_lost,
-        wasted_task_secs: c.wasted_task_secs,
+        counters: world.fault_counters,
         segments,
     };
 

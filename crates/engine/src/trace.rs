@@ -3,64 +3,59 @@
 //! summaries over a completed run.
 
 use crate::run::RunStats;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::ops::{Index, IndexMut};
 use wfdag::Workflow;
 use wfobs::{AttemptFold, ObsReport, Outcome, Phase, Step};
 
 /// Slot-seconds spent in each phase of the task lifecycle, summed over
-/// all tasks — where the cluster's time actually went.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// all tasks — where the cluster's time actually went. Indexed by
+/// `Option<Phase>` like [`TaskRecord::secs`](crate::TaskRecord::secs):
+/// `None` is the dispatch overhead (DAGMan/Condor) before the first phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// DAGMan/Condor dispatch overhead.
-    pub overhead: f64,
-    /// POSIX operation storms (NFS request processing).
-    pub ops: f64,
-    /// Stage-in transfers (S3 GETs, direct-transfer pulls).
-    pub stage_in: f64,
-    /// Input reads through the storage system.
-    pub read: f64,
-    /// Pure compute.
-    pub compute: f64,
-    /// Output writes through the storage system.
-    pub write: f64,
-    /// Stage-out transfers (S3 PUTs).
-    pub stage_out: f64,
+    /// The sums in lifecycle order: dispatch overhead, then each phase.
+    pub secs: [f64; 7],
 }
 
 impl PhaseBreakdown {
-    /// Total slot-seconds.
-    pub fn total(&self) -> f64 {
-        self.overhead
-            + self.ops
-            + self.stage_in
-            + self.read
-            + self.compute
-            + self.write
-            + self.stage_out
+    /// Every index in lifecycle order: dispatch overhead, then each phase.
+    pub fn slots() -> impl Iterator<Item = Option<Phase>> {
+        std::iter::once(None).chain(Phase::ALL.map(Some))
     }
 
-    /// The I/O share (everything but compute and dispatch overhead).
-    pub fn io_fraction(&self) -> f64 {
-        let t = self.total();
-        if t <= 0.0 {
-            return 0.0;
-        }
-        (self.ops + self.stage_in + self.read + self.write + self.stage_out) / t
+    /// Total slot-seconds.
+    pub fn total(&self) -> f64 {
+        self.secs.iter().sum()
     }
 }
 
-/// Decompose a run into phase totals.
+/// Where `phase` sits in [`PhaseBreakdown::secs`].
+fn slot(phase: Option<Phase>) -> usize {
+    phase.map_or(0, |p| p as usize + 1)
+}
+
+impl Index<Option<Phase>> for PhaseBreakdown {
+    type Output = f64;
+    fn index(&self, phase: Option<Phase>) -> &f64 {
+        &self.secs[slot(phase)]
+    }
+}
+
+impl IndexMut<Option<Phase>> for PhaseBreakdown {
+    fn index_mut(&mut self, phase: Option<Phase>) -> &mut f64 {
+        &mut self.secs[slot(phase)]
+    }
+}
+
+/// Decompose a run into phase totals. The records hold each task's
+/// last execution only, so a task the rescue pass re-ran counts once.
 pub fn phase_breakdown(stats: &RunStats) -> PhaseBreakdown {
     let mut p = PhaseBreakdown::default();
     for r in &stats.records {
-        p.overhead += r.overhead_secs();
-        p.ops += r.ops_secs();
-        p.stage_in += r.stage_in_secs();
-        p.read += r.read_secs();
-        p.compute += r.cpu_secs();
-        p.write += r.write_secs();
-        p.stage_out += r.stage_out_secs();
+        for phase in PhaseBreakdown::slots() {
+            p[phase] += r.secs(phase);
+        }
     }
     p
 }
@@ -69,17 +64,16 @@ pub fn phase_breakdown(stats: &RunStats) -> PhaseBreakdown {
 pub fn render_phases(p: &PhaseBreakdown) -> String {
     let mut s = String::new();
     let total = p.total().max(1e-12);
-    let rows = [
-        ("dispatch overhead", p.overhead),
-        ("op storms (NFS)", p.ops),
-        ("stage-in", p.stage_in),
-        ("reads", p.read),
-        ("compute", p.compute),
-        ("writes", p.write),
-        ("stage-out", p.stage_out),
-    ];
     let _ = writeln!(s, "PHASE BREAKDOWN — slot-seconds by lifecycle phase");
-    for (name, v) in rows {
+    for phase in PhaseBreakdown::slots() {
+        let name = match phase {
+            None => "dispatch overhead",
+            Some(Phase::Ops) => "op storms (NFS)",
+            Some(Phase::Read) => "reads",
+            Some(Phase::Write) => "writes",
+            Some(other) => other.label(),
+        };
+        let v = p[phase];
         let pct = v / total * 100.0;
         let bar = "#".repeat((pct / 2.5).round() as usize);
         let _ = writeln!(s, "  {name:<18} {v:>10.1}s {pct:>5.1}% |{bar}");
@@ -100,12 +94,10 @@ pub fn jobstate_log(stats: &RunStats, wf: &Workflow) -> String {
             r.start_at.as_nanos(),
             format!("{:.3} {name} SUBMIT node_{node}", r.start_at.as_secs_f64()),
         ));
+        let execute = r.start_of(Phase::Compute);
         events.push((
-            r.compute_start.as_nanos(),
-            format!(
-                "{:.3} {name} EXECUTE node_{node}",
-                r.compute_start.as_secs_f64()
-            ),
+            execute.as_nanos(),
+            format!("{:.3} {name} EXECUTE node_{node}", execute.as_secs_f64()),
         ));
         events.push((
             r.end_at.as_nanos(),
@@ -165,48 +157,20 @@ pub fn render_gantt(stats: &RunStats, workers: u32, width: usize) -> String {
     s
 }
 
-/// Render the fault/recovery counters of a run — what was injected, what
-/// it killed, and how much work was wasted and redone.
-pub fn render_fault_summary(f: &crate::run::FaultSummary) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "FAULTS — injections, kills and recovery work");
-    let _ = writeln!(s, "  node crashes       {:>8}", f.node_crashes);
-    let _ = writeln!(s, "  spot terminations  {:>8}", f.spot_terminations);
-    let _ = writeln!(s, "  storage failures   {:>8}", f.storage_failures);
-    let _ = writeln!(s, "  files lost         {:>8}", f.files_lost);
-    let _ = writeln!(s, "  tasks killed       {:>8}", f.tasks_killed);
-    let _ = writeln!(s, "  rescue resubmits   {:>8}", f.rescue_resubmits);
-    let _ = writeln!(s, "  wasted work        {:>8.1}s", f.wasted_task_secs);
-    let churned = f.segments.iter().filter(|g| g.secs > 0.0).count();
-    let _ = writeln!(s, "  billing segments   {:>8}", churned);
-    s
-}
-
 // ---------------------------------------------------------------------
 // Bus consumer: the phase breakdown rebuilt from the wfobs event stream
 // alone (no `TaskRecord` access). Running a workflow at `ObsLevel::Full`
-// yields the report it consumes; the test suite asserts the bus-derived
-// phase totals match the record-derived ones to 1e-6.
+// yields the report it consumes. `expt/tests/obs_phase_parity.rs` holds
+// it to the record-derived totals to 1e-6 wherever no finished task is
+// re-run, and shows it larger where the rescue pass re-ran one.
 // ---------------------------------------------------------------------
-
-/// The breakdown field that sums `phase` (`None` = dispatch overhead).
-fn phase_secs(p: &mut PhaseBreakdown, phase: Option<Phase>) -> &mut f64 {
-    match phase {
-        None => &mut p.overhead,
-        Some(Phase::Ops) => &mut p.ops,
-        Some(Phase::StageIn) => &mut p.stage_in,
-        Some(Phase::Read) => &mut p.read,
-        Some(Phase::Compute) => &mut p.compute,
-        Some(Phase::Write) => &mut p.write,
-        Some(Phase::StageOut) => &mut p.stage_out,
-    }
-}
 
 /// Rebuild the phase breakdown from the observability event stream.
 ///
-/// Only attempts that end `ok` count, so a retried task counts only its
-/// final attempt, matching [`phase_breakdown`]'s record-based semantics;
-/// killed, failed and unfinished attempts are discarded.
+/// Every execution that ends `ok` counts; killed, failed and unfinished
+/// ones are discarded. This matches [`phase_breakdown`] unless the rescue
+/// pass re-ran a task that had already finished: the bus then counts both
+/// `ok` executions, while the records keep only the last one.
 pub fn phase_breakdown_from_bus(report: &ObsReport) -> PhaseBreakdown {
     let mut fold = AttemptFold::default();
     // Per-attempt sums by task id, added to the totals at an `ok` close.
@@ -227,20 +191,15 @@ pub fn phase_breakdown_from_bus(report: &ObsReport) -> PhaseBreakdown {
                 start,
                 end,
                 ..
-            } => *phase_secs(&mut acc[att.task as usize], phase) += (end - start) as f64 / 1e9,
+            } => acc[att.task as usize][phase] += (end - start) as f64 / 1e9,
             Step::Close {
                 att,
                 outcome: Outcome::Ok,
                 ..
             } => {
-                let a = acc[att.task as usize];
-                totals.overhead += a.overhead;
-                totals.ops += a.ops;
-                totals.stage_in += a.stage_in;
-                totals.read += a.read;
-                totals.compute += a.compute;
-                totals.write += a.write;
-                totals.stage_out += a.stage_out;
+                for (t, a) in totals.secs.iter_mut().zip(acc[att.task as usize].secs) {
+                    *t += a;
+                }
             }
             Step::Close { .. } => {}
         });
@@ -339,9 +298,8 @@ mod tests {
             "{} vs {slot_time}",
             p.total()
         );
-        assert!(p.compute >= 8.0 - 1e-6);
-        assert!(p.stage_in > 0.0, "S3 runs must stage in");
-        assert!((0.0..=1.0).contains(&p.io_fraction()));
+        assert!(p[Some(Phase::Compute)] >= 8.0 - 1e-6);
+        assert!(p[Some(Phase::StageIn)] > 0.0, "S3 runs must stage in");
     }
 
     #[test]

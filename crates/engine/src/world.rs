@@ -2,11 +2,12 @@
 
 use crate::config::{RunConfig, SchedulerPolicy};
 use crate::exec::Ops;
+use serde::{Deserialize, Serialize};
 use simcore::{DetRng, FlowId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use vcluster::{Cluster, NodeId};
 use wfdag::{FileClass, FileId, TaskId, Workflow};
-use wfobs::{Event, ObsHandle};
+use wfobs::{Event, ObsHandle, Phase};
 use wfstorage::op::{Note, Stage};
 use wfstorage::{FileRef, StorageSystem};
 
@@ -36,7 +37,7 @@ pub struct NodeSegment {
 }
 
 /// Counters of injected faults and recovery work, accumulated over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultCounters {
     /// Worker instances that crashed.
     pub node_crashes: u64,
@@ -58,6 +59,10 @@ pub struct FaultCounters {
 
 /// Timing record of one executed task (of its final, successful attempt;
 /// earlier failed attempts only contribute to `attempts`).
+///
+/// The slot interval `start_at..end_at` is cut into dispatch overhead
+/// (`start_at` to the first phase start) and the six [`Phase`]s, each
+/// running from its own start to the next one's (the last to `end_at`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRecord {
     /// The task this record belongs to. Carrying the id in the record
@@ -70,18 +75,8 @@ pub struct TaskRecord {
     pub ready_at: SimTime,
     /// When the slot was acquired.
     pub start_at: SimTime,
-    /// When the WMS overhead finished and the operation storm began.
-    pub ops_start: SimTime,
-    /// When stage-in began (= end of the operation storm).
-    pub stage_in_start: SimTime,
-    /// When input reads began (= end of stage-in).
-    pub reads_start: SimTime,
-    /// When the compute phase began (= end of reads).
-    pub compute_start: SimTime,
-    /// When the compute phase ended (writes follow).
-    pub compute_end: SimTime,
-    /// When output writes finished and stage-out began.
-    pub stage_out_start: SimTime,
+    /// When each phase began, indexed by `Phase as usize`.
+    pub phase_start: [SimTime; 6],
     /// When the task released its slot.
     pub end_at: SimTime,
     /// Number of executions (1 = no retries).
@@ -89,46 +84,45 @@ pub struct TaskRecord {
 }
 
 impl TaskRecord {
+    /// A record with every instant at `at` and no node.
+    pub fn new(task: TaskId, at: SimTime, attempts: u32) -> Self {
+        TaskRecord {
+            task,
+            node: NodeId(u32::MAX),
+            ready_at: at,
+            start_at: at,
+            phase_start: [at; 6],
+            end_at: at,
+            attempts,
+        }
+    }
+
+    /// When `phase` began.
+    pub fn start_of(&self, phase: Phase) -> SimTime {
+        self.phase_start[phase as usize]
+    }
+
+    /// Wall time spent in `phase`; `None` is the dispatch overhead before
+    /// the first phase.
+    pub fn secs(&self, phase: Option<Phase>) -> f64 {
+        let (from, to) = match phase {
+            None => (self.start_at, self.phase_start[0]),
+            Some(p) => {
+                let i = p as usize;
+                let to = self.phase_start.get(i + 1).copied();
+                (self.phase_start[i], to.unwrap_or(self.end_at))
+            }
+        };
+        to.since(from).as_secs_f64()
+    }
+
     /// Wall time spent in I/O phases (stage-in, reads, writes, stage-out,
-    /// plus workflow-management overhead before the compute phase).
+    /// plus workflow-management overhead before the compute phase),
+    /// summed in nanoseconds before the one conversion to seconds.
     pub fn io_secs(&self) -> f64 {
-        (self.compute_start.since(self.start_at) + self.end_at.since(self.compute_end))
-            .as_secs_f64()
-    }
-
-    /// Wall time of the compute phase.
-    pub fn cpu_secs(&self) -> f64 {
-        self.compute_end.since(self.compute_start).as_secs_f64()
-    }
-
-    /// WMS dispatch overhead (DAGMan/Condor).
-    pub fn overhead_secs(&self) -> f64 {
-        self.ops_start.since(self.start_at).as_secs_f64()
-    }
-
-    /// POSIX operation storm (only charged by NFS-like systems).
-    pub fn ops_secs(&self) -> f64 {
-        self.stage_in_start.since(self.ops_start).as_secs_f64()
-    }
-
-    /// Stage-in (S3 GETs, direct-transfer pulls).
-    pub fn stage_in_secs(&self) -> f64 {
-        self.reads_start.since(self.stage_in_start).as_secs_f64()
-    }
-
-    /// Input reads through the storage system.
-    pub fn read_secs(&self) -> f64 {
-        self.compute_start.since(self.reads_start).as_secs_f64()
-    }
-
-    /// Output writes through the storage system.
-    pub fn write_secs(&self) -> f64 {
-        self.stage_out_start.since(self.compute_end).as_secs_f64()
-    }
-
-    /// Stage-out (S3 PUTs).
-    pub fn stage_out_secs(&self) -> f64 {
-        self.end_at.since(self.stage_out_start).as_secs_f64()
+        (self.start_of(Phase::Compute).since(self.start_at)
+            + self.end_at.since(self.start_of(Phase::Write)))
+        .as_secs_f64()
     }
 }
 
@@ -149,8 +143,9 @@ pub struct World {
     pub ready: VecDeque<TaskId>,
     /// Per-worker scheduling state (indexed like `cluster.workers()`).
     pub node_sched: Vec<NodeSched>,
-    /// Per-task execution records.
-    pub records: Vec<Option<TaskRecord>>,
+    /// Per-task execution records, indexed by task id (each reset when
+    /// its task becomes ready).
+    pub records: Vec<TaskRecord>,
     /// Completed task count.
     pub done: usize,
     /// Task re-executions after injected failures.
@@ -292,7 +287,9 @@ impl World {
             pending_parents,
             ready: VecDeque::new(),
             node_sched,
-            records: vec![None; n],
+            records: (0..n)
+                .map(|i| TaskRecord::new(TaskId(i as u32), SimTime::ZERO, 0))
+                .collect(),
             done: 0,
             retries: 0,
             aborted: None,

@@ -9,12 +9,12 @@
 //! under both scheduler policies.
 
 use proptest::prelude::*;
-use simcore::{Sim, SimTime};
+use simcore::Sim;
 use std::collections::VecDeque;
-use vcluster::{Cluster, NodeId};
+use vcluster::Cluster;
 use wfdag::{FileClass, TaskId, WorkflowBuilder};
 use wfengine::driver::try_dispatch;
-use wfengine::{RunConfig, SchedulerPolicy, TaskRecord, World};
+use wfengine::{RunConfig, SchedulerPolicy, World};
 use wfobs::{Event, ObsHandle, ObsLevel};
 use wfstorage::{build_storage, cluster_spec_for, StorageKind};
 
@@ -110,22 +110,6 @@ fn build(case: &Case) -> (Sim<World>, World) {
     }
     world.rr_cursor = case.rr_cursor;
     world.ready = case.ready.iter().map(|&i| TaskId(u32::from(i))).collect();
-    for (i, r) in world.records.iter_mut().enumerate() {
-        *r = Some(TaskRecord {
-            task: TaskId(i as u32),
-            node: NodeId(u32::MAX),
-            ready_at: SimTime::ZERO,
-            start_at: SimTime::ZERO,
-            ops_start: SimTime::ZERO,
-            stage_in_start: SimTime::ZERO,
-            reads_start: SimTime::ZERO,
-            compute_start: SimTime::ZERO,
-            compute_end: SimTime::ZERO,
-            stage_out_start: SimTime::ZERO,
-            end_at: SimTime::ZERO,
-            attempts: 0,
-        });
-    }
     (sim, world)
 }
 

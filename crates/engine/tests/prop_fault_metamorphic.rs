@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use wfengine::{run_workflow, FaultPlan, NodeCrashSpec, RunConfig, RunStats};
-use wfobs::{Event, ObsLevel};
+use wfobs::{Event, ObsLevel, Phase};
 use wfstorage::StorageKind;
 
 /// Generation parameters of one task: compute seconds, output size, and
@@ -134,8 +134,8 @@ proptest! {
         let zeroed = run(&tasks, kind_ix, workers, seed, Some(FaultPlan::zero()));
         assert_bit_identical(&clean, &zeroed)?;
         prop_assert_eq!(clean.events, zeroed.events, "zero-rate plan scheduled events");
-        prop_assert_eq!(zeroed.faults.node_crashes, 0);
-        prop_assert_eq!(zeroed.faults.tasks_killed, 0);
+        prop_assert_eq!(zeroed.faults.counters.node_crashes, 0);
+        prop_assert_eq!(zeroed.faults.counters.tasks_killed, 0);
     }
 
     /// Invariant 2: a crash scheduled after the last task finishes is a
@@ -164,8 +164,8 @@ proptest! {
         // The stale crash timer still drains through the event queue —
         // exactly one extra event, with no observable effect.
         prop_assert_eq!(late.events, clean.events + 1);
-        prop_assert_eq!(late.faults.node_crashes, 0, "post-finish crash counted");
-        prop_assert_eq!(late.faults.wasted_task_secs.to_bits(), 0.0f64.to_bits());
+        prop_assert_eq!(late.faults.counters.node_crashes, 0, "post-finish crash counted");
+        prop_assert_eq!(late.faults.counters.wasted_task_secs.to_bits(), 0.0f64.to_bits());
     }
 
     /// A mid-run crash accounts for every flow exactly once: each started
@@ -280,15 +280,17 @@ fn crash_mid_read_cancels_the_read() {
     let clean = run_workflow(wf.clone(), cfg).expect("clean run");
     let rec = clean.records[0];
     assert!(
-        rec.read_secs() > 1.0,
+        rec.secs(Some(Phase::Read)) > 1.0,
         "the read takes time: {}",
-        rec.read_secs()
+        rec.secs(Some(Phase::Read))
     );
-    let mid = (rec.reads_start.as_secs_f64() + rec.compute_start.as_secs_f64()) / 2.0;
+    let mid = (rec.start_of(Phase::Read).as_secs_f64()
+        + rec.start_of(Phase::Compute).as_secs_f64())
+        / 2.0;
 
     // Workers are provisioned first, so a worker's node id is its index.
     let crashed = run_full(&wf, nfs, 2, 42, rec.node.0, mid);
-    assert_eq!(crashed.faults.tasks_killed, 1);
+    assert_eq!(crashed.faults.counters.tasks_killed, 1);
     let flows = FlowLedger::of(&crashed);
     assert!(!flows.cancelled.is_empty(), "the kill cancelled no flow");
     assert!(flows.ended.is_disjoint(&flows.cancelled));

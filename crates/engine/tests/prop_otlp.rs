@@ -180,7 +180,7 @@ proptest! {
         let trace = decode::trace(&trace_json).expect("trace decodes");
         decode::check_well_formed(&trace).expect("well-formed under faults");
 
-        if stats.faults.node_crashes > 0 {
+        if stats.faults.counters.node_crashes > 0 {
             let root = trace
                 .spans
                 .iter()

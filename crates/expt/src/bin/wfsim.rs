@@ -364,7 +364,7 @@ fn cmd_run(args: &Args) {
             let cost = CostModel::default()
                 .segments_cents(&stats.faults.segments, BillingGranularity::PerHour)
                 / 100.0;
-            let f = &stats.faults;
+            let f = &stats.faults.counters;
             let fault_count = f.node_crashes + f.spot_terminations + f.storage_failures;
             let digest = stats
                 .digest

@@ -196,7 +196,7 @@ fn study_cell(app: App, storage: StorageKind, seed: u64) -> Vec<FaultRow> {
             let stats = run_workflow(wf.clone(), cfg)
                 .unwrap_or_else(|e| panic!("{} {app}/{storage:?} failed: {e}", sc.label()));
             let cost = segment_cost_usd(&stats);
-            let f = &stats.faults;
+            let f = &stats.faults.counters;
             FaultRow {
                 app,
                 storage,

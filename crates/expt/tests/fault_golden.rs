@@ -47,8 +47,14 @@ fn crash_run() -> (RunStats, wfdag::Workflow) {
         ..FaultPlan::default()
     });
     let stats = run_workflow(wf.clone(), cfg).expect("crash run recovers");
-    assert_eq!(stats.faults.node_crashes, 1, "the scheduled crash fired");
-    assert!(stats.faults.tasks_killed > 0, "tasks were in flight");
+    assert_eq!(
+        stats.faults.counters.node_crashes, 1,
+        "the scheduled crash fired"
+    );
+    assert!(
+        stats.faults.counters.tasks_killed > 0,
+        "tasks were in flight"
+    );
     (stats, wf)
 }
 

@@ -13,7 +13,7 @@ use wfengine::{
     RunStats, SpotSpec,
 };
 use wfgen::App;
-use wfobs::ObsLevel;
+use wfobs::{ObsLevel, Phase};
 use wfstorage::StorageKind;
 
 const KINDS: [StorageKind; 5] = [
@@ -52,16 +52,10 @@ fn phase_breakdown_from_otlp(trace: &decode::Trace) -> PhaseBreakdown {
         if !ok_tasks.contains(s.parent_span_id.as_str()) {
             continue;
         }
-        let d = (s.end - s.start) as f64 / 1e9;
-        match label {
-            "overhead" => p.overhead += d,
-            "ops" => p.ops += d,
-            "stage-in" => p.stage_in += d,
-            "read" => p.read += d,
-            "compute" => p.compute += d,
-            "write" => p.write += d,
-            "stage-out" => p.stage_out += d,
-            _ => {}
+        if let Some(slot) =
+            PhaseBreakdown::slots().find(|ph| ph.map_or("overhead", Phase::label) == label)
+        {
+            p[slot] += (s.end - s.start) as f64 / 1e9;
         }
     }
     p
@@ -102,16 +96,8 @@ fn assert_phase_parity(ctx: &str, stats: &RunStats, trace: &decode::Trace) {
     let report = stats.obs.as_ref().expect("Full level records a report");
     let bus = phase_breakdown_from_bus(report);
     let otlp = phase_breakdown_from_otlp(trace);
-    for (name, a, b) in [
-        ("overhead", bus.overhead, otlp.overhead),
-        ("ops", bus.ops, otlp.ops),
-        ("stage_in", bus.stage_in, otlp.stage_in),
-        ("read", bus.read, otlp.read),
-        ("compute", bus.compute, otlp.compute),
-        ("write", bus.write, otlp.write),
-        ("stage_out", bus.stage_out, otlp.stage_out),
-    ] {
-        assert!((a - b).abs() <= 1e-6, "{ctx} {name}: bus {a} vs otlp {b}");
+    for (slot, (a, b)) in PhaseBreakdown::slots().zip(bus.secs.into_iter().zip(otlp.secs)) {
+        assert!((a - b).abs() <= 1e-6, "{ctx} {slot:?}: bus {a} vs otlp {b}");
     }
     assert!(
         (bus.total() - otlp.total()).abs() <= 1e-6,
@@ -188,7 +174,10 @@ fn otlp_cost_parity_under_node_churn() {
         .with_obs(ObsLevel::Full);
     cfg.faults = Some(plan);
     let stats = run_workflow(wf.clone(), cfg).expect("faulted run succeeds");
-    assert!(stats.faults.node_crashes > 0, "the scheduled crash fired");
+    assert!(
+        stats.faults.counters.node_crashes > 0,
+        "the scheduled crash fired"
+    );
     assert!(
         stats.faults.segments.len() > 3,
         "the crash split the victim's lease into extra segments"

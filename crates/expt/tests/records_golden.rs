@@ -42,19 +42,13 @@ fn check_golden(name: &str, got: &str) {
 /// A record's lifecycle instants in nanoseconds: ready, slot start, the
 /// start of each phase (ops, stage-in, read, compute, write, stage-out)
 /// and slot end.
-fn instants(r: &TaskRecord) -> [u64; 9] {
-    [
-        r.ready_at,
-        r.start_at,
-        r.ops_start,
-        r.stage_in_start,
-        r.reads_start,
-        r.compute_start,
-        r.compute_end,
-        r.stage_out_start,
-        r.end_at,
-    ]
-    .map(|t| t.as_nanos())
+fn instants(r: &TaskRecord) -> Vec<u64> {
+    [r.ready_at, r.start_at]
+        .into_iter()
+        .chain(r.phase_start)
+        .chain([r.end_at])
+        .map(|t| t.as_nanos())
+        .collect()
 }
 
 fn bits(s: &mut String, name: &str, v: f64) {

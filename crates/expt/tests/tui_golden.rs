@@ -61,7 +61,10 @@ fn captured_frames() -> Vec<(u64, String)> {
         Rc::clone(&frames),
     )));
     let stats = run_workflow_with_obs(wf, cfg, obs).expect("run succeeds");
-    assert!(stats.faults.node_crashes > 0, "the scheduled crash fired");
+    assert!(
+        stats.faults.counters.node_crashes > 0,
+        "the scheduled crash fired"
+    );
     let captured = frames.borrow().clone();
     assert!(captured.len() > 10, "enough frames to choose from");
     captured

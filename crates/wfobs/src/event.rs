@@ -31,6 +31,16 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Every phase in execution order; `p as usize` is `p`'s index here.
+    pub const ALL: [Phase; 6] = [
+        Phase::Ops,
+        Phase::StageIn,
+        Phase::Read,
+        Phase::Compute,
+        Phase::Write,
+        Phase::StageOut,
+    ];
+
     /// Stable label used by exporters.
     pub fn label(self) -> &'static str {
         match self {
@@ -454,5 +464,13 @@ mod tests {
             phase: Phase::Write,
         };
         assert_ne!(encoding(&a), encoding(&b));
+    }
+
+    #[test]
+    fn phase_all_is_in_index_order() {
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "{p:?}");
+        }
+        assert!(Phase::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 }
