@@ -14,7 +14,7 @@ use wfstorage::{build_storage, cluster_spec_for, StorageBilling, StorageOpStats}
 /// Injected faults and the recovery work they caused, plus the billing
 /// segments the instance churn produced (feed them to
 /// `wfcost::PriceBook::segments_cents` for the fault-adjusted bill).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSummary {
     /// Fault and recovery counters, as the world accumulated them.
     pub counters: FaultCounters,

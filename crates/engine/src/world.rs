@@ -2,7 +2,6 @@
 
 use crate::config::{RunConfig, SchedulerPolicy};
 use crate::exec::Ops;
-use serde::{Deserialize, Serialize};
 use simcore::{DetRng, FlowId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use vcluster::{Cluster, NodeId};
@@ -37,7 +36,7 @@ pub struct NodeSegment {
 }
 
 /// Counters of injected faults and recovery work, accumulated over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultCounters {
     /// Worker instances that crashed.
     pub node_crashes: u64,
@@ -57,8 +56,9 @@ pub struct FaultCounters {
     pub wasted_task_secs: f64,
 }
 
-/// Timing record of one executed task (of its final, successful attempt;
-/// earlier failed attempts only contribute to `attempts`).
+/// Timing record of one executed task, of its last execution: a retry or
+/// a rescue re-run starts a fresh record, and earlier executions only
+/// contribute to `attempts`.
 ///
 /// The slot interval `start_at..end_at` is cut into dispatch overhead
 /// (`start_at` to the first phase start) and the six [`Phase`]s, each
@@ -85,7 +85,7 @@ pub struct TaskRecord {
 
 impl TaskRecord {
     /// A record with every instant at `at` and no node.
-    pub fn new(task: TaskId, at: SimTime, attempts: u32) -> Self {
+    pub(crate) fn new(task: TaskId, at: SimTime, attempts: u32) -> Self {
         TaskRecord {
             task,
             node: NodeId(u32::MAX),
