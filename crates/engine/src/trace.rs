@@ -119,6 +119,8 @@ pub fn jobstate_log(stats: &RunStats, wf: &Workflow) -> String {
 
 /// A per-node occupancy Gantt chart: each node row shows how many slots
 /// were busy over time (digits 0–9, `*` for ≥10), over `width` buckets.
+/// A bucket's value is its busy slot-seconds over the bucket's width,
+/// rounded, so it never exceeds the node's slot count.
 pub fn render_gantt(stats: &RunStats, workers: u32, width: usize) -> String {
     let mut s = String::new();
     if width == 0 || workers == 0 {
@@ -132,23 +134,22 @@ pub fn render_gantt(stats: &RunStats, workers: u32, width: usize) -> String {
         span / width as f64
     );
     for w in 0..workers {
-        let mut busy = vec![0u32; width];
+        let mut busy = vec![0.0f64; width];
         for r in stats.records.iter().filter(|r| r.node.0 == w) {
-            let start = r.start_at.as_secs_f64();
-            let end = r.end_at.as_secs_f64();
-            // Clamp both ends into [0, width]; an empty clamped range
-            // (start beyond the makespan) simply paints nothing.
-            let a = ((start / span * width as f64) as usize).min(width);
-            let b = ((end / span * width as f64).ceil() as usize).min(width);
-            for bucket in &mut busy[a..b] {
-                *bucket += 1;
+            // The slot interval in bucket units; each bucket it touches
+            // gains its overlap. Buckets past the makespan are clamped off.
+            let a = r.start_at.as_secs_f64() / span * width as f64;
+            let b = r.end_at.as_secs_f64() / span * width as f64;
+            let touched = (b.ceil() as usize).min(width);
+            for (i, bucket) in busy.iter_mut().enumerate().take(touched).skip(a as usize) {
+                *bucket += b.min(i as f64 + 1.0) - a.max(i as f64);
             }
         }
         let row: String = busy
             .iter()
-            .map(|&n| match n {
+            .map(|&x| match x.round() as u32 {
                 0 => '.',
-                1..=9 => char::from_digit(n, 10).unwrap(),
+                n @ 1..=9 => char::from_digit(n, 10).unwrap(),
                 _ => '*',
             })
             .collect();

@@ -12,12 +12,11 @@
 //! * **A5** — PVFS small-file optimizations (§IV.D): the 2.6.3 release
 //!   the paper had to use vs a model of the ≥2.8 improvements.
 
-use crate::grid::{run_cell_with, CellResult};
-use rayon::prelude::*;
+use crate::grid::{run_configs, CellResult};
 use serde::{Deserialize, Serialize};
 use wfengine::{RunConfig, SchedulerPolicy};
 use wfgen::App;
-use wfstorage::{NfsConfig, NfsPlacement, PvfsConfig, S3Config, StorageConfigs, StorageKind};
+use wfstorage::{NfsConfig, NfsPlacement, PvfsConfig, S3Config, StorageKind};
 
 /// A baseline/variant pair for one ablated design choice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,148 +46,153 @@ pub struct Ablations {
     pub rows: Vec<AblationRow>,
 }
 
-fn pair(id: &str, description: &str, app: App, base: RunConfig, variant: RunConfig) -> AblationRow {
-    let (b, v) = rayon::join(
-        || run_cell_with(app, base).expect("baseline"),
-        || run_cell_with(app, variant).expect("variant"),
-    );
-    AblationRow {
-        id: id.to_string(),
-        description: description.to_string(),
-        baseline: b,
-        variant: v,
+/// The design choice a variant flips, relative to its stock baseline.
+#[derive(Debug, Clone, Copy)]
+enum Variant {
+    /// Zero-fill the ephemeral disks before the run.
+    InitDisks,
+    /// An S3 client without the whole-file cache.
+    NoS3Cache,
+    /// Placement by cached input bytes.
+    DataAware,
+    /// The NFS server shares a worker node.
+    NfsOnWorker,
+    /// PVFS with the ≥2.8 small-file optimizations.
+    PvfsOptimized,
+}
+
+impl Variant {
+    /// Flip this choice on a stock cell configuration, whose storage
+    /// tunables are all defaults.
+    fn apply(self, cfg: &mut RunConfig) {
+        match self {
+            Variant::InitDisks => cfg.initialize_disks = true,
+            Variant::NoS3Cache => {
+                cfg.storage_cfgs.s3 = Some(S3Config {
+                    client_cache: false,
+                    ..S3Config::default()
+                })
+            }
+            Variant::DataAware => cfg.scheduler = SchedulerPolicy::DataAware,
+            Variant::NfsOnWorker => {
+                cfg.storage_cfgs.nfs = Some(NfsConfig {
+                    placement: NfsPlacement::OnWorker,
+                    ..NfsConfig::default()
+                })
+            }
+            Variant::PvfsOptimized => cfg.storage_cfgs.pvfs = Some(PvfsConfig::optimized()),
+        }
     }
 }
 
-/// Run every ablation (A1–A5).
+/// One ablation: id, description, and the baseline cell the variant
+/// modifies.
+struct Ablation {
+    id: &'static str,
+    description: &'static str,
+    app: App,
+    storage: StorageKind,
+    workers: u32,
+    variant: Variant,
+}
+
+const ABLATIONS: [Ablation; 8] = [
+    // A1: first-write penalty, the single-node local case of Montage.
+    Ablation {
+        id: "a1.montage-local-init",
+        description: "Montage Local@1: zero-filled (initialized) ephemeral disks vs stock",
+        app: App::Montage,
+        storage: StorageKind::Local,
+        workers: 1,
+        variant: Variant::InitDisks,
+    },
+    // A1b: the same question on a GlusterFS cluster.
+    Ablation {
+        id: "a1.montage-gluster-init",
+        description: "Montage GlusterFS(NUFA)@4: initialized disks vs stock",
+        app: App::Montage,
+        storage: StorageKind::GlusterNufa,
+        workers: 4,
+        variant: Variant::InitDisks,
+    },
+    // A2: S3 client cache for the reuse-heavy application.
+    Ablation {
+        id: "a2.broadband-s3-cache",
+        description: "Broadband S3@4: whole-file client cache vs cache-less client",
+        app: App::Broadband,
+        storage: StorageKind::S3,
+        workers: 4,
+        variant: Variant::NoS3Cache,
+    },
+    // A2b: the cache matters less when there is little reuse (§V.A).
+    Ablation {
+        id: "a2.montage-s3-cache",
+        description: "Montage S3@2: client cache vs cache-less (little reuse, small effect)",
+        app: App::Montage,
+        storage: StorageKind::S3,
+        workers: 2,
+        variant: Variant::NoS3Cache,
+    },
+    // A3: data-aware scheduling (the paper's suggested improvement).
+    Ablation {
+        id: "a3.broadband-s3-dataaware",
+        description: "Broadband S3@4: locality-blind Condor matchmaking vs data-aware placement",
+        app: App::Broadband,
+        storage: StorageKind::S3,
+        workers: 4,
+        variant: Variant::DataAware,
+    },
+    Ablation {
+        id: "a3.broadband-gluster-dataaware",
+        description: "Broadband GlusterFS(NUFA)@4: locality-blind vs data-aware placement",
+        app: App::Broadband,
+        storage: StorageKind::GlusterNufa,
+        workers: 4,
+        variant: Variant::DataAware,
+    },
+    // A4: dedicated NFS server vs overloading a worker.
+    Ablation {
+        id: "a4.montage-nfs-onworker",
+        description: "Montage NFS@2: dedicated m1.xlarge server vs overloading a worker (§VI)",
+        app: App::Montage,
+        storage: StorageKind::Nfs,
+        workers: 2,
+        variant: Variant::NfsOnWorker,
+    },
+    // A5: the PVFS release the paper was stuck on.
+    Ablation {
+        id: "a5.montage-pvfs-28",
+        description: "Montage PVFS@4: 2.6.3 (no small-file optimizations) vs a ≥2.8 model",
+        app: App::Montage,
+        storage: StorageKind::Pvfs,
+        workers: 4,
+        variant: Variant::PvfsOptimized,
+    },
+];
+
+/// Run every ablation (A1–A5): the baseline and variant of each, as one
+/// flat list of cells.
 pub fn run(seed: u64) -> Ablations {
-    let jobs: Vec<Box<dyn Fn() -> AblationRow + Send + Sync>> = vec![
-        // A1: first-write penalty, the single-node local case of Montage.
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::Local, 1).with_seed(seed);
-            let mut v = base.clone();
-            v.initialize_disks = true;
-            pair(
-                "a1.montage-local-init",
-                "Montage Local@1: zero-filled (initialized) ephemeral disks vs stock",
-                App::Montage,
-                base,
-                v,
-            )
-        }),
-        // A1b: the same question on a GlusterFS cluster.
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::GlusterNufa, 4).with_seed(seed);
-            let mut v = base.clone();
-            v.initialize_disks = true;
-            pair(
-                "a1.montage-gluster-init",
-                "Montage GlusterFS(NUFA)@4: initialized disks vs stock",
-                App::Montage,
-                base,
-                v,
-            )
-        }),
-        // A2: S3 client cache for the reuse-heavy application.
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::S3, 4).with_seed(seed);
-            let mut v = base.clone();
-            v.storage_cfgs = StorageConfigs {
-                s3: Some(S3Config {
-                    client_cache: false,
-                    ..S3Config::default()
-                }),
-                ..StorageConfigs::default()
-            };
-            pair(
-                "a2.broadband-s3-cache",
-                "Broadband S3@4: whole-file client cache vs cache-less client",
-                App::Broadband,
-                base,
-                v,
-            )
-        }),
-        // A2b: the cache matters less when there is little reuse (§V.A).
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::S3, 2).with_seed(seed);
-            let mut v = base.clone();
-            v.storage_cfgs = StorageConfigs {
-                s3: Some(S3Config {
-                    client_cache: false,
-                    ..S3Config::default()
-                }),
-                ..StorageConfigs::default()
-            };
-            pair(
-                "a2.montage-s3-cache",
-                "Montage S3@2: client cache vs cache-less (little reuse, small effect)",
-                App::Montage,
-                base,
-                v,
-            )
-        }),
-        // A3: data-aware scheduling (the paper's suggested improvement).
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::S3, 4).with_seed(seed);
-            let mut v = base.clone();
-            v.scheduler = SchedulerPolicy::DataAware;
-            pair(
-                "a3.broadband-s3-dataaware",
-                "Broadband S3@4: locality-blind Condor matchmaking vs data-aware placement",
-                App::Broadband,
-                base,
-                v,
-            )
-        }),
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::GlusterNufa, 4).with_seed(seed);
-            let mut v = base.clone();
-            v.scheduler = SchedulerPolicy::DataAware;
-            pair(
-                "a3.broadband-gluster-dataaware",
-                "Broadband GlusterFS(NUFA)@4: locality-blind vs data-aware placement",
-                App::Broadband,
-                base,
-                v,
-            )
-        }),
-        // A4: dedicated NFS server vs overloading a worker.
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::Nfs, 2).with_seed(seed);
-            let mut v = base.clone();
-            v.storage_cfgs = StorageConfigs {
-                nfs: Some(NfsConfig {
-                    placement: NfsPlacement::OnWorker,
-                    ..NfsConfig::default()
-                }),
-                ..StorageConfigs::default()
-            };
-            pair(
-                "a4.montage-nfs-onworker",
-                "Montage NFS@2: dedicated m1.xlarge server vs overloading a worker (§VI)",
-                App::Montage,
-                base,
-                v,
-            )
-        }),
-        // A5: the PVFS release the paper was stuck on.
-        Box::new(move || {
-            let base = RunConfig::cell(StorageKind::Pvfs, 4).with_seed(seed);
-            let mut v = base.clone();
-            v.storage_cfgs = StorageConfigs {
-                pvfs: Some(PvfsConfig::optimized()),
-                ..StorageConfigs::default()
-            };
-            pair(
-                "a5.montage-pvfs-28",
-                "Montage PVFS@4: 2.6.3 (no small-file optimizations) vs a ≥2.8 model",
-                App::Montage,
-                base,
-                v,
-            )
-        }),
-    ];
-    let rows: Vec<AblationRow> = jobs.par_iter().map(|j| j()).collect();
+    let configs: Vec<(App, RunConfig)> = ABLATIONS
+        .iter()
+        .flat_map(|a| {
+            let base = RunConfig::cell(a.storage, a.workers).with_seed(seed);
+            let mut variant = base.clone();
+            a.variant.apply(&mut variant);
+            [(a.app, base), (a.app, variant)]
+        })
+        .collect();
+    let results = run_configs(&configs);
+    let rows = ABLATIONS
+        .iter()
+        .zip(results.chunks_exact(2))
+        .map(|(a, pair)| AblationRow {
+            id: a.id.to_string(),
+            description: a.description.to_string(),
+            baseline: pair[0].clone(),
+            variant: pair[1].clone(),
+        })
+        .collect();
     Ablations { rows }
 }
 

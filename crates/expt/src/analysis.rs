@@ -90,29 +90,31 @@ pub struct RobustnessRow {
 }
 
 /// Run `app` at `workers` nodes across `seeds` for every deployable
-/// storage option and report the spread. The qualitative conclusions of
-/// §V must not hinge on one lucky seed.
+/// storage option and report the spread (no rows for no seeds). The
+/// qualitative conclusions of §V must not hinge on one lucky seed.
 pub fn seed_robustness(app: App, workers: u32, seeds: &[u64]) -> Vec<RobustnessRow> {
-    StorageKind::EVALUATED
+    let jobs: Vec<(StorageKind, u64)> = StorageKind::EVALUATED
         .into_iter()
         .filter(|s| crate::grid::Cell::new(app, *s, workers).is_valid())
-        .map(|storage| {
-            let times: Vec<f64> = seeds
-                .par_iter()
-                .map(|&seed| {
-                    let cfg = RunConfig::cell(storage, workers).with_seed(seed);
-                    run_workflow(app.paper_workflow(), cfg)
-                        .expect("cell runs")
-                        .makespan_secs
-                })
-                .collect();
-            let mean = times.iter().sum::<f64>() / times.len() as f64;
-            RobustnessRow {
-                storage,
-                min_secs: times.iter().copied().fold(f64::INFINITY, f64::min),
-                mean_secs: mean,
-                max_secs: times.iter().copied().fold(0.0, f64::max),
-            }
+        .flat_map(|storage| seeds.iter().map(move |&seed| (storage, seed)))
+        .collect();
+    let times: Vec<f64> = jobs
+        .par_iter()
+        .map(|&(storage, seed)| {
+            let cfg = RunConfig::cell(storage, workers).with_seed(seed);
+            run_workflow(app.paper_workflow(), cfg)
+                .expect("cell runs")
+                .makespan_secs
+        })
+        .collect();
+    let per_storage = seeds.len().max(1);
+    jobs.chunks(per_storage)
+        .zip(times.chunks(per_storage))
+        .map(|(jobs, times)| RobustnessRow {
+            storage: jobs[0].0,
+            min_secs: times.iter().copied().fold(f64::INFINITY, f64::min),
+            mean_secs: times.iter().sum::<f64>() / times.len() as f64,
+            max_secs: times.iter().copied().fold(0.0, f64::max),
         })
         .collect()
 }

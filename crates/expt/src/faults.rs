@@ -10,7 +10,8 @@
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use wfcost::{BillingGranularity, CostModel};
+use wfcost::{BilledSegment, BillingGranularity, CostModel};
+use wfdag::Workflow;
 use wfengine::{
     run_workflow, FaultPlan, NodeCrashSpec, RunConfig, RunStats, SpotSpec, StorageFailureSpec,
 };
@@ -180,33 +181,66 @@ fn segment_cost_usd(stats: &RunStats) -> f64 {
     CostModel::default().segments_cents(&stats.faults.segments, BillingGranularity::PerHour) / 100.0
 }
 
-/// Run all scenarios for one (app, storage) cell.
-fn study_cell(app: App, storage: StorageKind, seed: u64) -> Vec<FaultRow> {
-    let wf = app.paper_workflow();
-    let base = RunConfig::cell(storage, F2_WORKERS).with_seed(seed);
-    let clean = run_workflow(wf.clone(), base.clone())
-        .unwrap_or_else(|e| panic!("clean {app}/{storage:?} failed: {e}"));
-    let clean_cost = segment_cost_usd(&clean);
+/// What a unit's scenario rows need from its clean run. `unit` is the
+/// app's index in `apps` and the storage option.
+struct CleanRun {
+    unit: (usize, StorageKind),
+    makespan_secs: f64,
+    cost_usd: f64,
+    events: u64,
+    segments: Vec<BilledSegment>,
+}
 
-    FaultScenario::ALL
+/// Run the F2 study over `apps` × [`F2_STORAGES`]. Every (app, storage)
+/// unit's clean run is one job list; every (unit, scenario) run, whose
+/// plan needs the clean makespan, is a second. Each job reduces its run
+/// to a compact row before the next starts. Rows come out unit by unit,
+/// each unit's in [`FaultScenario::ALL`] order.
+pub fn run_f2(apps: &[App], seed: u64) -> FaultStudy {
+    let wfs: Vec<Workflow> = apps.iter().map(|a| a.paper_workflow()).collect();
+    let units: Vec<(usize, StorageKind)> = (0..apps.len())
+        .flat_map(|a| F2_STORAGES.map(|s| (a, s)))
+        .collect();
+    let run = |(a, storage): (usize, StorageKind), faults: Option<FaultPlan>, what: &str| {
+        let mut cfg = RunConfig::cell(storage, F2_WORKERS).with_seed(seed);
+        cfg.faults = faults;
+        run_workflow(wfs[a].clone(), cfg)
+            .unwrap_or_else(|e| panic!("{what} {}/{storage:?} failed: {e}", apps[a]))
+    };
+    let cleans: Vec<CleanRun> = units
+        .par_iter()
+        .map(|&unit| {
+            let stats = run(unit, None, "clean");
+            CleanRun {
+                unit,
+                makespan_secs: stats.makespan_secs,
+                cost_usd: segment_cost_usd(&stats),
+                events: stats.events,
+                segments: stats.faults.segments,
+            }
+        })
+        .collect();
+    let jobs: Vec<(&CleanRun, FaultScenario)> = cleans
         .iter()
-        .map(|&sc| {
-            let mut cfg = base.clone();
-            cfg.faults = Some(sc.plan(clean.makespan_secs));
-            let stats = run_workflow(wf.clone(), cfg)
-                .unwrap_or_else(|e| panic!("{} {app}/{storage:?} failed: {e}", sc.label()));
+        .flat_map(|c| FaultScenario::ALL.map(|sc| (c, sc)))
+        .collect();
+    let rows = jobs
+        .par_iter()
+        .map(|&(clean, scenario)| {
+            let plan = scenario.plan(clean.makespan_secs);
+            let stats = run(clean.unit, Some(plan), scenario.label());
             let cost = segment_cost_usd(&stats);
             let f = &stats.faults.counters;
             FaultRow {
-                app,
-                storage,
-                scenario: sc,
+                app: apps[clean.unit.0],
+                storage: clean.unit.1,
+                scenario,
                 makespan_secs: stats.makespan_secs,
                 clean_makespan_secs: clean.makespan_secs,
                 inflation: stats.makespan_secs / clean.makespan_secs,
                 cost_usd: cost,
-                clean_cost_usd: clean_cost,
-                cost_inflation: cost / clean_cost,
+                clean_cost_usd: clean.cost_usd,
+                cost_inflation: cost / clean.cost_usd,
                 node_crashes: f.node_crashes,
                 spot_terminations: f.spot_terminations,
                 storage_failures: f.storage_failures,
@@ -217,23 +251,10 @@ fn study_cell(app: App, storage: StorageKind, seed: u64) -> Vec<FaultRow> {
                 bit_identical_to_clean: stats.makespan_secs.to_bits()
                     == clean.makespan_secs.to_bits()
                     && stats.events == clean.events
-                    && stats.faults.segments == clean.faults.segments,
+                    && stats.faults.segments == clean.segments,
             }
         })
-        .collect()
-}
-
-/// Run the F2 study over `apps` × [`F2_STORAGES`].
-pub fn run_f2(apps: &[App], seed: u64) -> FaultStudy {
-    let cells: Vec<(App, StorageKind)> = apps
-        .iter()
-        .flat_map(|&a| F2_STORAGES.iter().map(move |&s| (a, s)))
         .collect();
-    let per_cell: Vec<Vec<FaultRow>> = cells
-        .par_iter()
-        .map(|&(a, s)| study_cell(a, s, seed))
-        .collect();
-    let rows = per_cell.into_iter().flatten().collect();
     FaultStudy {
         seed,
         workers: F2_WORKERS,

@@ -1,10 +1,8 @@
 //! Experiments E1–E8: regenerating every table and figure of the paper.
 
-use crate::grid::{figure_cells, run_cell, run_cell_with, run_cells, Cell, CellResult};
-use rayon::prelude::*;
+use crate::grid::{figure_cells, run_cells, Cell, CellResult};
 use serde::{Deserialize, Serialize};
 use vcluster::InstanceType;
-use wfengine::RunConfig;
 use wfgen::profiler::{classify, profile, ResourceUsage};
 use wfgen::App;
 use wfstorage::StorageKind;
@@ -41,10 +39,7 @@ pub struct RuntimeFigure {
 impl RuntimeFigure {
     /// Makespan of a specific (storage, workers) cell, if present.
     pub fn makespan(&self, storage: StorageKind, workers: u32) -> Option<f64> {
-        self.cells
-            .iter()
-            .find(|c| c.cell.storage == storage && c.cell.workers == workers)
-            .map(|c| c.makespan_secs)
+        self.cell(storage, workers).map(|c| c.makespan_secs)
     }
 
     /// The cell record for (storage, workers).
@@ -55,19 +50,24 @@ impl RuntimeFigure {
     }
 }
 
-/// Run Figure 2 (Montage), 3 (Epigenome) or 4 (Broadband).
+/// Run Figure 2 (Montage), 3 (Epigenome) or 4 (Broadband). Broadband's
+/// m2.4xlarge NFS cell runs in the same job list as the figure's cells.
 pub fn runtime_figure(app: App, seed: u64) -> RuntimeFigure {
-    let mut results = run_cells(&figure_cells(app), seed);
+    let mut cells = figure_cells(app);
+    if app == App::Broadband {
+        cells.push(Cell {
+            server_type: Some(InstanceType::M24Xlarge),
+            ..Cell::new(app, StorageKind::Nfs, 4)
+        });
+    }
+    let (m24, mut results): (Vec<_>, Vec<_>) = run_cells(&cells, seed)
+        .into_iter()
+        .partition(|r| r.cell.server_type.is_some());
     results.sort_by_key(|r| (format!("{:?}", r.cell.storage), r.cell.workers));
-    let nfs_m24 = (app == App::Broadband).then(|| {
-        let mut cfg = RunConfig::cell(StorageKind::Nfs, 4).with_seed(seed);
-        cfg.server_type = Some(InstanceType::M24Xlarge);
-        run_cell_with(app, cfg).expect("m2.4xlarge NFS cell")
-    });
     RuntimeFigure {
         app,
         cells: results,
-        nfs_m24,
+        nfs_m24: m24.into_iter().next(),
     }
 }
 
@@ -111,13 +111,14 @@ pub struct XtreemFsNote {
 
 /// Run the XtreemFS comparison at 2 workers.
 pub fn xtreemfs_note(seed: u64) -> XtreemFsNote {
-    let rows = [App::Montage, App::Broadband]
-        .par_iter()
-        .map(|&app| {
-            let x = run_cell(Cell::new(app, StorageKind::XtreemFs, 2), seed).expect("xtreemfs");
-            let g = run_cell(Cell::new(app, StorageKind::GlusterNufa, 2), seed).expect("gluster");
-            (app, x.makespan_secs, g.makespan_secs)
-        })
+    let apps = [App::Montage, App::Broadband];
+    let cells = apps
+        .map(|app| [StorageKind::XtreemFs, StorageKind::GlusterNufa].map(|s| Cell::new(app, s, 2)));
+    let results = run_cells(cells.as_flattened(), seed);
+    let rows = apps
+        .iter()
+        .zip(results.chunks_exact(2))
+        .map(|(&app, pair)| (app, pair[0].makespan_secs, pair[1].makespan_secs))
         .collect();
     XtreemFsNote { rows }
 }

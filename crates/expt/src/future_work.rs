@@ -3,8 +3,7 @@
 //! another", evaluated against the best of the five published systems.
 
 use crate::figures::RuntimeFigure;
-use crate::grid::{run_cell_with, CellResult};
-use rayon::prelude::*;
+use crate::grid::{run_configs, CellResult};
 use serde::{Deserialize, Serialize};
 use wfengine::{RunConfig, SchedulerPolicy};
 use wfgen::App;
@@ -37,7 +36,10 @@ pub struct FutureWork {
 
 /// Run F1 against already-regenerated runtime figures.
 pub fn run(figs: &[RuntimeFigure], seed: u64) -> FutureWork {
+    // Each (app, size) runs direct transfer with the paper's scheduler
+    // and with the data-aware one: two cells per row, one flat list.
     let mut jobs = Vec::new();
+    let mut configs = Vec::new();
     for fig in figs {
         for n in [2u32, 4, 8] {
             let (best_published, best_published_secs) = StorageKind::EVALUATED
@@ -46,27 +48,26 @@ pub fn run(figs: &[RuntimeFigure], seed: u64) -> FutureWork {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("published cells exist");
             jobs.push((fig.app, n, best_published, best_published_secs));
-        }
-    }
-    let rows = jobs
-        .par_iter()
-        .map(|&(app, workers, best_published, best_published_secs)| {
-            let blind = RunConfig::cell(StorageKind::DirectTransfer, workers).with_seed(seed);
+            let blind = RunConfig::cell(StorageKind::DirectTransfer, n).with_seed(seed);
             let mut aware = blind.clone();
             aware.scheduler = SchedulerPolicy::DataAware;
-            let (direct, direct_aware) = rayon::join(
-                || run_cell_with(app, blind).expect("direct cell"),
-                || run_cell_with(app, aware).expect("direct-aware cell"),
-            );
-            FutureWorkRow {
+            configs.extend([(fig.app, blind), (fig.app, aware)]);
+        }
+    }
+    let results = run_configs(&configs);
+    let rows = jobs
+        .into_iter()
+        .zip(results.chunks_exact(2))
+        .map(
+            |((app, workers, best_published, best_published_secs), pair)| FutureWorkRow {
                 app,
                 workers,
-                direct,
-                direct_aware,
+                direct: pair[0].clone(),
+                direct_aware: pair[1].clone(),
                 best_published_secs,
                 best_published,
-            }
-        })
+            },
+        )
         .collect();
     FutureWork { rows }
 }

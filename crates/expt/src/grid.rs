@@ -145,6 +145,17 @@ pub fn run_cells(cells: &[Cell], seed: u64) -> Vec<CellResult> {
         .collect()
 }
 
+/// [`run_cells`] for explicit run configurations (ablated or
+/// non-standard variants of a cell).
+pub fn run_configs(jobs: &[(App, RunConfig)]) -> Vec<CellResult> {
+    jobs.par_iter()
+        .map(|(app, cfg)| {
+            run_cell_with(*app, cfg.clone())
+                .unwrap_or_else(|e| panic!("{app} {:?}@{} failed: {e}", cfg.storage, cfg.workers))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -87,6 +87,27 @@ fn montage_records_match_golden() {
     check_golden("montage_records.txt", &render(&stats, &wf));
 }
 
+/// Every Gantt bucket of the pinned Montage run shows at most as many
+/// busy slots as a c1.xlarge worker has, at the fixture's width and at a
+/// finer one.
+#[test]
+fn gantt_never_exceeds_the_node_slots() {
+    let slots = vcluster::InstanceType::C1Xlarge.cores();
+    let cfg = RunConfig::cell(StorageKind::GlusterNufa, WORKERS).with_seed(42);
+    let stats = run_workflow(App::Montage.tiny_workflow(), cfg).expect("montage run succeeds");
+    for width in [60, 600] {
+        let gantt = trace::render_gantt(&stats, WORKERS, width);
+        for line in gantt.lines().skip(1) {
+            let row = line.split('|').nth(1).expect("a node row");
+            assert!(
+                row.chars()
+                    .all(|c| c == '.' || c.to_digit(10).is_some_and(|d| d <= slots)),
+                "more than {slots} busy slots at width {width}: {line}"
+            );
+        }
+    }
+}
+
 #[test]
 fn crash_records_match_golden() {
     let kind = StorageKind::Pvfs;

@@ -28,6 +28,10 @@
 #                      (a non-zero exit means an answer left
 #                      perfbench/pins.txt: makespan bits, events, digest,
 #                      or an F2 sweep row)
+# One-worker pins:     the f2-sweep-bb-epi pin check again under
+#                      `taskset -c 0`, where available_parallelism() is 1
+#                      and every job runs on one thread: answers must not
+#                      change with the thread count
 # Checked release:     the storage goldens, the fault goldens, the fault
 #                      metamorphic suite, the dispatch-window model check
 #                      and two paper-scale `wfsim run`s (Montage on NFS
@@ -132,6 +136,22 @@ for workload in montage-pvfs-8 montage-nfs-4 f2-sweep-bb-epi montage-gluster-nuf
         exit 1
     fi
 done
+
+echo "== thread-count determinism: the F2 pins on one worker =="
+# Pinned to one CPU, available_parallelism() is 1, so the rayon shim maps
+# every job on one thread. perfbench's header names its thread count;
+# check that it really ran on 1 and still matched the pinned rows.
+if ! out="$(taskset -c 0 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload f2-sweep-bb-epi --seed 42 --seconds 0 --trace 0 2>&1)"; then
+    grep -v '^pin ' <<<"$out" >&2
+    echo "error: perfbench --workload f2-sweep-bb-epi --seed 42 failed on one worker" >&2
+    exit 1
+fi
+if ! grep -q '^workload f2-sweep-bb-epi .* threads 1$' <<<"$out"; then
+    grep -v '^pin ' <<<"$out" >&2
+    echo "error: under taskset -c 0 the F2 sweep did not run on exactly 1 thread" >&2
+    exit 1
+fi
 
 echo "== debug assertions at release speed =="
 # The storage goldens again, then paper-scale Montage runs on NFS and on

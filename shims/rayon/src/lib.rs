@@ -1,35 +1,17 @@
 //! Offline stand-in for `rayon`, backed by `std::thread::scope`.
 //!
-//! The workspace uses exactly two shapes, both implemented here with real
-//! parallelism:
+//! The workspace uses one shape, `items.par_iter().map(f).collect::<Vec<_>>()`,
+//! over a flat list of independent jobs. There is no `join` and no nested
+//! pool: callers build the whole job list first and map it once.
 //!
-//! - `items.par_iter().map(f).collect::<Vec<_>>()` — chunked fork/join over
-//!   a slice, preserving input order;
-//! - `rayon::join(a, b)` — two closures run concurrently.
-//!
-//! There is no work-stealing pool: each `collect` spawns scoped threads
-//! (bounded by available parallelism), which is plenty for the experiment
-//! grid's coarse cells.
+//! Each `collect` spawns up to `available_parallelism()` scoped workers.
+//! They take jobs from a shared atomic index, one at a time, so a worker
+//! that drew a cheap job moves straight on to the next one, much as real
+//! rayon's work-stealing does. Results come back in input order whatever
+//! order the jobs finished in. A panicking job panics the caller with the
+//! job's own payload.
 
-/// Run two closures concurrently, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        (handle.join().expect("rayon::join closure panicked"), rb)
-    })
-}
-
-fn worker_count(items: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    hw.min(items).max(1)
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Order-preserving parallel map over a slice.
 fn par_map_slice<'a, T, O, F>(items: &'a [T], f: F) -> Vec<O>
@@ -38,26 +20,34 @@ where
     O: Send,
     F: Fn(&'a T) -> O + Sync,
 {
-    let workers = worker_count(items.len());
-    if workers <= 1 || items.len() <= 1 {
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = hw.min(items.len());
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let mut out: Vec<Option<O>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let f = &f;
-        for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
+    // The index hands out positions and publishes no data: the items are
+    // shared read-only and each result comes back through `join`, so
+    // `Relaxed` is enough.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, O)> = std::thread::scope(|scope| {
+        let worker = || {
+            let mut mine = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return mine;
+                };
+                mine.push((i, f(item)));
+            }
+        };
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    out.into_iter()
-        .map(|slot| slot.expect("parallel map worker panicked"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, o)| o).collect()
 }
 
 /// Borrowing parallel iterator over a slice (`.par_iter()`).
@@ -99,7 +89,8 @@ pub mod prelude {
     //! One-stop imports, mirroring `rayon::prelude`.
     use super::ParIter;
 
-    /// `par_iter()` entry point for slice-backed collections.
+    /// `par_iter()` entry point for slices; method-call autoderef
+    /// extends it to `Vec`s and arrays.
     pub trait IntoParallelRefIterator<T> {
         /// A parallel iterator borrowing this collection's elements.
         fn par_iter(&self) -> ParIter<'_, T>;
@@ -110,36 +101,74 @@ pub mod prelude {
             ParIter(self)
         }
     }
-
-    impl<T: Sync> IntoParallelRefIterator<T> for Vec<T> {
-        fn par_iter(&self) -> ParIter<'_, T> {
-            ParIter(self.as_slice())
-        }
-    }
-
-    impl<T: Sync, const N: usize> IntoParallelRefIterator<T> for [T; N] {
-        fn par_iter(&self) -> ParIter<'_, T> {
-            ParIter(self.as_slice())
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::hint::black_box;
 
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
+    /// A job whose cost is CPU work, not a sleep, so it really holds a
+    /// worker while the others run.
+    fn spin(rounds: u64) -> u64 {
+        (0..rounds).fold(0u64, |acc, i| {
+            black_box(acc.wrapping_mul(31).wrapping_add(i))
+        })
+    }
+
+    fn doubled(n: u64) -> Vec<u64> {
+        let xs: Vec<u64> = (0..n).collect();
+        xs.par_iter().map(|x| x * 2).collect()
     }
 
     #[test]
     fn par_map_preserves_order() {
-        let xs: Vec<u64> = (0..1000).collect();
-        let doubled: Vec<u64> = xs.par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(doubled(1000), (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_and_one_item() {
+        assert!(doubled(0).is_empty());
+        assert_eq!(doubled(1), vec![0]);
+    }
+
+    #[test]
+    fn fewer_items_than_workers() {
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let n = hw.saturating_sub(1).max(1);
+        assert_eq!(doubled(n), (0..n).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn order_holds_when_the_first_job_is_heavy() {
+        let xs: Vec<u64> = (0..64).collect();
+        let out: Vec<(u64, u64)> = xs
+            .par_iter()
+            .map(|&x| {
+                let work = if x == 0 {
+                    spin(20_000_000)
+                } else {
+                    spin(1_000)
+                };
+                (x, work)
+            })
+            .collect();
+        let ids: Vec<u64> = out.iter().map(|&(x, _)| x).collect();
+        assert_eq!(ids, xs);
+        assert_eq!(out[0].1, spin(20_000_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "job 7 failed")]
+    fn a_panicking_job_panics_the_caller() {
+        let xs: Vec<u32> = (0..16).collect();
+        let _: Vec<u32> = xs
+            .par_iter()
+            .map(|&x| {
+                assert!(x != 7, "job {x} failed");
+                x
+            })
+            .collect();
     }
 
     #[test]

@@ -131,12 +131,14 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -301,12 +303,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8 in string".into()))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain text up to the next quote or
+                    // escape. Both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -383,6 +386,16 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("tru").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn strings_mix_plain_runs_escapes_and_multibyte_chars() {
+        let s = "é \"ü\" \\ €𝄞 / end";
+        let back: String = from_str(&to_string(&String::from(s)).unwrap()).unwrap();
+        assert_eq!(back, s);
+        let back: String = from_str("\"a\\u00e9b\\n\"").unwrap();
+        assert_eq!(back, "aéb\n");
+        assert!(from_str::<String>("\"unterminated €").is_err());
     }
 
     #[test]
