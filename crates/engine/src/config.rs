@@ -1,8 +1,8 @@
 //! Run configuration: one cell of the paper's experiment grid.
 
 use simcore::SimDuration;
-use vcluster::InstanceType;
-use wfstorage::{StorageConfigs, StorageKind};
+use vcluster::{ClusterSpec, InstanceType};
+use wfstorage::{cluster_spec_with, StorageConfigs, StorageKind};
 
 /// How the matchmaker picks a node for a ready job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,6 +225,19 @@ impl RunConfig {
     pub fn with_obs(mut self, obs: wfobs::ObsLevel) -> Self {
         self.obs = obs;
         self
+    }
+
+    /// The cluster this configuration provisions: the workers, any
+    /// dedicated storage server, and zero-filled disks under ablation A1.
+    pub fn cluster_spec(&self) -> ClusterSpec {
+        let mut spec = cluster_spec_with(
+            self.storage,
+            self.workers,
+            self.server_type,
+            &self.storage_cfgs,
+        );
+        spec.initialize_disks = self.initialize_disks;
+        spec
     }
 }
 

@@ -9,7 +9,7 @@ use vcluster::Cluster;
 use wfcost::BilledSegment;
 use wfdag::Workflow;
 use wfobs::Phase;
-use wfstorage::{build_storage, cluster_spec_for, StorageBilling, StorageOpStats};
+use wfstorage::{build_storage, StorageBilling, StorageKind, StorageOpStats};
 
 /// Injected faults and the recovery work they caused, plus the billing
 /// segments the instance churn produced (feed them to
@@ -88,6 +88,14 @@ impl RunStats {
 /// Errors a run can surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
+    /// The storage kind cannot be deployed on this many workers
+    /// ([`StorageKind::admits`]); nothing was provisioned.
+    Undeployable {
+        /// The storage kind asked for.
+        storage: StorageKind,
+        /// The worker count asked for.
+        workers: u32,
+    },
     /// A task needs more memory than any worker has — it can never be
     /// scheduled.
     TaskTooLarge {
@@ -116,6 +124,11 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RunError::Undeployable { storage, workers } => write!(
+                f,
+                "storage {} cannot run on {workers} worker(s)",
+                storage.label()
+            ),
             RunError::TaskTooLarge { task } => {
                 write!(f, "task {task} needs more memory than any worker provides")
             }
@@ -156,14 +169,15 @@ pub fn run_workflow_with_obs(
     cfg: RunConfig,
     obs: wfobs::ObsHandle,
 ) -> Result<RunStats, RunError> {
+    if !cfg.storage.admits(cfg.workers) {
+        return Err(RunError::Undeployable {
+            storage: cfg.storage,
+            workers: cfg.workers,
+        });
+    }
     let mut sim: Sim<World> = Sim::new();
     sim.set_obs(obs);
-    let spec = {
-        let mut s = cluster_spec_for(cfg.storage, cfg.workers, cfg.server_type);
-        s.initialize_disks = cfg.initialize_disks;
-        s
-    };
-    let cluster = Cluster::provision(&mut sim, &spec);
+    let cluster = Cluster::provision(&mut sim, &cfg.cluster_spec());
 
     // Feasibility: every task must fit in some worker's usable memory.
     let usable = (cluster.node(cluster.workers()[0]).memory_bytes() as f64 * 0.9) as u64;

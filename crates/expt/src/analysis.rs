@@ -95,14 +95,15 @@ pub struct RobustnessRow {
 pub fn seed_robustness(app: App, workers: u32, seeds: &[u64]) -> Vec<RobustnessRow> {
     let jobs: Vec<(StorageKind, u64)> = StorageKind::EVALUATED
         .into_iter()
-        .filter(|s| crate::grid::Cell::new(app, *s, workers).is_valid())
+        .filter(|s| s.admits(workers))
         .flat_map(|storage| seeds.iter().map(move |&seed| (storage, seed)))
         .collect();
+    let wf = app.paper_workflow();
     let times: Vec<f64> = jobs
         .par_iter()
         .map(|&(storage, seed)| {
             let cfg = RunConfig::cell(storage, workers).with_seed(seed);
-            run_workflow(app.paper_workflow(), cfg)
+            run_workflow(wf.clone(), cfg)
                 .expect("cell runs")
                 .makespan_secs
         })
@@ -188,11 +189,11 @@ pub fn clustering_study(seed: u64) -> Vec<ClusteringRow> {
             }
         }
     }
+    let montage = wfgen::montage(wfgen::MontageConfig::paper());
     combos
         .par_iter()
         .map(|&(storage, overhead, k)| {
-            let wf = wfgen::montage(wfgen::MontageConfig::paper());
-            let wf = cluster_horizontal(&wf, k);
+            let wf = cluster_horizontal(&montage, k);
             let jobs = wf.task_count();
             let mut cfg = RunConfig::cell(storage, 4).with_seed(seed);
             cfg.job_overhead = simcore::SimDuration::from_secs_f64(overhead);

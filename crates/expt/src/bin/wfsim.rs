@@ -25,7 +25,7 @@ use wfengine::{
     FaultPlan, RunConfig, SchedulerPolicy,
 };
 use wfgen::{classify, profile, App};
-use wfstorage::{cluster_spec_for, StorageKind};
+use wfstorage::StorageKind;
 
 fn parse_storage(s: &str) -> StorageKind {
     match s {
@@ -59,10 +59,9 @@ fn die(msg: &str) -> ! {
 }
 
 /// Exit with status 2 unless `storage` can be deployed on `workers`
-/// nodes, before the cluster or the storage backend is built (both
-/// panic on an infeasible size). The rule ignores the application.
+/// nodes, before anything is generated or run.
 fn require_deployable(storage: StorageKind, workers: u32) {
-    if !expt::Cell::new(App::Montage, storage, workers).is_valid() {
+    if !storage.admits(workers) {
         die(&format!(
             "storage {} cannot run on {workers} worker(s)",
             storage.label()
@@ -235,7 +234,7 @@ fn build_config(args: &Args) -> RunConfig {
 /// cluster the engine will provision: workers `w0..wn-1` first, then the
 /// storage server (`srv`) when the backend uses one.
 fn tui_config(wf: &Workflow, cfg: &RunConfig, backend: &str) -> wfobs::TuiConfig {
-    let spec = cluster_spec_for(cfg.storage, cfg.workers, cfg.server_type);
+    let spec = cfg.cluster_spec();
     let rate = |t: vcluster::InstanceType| wfobs::NodeRate {
         cents_per_hour: t.price_cents_per_hour(),
         spot_cents_per_hour: t.spot_price_cents_per_hour(),
@@ -393,7 +392,7 @@ fn cmd_sweep(args: &Args) {
         println!("{:<24} {:>6} {:>10}", "storage", "nodes", "makespan");
         for storage in StorageKind::EVALUATED {
             for n in [1u32, 2, 4, 8] {
-                if !expt::Cell::new(app, storage, n).is_valid() {
+                if !storage.admits(n) {
                     continue;
                 }
                 let stats = run_workflow(

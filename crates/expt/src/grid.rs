@@ -5,6 +5,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vcluster::InstanceType;
 use wfcost::{BillingGranularity, CostModel, UsageReport};
+use wfdag::Workflow;
 use wfengine::{run_workflow, RunConfig, RunError, RunStats};
 use wfgen::App;
 use wfstorage::StorageKind;
@@ -33,16 +34,16 @@ impl Cell {
         }
     }
 
-    /// Is this combination deployable (§V: GlusterFS/PVFS need ≥2 nodes,
-    /// Local only runs on 1)?
+    /// The standard run configuration of this cell at `seed`.
+    fn config(&self, seed: u64) -> RunConfig {
+        let mut cfg = RunConfig::cell(self.storage, self.workers).with_seed(seed);
+        cfg.server_type = self.server_type;
+        cfg
+    }
+
+    /// Is this combination deployable ([`StorageKind::admits`])?
     pub fn is_valid(&self) -> bool {
-        match self.storage {
-            StorageKind::Local => self.workers == 1,
-            StorageKind::GlusterNufa | StorageKind::GlusterDistribute | StorageKind::Pvfs => {
-                self.workers >= 2
-            }
-            _ => self.workers >= 1,
-        }
+        self.storage.admits(self.workers)
     }
 }
 
@@ -70,29 +71,41 @@ pub struct CellResult {
 /// Run one cell with an explicit run configuration (ablations override
 /// fields before calling).
 pub fn run_cell_with(app: App, cfg: RunConfig) -> Result<CellResult, RunError> {
-    let wf = app.paper_workflow();
+    run_on(app, app.paper_workflow(), cfg)
+}
+
+/// Run `wf`, `app`'s paper workflow, under `cfg`.
+fn run_on(app: App, wf: Workflow, cfg: RunConfig) -> Result<CellResult, RunError> {
     let cell = Cell {
         app,
         storage: cfg.storage,
         workers: cfg.workers,
         server_type: cfg.server_type,
     };
-    let stats = run_workflow(wf, cfg.clone())?;
-    Ok(summarize(cell, &cfg, &stats))
+    let stats = run_workflow(wf, cfg)?;
+    Ok(summarize(cell, &stats))
 }
 
 /// Run one standard cell.
 pub fn run_cell(cell: Cell, seed: u64) -> Result<CellResult, RunError> {
-    let mut cfg = RunConfig::cell(cell.storage, cell.workers).with_seed(seed);
-    cfg.server_type = cell.server_type;
-    run_cell_with(cell.app, cfg)
+    run_cell_with(cell.app, cell.config(seed))
 }
 
-/// Derive the billing usage and assemble the result record.
-pub fn summarize(cell: Cell, cfg: &RunConfig, stats: &RunStats) -> CellResult {
-    let mut instances = vec![(InstanceType::C1Xlarge, cfg.workers)];
-    if cfg.storage == StorageKind::Nfs {
-        instances.push((cfg.server_type.unwrap_or(InstanceType::M1Xlarge), 1));
+/// Bill the instances the run provisioned and assemble the result
+/// record. Each node's leases (one per incarnation; one per node in a
+/// fault-free run) count as one instance, grouped into runs of equal
+/// type in node order: the workers, then any storage server.
+pub fn summarize(cell: Cell, stats: &RunStats) -> CellResult {
+    let mut instances: Vec<(InstanceType, u32)> = Vec::new();
+    let mut last_node = None;
+    for seg in &stats.faults.segments {
+        if last_node.replace(seg.node) == Some(seg.node) {
+            continue;
+        }
+        match instances.last_mut() {
+            Some((itype, n)) if *itype == seg.itype => *n += 1,
+            _ => instances.push((seg.itype, 1)),
+        }
     }
     let usage = UsageReport {
         wall_secs: stats.makespan_secs,
@@ -139,18 +152,27 @@ pub fn figure_cells(app: App) -> Vec<Cell> {
 /// simulation); panics on infeasible cells, which `figure_cells` never
 /// produces.
 pub fn run_cells(cells: &[Cell], seed: u64) -> Vec<CellResult> {
-    cells
-        .par_iter()
-        .map(|c| run_cell(*c, seed).unwrap_or_else(|e| panic!("cell {c:?} failed: {e}")))
-        .collect()
+    let jobs: Vec<(App, RunConfig)> = cells.iter().map(|c| (c.app, c.config(seed))).collect();
+    run_configs(&jobs)
 }
 
 /// [`run_cells`] for explicit run configurations (ablated or
-/// non-standard variants of a cell).
+/// non-standard variants of a cell). Each application's paper workflow
+/// is generated once and cloned per job.
 pub fn run_configs(jobs: &[(App, RunConfig)]) -> Vec<CellResult> {
+    let mut workflows: Vec<(App, Workflow)> = Vec::new();
+    for &(app, _) in jobs {
+        if !workflows.iter().any(|(a, _)| *a == app) {
+            workflows.push((app, app.paper_workflow()));
+        }
+    }
     jobs.par_iter()
         .map(|(app, cfg)| {
-            run_cell_with(*app, cfg.clone())
+            let (_, wf) = workflows
+                .iter()
+                .find(|(a, _)| a == app)
+                .expect("generated above");
+            run_on(*app, wf.clone(), cfg.clone())
                 .unwrap_or_else(|e| panic!("{app} {:?}@{} failed: {e}", cfg.storage, cfg.workers))
         })
         .collect()

@@ -1,6 +1,7 @@
 //! Golden pins of the simulated answer on every storage kind: the tiny
 //! Montage, Broadband and Epigenome workflows, on every valid storage
-//! kind at 2 and 4 workers, seed 42. For each cell the fixture holds
+//! kind at 2 and 4 workers (the local disk, valid only on one node, at
+//! 1), seed 42. For each cell the fixture holds
 //!
 //! - the makespan bits and `events_fired` of a run at `ObsLevel::Off`
 //!   (the level at which no observer reads flow rates mid-run);
@@ -15,8 +16,10 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p expt --test storage_golden
 //! ```
+//!
+//! The same cells also check that each backend's operation counters
+//! agree with the observability bus's counters at `ObsLevel::Full`.
 
-use expt::Cell;
 use simcore::{ResourceId, Sim, SimTime};
 use std::fmt::Write as _;
 use vcluster::Cluster;
@@ -24,7 +27,7 @@ use wfengine::driver::{makespan, start_run};
 use wfengine::{run_workflow, RunConfig, World};
 use wfgen::App;
 use wfobs::ObsLevel;
-use wfstorage::{build_storage, cluster_spec_for, StorageKind};
+use wfstorage::{build_storage, StorageKind};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -37,9 +40,7 @@ const GOLDEN: &str = concat!(
 /// resource.
 fn run_with_stats(app: App, cfg: RunConfig) -> (u64, u64, Vec<(String, f64)>) {
     let mut sim: Sim<World> = Sim::new();
-    let mut spec = cluster_spec_for(cfg.storage, cfg.workers, cfg.server_type);
-    spec.initialize_disks = cfg.initialize_disks;
-    let cluster = Cluster::provision(&mut sim, &spec);
+    let cluster = Cluster::provision(&mut sim, &cfg.cluster_spec());
     let storage = build_storage(cfg.storage, &mut sim, &cluster, &cfg.storage_cfgs);
     let mut world = World::new(app.tiny_workflow(), cluster, storage, cfg);
     world.obs = sim.obs().clone();
@@ -59,40 +60,86 @@ fn run_with_stats(app: App, cfg: RunConfig) -> (u64, u64, Vec<(String, f64)>) {
     (span.to_bits(), sim.events_fired(), util)
 }
 
-fn render() -> String {
-    let mut out = String::new();
+/// The pinned cells, in fixture order: every valid kind at 2 and 4
+/// workers, and the local disk at its only size, 1.
+fn cells() -> Vec<(App, StorageKind, u32)> {
+    let mut cells = Vec::new();
     for app in App::ALL {
         for kind in StorageKind::ALL {
-            for workers in [2u32, 4] {
-                if !Cell::new(app, kind, workers).is_valid() {
-                    continue;
-                }
-                let cfg = || RunConfig::cell(kind, workers).with_seed(42);
-                let off = run_workflow(app.tiny_workflow(), cfg()).expect("off run");
-                let digest = run_workflow(app.tiny_workflow(), cfg().with_obs(ObsLevel::Digest))
-                    .expect("digest run")
-                    .digest
-                    .expect("digest present at ObsLevel::Digest");
-                let (span_bits, events, util) = run_with_stats(app, cfg());
-                assert_eq!(
-                    (span_bits, events),
-                    (off.makespan_secs.to_bits(), off.events),
-                    "the rebuilt run must be run_workflow's run"
-                );
-                writeln!(
-                    out,
-                    "{} {} {workers}: makespan {span_bits:016x} events {events} digest {digest:016x}",
-                    app.label(),
-                    kind.label(),
-                )
-                .unwrap();
-                for (name, u) in util {
-                    writeln!(out, "  {name} {:016x}", u.to_bits()).unwrap();
+            let sizes: &[u32] = if kind == StorageKind::Local {
+                &[1]
+            } else {
+                &[2, 4]
+            };
+            for &workers in sizes {
+                if kind.admits(workers) {
+                    cells.push((app, kind, workers));
                 }
             }
         }
     }
+    cells
+}
+
+fn render() -> String {
+    let mut out = String::new();
+    for (app, kind, workers) in cells() {
+        let cfg = || RunConfig::cell(kind, workers).with_seed(42);
+        let off = run_workflow(app.tiny_workflow(), cfg()).expect("off run");
+        let digest = run_workflow(app.tiny_workflow(), cfg().with_obs(ObsLevel::Digest))
+            .expect("digest run")
+            .digest
+            .expect("digest present at ObsLevel::Digest");
+        let (span_bits, events, util) = run_with_stats(app, cfg());
+        assert_eq!(
+            (span_bits, events),
+            (off.makespan_secs.to_bits(), off.events),
+            "the rebuilt run must be run_workflow's run"
+        );
+        writeln!(
+            out,
+            "{} {} {workers}: makespan {span_bits:016x} events {events} digest {digest:016x}",
+            app.label(),
+            kind.label(),
+        )
+        .unwrap();
+        for (name, u) in util {
+            writeln!(out, "  {name} {:016x}", u.to_bits()).unwrap();
+        }
+    }
     out
+}
+
+/// The backend's own counters (`op_stats`) and the bus's counters see
+/// the same reads, writes, cache hits and cache misses.
+#[test]
+fn op_stats_match_the_bus_counters() {
+    for (app, kind, workers) in cells() {
+        let cfg = RunConfig::cell(kind, workers)
+            .with_seed(42)
+            .with_obs(ObsLevel::Full);
+        let stats = run_workflow(app.tiny_workflow(), cfg).expect("full run");
+        let metrics = &stats
+            .obs
+            .as_ref()
+            .expect("report at ObsLevel::Full")
+            .metrics;
+        let ops = stats.op_stats;
+        let bus = [
+            "storage_reads",
+            "storage_writes",
+            "cache_hits",
+            "cache_misses",
+        ]
+        .map(|name| metrics.counter(name));
+        assert_eq!(
+            [ops.reads, ops.writes, ops.cache_hits, ops.cache_misses],
+            bus,
+            "{} {} {workers}: op_stats vs bus (reads, writes, hits, misses)",
+            app.label(),
+            kind.label()
+        );
+    }
 }
 
 #[test]

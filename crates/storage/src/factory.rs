@@ -2,7 +2,7 @@
 
 use crate::gluster::{Gluster, GlusterConfig, GlusterMode};
 use crate::local::{LocalConfig, LocalDisk};
-use crate::nfs::{Nfs, NfsConfig};
+use crate::nfs::{Nfs, NfsConfig, NfsPlacement};
 use crate::p2p::{DirectTransfer, P2pConfig};
 use crate::pvfs::{Pvfs, PvfsConfig};
 use crate::s3::{S3Config, S3};
@@ -30,32 +30,51 @@ pub struct StorageConfigs {
     pub p2p: Option<P2pConfig>,
 }
 
-/// The cluster spec a storage kind needs for `workers` worker nodes,
-/// including any dedicated server node (NFS by default runs on an
-/// `m1.xlarge`, §IV.B; pass `server_type` to try others, §V.C).
+/// The cluster spec a storage kind needs for `workers` worker nodes under
+/// `cfgs`. NFS gets a dedicated server node (an `m1.xlarge` by default,
+/// §IV.B; pass `server_type` to try others, §V.C) unless its daemon runs
+/// on the first worker ([`NfsPlacement::OnWorker`], §VI's cost-saving
+/// alternative), which provisions nothing extra.
+pub fn cluster_spec_with(
+    kind: StorageKind,
+    workers: u32,
+    server_type: Option<InstanceType>,
+    cfgs: &StorageConfigs,
+) -> ClusterSpec {
+    let placement = cfgs.nfs.unwrap_or_default().placement;
+    if kind == StorageKind::Nfs && placement == NfsPlacement::DedicatedServer {
+        ClusterSpec::with_server(workers, server_type.unwrap_or(InstanceType::M1Xlarge))
+    } else {
+        ClusterSpec::workers_only(workers)
+    }
+}
+
+/// [`cluster_spec_with`] under the default configurations.
 pub fn cluster_spec_for(
     kind: StorageKind,
     workers: u32,
     server_type: Option<InstanceType>,
 ) -> ClusterSpec {
-    match kind {
-        StorageKind::Nfs => {
-            ClusterSpec::with_server(workers, server_type.unwrap_or(InstanceType::M1Xlarge))
-        }
-        _ => ClusterSpec::workers_only(workers),
-    }
+    cluster_spec_with(kind, workers, server_type, &StorageConfigs::default())
 }
 
 /// Build a storage system over a provisioned cluster.
 ///
-/// Panics if the cluster violates the kind's constraints (too few workers,
-/// missing server).
+/// Panics if `kind` cannot run on the cluster's worker count
+/// ([`StorageKind::admits`]); `run_workflow` checks that rule first and
+/// returns an error instead.
 pub fn build_storage<W: Model>(
     kind: StorageKind,
     sim: &mut Sim<W>,
     cluster: &Cluster,
     cfgs: &StorageConfigs,
 ) -> Box<dyn StorageSystem> {
+    let workers = cluster.workers().len() as u32;
+    assert!(
+        kind.admits(workers),
+        "{} cannot run on {workers} worker(s)",
+        kind.label()
+    );
     let mut sys: Box<dyn StorageSystem> = match kind {
         StorageKind::Local => Box::new(LocalDisk::new(cluster, cfgs.local.unwrap_or_default())),
         StorageKind::Nfs => Box::new(Nfs::new(sim, cluster, cfgs.nfs.unwrap_or_default())),
@@ -79,28 +98,6 @@ pub fn build_storage<W: Model>(
         }
     };
     sys.attach_obs(sim.obs().clone());
-    let cons = sys.constraints();
-    let workers = cluster.workers().len() as u32;
-    assert!(
-        workers >= cons.min_workers,
-        "{} needs at least {} workers, got {workers}",
-        sys.name(),
-        cons.min_workers
-    );
-    if let Some(max) = cons.max_workers {
-        assert!(
-            workers <= max,
-            "{} supports at most {max} workers, got {workers}",
-            sys.name()
-        );
-    }
-    if cons.needs_server {
-        assert!(
-            cluster.server().is_some(),
-            "{} needs a dedicated server node",
-            sys.name()
-        );
-    }
     sys
 }
 
@@ -112,12 +109,9 @@ mod tests {
     fn builds_every_kind() {
         for kind in StorageKind::ALL {
             let mut sim: Sim<()> = Sim::new();
-            let workers = 2;
+            let workers = if kind == StorageKind::Local { 1 } else { 2 };
             let spec = cluster_spec_for(kind, workers, None);
             let cluster = Cluster::provision(&mut sim, &spec);
-            if kind == StorageKind::Local {
-                continue; // max one worker; covered below
-            }
             let sys = build_storage(kind, &mut sim, &cluster, &StorageConfigs::default());
             assert!(!sys.name().is_empty());
         }
@@ -146,7 +140,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 2 workers")]
+    fn nfs_on_a_worker_provisions_no_server() {
+        let cfgs = StorageConfigs {
+            nfs: Some(NfsConfig {
+                placement: NfsPlacement::OnWorker,
+                ..NfsConfig::default()
+            }),
+            ..StorageConfigs::default()
+        };
+        let spec = cluster_spec_with(StorageKind::Nfs, 2, None, &cfgs);
+        assert_eq!(spec.storage_server, None);
+        assert_eq!(spec.total_instances(), 2);
+        let mut sim: Sim<()> = Sim::new();
+        let cluster = Cluster::provision(&mut sim, &spec);
+        let sys = build_storage(StorageKind::Nfs, &mut sim, &cluster, &cfgs);
+        assert_eq!(sys.name(), "nfs");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot run on 1 worker(s)")]
     fn gluster_on_one_worker_panics() {
         let mut sim: Sim<()> = Sim::new();
         let cluster = Cluster::provision(&mut sim, &ClusterSpec::workers_only(1));
@@ -159,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 1 workers")]
+    #[should_panic(expected = "cannot run on 2 worker(s)")]
     fn local_on_two_workers_panics() {
         let mut sim: Sim<()> = Sim::new();
         let cluster = Cluster::provision(&mut sim, &ClusterSpec::workers_only(2));

@@ -11,13 +11,14 @@
 //! * **distribute**: files are placed by hashing the file name, spreading
 //!   reads and writes uniformly across the virtual cluster.
 
+use crate::ledger::OpLedger;
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{Constraints, FailoverResponse, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageOpStats, StorageSystem};
 use simcore::SimDuration;
 use std::collections::HashMap;
 use vcluster::{net_path, Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::{ObsHandle, OpKind};
 
 /// GlusterFS translator configuration (§IV.C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +67,7 @@ pub struct Gluster {
     cfg: GlusterConfig,
     /// Where each file's data lives.
     placement: HashMap<FileId, NodeId>,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: OpLedger,
     /// Reads served without crossing the network.
     local_reads: u64,
     /// Reads that crossed the network.
@@ -80,8 +80,7 @@ impl Gluster {
         Gluster {
             cfg,
             placement: HashMap::new(),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: OpLedger::default(),
             local_reads: 0,
             remote_reads: 0,
         }
@@ -105,23 +104,13 @@ impl Gluster {
 
 impl StorageSystem for Gluster {
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
+        self.ledger.attach(obs);
     }
 
     fn name(&self) -> &'static str {
         match self.cfg.mode {
             GlusterMode::Nufa => "glusterfs-nufa",
             GlusterMode::Distribute => "glusterfs-distribute",
-        }
-    }
-
-    fn constraints(&self) -> Constraints {
-        // §V: "the GlusterFS and PVFS configurations used require at least
-        // two nodes to construct a valid file system".
-        Constraints {
-            min_workers: 2,
-            max_workers: None,
-            needs_server: false,
         }
     }
 
@@ -146,13 +135,7 @@ impl StorageSystem for Gluster {
             .placement
             .get(&file)
             .unwrap_or_else(|| panic!("read of a file never written: {file:?}"));
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Read, node, size);
         let owner_node = cluster.node(owner);
         let reader = cluster.node(node);
         if owner == node {
@@ -179,13 +162,7 @@ impl StorageSystem for Gluster {
         };
         let prev = self.placement.insert(file, owner);
         assert!(prev.is_none(), "write-once violated for {file:?}");
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Write, node, size);
         let owner_node = cluster.node(owner);
         let writer = cluster.node(node);
         if owner == node {
@@ -237,7 +214,7 @@ impl StorageSystem for Gluster {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats()
     }
 }
 
@@ -377,11 +354,5 @@ mod tests {
         let mut g = Gluster::new(GlusterConfig::new(GlusterMode::Nufa));
         g.plan_write(&c, c.workers()[0], (FileId(0), 10));
         g.plan_write(&c, c.workers()[1], (FileId(0), 10));
-    }
-
-    #[test]
-    fn requires_two_workers() {
-        let g = Gluster::new(GlusterConfig::new(GlusterMode::Nufa));
-        assert_eq!(g.constraints().min_workers, 2);
     }
 }

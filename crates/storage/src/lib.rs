@@ -17,12 +17,15 @@
 //! returns an [`OpPlan`] (latencies + fluid-flow legs) that the workflow
 //! engine executes against the simulator. See [`op`] for the plan
 //! vocabulary and [`factory::build_storage`] for construction by
-//! [`StorageKind`].
+//! [`StorageKind`]. Every backend counts and reports its operations
+//! through one private op ledger, and [`StorageKind::admits`] is the one
+//! worker-count rule.
 
 #![warn(missing_docs)]
 
 pub mod factory;
 pub mod gluster;
+mod ledger;
 pub mod local;
 pub mod lru;
 pub mod nfs;
@@ -33,7 +36,7 @@ pub mod s3;
 pub mod traits;
 pub mod xtreemfs;
 
-pub use factory::{build_storage, cluster_spec_for, StorageConfigs};
+pub use factory::{build_storage, cluster_spec_for, cluster_spec_with, StorageConfigs};
 pub use gluster::{Gluster, GlusterConfig, GlusterMode};
 pub use local::{LocalConfig, LocalDisk};
 pub use lru::LruBytes;

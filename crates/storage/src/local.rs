@@ -4,14 +4,15 @@
 //! `c1.xlarge` with tasks reading and writing the local ephemeral RAID
 //! directly. Writes of fresh data pay the first-write penalty (§III.C).
 
+use crate::ledger::OpLedger;
 use crate::lru::LruBytes;
 use crate::op::{OpPlan, Stage};
-use crate::traits::{Constraints, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FileRef, StorageOpStats, StorageSystem};
 use simcore::SimDuration;
 use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::{ObsHandle, OpKind};
 
 /// Tunables for the local file system.
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +39,7 @@ pub struct LocalDisk {
     cfg: LocalConfig,
     present: HashSet<FileId>,
     page_cache: LruBytes,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: OpLedger,
 }
 
 impl LocalDisk {
@@ -50,8 +50,7 @@ impl LocalDisk {
             cfg,
             present: HashSet::new(),
             page_cache: LruBytes::new((mem * cfg.page_cache_fraction) as u64),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: OpLedger::default(),
         }
     }
 }
@@ -62,15 +61,7 @@ impl StorageSystem for LocalDisk {
     }
 
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
-    fn constraints(&self) -> Constraints {
-        Constraints {
-            min_workers: 1,
-            max_workers: Some(1),
-            needs_server: false,
-        }
+        self.ledger.attach(obs);
     }
 
     fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
@@ -84,20 +75,12 @@ impl StorageSystem for LocalDisk {
             self.present.contains(&file),
             "read of a file never written: {file:?}"
         );
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Read, node, size);
         if self.page_cache.touch(file) {
-            self.stats.cache_hits += 1;
-            self.obs.emit(Event::CacheHit { node: node.0 });
+            self.ledger.hit(node);
             return OpPlan::one(Stage::latency(self.cfg.open_latency));
         }
-        self.stats.cache_misses += 1;
-        self.obs.emit(Event::CacheMiss { node: node.0 });
+        self.ledger.miss(node);
         self.page_cache.insert(file, size);
         let n = cluster.node(node);
         OpPlan::one(Stage::lat_leg(
@@ -115,13 +98,7 @@ impl StorageSystem for LocalDisk {
             self.present.insert(file),
             "write-once violated for {file:?}"
         );
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Write, node, size);
         self.page_cache.insert(file, size);
         let n = cluster.node(node);
         let spec = n.local_write(size);
@@ -144,7 +121,7 @@ impl StorageSystem for LocalDisk {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats()
     }
 }
 
@@ -227,12 +204,6 @@ mod tests {
             FailoverResponse::Unaffected
         );
         assert!(s.missing_files(&[(FileId(0), 1000)]).is_empty());
-    }
-
-    #[test]
-    fn constraints_limit_to_one_worker() {
-        let (_, _, s) = setup();
-        assert_eq!(s.constraints().max_workers, Some(1));
     }
 
     #[test]

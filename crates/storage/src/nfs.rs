@@ -21,14 +21,15 @@
 //! The alternative configuration of §VI (overloading a compute node
 //! instead of paying for a dedicated server) is ablation A4.
 
+use crate::ledger::OpLedger;
 use crate::lru::LruBytes;
 use crate::op::{FlowLeg, Note, OpPlan, Stage};
-use crate::traits::{Constraints, FailoverResponse, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageOpStats, StorageSystem};
 use simcore::{Model, ResourceId, Sim, SimDuration};
 use std::collections::HashSet;
 use vcluster::{net_path, Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::{ObsHandle, OpKind};
 
 /// Where the NFS daemon runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +110,7 @@ pub struct Nfs {
     dirty: u64,
     dirty_limit: u64,
     present: HashSet<FileId>,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: OpLedger,
     throttled_writes: u64,
 }
 
@@ -143,8 +143,7 @@ impl Nfs {
             dirty: 0,
             dirty_limit: (mem * cfg.dirty_fraction) as u64,
             present: HashSet::new(),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: OpLedger::default(),
             throttled_writes: 0,
         }
     }
@@ -177,15 +176,11 @@ impl StorageSystem for Nfs {
     }
 
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
+        self.ledger.attach(obs);
     }
 
     fn plan_task_ops(&mut self, cluster: &Cluster, node: NodeId, io_ops: u32) -> OpPlan {
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::OpStorm,
-            node: node.0,
-            bytes: 0,
-        });
+        self.ledger.op(OpKind::OpStorm, node, 0);
         let extra = (cluster.workers().len() as u32 - 1).min(self.cfg.amp_clients_cap);
         let amplified =
             (f64::from(io_ops) * (1.0 + self.cfg.op_amplification * f64::from(extra))).round();
@@ -193,14 +188,6 @@ impl StorageSystem for Nfs {
             self.cfg.rpc_latency,
             FlowLeg::new(amplified as u64, vec![self.ops]),
         ))
-    }
-
-    fn constraints(&self) -> Constraints {
-        Constraints {
-            min_workers: 1,
-            max_workers: None,
-            needs_server: self.cfg.placement == NfsPlacement::DedicatedServer,
-        }
     }
 
     fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
@@ -217,30 +204,21 @@ impl StorageSystem for Nfs {
             self.present.contains(&file),
             "read of a file never written: {file:?}"
         );
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Read, node, size);
         let srv = cluster.node(self.server);
         let client = cluster.node(node);
         // Client page cache: write-once data never goes stale, so a
         // resident copy is served locally after one attribute
         // revalidation round trip.
         if self.client_caches[node.index()].touch(file) {
-            self.stats.cache_hits += 1;
-            self.obs.emit(Event::CacheHit { node: node.0 });
+            self.ledger.hit(node);
             return OpPlan::one(self.admission());
         }
         let hit = self.cache.touch(file);
         if hit {
-            self.stats.cache_hits += 1;
-            self.obs.emit(Event::CacheHit { node: node.0 });
+            self.ledger.hit(node);
         } else {
-            self.stats.cache_misses += 1;
-            self.obs.emit(Event::CacheMiss { node: node.0 });
+            self.ledger.miss(node);
             self.cache.insert(file, size);
         }
         self.client_caches[node.index()].insert(file, size);
@@ -263,13 +241,7 @@ impl StorageSystem for Nfs {
             self.present.insert(file),
             "write-once violated for {file:?}"
         );
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Write, node, size);
         let srv = cluster.node(self.server);
         let client = cluster.node(node);
         // Written data is hot in the server cache either way, and in the
@@ -337,7 +309,7 @@ impl StorageSystem for Nfs {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats()
     }
 }
 
@@ -448,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_worker_placement_has_no_server_requirement() {
+    fn overloaded_worker_placement_serves_from_the_first_worker() {
         let mut sim: Sim<()> = Sim::new();
         let c = Cluster::provision(&mut sim, &ClusterSpec::workers_only(2));
         let nfs = Nfs::new(
@@ -460,7 +432,6 @@ mod tests {
             },
         );
         assert_eq!(nfs.server(), c.workers()[0]);
-        assert!(!nfs.constraints().needs_server);
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //! the shared-namespace lookups — at the price of WMS-managed transfers
 //! and replica tracking.
 
+use crate::ledger::OpLedger;
 use crate::lru::LruBytes;
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{Constraints, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FileRef, StorageOpStats, StorageSystem};
 use simcore::SimDuration;
 use std::collections::{HashMap, HashSet};
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::{ObsHandle, OpKind};
 
 /// Tunables for the direct-transfer model.
 #[derive(Debug, Clone, Copy)]
@@ -52,8 +53,7 @@ pub struct DirectTransfer {
     replicas: HashMap<FileId, HashSet<NodeId>>,
     /// Per-node OS page caches.
     page_caches: Vec<LruBytes>,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: OpLedger,
     transfers: u64,
 }
 
@@ -68,8 +68,7 @@ impl DirectTransfer {
                 .iter()
                 .map(|n| LruBytes::new((n.memory_bytes() as f64 * cfg.page_cache_fraction) as u64))
                 .collect(),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: OpLedger::default(),
             transfers: 0,
         }
     }
@@ -96,11 +95,7 @@ impl StorageSystem for DirectTransfer {
     }
 
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
-    fn constraints(&self) -> Constraints {
-        Constraints::default()
+        self.ledger.attach(obs);
     }
 
     fn prestage(&mut self, cluster: &Cluster, files: &[FileRef]) {
@@ -119,17 +114,11 @@ impl StorageSystem for DirectTransfer {
                 .holder_for(file, node)
                 .unwrap_or_else(|| panic!("stage-in of a file with no replica: {file:?}"));
             if holder == node {
-                self.stats.cache_hits += 1;
-                self.obs.emit(Event::CacheHit { node: node.0 });
+                self.ledger.hit(node);
                 continue;
             }
-            self.stats.cache_misses += 1;
-            self.obs.emit(Event::CacheMiss { node: node.0 });
-            self.obs.emit(Event::StorageOp {
-                op: OpKind::StageIn,
-                node: node.0,
-                bytes: size,
-            });
+            self.ledger.miss(node);
+            self.ledger.op(OpKind::StageIn, node, size);
             self.transfers += 1;
             let src = cluster.node(holder);
             // Pull across the network, spill to the local disk.
@@ -148,13 +137,7 @@ impl StorageSystem for DirectTransfer {
     }
 
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Read, node, size);
         if self.page_caches[node.index()].touch(file) {
             return OpPlan::one(Stage::latency(self.cfg.open_latency));
         }
@@ -169,13 +152,7 @@ impl StorageSystem for DirectTransfer {
         let holders = self.replicas.entry(file).or_default();
         assert!(holders.is_empty(), "write-once violated for {file:?}");
         holders.insert(node);
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Write, node, size);
         self.page_caches[node.index()].insert(file, size);
         OpPlan::one(Stage::lat_leg(
             self.cfg.open_latency,
@@ -192,7 +169,7 @@ impl StorageSystem for DirectTransfer {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats()
     }
 }
 

@@ -13,13 +13,14 @@
 //! striping bandwidth. The `optimized_small_files` flag models the later
 //! releases as an ablation.
 
+use crate::ledger::OpLedger;
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{Constraints, FailoverResponse, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageOpStats, StorageSystem};
 use simcore::SimDuration;
 use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::{ObsHandle, OpKind};
 
 /// Tunables for the PVFS model.
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +74,7 @@ impl PvfsConfig {
 pub struct Pvfs {
     cfg: PvfsConfig,
     present: HashSet<FileId>,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: OpLedger,
 }
 
 impl Pvfs {
@@ -83,8 +83,7 @@ impl Pvfs {
         Pvfs {
             cfg,
             present: HashSet::new(),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: OpLedger::default(),
         }
     }
 
@@ -155,7 +154,7 @@ impl Pvfs {
 
 impl StorageSystem for Pvfs {
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
+        self.ledger.attach(obs);
     }
 
     fn name(&self) -> &'static str {
@@ -163,14 +162,6 @@ impl StorageSystem for Pvfs {
             "pvfs-2.8"
         } else {
             "pvfs"
-        }
-    }
-
-    fn constraints(&self) -> Constraints {
-        Constraints {
-            min_workers: 2,
-            max_workers: None,
-            needs_server: false,
         }
     }
 
@@ -185,13 +176,7 @@ impl StorageSystem for Pvfs {
             self.present.contains(&file),
             "read of a file never written: {file:?}"
         );
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Read, node, size);
         OpPlan::one(Stage {
             latency: self.op_latency(size),
             legs: self.striped_legs(cluster, node, size, false),
@@ -203,13 +188,7 @@ impl StorageSystem for Pvfs {
             self.present.insert(file),
             "write-once violated for {file:?}"
         );
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Write, node, size);
         OpPlan::one(Stage {
             latency: self.op_latency(size),
             legs: self.striped_legs(cluster, node, size, true),
@@ -237,7 +216,7 @@ impl StorageSystem for Pvfs {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats()
     }
 }
 
@@ -343,13 +322,5 @@ mod tests {
         );
         // Lost files may be re-created.
         p.plan_write(&c, c.workers()[0], (FileId(0), 1000));
-    }
-
-    #[test]
-    fn needs_two_workers() {
-        assert_eq!(
-            Pvfs::new(PvfsConfig::default()).constraints().min_workers,
-            2
-        );
     }
 }

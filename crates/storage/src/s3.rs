@@ -15,16 +15,15 @@
 //! on Broadband's heavily reused inputs (§V.C) while losing on Montage's
 //! ~29,000 small files (§V.A).
 
+use crate::ledger::OpLedger;
 use crate::lru::LruBytes;
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{
-    Constraints, FailoverResponse, FileRef, StorageBilling, StorageOpStats, StorageSystem,
-};
+use crate::traits::{FailoverResponse, FileRef, StorageBilling, StorageOpStats, StorageSystem};
 use simcore::{Model, ResourceId, Sim, SimDuration};
 use std::collections::{HashMap, HashSet};
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::{ObsHandle, OpKind};
 
 /// Tunables for the S3 model.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +74,7 @@ pub struct S3 {
     node_cache: HashMap<NodeId, HashSet<FileId>>,
     /// Per-node OS page caches over the local copies.
     page_caches: Vec<LruBytes>,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: OpLedger,
     gets: u64,
     puts: u64,
     stored_bytes: u64,
@@ -98,8 +96,7 @@ impl S3 {
             objects: HashMap::new(),
             node_cache: HashMap::new(),
             page_caches,
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: OpLedger::default(),
             gets: 0,
             puts: 0,
             stored_bytes: 0,
@@ -133,11 +130,7 @@ impl StorageSystem for S3 {
     }
 
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
-    fn constraints(&self) -> Constraints {
-        Constraints::default()
+        self.ledger.attach(obs);
     }
 
     fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
@@ -153,21 +146,15 @@ impl StorageSystem for S3 {
         let mut plan = OpPlan::empty();
         for &(file, size) in inputs {
             if self.cached(node, file) {
-                self.stats.cache_hits += 1;
-                self.obs.emit(Event::CacheHit { node: node.0 });
+                self.ledger.hit(node);
                 continue;
             }
             assert!(
                 self.objects.contains_key(&file),
                 "GET of an object not in S3: {file:?}"
             );
-            self.stats.cache_misses += 1;
-            self.obs.emit(Event::CacheMiss { node: node.0 });
-            self.obs.emit(Event::StorageOp {
-                op: OpKind::StageIn,
-                node: node.0,
-                bytes: size,
-            });
+            self.ledger.miss(node);
+            self.ledger.op(OpKind::StageIn, node, size);
             self.gets += 1;
             // Fetch over the network, then write to the local disk: the
             // "each file must be written twice" cost of §IV.A.
@@ -190,13 +177,7 @@ impl StorageSystem for S3 {
             self.cached(node, file) || !self.cfg.client_cache,
             "task read of a file that was never staged to {node:?}: {file:?}"
         );
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Read, node, size);
         if self.page_caches[node.index()].touch(file) {
             return OpPlan::one(Stage::latency(self.cfg.open_latency));
         }
@@ -209,13 +190,7 @@ impl StorageSystem for S3 {
     }
 
     fn plan_write(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Write, node, size);
         let n = cluster.node(node);
         // Program writes land on the local disk; the PUT happens at
         // stage-out. The local copy doubles as a cache entry and is hot
@@ -235,11 +210,7 @@ impl StorageSystem for S3 {
             let prev = self.objects.insert(file, size);
             assert!(prev.is_none(), "write-once violated for S3 object {file:?}");
             self.stored_bytes += size;
-            self.obs.emit(Event::StorageOp {
-                op: OpKind::StageOut,
-                node: node.0,
-                bytes: size,
-            });
+            self.ledger.op(OpKind::StageOut, node, size);
             self.puts += 1;
             // Just-written outputs are usually still in the page cache;
             // cold ones must be read back from disk first.
@@ -274,7 +245,7 @@ impl StorageSystem for S3 {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats()
     }
 
     fn billing(&self) -> StorageBilling {

@@ -37,8 +37,10 @@ pub struct StorageBilling {
     pub s3_peak_bytes: u64,
 }
 
-/// Deployment constraints of a storage option (§V: GlusterFS and PVFS need
-/// at least two nodes; the local disk is only meaningful on one).
+/// Deployment constraints a [`StorageSystem`] may report. Every backend
+/// keeps the default: the worker-count rule is [`StorageKind::admits`],
+/// and whether a dedicated server is provisioned is decided by
+/// [`cluster_spec_with`](crate::factory::cluster_spec_with).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Constraints {
     /// Minimum worker count for a valid deployment.
@@ -91,7 +93,8 @@ pub trait StorageSystem {
     /// (for test doubles) ignores it.
     fn attach_obs(&mut self, _obs: wfobs::ObsHandle) {}
 
-    /// Deployment constraints.
+    /// Deployment constraints. No backend overrides the default; see
+    /// [`StorageKind::admits`] for the worker-count rule.
     fn constraints(&self) -> Constraints {
         Constraints::default()
     }
@@ -211,6 +214,23 @@ impl StorageKind {
         StorageKind::Local,
     ];
 
+    /// Whether this kind can be deployed on `workers` worker nodes. §V:
+    /// "the GlusterFS and PVFS configurations used require at least two
+    /// nodes to construct a valid file system", and the local disk is one
+    /// node's RAID array.
+    pub fn admits(self, workers: u32) -> bool {
+        match self {
+            StorageKind::Local => workers == 1,
+            StorageKind::GlusterNufa | StorageKind::GlusterDistribute | StorageKind::Pvfs => {
+                workers >= 2
+            }
+            StorageKind::Nfs
+            | StorageKind::S3
+            | StorageKind::XtreemFs
+            | StorageKind::DirectTransfer => workers >= 1,
+        }
+    }
+
     /// Label used in figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -229,5 +249,37 @@ impl StorageKind {
 impl std::fmt::Display for StorageKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_rule_matches_section_v() {
+        for kind in StorageKind::ALL {
+            assert!(!kind.admits(0), "{kind} on no workers");
+            assert!(
+                kind.admits(2) != (kind == StorageKind::Local),
+                "{kind} on 2"
+            );
+        }
+        assert!(StorageKind::Local.admits(1));
+        for kind in [
+            StorageKind::GlusterNufa,
+            StorageKind::GlusterDistribute,
+            StorageKind::Pvfs,
+        ] {
+            assert!(!kind.admits(1) && kind.admits(8), "{kind}");
+        }
+        for kind in [
+            StorageKind::Nfs,
+            StorageKind::S3,
+            StorageKind::XtreemFs,
+            StorageKind::DirectTransfer,
+        ] {
+            assert!(kind.admits(1) && kind.admits(8), "{kind}");
+        }
     }
 }

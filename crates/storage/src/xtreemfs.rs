@@ -7,13 +7,14 @@
 //! shared service capacity — enough to reproduce the ">2× slower"
 //! observation (experiment E8), not a calibrated model of the system.
 
+use crate::ledger::OpLedger;
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{Constraints, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FileRef, StorageOpStats, StorageSystem};
 use simcore::{Model, ResourceId, Sim, SimDuration};
 use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::{ObsHandle, OpKind};
 
 /// Tunables for the XtreemFS model.
 #[derive(Debug, Clone, Copy)]
@@ -44,8 +45,7 @@ pub struct XtreemFs {
     service_in: ResourceId,
     service_out: ResourceId,
     present: HashSet<FileId>,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: OpLedger,
 }
 
 impl XtreemFs {
@@ -56,8 +56,7 @@ impl XtreemFs {
             service_in: sim.add_resource("xtreemfs.in", cfg.service_bps),
             service_out: sim.add_resource("xtreemfs.out", cfg.service_bps),
             present: HashSet::new(),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: OpLedger::default(),
         }
     }
 }
@@ -68,11 +67,7 @@ impl StorageSystem for XtreemFs {
     }
 
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
-    fn constraints(&self) -> Constraints {
-        Constraints::default()
+        self.ledger.attach(obs);
     }
 
     fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
@@ -86,13 +81,7 @@ impl StorageSystem for XtreemFs {
             self.present.contains(&file),
             "read of a file never written: {file:?}"
         );
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Read, node, size);
         let n = cluster.node(node);
         OpPlan::one(Stage::lat_leg(
             self.cfg.op_latency,
@@ -105,13 +94,7 @@ impl StorageSystem for XtreemFs {
             self.present.insert(file),
             "write-once violated for {file:?}"
         );
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.op(OpKind::Write, node, size);
         let n = cluster.node(node);
         OpPlan::one(Stage::lat_leg(
             self.cfg.op_latency,
@@ -120,7 +103,7 @@ impl StorageSystem for XtreemFs {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats()
     }
 }
 

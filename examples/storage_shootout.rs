@@ -51,13 +51,6 @@ fn sweep(label: &str, make: impl Fn() -> Workflow) {
     println!("{:<24} {:>10}", "storage", "makespan");
     for storage in StorageKind::EVALUATED {
         let workers = if storage == StorageKind::Local { 1 } else { 4 };
-        let min_ok = !matches!(
-            storage,
-            StorageKind::GlusterNufa | StorageKind::GlusterDistribute | StorageKind::Pvfs
-        ) || workers >= 2;
-        if !min_ok {
-            continue;
-        }
         let stats = run_workflow(make(), RunConfig::cell(storage, workers)).expect("run");
         println!(
             "{:<24} {:>9.1}s   (n={workers})",

@@ -23,7 +23,9 @@
 #                      tests/golden_otlp.json byte for byte)
 # Storage goldens:     the storage_golden test target (makespan, events,
 #                      digest and per-resource utilisation bits of the tiny
-#                      workflows on every storage kind at 2 and 4 workers)
+#                      workflows on every storage kind at 2 and 4 workers,
+#                      the local disk at 1; and each backend's op_stats
+#                      against the bus counters at ObsLevel::Full)
 # Paper-scale pins:    one seed-42 perfbench run of each benchmark workload
 #                      (a non-zero exit means an answer left
 #                      perfbench/pins.txt: makespan bits, events, digest,
@@ -41,6 +43,11 @@
 # Typed events gate:   the engine's event path holds no boxed closure:
 #                      no `Box<dyn FnOnce`, `type Cont` or `Rc<Join>` in
 #                      crates/engine/src outside the executor's tests
+# Op ledger gate:      storage backends record operations only through
+#                      the op ledger: no `Event::StorageOp`, `CacheHit` or
+#                      `CacheMiss` and no `.reads`/`.writes`/`.cache_hits`/
+#                      `.cache_misses +=` in crates/storage/src outside
+#                      crates/storage/src/ledger.rs
 # OTLP conformance:    the otlpcheck reader's own tests, the wfengine/expt
 #                      otlp test targets (well-formedness proptests, edge
 #                      cases, phase/cost parity), plus wfobs standing alone
@@ -94,6 +101,17 @@ echo "== typed events gate: no boxed continuations in the engine =="
 # tests may hand it a closure.
 if git grep -nE 'Box<dyn FnOnce|type Cont|Rc<Join>' -- crates/engine/src ':!crates/engine/src/exec_tests.rs'; then
     echo "error: a boxed continuation is back on the engine's event path" >&2
+    exit 1
+fi
+
+echo "== op ledger gate: one place counts and reports storage operations =="
+# Every backend hands its reads, writes, stage-ins/outs, op storms and
+# cache hits/misses to `OpLedger`, which bumps `StorageOpStats` and emits
+# the bus event together. A backend that emits or counts by itself can
+# make the two disagree. The ledger's own tests sit in the same file.
+if git grep -nE 'Event::(StorageOp|CacheHit|CacheMiss)|\.(reads|writes|cache_hits|cache_misses) \+= ' \
+    -- crates/storage/src ':!crates/storage/src/ledger.rs'; then
+    echo "error: a storage backend counts or reports an operation outside the op ledger" >&2
     exit 1
 fi
 

@@ -2,29 +2,19 @@
 //! to completion through the full stack (generator → planner → scheduler
 //! → storage → fluid-flow simulator → billing).
 
-use ec2_workflow_sim::wfengine::{run_workflow, RunConfig, SchedulerPolicy};
+use ec2_workflow_sim::wfengine::{run_workflow, RunConfig, RunError, SchedulerPolicy};
 use ec2_workflow_sim::wfgen::App;
 use ec2_workflow_sim::wfstorage::StorageKind;
-
-fn workers_for(storage: StorageKind, n: u32) -> Option<u32> {
-    match storage {
-        StorageKind::Local => (n == 1).then_some(1),
-        StorageKind::GlusterNufa | StorageKind::GlusterDistribute | StorageKind::Pvfs => {
-            (n >= 2).then_some(n)
-        }
-        _ => Some(n),
-    }
-}
 
 #[test]
 fn every_app_runs_on_every_storage_tiny() {
     for app in App::ALL {
         for storage in StorageKind::ALL {
             for n in [1u32, 2, 4] {
-                let Some(workers) = workers_for(storage, n) else {
+                if !storage.admits(n) {
                     continue;
-                };
-                let stats = run_workflow(app.tiny_workflow(), RunConfig::cell(storage, workers))
+                }
+                let stats = run_workflow(app.tiny_workflow(), RunConfig::cell(storage, n))
                     .unwrap_or_else(|e| panic!("{app}/{storage:?}/{n}: {e}"));
                 assert_eq!(
                     stats.tasks,
@@ -33,6 +23,28 @@ fn every_app_runs_on_every_storage_tiny() {
                 );
                 assert!(stats.makespan_secs > 0.0);
             }
+        }
+    }
+}
+
+#[test]
+fn undeployable_pairs_are_errors_not_panics() {
+    let wf = App::Epigenome.tiny_workflow();
+    for storage in StorageKind::ALL {
+        for workers in 0..=3u32 {
+            let got = run_workflow(wf.clone(), RunConfig::cell(storage, workers));
+            let what = format!("{storage:?} on {workers}");
+            if storage.admits(workers) {
+                got.unwrap_or_else(|e| panic!("{what}: {e}"));
+                continue;
+            }
+            let err = got.expect_err(&what);
+            assert_eq!(err, RunError::Undeployable { storage, workers }, "{what}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(storage.label()) && msg.contains(&format!("{workers} worker(s)")),
+                "{what}: {msg}"
+            );
         }
     }
 }
@@ -98,9 +110,7 @@ fn paper_scale_epigenome_and_broadband_run_everywhere() {
     // test; Montage at paper scale is covered by the repro harness.
     for app in [App::Epigenome, App::Broadband] {
         for storage in StorageKind::EVALUATED {
-            let Some(workers) = workers_for(storage, 4).or(workers_for(storage, 1)) else {
-                continue;
-            };
+            let workers = if storage.admits(4) { 4 } else { 1 };
             let stats = run_workflow(app.paper_workflow(), RunConfig::cell(storage, workers))
                 .unwrap_or_else(|e| panic!("{app}/{storage:?}: {e}"));
             assert!(
