@@ -11,6 +11,7 @@
 //!   its sublane (`unfinished`, close order and lane reuse).
 //!
 //! The Chrome trace, the OTLP trace and the folded storage stacks (plus,
+//! for the crash run, the metrics CSV and the OTLP metrics document, and
 //! for the truncated stream, one TUI frame) must match the checked-in
 //! fixtures byte for byte. Regenerate after an intentional change with
 //!
@@ -85,8 +86,11 @@ fn crash_cell_exports_match_golden() {
             node_names: Vec::new(),
         },
     );
-    let otlp = wfobs::otlp_trace(report, &otlp_labels(&stats, &wf, KIND.label(), WORKERS));
+    let labels = otlp_labels(&stats, &wf, KIND.label(), WORKERS);
+    let otlp = wfobs::otlp_trace(report, &labels);
     let folded = wfobs::folded_storage_stacks(report, &task_names, KIND.label());
+    let metrics_csv = report.metrics.to_csv();
+    let otlp_metrics = wfobs::otlp_metrics(report, &labels);
 
     // The fixture must exercise the kill, retry and re-provision paths.
     assert!(chrome.contains("\"cat\":\"task-killed\""), "no killed span");
@@ -99,10 +103,20 @@ fn crash_cell_exports_match_golden() {
         "no second node incarnation"
     );
     assert!(!folded.is_empty(), "no storage stacks");
+    assert!(
+        metrics_csv.contains("counter,tasks_killed,value,"),
+        "no kill counter"
+    );
+    assert!(
+        otlp_metrics.contains("\"name\":\"wf.faults_node_crash\""),
+        "no crash counter"
+    );
 
     check_golden("crash_chrome.json", &chrome);
     check_golden("crash_otlp.json", &otlp);
     check_golden("crash_folded.txt", &folded);
+    check_golden("crash_metrics.csv", &metrics_csv);
+    check_golden("crash_otlp_metrics.json", &otlp_metrics);
 }
 
 fn failure_run() -> (RunStats, wfdag::Workflow) {

@@ -21,6 +21,11 @@
 #                      reproduce tests/golden_digest.txt bit for bit)
 # Golden OTLP:         repro --golden-otlp (the fixed run must re-export
 #                      tests/golden_otlp.json byte for byte)
+# Paper-scale exports: the release `wfsim run` of Montage on GlusterFS-NUFA
+#                      with 8 workers at seed 42 writes the Chrome trace,
+#                      metrics CSV, OTLP trace, OTLP metrics and folded
+#                      stacks; their sha256 must match
+#                      tests/golden_exports.sha256
 # Storage goldens:     the storage_golden test target (makespan, events,
 #                      digest and per-resource utilisation bits of the tiny
 #                      workflows on every storage kind at 2 and 4 workers,
@@ -54,7 +59,8 @@
 #                      without default features
 # Exporter goldens:    Chrome, OTLP, folded and TUI-frame fixtures of a
 #                      clean, a crash, a transient-failure and a truncated
-#                      run, plus the task-attempt fold's unit tests and
+#                      run, the metrics CSV and OTLP metrics fixtures of
+#                      the clean and the crash run, plus the task-attempt fold's unit tests and
 #                      proptest (every exporter renders from that fold),
 #                      and the reports built from the task records (phase
 #                      table, jobstate log, Gantt, I/O and CPU totals,
@@ -138,6 +144,20 @@ cargo run --release -q -p expt --bin repro -- --golden-digest
 
 echo "== golden OTLP =="
 cargo run --release -q -p expt --bin repro -- --golden-otlp
+
+echo "== paper-scale exports =="
+# The tiny goldens never reach paper-scale times, counts or label sets.
+# This run writes all five Full-level documents (≈1.2 s once built).
+cargo build --release -q -p expt --bin wfsim
+exports="$(mktemp -d)"
+./target/release/wfsim run --app montage --storage glusterfs-nufa --workers 8 --seed 42 \
+    --trace-out "$exports/chrome.json" --metrics-out "$exports/metrics.csv" \
+    --otlp-out "$exports/otlp" --folded-out "$exports/folded.txt" >/dev/null
+if ! (cd "$exports" && sha256sum --quiet -c -) <tests/golden_exports.sha256; then
+    echo "error: a paper-scale export drifted from tests/golden_exports.sha256" >&2
+    exit 1
+fi
+rm -rf "$exports"
 
 echo "== storage goldens =="
 cargo test -q -p expt --test storage_golden
