@@ -404,7 +404,9 @@ type HeapEntry = Reverse<(SimTime, u64, u32, u64)>;
 pub struct FlowEngine<C> {
     resources: Vec<Resource>,
     slots: Vec<Option<Slot<C>>>,
-    free: Vec<u32>,
+    /// Vacant slots, each with the emptied `path_pos` of the flow that
+    /// last held it, for the next flow that takes the slot.
+    free: Vec<(u32, Vec<u32>)>,
     /// Slot of each active flow, for `complete`/`cancel` by id.
     by_id: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
     /// Connected components, by id; ids of dissolved ones are in
@@ -543,7 +545,8 @@ impl<C> FlowEngine<C> {
         };
         let slot = self.alloc_slot(Slot {
             id: id.0,
-            path_pos: Vec::with_capacity(spec.path.len()),
+            // `alloc_slot` hands over the vector the slot kept, if any.
+            path_pos: Vec::new(),
             path: spec.path,
             cap: spec.rate_cap,
             gen: 0,
@@ -628,12 +631,15 @@ impl<C> FlowEngine<C> {
         self.last_advance = self.last_advance.max(now);
     }
 
-    fn alloc_slot(&mut self, flow: Slot<C>) -> u32 {
-        if let Some(slot) = self.free.pop() {
+    fn alloc_slot(&mut self, mut flow: Slot<C>) -> u32 {
+        if let Some((slot, path_pos)) = self.free.pop() {
+            flow.path_pos = path_pos;
+            flow.path_pos.reserve(flow.path.len());
             self.slots[slot as usize] = Some(flow);
             slot
         } else {
             let slot = u32::try_from(self.slots.len()).expect("too many flows");
+            flow.path_pos.reserve(flow.path.len());
             self.slots.push(Some(flow));
             self.scratch.slot_stamp.push(0);
             slot
@@ -841,11 +847,16 @@ impl<C> FlowEngine<C> {
         // so all of its parts are solved jointly this event.
         self.solve_component(now, c, None, slot);
         self.prune(c, slot);
-        let f = self.slots[slot as usize].take().expect("slot vanished");
+        let Slot {
+            mut path_pos,
+            completion,
+            ..
+        } = self.slots[slot as usize].take().expect("slot vanished");
         self.by_id.remove(&id.0);
-        self.free.push(slot);
+        path_pos.clear();
+        self.free.push((slot, path_pos));
         self.maybe_shrink_heap();
-        f.completion.expect("completion payload taken twice")
+        completion.expect("completion payload taken twice")
     }
 
     /// Bring component `c` up to date after the flow in `slot` left it and

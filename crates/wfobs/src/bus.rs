@@ -69,10 +69,15 @@ pub struct ObsReport {
 struct Recorder {
     events: Vec<(u64, Event)>,
     resources: Vec<String>,
+    /// Name of each registered resource's in-flight series,
+    /// `inflight_flows.{label}`, built once when it registers.
+    inflight_keys: Vec<String>,
     metrics: Metrics,
     /// Resources crossed by each in-flight flow (used to keep
     /// per-resource in-flight counts on flow end/cancel).
     flow_paths: BTreeMap<u64, Vec<u32>>,
+    /// Emptied paths of ended flows, reused by the flows that start next.
+    spare_paths: Vec<Vec<u32>>,
     /// In-flight flow count per resource index.
     inflight: Vec<u32>,
 }
@@ -97,7 +102,8 @@ impl Recorder {
             Event::FlowStart { id, bytes, .. } => {
                 m.count("flows_started", 1);
                 m.count("flow_bytes", bytes);
-                self.flow_paths.insert(id, Vec::new());
+                let path = self.spare_paths.pop().unwrap_or_default();
+                self.flow_paths.insert(id, path);
             }
             Event::FlowRes { id, resource } => {
                 if let Some(path) = self.flow_paths.get_mut(&id) {
@@ -157,20 +163,20 @@ impl Recorder {
         }
         let v = i64::from(self.inflight[ix]) + delta;
         self.inflight[ix] = v.max(0) as u32;
-        let label = self
-            .resources
-            .get(ix)
-            .cloned()
-            .unwrap_or_else(|| format!("r{ix}"));
-        self.metrics
-            .sample(&format!("inflight_flows.{label}"), t, v.max(0) as f64);
+        let v = v.max(0) as f64;
+        match self.inflight_keys.get(ix) {
+            Some(key) => self.metrics.sample(key, t, v),
+            None => self.metrics.sample(&format!("inflight_flows.r{ix}"), t, v),
+        }
     }
 
     fn drop_flow(&mut self, t: u64, id: u64) {
-        if let Some(path) = self.flow_paths.remove(&id) {
-            for r in path {
+        if let Some(mut path) = self.flow_paths.remove(&id) {
+            for &r in &path {
                 self.bump_inflight(t, r, -1);
             }
+            path.clear();
+            self.spare_paths.push(path);
         }
     }
 }
@@ -178,6 +184,7 @@ impl Recorder {
 impl ObsSink for Recorder {
     fn on_resource(&mut self, _ix: u32, label: &str) {
         self.resources.push(label.to_owned());
+        self.inflight_keys.push(format!("inflight_flows.{label}"));
     }
 
     fn on_event(&mut self, t_nanos: u64, ev: &Event) {

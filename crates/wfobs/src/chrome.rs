@@ -13,7 +13,8 @@
 use crate::bus::ObsReport;
 use crate::event::Event;
 use crate::fold::{Attempt, AttemptFold, Outcome, Step};
-use crate::{esc, name_or};
+use crate::name_or;
+use crate::text::{push_esc, push_f64, push_scaled, push_u64};
 use std::collections::BTreeMap;
 
 /// Human-readable labels the exporter joins back onto integer ids.
@@ -25,10 +26,6 @@ pub struct ChromeLabels {
     pub node_names: Vec<String>,
 }
 
-fn us(t_nanos: u64) -> f64 {
-    t_nanos as f64 / 1e3
-}
-
 const WF_PID: u32 = 0;
 const COUNTER_PID: u32 = 1;
 /// Sublane stride: lane id = node * STRIDE + sublane.
@@ -38,36 +35,100 @@ fn tid(att: &Attempt) -> u32 {
     att.node * STRIDE + att.lane
 }
 
-fn push_span(spans: &mut Vec<String>, name: &str, cat: &str, tid: u32, start: u64, end: u64) {
-    spans.push(format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
-         \"ts\":{:.3},\"dur\":{:.3}}}",
-        esc(name),
-        cat,
-        WF_PID,
-        tid,
-        us(start),
-        us(end.saturating_sub(start)),
-    ));
+/// Append `,\n` and the head every record shares: name, optional
+/// category and phase type, up to the closing quote of the phase type.
+fn push_head(out: &mut String, name: &str, cat: Option<&str>, ph: &str) {
+    out.push_str(",\n{\"name\":\"");
+    push_esc(out, name);
+    if let Some(cat) = cat {
+        out.push_str("\",\"cat\":\"");
+        out.push_str(cat);
+    }
+    out.push_str("\",\"ph\":\"");
+    out.push_str(ph);
+    out.push('"');
+}
+
+/// Append a record's `pid` and `tid`.
+fn push_ids(out: &mut String, pid: u32, tid: u32) {
+    out.push_str(",\"pid\":");
+    push_u64(out, u64::from(pid));
+    out.push_str(",\"tid\":");
+    push_u64(out, u64::from(tid));
+}
+
+/// Append a complete (`X`) span; times are microseconds.
+fn push_span(out: &mut String, name: &str, cat: &str, tid: u32, start: u64, end: u64) {
+    push_head(out, name, Some(cat), "X");
+    push_ids(out, WF_PID, tid);
+    out.push_str(",\"ts\":");
+    push_scaled(out, start, 3);
+    out.push_str(",\"dur\":");
+    push_scaled(out, end.saturating_sub(start), 3);
+    out.push('}');
+}
+
+/// Append a process-scoped fault instant on a node's first sublane.
+fn push_instant(out: &mut String, name: &str, node: u32, t: u64) {
+    push_head(out, name, Some("fault"), "i");
+    out.push_str(",\"s\":\"p\"");
+    push_ids(out, WF_PID, node * STRIDE);
+    out.push_str(",\"ts\":");
+    push_scaled(out, t, 3);
+    out.push('}');
 }
 
 /// Render the report as a Trace Event Format JSON document.
+///
+/// Every record is written straight into one buffer. The lane labels
+/// head the document but are only known once the fold has assigned
+/// every sublane, so a first fold pass collects them and a second one
+/// writes the spans.
 pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
-    let mut spans: Vec<String> = Vec::new();
-    let mut instants: Vec<String> = Vec::new();
     // Lane labels by tid, registered the first time a sublane is used.
     let mut lanes: BTreeMap<u32, String> = BTreeMap::new();
     let mut fold = AttemptFold::default();
+    for &(t, ev) in &report.events {
+        fold.push(t, &ev, |step| {
+            if let Step::Start(att) = step {
+                lanes.entry(tid(&att)).or_insert_with(|| {
+                    let node = name_or(&labels.node_names, "w", att.node);
+                    match att.lane {
+                        0 => node.into_owned(),
+                        lane => format!("{node}+{lane}"),
+                    }
+                });
+            }
+        });
+    }
+
+    let points: usize = report.metrics.all_series().map(|(_, p)| p.len()).sum();
+    // About 100 bytes per counter point and, spread over the whole
+    // stream, about 20 per event for the spans and instants.
+    let mut out = String::with_capacity(100 * points + 24 * report.events.len() + 256);
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    // The first record, so every later one starts with its separator.
+    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\"");
+    push_ids(&mut out, WF_PID, 0);
+    out.push_str(",\"args\":{\"name\":\"workflow\"}}");
+    push_head(&mut out, "process_name", None, "M");
+    push_ids(&mut out, COUNTER_PID, 0);
+    out.push_str(",\"args\":{\"name\":\"counters\"}}");
+    for (&tid, name) in &lanes {
+        push_head(&mut out, "thread_name", None, "M");
+        push_ids(&mut out, WF_PID, tid);
+        out.push_str(",\"args\":{\"name\":\"");
+        push_esc(&mut out, name);
+        out.push_str("\"}}");
+        push_head(&mut out, "thread_sort_index", None, "M");
+        push_ids(&mut out, WF_PID, tid);
+        out.push_str(",\"args\":{\"sort_index\":");
+        push_u64(&mut out, u64::from(tid));
+        out.push_str("}}");
+    }
+
+    let mut fold = AttemptFold::default();
     let mut render = |step: Step| match step {
-        Step::Start(att) => {
-            lanes.entry(tid(&att)).or_insert_with(|| {
-                let node = name_or(&labels.node_names, "w", att.node);
-                match att.lane {
-                    0 => node,
-                    lane => format!("{node}+{lane}"),
-                }
-            });
-        }
         // The dispatch-overhead interval has no span of its own.
         Step::Interval {
             att,
@@ -75,8 +136,7 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
             start,
             end,
             ..
-        } => push_span(&mut spans, p.label(), "phase", tid(&att), start, end),
-        Step::Interval { .. } => {}
+        } => push_span(&mut out, p.label(), "phase", tid(&att), start, end),
         Step::Close { att, end, outcome } => {
             let cat = match outcome {
                 Outcome::Ok | Outcome::Unfinished => "task",
@@ -84,83 +144,39 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
                 Outcome::Failed => "task-failed",
             };
             let name = name_or(&labels.task_names, "t", att.task);
-            push_span(&mut spans, &name, cat, tid(&att), att.start, end);
+            push_span(&mut out, &name, cat, tid(&att), att.start, end);
         }
+        Step::Start(_) | Step::Interval { .. } => {}
     };
-
     for &(t, ev) in &report.events {
         fold.push(t, &ev, &mut render);
-        match ev {
-            Event::Fault { kind, node } => {
-                instants.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
-                     \"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
-                    kind.label(),
-                    WF_PID,
-                    node * STRIDE,
-                    us(t),
-                ));
-            }
-            Event::NodeRecovered { node } => {
-                instants.push(format!(
-                    "{{\"name\":\"recovered\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
-                     \"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
-                    WF_PID,
-                    node * STRIDE,
-                    us(t),
-                ));
-            }
-            _ => {}
-        }
     }
     // Any task still open at the end of the stream (e.g. a truncated
     // trace) closes at the last observed timestamp.
     fold.finish(render);
 
-    let mut parts: Vec<String> = Vec::new();
-    parts.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{WF_PID},\"tid\":0,\
-         \"args\":{{\"name\":\"workflow\"}}}}"
-    ));
-    parts.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{COUNTER_PID},\"tid\":0,\
-         \"args\":{{\"name\":\"counters\"}}}}"
-    ));
-    for (tid, name) in &lanes {
-        parts.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{WF_PID},\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            esc(name)
-        ));
-        parts.push(format!(
-            "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{WF_PID},\"tid\":{tid},\
-             \"args\":{{\"sort_index\":{tid}}}}}"
-        ));
-    }
-    parts.extend(spans);
-    parts.extend(instants);
-
-    let mut names: Vec<&str> = report.metrics.series_names().collect();
-    names.sort_unstable();
-    for name in names {
-        let Some(pts) = report.metrics.series(name) else {
-            continue;
-        };
-        for &(t, v) in pts {
-            parts.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{COUNTER_PID},\"tid\":0,\
-                 \"ts\":{:.3},\"args\":{{\"value\":{}}}}}",
-                esc(name),
-                us(t),
-                v,
-            ));
+    for &(t, ev) in &report.events {
+        match ev {
+            Event::Fault { kind, node } => push_instant(&mut out, kind.label(), node, t),
+            Event::NodeRecovered { node } => push_instant(&mut out, "recovered", node, t),
+            _ => {}
         }
     }
 
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-        parts.join(",\n")
-    )
+    for (name, pts) in report.metrics.all_series() {
+        for &(t, v) in pts {
+            push_head(&mut out, name, None, "C");
+            push_ids(&mut out, COUNTER_PID, 0);
+            out.push_str(",\"ts\":");
+            push_scaled(&mut out, t, 3);
+            out.push_str(",\"args\":{\"value\":");
+            push_f64(&mut out, v);
+            out.push_str("}}");
+        }
+    }
+
+    out.push_str("\n]}\n");
+    out
 }
 
 #[cfg(test)]

@@ -36,6 +36,10 @@ pub mod otlp;
 pub mod sink;
 pub mod tui;
 
+mod text;
+
+use std::borrow::Cow;
+
 pub use bus::{nanos_from_secs, ObsHandle, ObsLevel, ObsReport, DEFAULT_TICK_NANOS};
 pub use chrome::{chrome_trace, ChromeLabels};
 pub use digest::RunDigest;
@@ -51,27 +55,10 @@ pub use tui::{
 };
 
 /// `names[id]`, or `{prefix}{id}` for an id with no name: how every
-/// renderer joins names back onto integer ids.
-pub(crate) fn name_or(names: &[String], prefix: &str, id: u32) -> String {
-    names
-        .get(id as usize)
-        .cloned()
-        .unwrap_or_else(|| format!("{prefix}{id}"))
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// renderer joins names back onto integer ids. Borrows a present name.
+pub(crate) fn name_or<'a>(names: &'a [String], prefix: &str, id: u32) -> Cow<'a, str> {
+    match names.get(id as usize) {
+        Some(name) => Cow::Borrowed(name),
+        None => Cow::Owned(format!("{prefix}{id}")),
     }
-    out
 }

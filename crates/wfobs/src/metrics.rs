@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::text::{push_f64, push_scaled, push_u64};
+
 /// A fixed-bucket histogram. Bucket upper bounds are chosen at
 /// construction; values above the last bound land in an overflow bucket.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,6 +110,11 @@ impl Metrics {
         self.series.keys().map(String::as_str)
     }
 
+    /// All series with their points, sorted by name.
+    pub fn all_series(&self) -> impl Iterator<Item = (&str, &[SeriesPoint])> {
+        self.series.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+    }
+
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
@@ -121,26 +128,52 @@ impl Metrics {
     /// Render the whole registry as CSV: one section per metric family.
     /// Times are seconds with nanosecond precision.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
+        let rows: usize = self.histograms.values().map(|h| h.counts.len() + 2).sum();
+        let series: usize = self
+            .series
+            .iter()
+            .map(|(name, pts)| pts.len() * (name.len() + 32))
+            .sum();
+        let mut out = String::with_capacity(64 * (self.counters.len() + rows) + series + 32);
         out.push_str("kind,name,field,value\n");
-        for (name, v) in &self.counters {
-            out.push_str(&format!("counter,{name},value,{v}\n"));
+        for (name, &v) in &self.counters {
+            out.push_str("counter,");
+            out.push_str(name);
+            out.push_str(",value,");
+            push_u64(&mut out, v);
+            out.push('\n');
         }
         for (name, h) in &self.histograms {
-            for (i, c) in h.counts.iter().enumerate() {
-                let bound = h
-                    .bounds
-                    .get(i)
-                    .map_or_else(|| "+inf".to_owned(), u64::to_string);
-                out.push_str(&format!("histogram,{name},le={bound},{c}\n"));
+            let mut row = |field: &str, bound: Option<u64>, v: u64| {
+                out.push_str("histogram,");
+                out.push_str(name);
+                out.push(',');
+                out.push_str(field);
+                if let Some(b) = bound {
+                    push_u64(&mut out, b);
+                }
+                out.push(',');
+                push_u64(&mut out, v);
+                out.push('\n');
+            };
+            for (i, &c) in h.counts.iter().enumerate() {
+                match h.bounds.get(i) {
+                    Some(&b) => row("le=", Some(b), c),
+                    None => row("le=+inf", None, c),
+                }
             }
-            out.push_str(&format!("histogram,{name},sum,{}\n", h.sum));
-            out.push_str(&format!("histogram,{name},count,{}\n", h.n));
+            row("sum", None, h.sum);
+            row("count", None, h.n);
         }
         for (name, pts) in &self.series {
             for &(t, v) in pts {
-                let secs = t as f64 / 1e9;
-                out.push_str(&format!("series,{name},t={secs:.9},{v}\n"));
+                out.push_str("series,");
+                out.push_str(name);
+                out.push_str(",t=");
+                push_scaled(&mut out, t, 9);
+                out.push(',');
+                push_f64(&mut out, v);
+                out.push('\n');
             }
         }
         out

@@ -44,7 +44,9 @@
 use crate::bus::ObsReport;
 use crate::event::{Event, OpKind, Phase};
 use crate::fold::{AttemptFold, Outcome, Step};
-use crate::{esc, name_or};
+use crate::name_or;
+use crate::text::{push_esc, push_f64, push_hex16, push_i64, push_u64};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -95,42 +97,52 @@ pub struct SegmentLabel {
 }
 
 /// A typed attribute value (the subset of OTLP `AnyValue` we emit).
+/// Strings borrow the labels or a static label wherever they can.
 #[derive(Debug, Clone, PartialEq)]
-enum Attr {
-    Str(String),
+enum Attr<'a> {
+    Str(Cow<'a, str>),
     I64(i64),
     F64(f64),
     Bool(bool),
 }
 
-type Attrs = Vec<(&'static str, Attr)>;
+impl Attr<'static> {
+    fn label(s: &'static str) -> Self {
+        Attr::Str(Cow::Borrowed(s))
+    }
+}
+
+type Attrs<'a> = Vec<(&'static str, Attr<'a>)>;
 
 /// One span being assembled by the mapper.
 #[derive(Debug)]
-struct SpanBuf {
+struct SpanBuf<'a> {
     id: u64,
     /// 0 = no parent (the root span).
     parent: u64,
-    name: String,
+    name: Cow<'a, str>,
     start: u64,
     end: u64,
-    attrs: Attrs,
-    events: Vec<(u64, &'static str, Attrs)>,
+    attrs: Attrs<'a>,
+    /// Span events: the recorded storage, cache and fault-class events
+    /// themselves, rendered with their attributes on export.
+    events: Vec<(u64, Event)>,
     /// `(span id, wf.link attribute)` pairs; linked spans share the trace.
     links: Vec<(u64, &'static str)>,
     /// OTLP status code: 0 unset, 1 ok, 2 error.
     status: u8,
 }
 
-impl SpanBuf {
-    fn new(id: u64, parent: u64, name: String, start: u64) -> Self {
+impl<'a> SpanBuf<'a> {
+    /// A span with room for `attrs` attributes.
+    fn new(id: u64, parent: u64, name: Cow<'a, str>, start: u64, attrs: usize) -> Self {
         SpanBuf {
             id,
             parent,
             name,
             start,
             end: start,
-            attrs: Vec::new(),
+            attrs: Vec::with_capacity(attrs),
             events: Vec::new(),
             links: Vec::new(),
             status: 0,
@@ -197,29 +209,28 @@ fn op_event_name(op: OpKind) -> &'static str {
 }
 
 /// Everything the span mapper produced.
-struct SpanForest {
+struct SpanForest<'a> {
     trace_hi: u64,
     trace_lo: u64,
-    spans: Vec<SpanBuf>,
+    spans: Vec<SpanBuf<'a>>,
 }
 
 /// Build the span tree from the recorded event stream.
-fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
+fn build_spans<'a>(report: &ObsReport, labels: &'a OtlpLabels) -> SpanForest<'a> {
     let ids = IdGen::new(report.seed, report.digest);
     let (trace_hi, trace_lo) = ids.trace_id();
     let mut spans: Vec<SpanBuf> = Vec::new();
 
     // Root span (index 0) — closed at the last observed timestamp.
     let root_name = if labels.run_name.is_empty() {
-        "run".to_string()
+        Cow::Borrowed("run")
     } else {
-        format!("run {}", labels.run_name)
+        Cow::Owned(format!("run {}", labels.run_name))
     };
     let root_id = ids.span_id(TAG_RUN, 0, 0);
-    let mut root = SpanBuf::new(root_id, 0, root_name, 0);
+    let mut root = SpanBuf::new(root_id, 0, root_name, 0, 3);
     root.attrs.push(("wf.seed", Attr::I64(report.seed as i64)));
-    root.attrs
-        .push(("wf.digest", Attr::Str(format!("{:016x}", report.digest))));
+    root.attrs.push(("wf.digest", digest_attr(report.digest)));
     root.attrs
         .push(("wf.events", Attr::I64(report.events.len() as i64)));
     root.status = 1;
@@ -237,7 +248,7 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
     let mut task_span: Vec<usize> = Vec::new();
     let mut rescue_pending: BTreeSet<u32> = BTreeSet::new();
     let mut fold = AttemptFold::default();
-    let mut task_step = |spans: &mut Vec<SpanBuf>,
+    let mut task_step = |spans: &mut Vec<SpanBuf<'a>>,
                          rescue_pending: &mut BTreeSet<u32>,
                          inc_open: &[Option<usize>],
                          step: Step| match step {
@@ -249,12 +260,8 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 .flatten()
                 .map_or(root_id, |ix| spans[ix].id);
             let id = ids.span_id(TAG_TASK, u64::from(task), u64::from(att.ordinal));
-            let mut s = SpanBuf::new(
-                id,
-                parent,
-                name_or(&labels.task_names, "t", task),
-                att.start,
-            );
+            let name = name_or(&labels.task_names, "t", task);
+            let mut s = SpanBuf::new(id, parent, name, att.start, 5);
             s.attrs.push(("wf.task.id", Attr::I64(i64::from(task))));
             s.attrs
                 .push(("wf.task.attempt", Attr::I64(i64::from(att.attempt))));
@@ -287,10 +294,10 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 (u64::from(att.ordinal) << 16) | u64::from(seq),
             );
             let parent = spans[task_span[att.task as usize]].id;
-            let mut s = SpanBuf::new(id, parent, phase_label(phase).to_string(), start);
+            let label = phase_label(phase);
+            let mut s = SpanBuf::new(id, parent, Cow::Borrowed(label), start, 1);
             s.end = end;
-            s.attrs
-                .push(("wf.phase", Attr::Str(phase_label(phase).to_string())));
+            s.attrs.push(("wf.phase", Attr::label(label)));
             spans.push(s);
         }
         Step::Close { att, end, outcome } => {
@@ -302,8 +309,7 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 Outcome::Failed => ("failed", 2),
                 Outcome::Unfinished => ("unfinished", 0),
             };
-            s.attrs
-                .push(("wf.task.outcome", Attr::Str(label.to_string())));
+            s.attrs.push(("wf.task.outcome", Attr::label(label)));
             s.status = status;
             if let Outcome::Killed { wasted_nanos } = outcome {
                 s.attrs
@@ -330,12 +336,13 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 let ordinal = inc_seen[n];
                 inc_seen[n] += 1;
                 let id = ids.span_id(TAG_NODE, u64::from(node), ordinal);
+                let name = name_or(&labels.node_names, "w", node);
                 let name = if ordinal == 0 {
-                    name_or(&labels.node_names, "w", node)
+                    name
                 } else {
-                    format!("{} #{ordinal}", name_or(&labels.node_names, "w", node))
+                    Cow::Owned(format!("{name} #{ordinal}"))
                 };
-                let mut s = SpanBuf::new(id, root_id, name, t);
+                let mut s = SpanBuf::new(id, root_id, name, t, 6);
                 s.attrs.push(("wf.node.id", Attr::I64(i64::from(node))));
                 s.attrs
                     .push(("wf.node.incarnation", Attr::I64(ordinal as i64)));
@@ -346,7 +353,7 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 for (i, seg) in labels.segments.iter().enumerate().skip(skipped) {
                     if seg.node == node {
                         s.attrs
-                            .push(("wf.billing.itype", Attr::Str(seg.itype.clone())));
+                            .push(("wf.billing.itype", Attr::Str(Cow::Borrowed(&seg.itype))));
                         s.attrs.push(("wf.billing.spot", Attr::Bool(seg.spot)));
                         s.attrs.push(("wf.billing.secs", Attr::F64(seg.secs)));
                         skipped = i + 1;
@@ -368,65 +375,20 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                     spans[ix].end = t;
                 }
             }
-            Event::StorageOp { op, node, bytes } => {
+            // Storage and cache events belong to the node incarnation
+            // they ran on (the root when none is open).
+            Event::StorageOp { node, .. }
+            | Event::CacheHit { node }
+            | Event::CacheMiss { node } => {
                 let target = inc_open.get(node as usize).copied().flatten().unwrap_or(0);
-                spans[target].events.push((
-                    t,
-                    op_event_name(op),
-                    vec![
-                        ("wf.op.kind", Attr::Str(op.label().to_string())),
-                        ("wf.op.bytes", Attr::I64(bytes as i64)),
-                        ("wf.node.id", Attr::I64(i64::from(node))),
-                    ],
-                ));
-            }
-            Event::CacheHit { node } => {
-                let target = inc_open.get(node as usize).copied().flatten().unwrap_or(0);
-                spans[target].events.push((
-                    t,
-                    "cache.hit",
-                    vec![("wf.node.id", Attr::I64(i64::from(node)))],
-                ));
-            }
-            Event::CacheMiss { node } => {
-                let target = inc_open.get(node as usize).copied().flatten().unwrap_or(0);
-                spans[target].events.push((
-                    t,
-                    "cache.miss",
-                    vec![("wf.node.id", Attr::I64(i64::from(node)))],
-                ));
-            }
-            Event::Fault { kind, node } => {
-                spans[0].events.push((
-                    t,
-                    "fault",
-                    vec![
-                        ("wf.fault.kind", Attr::Str(kind.label().to_string())),
-                        ("wf.node.id", Attr::I64(i64::from(node))),
-                    ],
-                ));
-            }
-            Event::FilesLost { count } => {
-                spans[0].events.push((
-                    t,
-                    "files_lost",
-                    vec![("wf.files.count", Attr::I64(i64::from(count)))],
-                ));
+                spans[target].events.push((t, ev));
             }
             Event::RescueResubmit { task } => {
                 rescue_pending.insert(task);
-                spans[0].events.push((
-                    t,
-                    "rescue_resubmit",
-                    vec![("wf.task.id", Attr::I64(i64::from(task)))],
-                ));
+                spans[0].events.push((t, ev));
             }
-            Event::NodeRecovered { node } => {
-                spans[0].events.push((
-                    t,
-                    "node_recovered",
-                    vec![("wf.node.id", Attr::I64(i64::from(node)))],
-                ));
+            Event::Fault { .. } | Event::FilesLost { .. } | Event::NodeRecovered { .. } => {
+                spans[0].events.push((t, ev));
             }
             // Flow- and queue-level events are metrics material, not spans.
             _ => {}
@@ -454,85 +416,160 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
 // JSON rendering
 // ---------------------------------------------------------------------
 
-/// OTLP `AnyValue` JSON. int64 values are decimal strings, per the
+/// The run digest as a resource or root-span attribute.
+fn digest_attr(digest: u64) -> Attr<'static> {
+    Attr::Str(Cow::Owned(format!("{digest:016x}")))
+}
+
+/// Append an OTLP `AnyValue`. int64 values are decimal strings, per the
 /// proto3 JSON mapping OTLP/JSON uses.
-fn attr_value_json(v: &Attr) -> String {
+fn push_value(out: &mut String, v: &Attr) {
     match v {
-        Attr::Str(s) => format!("{{\"stringValue\":\"{}\"}}", esc(s)),
-        Attr::I64(n) => format!("{{\"intValue\":\"{n}\"}}"),
-        Attr::F64(f) => format!("{{\"doubleValue\":{f}}}"),
-        Attr::Bool(b) => format!("{{\"boolValue\":{b}}}"),
+        Attr::Str(s) => {
+            out.push_str("{\"stringValue\":\"");
+            push_esc(out, s);
+            out.push_str("\"}");
+        }
+        Attr::I64(n) => {
+            out.push_str("{\"intValue\":\"");
+            push_i64(out, *n);
+            out.push_str("\"}");
+        }
+        Attr::F64(f) => {
+            out.push_str("{\"doubleValue\":");
+            push_f64(out, *f);
+            out.push('}');
+        }
+        Attr::Bool(b) => {
+            out.push_str(if *b {
+                "{\"boolValue\":true}"
+            } else {
+                "{\"boolValue\":false}"
+            });
+        }
     }
 }
 
-fn attrs_json(attrs: &[(&'static str, Attr)]) -> String {
-    let parts: Vec<String> = attrs
-        .iter()
-        .map(|(k, v)| format!("{{\"key\":\"{k}\",\"value\":{}}}", attr_value_json(v)))
-        .collect();
-    format!("[{}]", parts.join(","))
+/// Append a JSON array of `{key, value}` attributes.
+fn push_attrs(out: &mut String, attrs: &[(&'static str, Attr)]) {
+    out.push('[');
+    for (i, (k, v)) in attrs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"key\":\"");
+        out.push_str(k);
+        out.push_str("\",\"value\":");
+        push_value(out, v);
+        out.push('}');
+    }
+    out.push(']');
 }
 
-/// Shared resource block: service identity plus run metadata.
-fn resource_json(report: &ObsReport, labels: &OtlpLabels) -> String {
+/// Append one span event: a recorded event with its name and attributes.
+fn push_span_event(out: &mut String, t: u64, ev: &Event) {
+    let node = |node: u32| ("wf.node.id", Attr::I64(i64::from(node)));
+    let (name, attrs): (&str, &[(&'static str, Attr)]) = match *ev {
+        Event::StorageOp { op, node: n, bytes } => (
+            op_event_name(op),
+            &[
+                ("wf.op.kind", Attr::label(op.label())),
+                ("wf.op.bytes", Attr::I64(bytes as i64)),
+                node(n),
+            ],
+        ),
+        Event::CacheHit { node: n } => ("cache.hit", &[node(n)]),
+        Event::CacheMiss { node: n } => ("cache.miss", &[node(n)]),
+        Event::Fault { kind, node: n } => (
+            "fault",
+            &[("wf.fault.kind", Attr::label(kind.label())), node(n)],
+        ),
+        Event::FilesLost { count } => (
+            "files_lost",
+            &[("wf.files.count", Attr::I64(i64::from(count)))],
+        ),
+        Event::RescueResubmit { task } => (
+            "rescue_resubmit",
+            &[("wf.task.id", Attr::I64(i64::from(task)))],
+        ),
+        Event::NodeRecovered { node: n } => ("node_recovered", &[node(n)]),
+        _ => unreachable!("the span mapper attaches no {ev:?}"),
+    };
+    out.push_str("{\"timeUnixNano\":\"");
+    push_u64(out, t);
+    out.push_str("\",\"name\":\"");
+    out.push_str(name);
+    out.push_str("\",\"attributes\":");
+    push_attrs(out, attrs);
+    out.push('}');
+}
+
+/// Append the shared resource block: service identity plus run metadata.
+fn push_resource(out: &mut String, report: &ObsReport, labels: &OtlpLabels) {
     let service = if labels.service_name.is_empty() {
         "wfsim"
     } else {
         &labels.service_name
     };
-    let attrs: Vec<(&'static str, Attr)> = vec![
-        ("service.name", Attr::Str(service.to_string())),
-        ("wf.run.name", Attr::Str(labels.run_name.clone())),
+    let attrs = [
+        ("service.name", Attr::Str(Cow::Borrowed(service))),
+        ("wf.run.name", Attr::Str(Cow::Borrowed(&labels.run_name))),
         ("wf.seed", Attr::I64(report.seed as i64)),
-        ("wf.storage.backend", Attr::Str(labels.storage.clone())),
+        (
+            "wf.storage.backend",
+            Attr::Str(Cow::Borrowed(&labels.storage)),
+        ),
         ("wf.cluster.workers", Attr::I64(i64::from(labels.workers))),
-        ("wf.digest", Attr::Str(format!("{:016x}", report.digest))),
+        ("wf.digest", digest_attr(report.digest)),
     ];
-    format!("{{\"attributes\":{}}}", attrs_json(&attrs))
+    out.push_str("{\"attributes\":");
+    push_attrs(out, &attrs);
+    out.push('}');
 }
 
 const SCOPE_JSON: &str = "{\"name\":\"wfobs\",\"version\":\"0.1.0\"}";
 
-fn span_json(s: &SpanBuf, trace_hi: u64, trace_lo: u64) -> String {
-    let trace_id = format!("{trace_hi:016x}{trace_lo:016x}");
-    let parent = if s.parent == 0 {
-        String::new()
-    } else {
-        format!("{:016x}", s.parent)
-    };
-    let events: Vec<String> = s
-        .events
-        .iter()
-        .map(|(t, name, attrs)| {
-            format!(
-                "{{\"timeUnixNano\":\"{t}\",\"name\":\"{name}\",\"attributes\":{}}}",
-                attrs_json(attrs)
-            )
-        })
-        .collect();
-    let links: Vec<String> = s
-        .links
-        .iter()
-        .map(|(id, kind)| {
-            format!(
-                "{{\"traceId\":\"{trace_id}\",\"spanId\":\"{id:016x}\",\"attributes\":\
-                 [{{\"key\":\"wf.link\",\"value\":{{\"stringValue\":\"{kind}\"}}}}]}}"
-            )
-        })
-        .collect();
-    format!(
-        "{{\"traceId\":\"{trace_id}\",\"spanId\":\"{:016x}\",\"parentSpanId\":\"{parent}\",\
-         \"name\":\"{}\",\"kind\":1,\"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\",\
-         \"attributes\":{},\"events\":[{}],\"links\":[{}],\"status\":{{\"code\":{}}}}}",
-        s.id,
-        esc(&s.name),
-        s.start,
-        s.end,
-        attrs_json(&s.attrs),
-        events.join(","),
-        links.join(","),
-        s.status,
-    )
+/// Append one span; `trace_id` is the 32 hex digits of the trace id.
+fn push_span(out: &mut String, s: &SpanBuf, trace_id: &str) {
+    out.push_str("{\"traceId\":\"");
+    out.push_str(trace_id);
+    out.push_str("\",\"spanId\":\"");
+    push_hex16(out, s.id);
+    out.push_str("\",\"parentSpanId\":\"");
+    if s.parent != 0 {
+        push_hex16(out, s.parent);
+    }
+    out.push_str("\",\"name\":\"");
+    push_esc(out, &s.name);
+    out.push_str("\",\"kind\":1,\"startTimeUnixNano\":\"");
+    push_u64(out, s.start);
+    out.push_str("\",\"endTimeUnixNano\":\"");
+    push_u64(out, s.end);
+    out.push_str("\",\"attributes\":");
+    push_attrs(out, &s.attrs);
+    out.push_str(",\"events\":[");
+    for (i, (t, ev)) in s.events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_span_event(out, *t, ev);
+    }
+    out.push_str("],\"links\":[");
+    for (i, (id, kind)) in s.links.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"traceId\":\"");
+        out.push_str(trace_id);
+        out.push_str("\",\"spanId\":\"");
+        push_hex16(out, *id);
+        out.push_str("\",\"attributes\":[{\"key\":\"wf.link\",\"value\":{\"stringValue\":\"");
+        out.push_str(kind);
+        out.push_str("\"}}]}");
+    }
+    out.push_str("],\"status\":{\"code\":");
+    push_u64(out, u64::from(s.status));
+    out.push_str("}}");
 }
 
 /// Render a Full-level report as an OTLP/JSON `ExportTraceServiceRequest`.
@@ -541,17 +578,24 @@ fn span_json(s: &SpanBuf, trace_hi: u64, trace_lo: u64) -> String {
 /// for `POST /v1/traces` on any OTLP/HTTP collector.
 pub fn otlp_trace(report: &ObsReport, labels: &OtlpLabels) -> String {
     let forest = build_spans(report, labels);
-    let spans: Vec<String> = forest
-        .spans
-        .iter()
-        .map(|s| span_json(s, forest.trace_hi, forest.trace_lo))
-        .collect();
-    format!(
-        "{{\"resourceSpans\":[{{\"resource\":{},\"scopeSpans\":[{{\"scope\":{SCOPE_JSON},\
-         \"spans\":[\n{}\n]}}]}}]}}\n",
-        resource_json(report, labels),
-        spans.join(",\n"),
-    )
+    let mut trace_id = String::with_capacity(32);
+    push_hex16(&mut trace_id, forest.trace_hi);
+    push_hex16(&mut trace_id, forest.trace_lo);
+    let span_events: usize = forest.spans.iter().map(|s| s.events.len()).sum();
+    let mut out = String::with_capacity(480 * forest.spans.len() + 160 * span_events + 1024);
+    out.push_str("{\"resourceSpans\":[{\"resource\":");
+    push_resource(&mut out, report, labels);
+    out.push_str(",\"scopeSpans\":[{\"scope\":");
+    out.push_str(SCOPE_JSON);
+    out.push_str(",\"spans\":[\n");
+    for (i, s) in forest.spans.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        push_span(&mut out, s, &trace_id);
+    }
+    out.push_str("\n]}]}]}\n");
+    out
 }
 
 /// Render the metrics registry of a Full-level report as an OTLP/JSON
@@ -560,51 +604,88 @@ pub fn otlp_trace(report: &ObsReport, labels: &OtlpLabels) -> String {
 /// series become multi-point gauges.
 pub fn otlp_metrics(report: &ObsReport, labels: &OtlpLabels) -> String {
     let t_end = report.events.last().map_or(0, |&(t, _)| t);
-    let mut metrics: Vec<String> = Vec::new();
+    let m = &report.metrics;
+    let points: usize = m.all_series().map(|(_, p)| p.len()).sum();
+    let mut out = String::with_capacity(
+        256 * (m.counters().count() + m.histograms().count()) + 48 * points + 1024,
+    );
+    out.push_str("{\"resourceMetrics\":[{\"resource\":");
+    push_resource(&mut out, report, labels);
+    out.push_str(",\"scopeMetrics\":[{\"scope\":");
+    out.push_str(SCOPE_JSON);
+    out.push_str(",\"metrics\":[\n");
+    // Each metric opens `{"name":"wf.<name>",`, after `,\n` but for the
+    // first. Counter and histogram names are static labels; series names
+    // come from resource labels, so they are escaped.
+    let mut first = true;
+    let mut open = |out: &mut String, name: &str, escape: bool| {
+        if !first {
+            out.push_str(",\n");
+        }
+        first = false;
+        out.push_str("{\"name\":\"wf.");
+        if escape {
+            push_esc(out, name);
+        } else {
+            out.push_str(name);
+        }
+        out.push_str("\",");
+    };
 
-    for (name, v) in report.metrics.counters() {
-        metrics.push(format!(
-            "{{\"name\":\"wf.{name}\",\"sum\":{{\"dataPoints\":[{{\"startTimeUnixNano\":\"0\",\
-             \"timeUnixNano\":\"{t_end}\",\"asInt\":\"{v}\"}}],\"aggregationTemporality\":2,\
-             \"isMonotonic\":true}}}}"
-        ));
+    for (name, v) in m.counters() {
+        open(&mut out, name, false);
+        out.push_str("\"sum\":{\"dataPoints\":[{\"startTimeUnixNano\":\"0\",\"timeUnixNano\":\"");
+        push_u64(&mut out, t_end);
+        out.push_str("\",\"asInt\":\"");
+        push_u64(&mut out, v);
+        out.push_str("\"}],\"aggregationTemporality\":2,\"isMonotonic\":true}}");
     }
-    for (name, h) in report.metrics.histograms() {
-        let bounds: Vec<String> = h.bounds.iter().map(|b| format!("{b}")).collect();
-        let counts: Vec<String> = h.counts.iter().map(|c| format!("\"{c}\"")).collect();
-        metrics.push(format!(
-            "{{\"name\":\"wf.{name}\",\"histogram\":{{\"dataPoints\":[{{\"startTimeUnixNano\":\
-             \"0\",\"timeUnixNano\":\"{t_end}\",\"count\":\"{}\",\"sum\":{},\"bucketCounts\":[{}],\
-             \"explicitBounds\":[{}]}}],\"aggregationTemporality\":2}}}}",
-            h.n,
-            h.sum,
-            counts.join(","),
-            bounds.join(","),
-        ));
+    for (name, h) in m.histograms() {
+        open(&mut out, name, false);
+        out.push_str(
+            "\"histogram\":{\"dataPoints\":[{\"startTimeUnixNano\":\"0\",\"timeUnixNano\":\"",
+        );
+        push_u64(&mut out, t_end);
+        out.push_str("\",\"count\":\"");
+        push_u64(&mut out, h.n);
+        out.push_str("\",\"sum\":");
+        push_u64(&mut out, h.sum);
+        out.push_str(",\"bucketCounts\":[");
+        for (i, &c) in h.counts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            push_u64(&mut out, c);
+            out.push('"');
+        }
+        out.push_str("],\"explicitBounds\":[");
+        for (i, &b) in h.bounds.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_u64(&mut out, b);
+        }
+        out.push_str("]}],\"aggregationTemporality\":2}}");
     }
-    let mut series_names: Vec<&str> = report.metrics.series_names().collect();
-    series_names.sort_unstable();
-    for name in series_names {
-        let Some(pts) = report.metrics.series(name) else {
-            continue;
-        };
-        let points: Vec<String> = pts
-            .iter()
-            .map(|&(t, v)| format!("{{\"timeUnixNano\":\"{t}\",\"asDouble\":{v}}}"))
-            .collect();
-        metrics.push(format!(
-            "{{\"name\":\"wf.{}\",\"gauge\":{{\"dataPoints\":[{}]}}}}",
-            esc(name),
-            points.join(","),
-        ));
+    for (name, pts) in m.all_series() {
+        open(&mut out, name, true);
+        out.push_str("\"gauge\":{\"dataPoints\":[");
+        for (i, &(t, v)) in pts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"timeUnixNano\":\"");
+            push_u64(&mut out, t);
+            out.push_str("\",\"asDouble\":");
+            push_f64(&mut out, v);
+            out.push('}');
+        }
+        out.push_str("]}}");
     }
 
-    format!(
-        "{{\"resourceMetrics\":[{{\"resource\":{},\"scopeMetrics\":[{{\"scope\":{SCOPE_JSON},\
-         \"metrics\":[\n{}\n]}}]}}]}}\n",
-        resource_json(report, labels),
-        metrics.join(",\n"),
-    )
+    out.push_str("\n]}]}]}\n");
+    out
 }
 
 #[cfg(test)]

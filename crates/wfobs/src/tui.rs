@@ -219,11 +219,11 @@ impl TuiState {
     }
 
     fn task_name(&self, id: u32) -> String {
-        name_or(&self.cfg.task_names, "t", id)
+        name_or(&self.cfg.task_names, "t", id).into_owned()
     }
 
     fn node_name(&self, id: u32) -> String {
-        name_or(&self.cfg.node_names, "n", id)
+        name_or(&self.cfg.node_names, "n", id).into_owned()
     }
 
     fn push_ticker(&mut self, t: u64, msg: String) {
