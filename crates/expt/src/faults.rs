@@ -18,6 +18,12 @@ use wfengine::{
 use wfgen::App;
 use wfstorage::StorageKind;
 
+use crate::shape::{
+    check, Cmp,
+    Rel::{Ge, Gt, Le},
+    Unit::Ratio,
+};
+
 /// The storage options the fault study sweeps: the dedicated-server
 /// option (NFS), the object store (S3) and the two distributed options
 /// whose data lives *on* the workers (GlusterFS distribute, PVFS).
@@ -264,135 +270,92 @@ pub fn run_f2(apps: &[App], seed: u64) -> FaultStudy {
 
 /// Shape checks over the study (the F2 scoreboard entries).
 pub fn check_f2(study: &FaultStudy) -> Vec<crate::ShapeCheck> {
-    use crate::shape::ShapeCheck;
-    let check = |id: &str, claim: &str, passed: bool, detail: String| ShapeCheck {
-        id: id.to_string(),
-        claim: claim.to_string(),
-        passed,
-        detail,
+    use FaultScenario::{NodeChurn, ServerFailure, ZeroRate};
+    use StorageKind::{GlusterDistribute, Nfs, Pvfs, S3};
+    let infl = |app, s, sc| {
+        let v = study.row(app, s, sc).map(|r| r.inflation);
+        (format!("{app} {s:?}"), v.unwrap_or(f64::NAN))
     };
-    let mut out = Vec::new();
-    let infl = |app, storage, sc| {
-        study
-            .row(app, storage, sc)
-            .map(|r| r.inflation)
-            .unwrap_or(f64::NAN)
-    };
-
-    // Metamorphic: a zero-rate plan consumes no randomness and schedules
-    // no events, so it must be bit-identical to no plan at all.
-    let zero_ok = study
-        .rows
-        .iter()
-        .filter(|r| r.scenario == FaultScenario::ZeroRate)
-        .all(|r| r.bit_identical_to_clean);
-    out.push(check(
-        "f2.zero-rate-identical",
-        "A FaultPlan with all rates zero is bit-identical to no plan",
-        zero_ok,
-        study
-            .rows
-            .iter()
-            .filter(|r| r.scenario == FaultScenario::ZeroRate && !r.bit_identical_to_clean)
-            .map(|r| format!("{}/{:?} diverged; ", r.app, r.storage))
-            .collect(),
-    ));
-
-    // On the worker-resident options every fault destroys data that
-    // must be re-created, so no scenario may *shorten* the run. (NFS is
-    // excluded on purpose: killing tasks relieves server contention, and
-    // a contention-bound Broadband run can genuinely speed up — the same
-    // physics as fig4's 2→4 node regression.)
-    let mut lengthen_ok = true;
-    let mut worst = f64::INFINITY;
-    for r in &study.rows {
-        let resident = matches!(
-            r.storage,
-            StorageKind::GlusterDistribute | StorageKind::Pvfs
-        );
-        if resident && r.scenario != FaultScenario::ZeroRate {
-            lengthen_ok &= r.inflation >= 1.0 - 1e-9;
-            worst = worst.min(r.inflation);
-        }
-    }
-    out.push(check(
-        "f2.faults-lengthen",
-        "Faults never shorten runs on worker-resident storage (lost data must be re-created)",
-        lengthen_ok,
-        format!("minimum inflation {worst:.3}x"),
-    ));
-
-    // The single-server option concentrates failure: when the storage
-    // service dies, NFS stalls the whole run, while S3 shrugs and
-    // GlusterFS only re-creates one peer's files.
-    let mut nfs_ok = true;
-    let mut detail = String::new();
-    for app in study.apps() {
-        let nfs = infl(app, StorageKind::Nfs, FaultScenario::ServerFailure);
-        let s3 = infl(app, StorageKind::S3, FaultScenario::ServerFailure);
-        let gl = infl(
-            app,
-            StorageKind::GlusterDistribute,
-            FaultScenario::ServerFailure,
-        );
-        nfs_ok &= nfs > s3 && nfs > gl;
-        detail.push_str(&format!(
-            "{app}: NFS {nfs:.2}x vs S3 {s3:.2}x, GlusterFS {gl:.2}x; "
-        ));
-    }
-    out.push(check(
-        "f2.nfs-worst-server-failure",
-        "NFS degrades worst under a storage-service failure (whole-run stall)",
-        nfs_ok,
-        detail,
-    ));
-
-    // S3 keeps data off the workers, so node churn costs it only the
-    // killed executions — the worker-resident options must also re-create
-    // the files that died with the node.
-    let mut s3_ok = true;
-    let mut detail = String::new();
-    for app in study.apps() {
-        let s3 = infl(app, StorageKind::S3, FaultScenario::NodeChurn);
-        let gl = infl(
-            app,
-            StorageKind::GlusterDistribute,
-            FaultScenario::NodeChurn,
-        );
-        let pv = infl(app, StorageKind::Pvfs, FaultScenario::NodeChurn);
-        s3_ok &= s3 <= gl * 1.02 && s3 <= pv * 1.02;
-        detail.push_str(&format!(
-            "{app}: S3 {s3:.2}x vs GlusterFS {gl:.2}x, PVFS {pv:.2}x; "
-        ));
-    }
-    out.push(check(
-        "f2.s3-flattest-churn",
-        "S3 inflates least under node churn (its data survives the crash)",
-        s3_ok,
-        detail,
-    ));
-
-    // §VI's billing model under churn: a crash forfeits the started hour
-    // and the replacement opens a fresh one, so per-hour cost never drops
-    // and genuinely rises somewhere. (NFS excluded again: the contention
-    // relief can shave a whole billed hour off a multi-hour run.)
-    let churn: Vec<_> = study
-        .rows
-        .iter()
-        .filter(|r| r.scenario == FaultScenario::NodeChurn && r.storage != StorageKind::Nfs)
+    let clean = |v| ("clean".to_string(), v);
+    let at = |r: &FaultRow, what: &str| format!("{}/{:?} {what}", r.app, r.storage);
+    let rows = |sc| study.rows.iter().filter(move |r| r.scenario == sc);
+    let diverged: Vec<String> = (rows(ZeroRate).filter(|r| !r.bit_identical_to_clean))
+        .map(|r| at(r, "diverged"))
         .collect();
-    let cost_ok = churn.iter().all(|r| r.cost_inflation >= 1.0 - 1e-9)
-        && churn.iter().any(|r| r.cost_inflation > 1.0 + 1e-9);
-    out.push(check(
-        "f2.churn-wastes-hours",
-        "Node churn never lowers the per-hour bill and forfeits started hours somewhere",
-        cost_ok,
-        churn
-            .iter()
-            .map(|r| format!("{}/{:?} {:.2}x; ", r.app, r.storage, r.cost_inflation))
-            .collect(),
-    ));
-    out
+    let identical = Cmp::Fact(format!("diverged: {diverged:?}"), diverged.is_empty());
+    let resident = |r: &&FaultRow| matches!(r.storage, GlusterDistribute | Pvfs);
+    let lengthen = |r: &FaultRow| {
+        let inflation = (at(r, r.scenario.label()), r.inflation);
+        Cmp::new(Ratio, inflation, Ge, clean(1.0 - 1e-9))
+    };
+    let sf = |app, s| infl(app, s, ServerFailure);
+    let nfs_worst =
+        |app| [S3, GlusterDistribute].map(|s| Cmp::new(Ratio, sf(app, Nfs), Gt, sf(app, s)));
+    let nc = |app, s| infl(app, s, NodeChurn);
+    let s3_flat = |app| {
+        [GlusterDistribute, Pvfs].map(|s| Cmp::new(Ratio, nc(app, S3), Le, nc(app, s)).times(1.02))
+    };
+    let churn: Vec<&FaultRow> = rows(NodeChurn).filter(|r| r.storage != Nfs).collect();
+    let bill = |r: &&FaultRow| {
+        let cost = (at(r, "cost"), r.cost_inflation);
+        Cmp::new(Ratio, cost, Ge, clean(1.0 - 1e-9))
+    };
+    // Some bill rises: the costliest one does. A NaN bill, which `max`
+    // skips here, fails its own `≥` comparison above.
+    let costliest = churn.iter().map(|r| r.cost_inflation);
+    let costliest = (
+        "costliest".to_string(),
+        costliest.fold(f64::NEG_INFINITY, f64::max),
+    );
+    let forfeits = Cmp::new(Ratio, costliest, Gt, clean(1.0 + 1e-9));
+    vec![
+        // Metamorphic: a zero-rate plan consumes no randomness and
+        // schedules no events, so it must be bit-identical to no plan at
+        // all.
+        check(
+            "f2.zero-rate-identical",
+            "A FaultPlan with all rates zero is bit-identical to no plan",
+            [identical],
+        ),
+        // On the worker-resident options every fault destroys data that
+        // must be re-created, so no scenario may *shorten* the run. (NFS
+        // is excluded on purpose: killing tasks relieves server
+        // contention, and a contention-bound Broadband run can genuinely
+        // speed up — the same physics as fig4's 2→4 node regression.)
+        check(
+            "f2.faults-lengthen",
+            "Faults never shorten runs on worker-resident storage (lost data must be re-created)",
+            (study.rows.iter().filter(resident))
+                .filter(|r| r.scenario != ZeroRate)
+                .map(lengthen),
+        ),
+        // The single-server option concentrates failure: when the storage
+        // service dies, NFS stalls the whole run, while S3 shrugs and
+        // GlusterFS only re-creates one peer's files.
+        check(
+            "f2.nfs-worst-server-failure",
+            "NFS degrades worst under a storage-service failure (whole-run stall)",
+            study.apps().into_iter().flat_map(nfs_worst),
+        ),
+        // S3 keeps data off the workers, so node churn costs it only the
+        // killed executions — the worker-resident options must also
+        // re-create the files that died with the node.
+        check(
+            "f2.s3-flattest-churn",
+            "S3 inflates least under node churn (its data survives the crash)",
+            study.apps().into_iter().flat_map(s3_flat),
+        ),
+        // §VI's billing model under churn: a crash forfeits the started
+        // hour and the replacement opens a fresh one, so per-hour cost
+        // never drops and genuinely rises somewhere. (NFS excluded again:
+        // the contention relief can shave a whole billed hour off a
+        // multi-hour run.)
+        check(
+            "f2.churn-wastes-hours",
+            "Node churn never lowers the per-hour bill and forfeits started hours somewhere",
+            churn.iter().map(bill).chain([forfeits]),
+        ),
+    ]
 }
 
 /// Render the study as an ASCII table.

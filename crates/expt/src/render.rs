@@ -183,7 +183,10 @@ pub fn shape_checks(checks: &[ShapeCheck]) -> String {
             c.id,
             c.claim
         );
-        let _ = writeln!(s, "         {}", c.detail);
+        let margin = c
+            .margin
+            .map_or("n/a".to_string(), |m| format!("{:+.2}%", 100.0 * m));
+        let _ = writeln!(s, "         margin {margin}: {}", c.detail);
     }
     s
 }

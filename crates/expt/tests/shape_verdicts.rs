@@ -278,10 +278,10 @@ fn fault_row(
     }
 }
 
-fn verdict(checks: &[ShapeCheck], id: &str) -> bool {
+fn find<'a>(checks: &'a [ShapeCheck], id: &str) -> &'a ShapeCheck {
     let hits: Vec<_> = checks.iter().filter(|c| c.id == id).collect();
     assert_eq!(hits.len(), 1, "exactly one check {id}");
-    hits[0].passed
+    hits[0]
 }
 
 /// The next representable value above `x`.
@@ -749,6 +749,29 @@ const CASES: &[Case] = &[
     }),
 ];
 
+/// A margin agrees with its verdict: negative only on a failed check,
+/// positive only on a passed one; categorical checks have none.
+fn assert_margins_agree(checks: &[ShapeCheck], case: &str) {
+    for c in checks {
+        let m = c.margin;
+        if CATEGORICAL.contains(&c.id.as_str()) {
+            assert_eq!(m, None, "{}: case `{case}`", c.id);
+        }
+        assert!(
+            !c.passed || !m.is_some_and(|m| m < 0.0),
+            "{} margin {m:?} vs passed {}: case `{case}`",
+            c.id,
+            c.passed
+        );
+        assert!(
+            c.passed || !m.is_some_and(|m| m > 0.0),
+            "{} margin {m:?} vs passed {}: case `{case}`",
+            c.id,
+            c.passed
+        );
+    }
+}
+
 #[test]
 fn baseline_passes_all_24_checks_in_order() {
     let checks = Inputs::baseline().checks();
@@ -756,6 +779,11 @@ fn baseline_passes_all_24_checks_in_order() {
     assert_eq!(ids, IDS);
     let failed: Vec<_> = checks.iter().filter(|c| !c.passed).collect();
     assert!(failed.is_empty(), "{failed:#?}");
+    for c in &checks {
+        let numeric = !CATEGORICAL.contains(&c.id.as_str());
+        assert!(!numeric || c.margin.is_some_and(|m| m > 0.0), "{c:#?}");
+    }
+    assert_margins_agree(&checks, "baseline");
 }
 
 #[test]
@@ -780,7 +808,17 @@ fn verdicts_are_pinned() {
         let mut inputs = base.clone();
         edit(&mut inputs);
         let checks = inputs.checks();
-        assert_eq!(verdict(&checks, id), *want, "{id}: case `{name}`");
+        let c = find(&checks, id);
+        assert_eq!(c.passed, *want, "{id}: case `{name}`");
+        assert_margins_agree(&checks, name);
+        // A value on the threshold leaves no slack, and a failure caused
+        // by a missing value has no margin at all (never a finite one).
+        if !CATEGORICAL.contains(id) && (name.contains(" on the ") || name.contains(" ties ")) {
+            assert_eq!(c.margin, Some(0.0), "{id}: case `{name}`");
+        }
+        if !want && (name.contains("missing") || name.contains("NaN")) {
+            assert_eq!(c.margin, None, "{id}: case `{name}`");
+        }
     }
 }
 
@@ -791,5 +829,18 @@ fn missing_m24_cell_drops_its_check() {
     let checks = inputs.checks();
     assert_eq!(checks.len(), 23);
     assert!(checks.iter().all(|c| c.id != "fig4.m24-partial-fix"));
-    assert!(CATEGORICAL.iter().all(|id| IDS.contains(id)));
+}
+
+#[test]
+fn long_detail_lines_show_what_fails() {
+    let mut inputs = Inputs::baseline();
+    inputs.row(Epi, Dist, NodeChurn).inflation = 0.9;
+    let checks = inputs.checks();
+    let c = find(&checks, "f2.faults-lengthen");
+    assert_eq!(
+        c.detail,
+        "Epigenome/GlusterDistribute node-churn 0.900x ≥ clean 1.000x (1 of 12 comparisons)"
+    );
+    let m = c.margin.unwrap();
+    assert!((m + 0.1).abs() < 1e-6, "{m}");
 }

@@ -15,7 +15,7 @@ fn assert_all_pass(checks: &[ec2_workflow_sim::expt::ShapeCheck]) {
         "failed shape checks: {:#?}",
         failures
             .iter()
-            .map(|c| format!("{}: {}", c.id, c.detail))
+            .map(|c| format!("{} (margin {:?}): {}", c.id, c.margin, c.detail))
             .collect::<Vec<_>>()
     );
 }
