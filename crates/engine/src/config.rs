@@ -91,17 +91,14 @@ pub struct StorageFailureSpec {
 }
 
 /// Spot-market revocation: workers run as spot instances and may be
-/// terminated by price movements; terminated capacity is replaced by
-/// on-demand instances (billed separately — the wasted-partial-hour
-/// cost shows up in the per-segment billing).
+/// terminated by price movements; terminated capacity is always replaced
+/// by an on-demand instance after a boot delay (billed separately — the
+/// wasted-partial-hour cost shows up in the per-segment billing).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotSpec {
     /// Per-node Poisson termination rate (terminations per node-hour),
     /// sampled from the per-node `engine.faults.spot.<i>` stream.
     pub rate_per_hour: f64,
-    /// Replace terminated capacity with an on-demand instance after a
-    /// boot delay.
-    pub replace: bool,
 }
 
 /// The complete multi-layer fault plan. Every stochastic choice draws
@@ -147,10 +144,7 @@ impl FaultPlan {
                 scheduled: Vec::new(),
                 recovery_secs: 0.0,
             }),
-            spot: Some(SpotSpec {
-                rate_per_hour: 0.0,
-                replace: true,
-            }),
+            spot: Some(SpotSpec { rate_per_hour: 0.0 }),
             backoff: RetryBackoff::default(),
             max_fault_retries: 0,
         }

@@ -164,17 +164,9 @@ pub(crate) fn spot_termination(
         node: world.cluster.workers()[ix].0,
     });
     take_down_worker(sim, world, ix);
-    let replace = world
-        .cfg
-        .faults
-        .as_ref()
-        .and_then(|p| p.spot.as_ref())
-        .is_none_or(|s| s.replace);
-    if replace {
-        // The replacement is on-demand: recovery clears the spot flag,
-        // so this node is never terminated by the market again.
-        schedule_recovery(sim, world, ix);
-    }
+    // The replacement is on-demand: recovery clears the spot flag, so
+    // this node is never terminated by the market again.
+    schedule_recovery(sim, world, ix);
 }
 
 /// Common crash/termination path: the instance dies, its in-flight
@@ -854,7 +846,6 @@ mod tests {
         cfg.faults = Some(FaultPlan {
             spot: Some(SpotSpec {
                 rate_per_hour: 300.0, // mean time to revocation ~12 s
-                replace: true,
             }),
             max_fault_retries: 60,
             ..FaultPlan::default()

@@ -166,8 +166,6 @@ pub struct World {
 
     /// Rotating cursor for locality-blind node selection.
     pub rr_cursor: usize,
-    /// Randomness for tie-breaking.
-    pub rng: DetRng,
 
     /// Per-task execution epoch. A fault kill bumps it, so continuations
     /// of the dead execution (which captured the old epoch) no-op.
@@ -252,7 +250,6 @@ impl World {
                 }
             })
             .collect();
-        let rng = DetRng::stream(cfg.seed, "engine.schedule");
         let workers = cluster.workers().len();
         // A zero-rate spot spec is inert: workers stay on-demand, so a
         // FaultPlan::zero() run bills identically to a plan-free run.
@@ -298,7 +295,6 @@ impl World {
             bg_active: false,
             ops: Ops::default(),
             rr_cursor: 0,
-            rng,
             epoch: vec![0; n],
             running: vec![Vec::new(); workers],
             inflight: Vec::new(),

@@ -98,10 +98,7 @@ impl FaultScenario {
                 ..FaultPlan::default()
             },
             FaultScenario::SpotMarket => FaultPlan {
-                spot: Some(SpotSpec {
-                    rate_per_hour: 2.0,
-                    replace: true,
-                }),
+                spot: Some(SpotSpec { rate_per_hour: 2.0 }),
                 max_fault_retries: 16,
                 ..FaultPlan::default()
             },
@@ -417,7 +414,7 @@ mod tests {
         let sf = FaultScenario::ServerFailure.plan(t);
         assert_eq!(sf.storage_failure.as_ref().unwrap().scheduled, vec![300.0]);
         let spot = FaultScenario::SpotMarket.plan(t);
-        assert!(spot.spot.as_ref().unwrap().replace);
+        assert_eq!(spot.spot, Some(SpotSpec { rate_per_hour: 2.0 }));
     }
 
     #[test]

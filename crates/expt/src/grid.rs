@@ -193,10 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn figure_has_19_cells() {
-        // S3 and NFS: 4 node counts each; GlusterFS ×2 and PVFS: 3 each;
-        // Local: 1. Total 8 + 9 + 3 + ... = 8 + 6 + 3 + 1 = 18... counted:
-        // S3(4) + NFS(4) + NUFA(3) + dist(3) + PVFS(3) + Local(1) = 18.
+    fn figure_has_18_cells() {
+        // S3(4) + NFS(4) + NUFA(3) + distribute(3) + PVFS(3) + Local(1) = 18.
         assert_eq!(figure_cells(App::Montage).len(), 18);
     }
 }

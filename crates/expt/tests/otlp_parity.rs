@@ -199,7 +199,6 @@ fn otlp_cost_parity_on_spot_instances() {
     let mut plan = FaultPlan::zero();
     plan.spot = Some(SpotSpec {
         rate_per_hour: 0.05,
-        replace: true,
     });
     plan.max_fault_retries = 16;
     let mut cfg = RunConfig::cell(kind, 2)
