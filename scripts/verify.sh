@@ -21,6 +21,11 @@
 #                      reproduce tests/golden_digest.txt bit for bit)
 # Golden OTLP:         repro --golden-otlp (the fixed run must re-export
 #                      tests/golden_otlp.json byte for byte)
+# Repro golden:        the release `repro --seed 42`, run in a temp dir,
+#                      must write reports/ byte for byte as committed:
+#                      repro-42.json (every figure cell, ablation row,
+#                      F2 row, and all 24 shape checks with their
+#                      margins) and the six runtime/cost CSVs
 # Paper-scale exports: the release `wfsim run` of Montage on GlusterFS-NUFA
 #                      with 8 workers at seed 42 writes the Chrome trace,
 #                      metrics CSV, OTLP trace, OTLP metrics and folded
@@ -144,6 +149,20 @@ cargo run --release -q -p expt --bin repro -- --golden-digest
 
 echo "== golden OTLP =="
 cargo run --release -q -p expt --bin repro -- --golden-otlp
+
+echo "== repro golden: the seed-42 dataset and verdicts =="
+# Every number `repro` reports at seed 42, every shape-check verdict and
+# margin, byte for byte (≈12 s once built). After an intended change,
+# rerun `repro --seed 42` from the repo root and commit reports/.
+cargo build --release -q -p expt --bin repro
+repro_bin="$PWD/target/release/repro"
+repro_out="$(mktemp -d)"
+(cd "$repro_out" && "$repro_bin" --seed 42 >/dev/null)
+if ! diff -rq "$repro_out/reports" reports; then
+    echo "error: repro --seed 42 no longer writes the committed reports/" >&2
+    exit 1
+fi
+rm -rf "$repro_out"
 
 echo "== paper-scale exports =="
 # The tiny goldens never reach paper-scale times, counts or label sets.
