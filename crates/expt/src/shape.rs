@@ -31,15 +31,16 @@ pub struct ShapeCheck {
     pub passed: bool,
     /// Measured values backing the verdict.
     pub detail: String,
-    /// The least [`Cmp::slack`] of its comparisons: positive when the
-    /// claim holds with room to spare, negative when it fails. `None` for
-    /// a categorical check, and when a value is missing.
+    /// The least relative slack of its comparisons (see DESIGN.md, *How a
+    /// claim is checked*): positive when the claim holds with room to
+    /// spare, negative when it fails. `None` for a categorical check, and
+    /// when a value is missing.
     pub margin: Option<f64>,
 }
 
 /// How the values of a comparison print.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
+pub(crate) enum Unit {
     /// Seconds (`1478s`).
     Secs,
     /// A factor over a clean run (`1.063x`).
@@ -52,7 +53,7 @@ pub enum Unit {
 
 /// The relation a comparison asserts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rel {
+pub(crate) enum Rel {
     /// `<`
     Lt,
     /// `≤`
@@ -67,11 +68,11 @@ use Rel::{Ge, Gt, Le, Lt};
 use Unit::{Count, Ratio, Secs, Usd};
 
 /// One side of a comparison: what it is, and its value.
-pub type Side = (String, f64);
+pub(crate) type Side = (String, f64);
 
 /// One comparison a claim makes, or a categorical fact.
 #[derive(Debug, Clone)]
-pub enum Cmp {
+pub(crate) enum Cmp {
     /// `left rel factor × right`, both values printed in the unit.
     Num(Side, Rel, Side, f64, Unit),
     /// A category, not an inequality: what was seen, and whether it
@@ -81,12 +82,12 @@ pub enum Cmp {
 
 impl Cmp {
     /// `left rel right`.
-    pub fn new(unit: Unit, left: Side, rel: Rel, right: Side) -> Cmp {
+    pub(crate) fn new(unit: Unit, left: Side, rel: Rel, right: Side) -> Cmp {
         Cmp::Num(left, rel, right, 1.0, unit)
     }
 
     /// Scale the right value by `k`: `g * 1.3` is `.times(1.3)`.
-    pub fn times(mut self, k: f64) -> Cmp {
+    pub(crate) fn times(mut self, k: f64) -> Cmp {
         if let Cmp::Num(_, _, _, factor, _) = &mut self {
             *factor = k;
         }
@@ -94,7 +95,7 @@ impl Cmp {
     }
 
     /// Does it hold? A comparison with a NaN never does.
-    pub fn holds(&self) -> bool {
+    pub(crate) fn holds(&self) -> bool {
         match *self {
             Cmp::Fact(_, holds) => holds,
             Cmp::Num((_, a), Lt, (_, b), k, _) => a < b * k,
@@ -108,7 +109,7 @@ impl Cmp {
     /// `(left − R)/|R|` for `>` and `≥`. Positive when it holds with room;
     /// 0 on an exact tie (where `≤` holds and `<` fails). `None` for a
     /// fact, and when the slack is not finite (a NaN or ∞ value, `R = 0`).
-    pub fn slack(&self) -> Option<f64> {
+    pub(crate) fn slack(&self) -> Option<f64> {
         let Cmp::Num((_, a), rel, (_, b), k, _) = *self else {
             return None;
         };
