@@ -190,10 +190,25 @@ fn cell(fig: &RuntimeFigure, s: StorageKind, n: u32) -> Side {
     (format!("{s:?}@{n}"), fig.makespan(s, n).unwrap_or(f64::NAN))
 }
 
-/// The fastest of `kinds` at `n` nodes, as `label@n` (∞ when none ran).
+/// The makespan of `kinds` at `n` nodes that `keep` keeps over the
+/// others, as `label@n`; NaN when none ran, as in [`cell`].
+fn extreme(
+    fig: &RuntimeFigure,
+    label: &str,
+    kinds: &[StorageKind],
+    n: u32,
+    keep: fn(f64, f64) -> f64,
+) -> Side {
+    let v = kinds
+        .iter()
+        .filter_map(|s| fig.makespan(*s, n))
+        .reduce(keep);
+    (format!("{label}@{n}"), v.unwrap_or(f64::NAN))
+}
+
+/// The fastest of `kinds` at `n` nodes, as `label@n` (NaN when none ran).
 fn fastest(fig: &RuntimeFigure, label: &str, kinds: &[StorageKind], n: u32) -> Side {
-    let v = kinds.iter().filter_map(|s| fig.makespan(*s, n));
-    (format!("{label}@{n}"), v.fold(f64::INFINITY, f64::min))
+    extreme(fig, label, kinds, n, f64::min)
 }
 
 /// Checks over Fig 2 (Montage runtimes).
@@ -235,8 +250,7 @@ pub fn check_fig3(fig: &RuntimeFigure) -> Vec<ShapeCheck> {
     assert_eq!(fig.app, App::Epigenome);
     let all = StorageKind::EVALUATED;
     let spread = |n| {
-        let ran = all.iter().filter_map(|s| fig.makespan(*s, n));
-        let slowest = (format!("slowest@{n}"), ran.fold(0.0f64, f64::max));
+        let slowest = extreme(fig, "slowest", &all, n, f64::max);
         Cmp::new(Secs, slowest, Le, fastest(fig, "fastest", &all, n)).times(1.25)
     };
     let gluster = |n| fastest(fig, "gluster", &GLUSTERS, n);

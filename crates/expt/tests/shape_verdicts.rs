@@ -321,6 +321,11 @@ const CASES: &[Case] = &[
             i.remove(Mon, Dist, 8)
         },
     ),
+    ("all rivals missing at 8", "fig2.gluster-best", false, |i| {
+        for s in [S3, Nfs, Pvfs] {
+            i.remove(Mon, s, 8)
+        }
+    }),
     // fig2.nfs-vs-local-1node: NFS@1 <= Local@1 * 1.10.
     ("nfs within 10%", "fig2.nfs-vs-local-1node", true, |_| {}),
     (
@@ -360,6 +365,11 @@ const CASES: &[Case] = &[
     }),
     ("one cell missing at 8", "fig3.insensitive", true, |i| {
         i.remove(Epi, Pvfs, 8)
+    }),
+    ("all cells missing at 8", "fig3.insensitive", false, |i| {
+        for s in StorageKind::EVALUATED {
+            i.remove(Epi, s, 8)
+        }
     }),
     // fig3.local-fastest-1node: Local@1 <= min(S3@1, NFS@1) * 1.02.
     ("local fastest", "fig3.local-fastest-1node", true, |_| {}),
@@ -402,6 +412,11 @@ const CASES: &[Case] = &[
     }),
     ("a rival missing at 8", "fig4.s3-best", true, |i| {
         i.remove(Bb, Nufa, 8)
+    }),
+    ("all rivals missing at 8", "fig4.s3-best", false, |i| {
+        for s in [Nfs, Nufa, Dist, Pvfs] {
+            i.remove(Bb, s, 8)
+        }
     }),
     // fig4.nufa-beats-distribute: NUFA <= distribute * 1.01.
     ("nufa ahead", "fig4.nufa-beats-distribute", true, |_| {}),

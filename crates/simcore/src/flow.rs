@@ -62,7 +62,7 @@
 //!   multiply-add per flow/resource), using reusable scratch buffers
 //!   instead of per-event allocations.
 //!
-//! Three shortcuts skip work that cannot change the answer:
+//! Six shortcuts skip work that cannot change the answer:
 //!
 //! * **All-at-cap fast path** — when every flow of a component has a cap
 //!   and, on every resource, the caps crossing it sum to at most
@@ -97,6 +97,34 @@
 //!   flows finishing together) mostly keep their rates, so most of such a
 //!   solve is skipped. Debug builds re-derive every skipped flow's
 //!   `remaining` and prediction and assert bit equality.
+//! * **Clean re-solve** — a component marks the instant of its last solve
+//!   when that solve took the all-at-cap path. Until it is solved again,
+//!   every flow of that solve runs at its cap with `sync` at that instant,
+//!   and every resource's rate sum is its cap sum. A later solve at the
+//!   same instant that is still all at cap would skip every such flow (the
+//!   same-instant skip) and set every rate sum to its cap sum, which moved
+//!   only where a flow list changed. So it touches only what changed: a
+//!   removal sets the rate sums on the removed flow's path, and a burst of
+//!   starts re-syncs only the flows it attached (kept in a list while the
+//!   mark is current) and sets the rate sums on their paths. Statistics
+//!   need no flush: the solve and each start or removal since brought them
+//!   forward to that instant. A solve that is not all at cap clears the
+//!   mark, and so does a merge of components marked at different instants
+//!   (or one marked and one not); the pieces of a split keep it. Debug
+//!   builds run the full pass after the shortcut and assert that it
+//!   changes no bit of any flow, resource or the heap.
+//! * **Reused re-sync** — a flow's re-sync (`remaining` brought forward, the
+//!   new rate applied, the completion predicted) is a pure function of its
+//!   `(remaining, old rate, sync, new rate)` bits and `now`. Flows next to
+//!   each other in a component often have the same bits (the stripe legs
+//!   of one operation), so a pass reuses the last result while the inputs
+//!   repeat. Debug builds re-derive every reused result and assert bit
+//!   equality.
+//! * **Split check from the smallest list** — after a removal, the walk
+//!   that checks whether the removed flow's path resources are still
+//!   connected starts at the one with the fewest flows. Connectivity does
+//!   not depend on where the walk starts, and the split that follows a
+//!   negative answer walks the pieces afresh.
 //!
 //! Keeping components changes the order in which a solve visits flows and
 //! resources, never a bit of its result, for four reasons: the filling
@@ -283,13 +311,125 @@ struct Hot {
 impl Hot {
     /// `remaining` brought forward from `sync` to `now` under `rate`.
     fn remaining_at(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.sync).as_secs_f64();
+        self.remaining_after(now.since(self.sync).as_secs_f64())
+    }
+
+    /// `remaining` brought forward by `dt` seconds under `rate`.
+    fn remaining_after(&self, dt: f64) -> f64 {
         if dt > 0.0 {
             (self.remaining - self.rate * dt).max(0.0)
         } else {
             self.remaining
         }
     }
+
+    /// The bits of every field, for the debug checks' comparisons.
+    fn bits(&self) -> ([u64; 3], SimTime, Option<SimTime>) {
+        let floats = [self.remaining, self.rate, self.cap];
+        (floats.map(f64::to_bits), self.sync, self.pred)
+    }
+}
+
+/// A flow's re-sync inputs, as bits: `(remaining, old rate, sync, new
+/// rate)`.
+type ResyncKey = (u64, u64, SimTime, u64);
+
+/// One solve's re-sync of its flows: a flow's `remaining` brought forward
+/// to `now` under its old rate, its new rate applied and its completion
+/// predicted. The result is a pure function of the flow's `(remaining,
+/// old rate, sync, new rate)` bits and `now`, and flows next to each other
+/// in a component often share those bits (the stripe legs of one
+/// operation), so the last result is reused while the inputs repeat.
+/// Flows of a component mostly share their last sync instant, so `dt` is
+/// computed once per distinct one.
+struct Resync {
+    now: SimTime,
+    last_sync: SimTime,
+    dt: f64,
+    /// The inputs and result (`remaining`, prediction) of the last re-sync
+    /// computed.
+    last: Option<(ResyncKey, (f64, SimTime))>,
+    /// Re-syncs that reused the last result.
+    #[cfg(test)]
+    reused: u64,
+}
+
+impl Resync {
+    fn new(now: SimTime) -> Self {
+        Resync {
+            now,
+            last_sync: now,
+            dt: 0.0,
+            last: None,
+            #[cfg(test)]
+            reused: 0,
+        }
+    }
+
+    /// Re-sync `h` at its new `rate`. Returns the new prediction if it
+    /// moved (the flow then needs a fresh heap entry).
+    fn apply(&mut self, h: &mut Hot, rate: f64) -> Option<SimTime> {
+        let key = (
+            h.remaining.to_bits(),
+            h.rate.to_bits(),
+            h.sync,
+            rate.to_bits(),
+        );
+        let (remaining, pred) = match self.last {
+            Some((k, out)) if k == key => {
+                #[cfg(test)]
+                {
+                    self.reused += 1;
+                }
+                if cfg!(debug_assertions) {
+                    let (remaining, pred) = self.derive(h, rate);
+                    assert_eq!(
+                        (remaining.to_bits(), pred),
+                        (out.0.to_bits(), out.1),
+                        "reused re-sync differs from its derivation"
+                    );
+                }
+                out
+            }
+            _ => {
+                let out = self.derive(h, rate);
+                self.last = Some((key, out));
+                out
+            }
+        };
+        h.remaining = remaining;
+        h.sync = self.now;
+        h.rate = rate;
+        (h.pred != Some(pred)).then(|| {
+            h.pred = Some(pred);
+            pred
+        })
+    }
+
+    /// `h`'s remaining bytes at `now` and its predicted completion at the
+    /// new `rate`.
+    fn derive(&mut self, h: &Hot, rate: f64) -> (f64, SimTime) {
+        if h.sync != self.last_sync {
+            self.last_sync = h.sync;
+            self.dt = self.now.since(h.sync).as_secs_f64();
+        }
+        let remaining = h.remaining_after(self.dt);
+        (
+            remaining,
+            self.now + SimDuration::from_secs_f64(remaining / rate),
+        )
+    }
+}
+
+/// Work the solver's shortcuts saved, counted for the unit tests that pin
+/// them.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Saved {
+    /// Flows a re-solve of a clean component did not visit.
+    skipped: u64,
+    /// Re-syncs that reused the previous flow's result.
+    reused: u64,
 }
 
 /// A connected component of the resource↔flow graph, kept between events.
@@ -307,6 +447,14 @@ struct Component {
     over: u32,
     /// Listed in `FlowEngine::pending`, waiting for its burst's solve.
     pending: bool,
+    /// The instant of this component's last solve, if that solve took the
+    /// all-at-cap path and its result stands: every flow's rate is its cap
+    /// and its `sync` is that instant, and every resource's rate sum is its
+    /// cap sum, except what `fresh` and a removal in flight changed since.
+    clean: Option<SimTime>,
+    /// The flows starts attached since the `clean` solve (kept only while
+    /// `clean` is the current instant).
+    fresh: Vec<u32>,
 }
 
 /// Reusable per-event buffers (no allocation on the hot path once warm).
@@ -424,6 +572,8 @@ pub struct FlowEngine<C> {
     /// longer `pending` (solved, or merged away) is skipped.
     pending: Vec<u32>,
     scratch: Scratch,
+    #[cfg(test)]
+    saved: Saved,
 }
 
 impl<C> Default for FlowEngine<C> {
@@ -449,6 +599,8 @@ impl<C> FlowEngine<C> {
             flows_completed: 0,
             pending: Vec::new(),
             scratch: Scratch::default(),
+            #[cfg(test)]
+            saved: Saved::default(),
         }
     }
 
@@ -556,8 +708,12 @@ impl<C> FlowEngine<C> {
         });
         self.attach(slot, comp, hot);
         self.by_id.insert(id.0, slot);
-        if !self.comps[comp as usize].pending {
-            self.comps[comp as usize].pending = true;
+        let k = &mut self.comps[comp as usize];
+        if k.clean == Some(now) {
+            k.fresh.push(slot);
+        }
+        if !k.pending {
+            k.pending = true;
             self.pending.push(comp);
         }
         id
@@ -660,6 +816,8 @@ impl<C> FlowEngine<C> {
             comp.slots.is_empty() && comp.hot.is_empty() && comp.res.is_empty() && comp.over == 0
         );
         comp.pending = false;
+        comp.clean = None;
+        comp.fresh.clear();
         self.free_comps.push(c);
     }
 
@@ -702,6 +860,14 @@ impl<C> FlowEngine<C> {
         }
         for &r in &moved.res {
             self.comp_add_res(into, r);
+        }
+        // The union is clean only where both sides are, at one instant.
+        let joined = &mut self.comps[into as usize];
+        if joined.clean == moved.clean {
+            joined.fresh.extend_from_slice(&moved.fresh);
+        } else {
+            joined.clean = None;
+            joined.fresh.clear();
         }
         moved.slots.clear();
         moved.hot.clear();
@@ -845,7 +1011,7 @@ impl<C> FlowEngine<C> {
         self.detach(slot);
         // Whatever the removal splits apart is still one component here,
         // so all of its parts are solved jointly this event.
-        self.solve_component(now, c, None, slot);
+        self.solve_component(now, c, Some(slot));
         self.prune(c, slot);
         let Slot {
             mut path_pos,
@@ -891,20 +1057,34 @@ impl<C> FlowEngine<C> {
     }
 
     /// Whether the resources in `scratch.targets` (at least one) are still
-    /// connected: a walk from the first, stopped once it reaches them all.
+    /// connected: a walk stopped once it reaches them all. The verdict
+    /// does not depend on where the walk starts; it starts at the target
+    /// with the shortest flow list, whose neighbourhood is the smallest to
+    /// exhaust.
     fn targets_joined(&mut self) -> bool {
+        let start = self
+            .scratch
+            .targets
+            .iter()
+            .copied()
+            .min_by_key(|&r| self.resources[r as usize].flows.len())
+            .expect("no target to walk from");
         let sc = &mut self.scratch;
         sc.begin_walk();
-        sc.reach_res(sc.targets[0]);
+        sc.reach_res(start);
         self.walk(true)
     }
 
     /// Re-derive the pieces of component `c`, which a removal split apart.
     /// Each piece is walked from the first of `c`'s resources it holds; the
-    /// first piece keeps the id `c`, the others take new ids.
+    /// first piece keeps the id `c`, the others take new ids. Each piece
+    /// holds part of `c`'s solve, so it inherits `c`'s `clean` mark.
     fn split(&mut self, c: u32) {
         let old = std::mem::take(&mut self.comps[c as usize]);
-        debug_assert!(!old.pending, "split during a burst of starts");
+        debug_assert!(
+            !old.pending && old.fresh.is_empty(),
+            "split during a burst of starts"
+        );
         self.scratch.begin_walk();
         let mut piece = None;
         for &r in &old.res {
@@ -921,6 +1101,7 @@ impl<C> FlowEngine<C> {
                 Some(_) => self.new_comp(),
             };
             piece = Some(p);
+            self.comps[p as usize].clean = old.clean;
             let (res, slots) = (
                 std::mem::take(&mut self.scratch.walk_res),
                 std::mem::take(&mut self.scratch.walk_slots),
@@ -995,21 +1176,20 @@ impl<C> FlowEngine<C> {
                 continue; // merged away, or listed again after a merge
             }
             comp.pending = false;
-            let first = comp.slots[0];
-            self.solve_component(now, c, Some(first), first);
+            self.solve_component(now, c, None);
         }
         pending.clear();
         self.pending = pending;
     }
 
-    /// Solve component `c` at `now`; its all-at-cap verdict is its count of
-    /// over-cap resources being zero. Debug builds first check the
-    /// maintained component against a walk from the resources on slot
-    /// `from`'s path plus the flow in `seed` (see
+    /// Solve component `c` at `now`, after the flow in slot `removed` left
+    /// it (or for a burst of starts); its all-at-cap verdict is its count
+    /// of over-cap resources being zero. Debug builds first check the
+    /// maintained component against a walk (see
     /// [`Self::check_component`]).
-    fn solve_component(&mut self, now: SimTime, c: u32, seed: Option<u32>, from: u32) {
+    fn solve_component(&mut self, now: SimTime, c: u32, removed: Option<u32>) {
         if cfg!(debug_assertions) {
-            self.check_component(c, seed, from);
+            self.check_component(c, removed);
         }
         // All-at-cap fast path. If every flow has a cap and, on every
         // resource, the caps crossing it sum to at most capacity·(1 − 1e-9),
@@ -1023,23 +1203,117 @@ impl<C> FlowEngine<C> {
         // margin. Skipping the sort and the filling rounds then yields the
         // same bits; debug builds run the full filling and check that.
         let at_cap = self.comps[c as usize].over == 0;
+        if at_cap && self.comps[c as usize].clean == Some(now) {
+            self.resolve_clean(now, c, removed);
+            return;
+        }
         if cfg!(debug_assertions) || !at_cap {
             self.fill(c);
         }
         self.apply(now, c, at_cap);
+        let comp = &mut self.comps[c as usize];
+        comp.clean = at_cap.then_some(now);
+        comp.fresh.clear();
     }
 
-    /// Debug check of component `c`: a walk from the resources on slot
-    /// `from`'s path plus the flow in `seed` must reach exactly its flows
-    /// and resources. Each
+    /// Re-solve component `c`, solved on the all-at-cap path earlier at
+    /// `now` and all-at-cap still, touching only what changed since. The
+    /// full pass would re-rate every flow to its cap; a flow of that solve
+    /// already runs at its cap with `sync == now`, so the same-instant skip
+    /// would pass over it. Only the `fresh` flows change rate. A rate sum
+    /// is the cap sum on every resource, and a cap sum changes only when a
+    /// flow list does: on the fresh flows' paths and the removed flow's.
+    /// Statistics need no flush, since every resource of `c` was brought
+    /// forward to `now` by that solve or by the start or removal that
+    /// changed its list since. Debug builds run the full pass after the
+    /// shortcut and assert that it changes no bit.
+    fn resolve_clean(&mut self, now: SimTime, c: u32, removed: Option<u32>) {
+        let mut fresh = std::mem::take(&mut self.comps[c as usize].fresh);
+        #[cfg(test)]
+        {
+            self.saved.skipped += (self.comps[c as usize].slots.len() - fresh.len()) as u64;
+        }
+        let mut resync = Resync::new(now);
+        for &s in &fresh {
+            let f = self.slots[s as usize].as_mut().expect("fresh slot vacant");
+            debug_assert_eq!(f.comp, c, "fresh flow of another component");
+            let h = &mut self.comps[c as usize].hot[f.comp_pos as usize];
+            let cap = h.cap;
+            if let Some(pred) = resync.apply(h, cap) {
+                f.gen += 1;
+                self.heap.push(Reverse((pred, f.id, s, f.gen)));
+            }
+        }
+        #[cfg(test)]
+        {
+            self.saved.reused += resync.reused;
+        }
+        for &s in fresh.iter().chain(&removed) {
+            let f = self.slots[s as usize]
+                .as_ref()
+                .expect("touched slot vacant");
+            for r in &f.path {
+                let res = &mut self.resources[r.index()];
+                res.rate_sum = res.cap_sum;
+            }
+        }
+        fresh.clear();
+        self.comps[c as usize].fresh = fresh;
+        if cfg!(debug_assertions) {
+            self.check_clean(now, c);
+        }
+    }
+
+    /// Debug check of [`Self::resolve_clean`] on component `c`: the full
+    /// all-at-cap pass must leave every flow's hot state, every resource's
+    /// rate sum and statistics, and the heap as the shortcut left them.
+    fn check_clean(&mut self, now: SimTime, c: u32) {
+        let res_bits = |res: &Resource| {
+            let s = res.stats;
+            let sums = [res.rate_sum, s.bytes, s.busy_secs, s.util_integral];
+            (sums.map(f64::to_bits), res.stat_sync)
+        };
+        let comp = &self.comps[c as usize];
+        let hot: Vec<_> = comp.hot.iter().map(Hot::bits).collect();
+        let res: Vec<_> = comp
+            .res
+            .iter()
+            .map(|&r| res_bits(&self.resources[r as usize]))
+            .collect();
+        let heap_len = self.heap.len();
+        self.fill(c);
+        self.apply(now, c, true);
+        let comp = &self.comps[c as usize];
+        assert!(
+            comp.hot.iter().map(Hot::bits).eq(hot),
+            "clean re-solve left a flow the full pass moves"
+        );
+        assert!(
+            comp.res
+                .iter()
+                .map(|&r| res_bits(&self.resources[r as usize]))
+                .eq(res),
+            "clean re-solve left a resource the full pass moves"
+        );
+        assert_eq!(
+            self.heap.len(),
+            heap_len,
+            "clean re-solve missed a prediction"
+        );
+    }
+
+    /// Debug check of component `c`: a walk from the resources on the path
+    /// of the flow in slot `removed` (or, for a burst, from `c`'s first flow
+    /// and its path) must reach exactly its flows and resources. Each
     /// resource's cap sum must equal its list's fold bit for bit, the
     /// component's over-cap count must match, and every back-pointer must
     /// point at its entry.
-    fn check_component(&mut self, c: u32, seed: Option<u32>, from: u32) {
+    fn check_component(&mut self, c: u32, removed: Option<u32>) {
+        let from = removed.unwrap_or_else(|| self.comps[c as usize].slots[0]);
         let sc = &mut self.scratch;
         sc.begin_walk();
-        if let Some(s) = seed {
-            sc.reach_slot(s);
+        if removed.is_none() {
+            sc.reach_slot(from);
         }
         let f = self.slots[from as usize]
             .as_ref()
@@ -1097,12 +1371,9 @@ impl<C> FlowEngine<C> {
         // A prediction that moved gets a fresh heap entry, and the
         // superseded one goes stale via `gen`; one that did not move keeps
         // its entry, since live entries are ordered by `(time, id)` alone.
-        // Flows of a component mostly share their last sync instant, so
-        // `dt` is computed once per distinct one.
         let comp = &mut self.comps[c as usize];
         let new_rate = &self.scratch.new_rate;
-        let mut last_sync = now;
-        let mut dt = 0.0;
+        let mut resync = Resync::new(now);
         for (pos, h) in comp.hot.iter_mut().enumerate() {
             let rate = if at_cap {
                 debug_assert_eq!(
@@ -1133,23 +1404,16 @@ impl<C> FlowEngine<C> {
                 }
                 continue;
             }
-            if h.sync != last_sync {
-                last_sync = h.sync;
-                dt = now.since(h.sync).as_secs_f64();
-            }
-            if dt > 0.0 {
-                h.remaining = (h.remaining - h.rate * dt).max(0.0);
-            }
-            h.sync = now;
-            h.rate = rate;
-            let pred = now + SimDuration::from_secs_f64(h.remaining / rate);
-            if h.pred != Some(pred) {
-                h.pred = Some(pred);
+            if let Some(pred) = resync.apply(h, rate) {
                 let slot = comp.slots[pos];
                 let f = self.slots[slot as usize].as_mut().expect("vacant");
                 f.gen += 1;
                 self.heap.push(Reverse((pred, f.id, slot, f.gen)));
             }
+        }
+        #[cfg(test)]
+        {
+            self.saved.reused += resync.reused;
         }
 
         // Each resource closes its constant-rate interval and opens a
@@ -1558,6 +1822,87 @@ mod tests {
             let (a, b) = (eager.resource_stats(res), lazy.resource_stats(res));
             assert_eq!(a.util_integral.to_bits(), b.util_integral.to_bits());
             assert_eq!(a.busy_secs.to_bits(), b.busy_secs.to_bits());
+        }
+    }
+
+    #[test]
+    fn clean_component_resolves_only_what_changed() {
+        // Two clients A and B each stripe one file over eight disks, every
+        // leg capped at 8 B/s, so the one component they form is all at
+        // cap. A's legs all finish at t=8; then client A starts a new
+        // stripe C at that same instant. Every value is a small binary
+        // fraction, so the expected bits are exact.
+        let mut fe: FlowEngine<u32> = FlowEngine::new();
+        let nic_a = fe.add_resource("nic-a", 128.0);
+        let nic_b = fe.add_resource("nic-b", 128.0);
+        let disks: Vec<ResourceId> = (0..8)
+            .map(|k| fe.add_resource(format!("disk{k}"), 32.0))
+            .collect();
+        let stripe = |fe: &mut FlowEngine<u32>, at: f64, nic, bytes, tag: u32| -> Vec<FlowId> {
+            (0..8)
+                .map(|k| {
+                    let spec = FlowSpec::new(bytes, vec![nic, disks[k]]).with_cap(8.0);
+                    fe.start(t(at), spec, tag + k as u32)
+                })
+                .collect()
+        };
+        let a = stripe(&mut fe, 0.0, nic_a, 64, 0);
+        let b = stripe(&mut fe, 0.0, nic_b, 256, 10);
+        for &id in &a {
+            assert_eq!(fe.next_completion(), Some((t(8.0), id)));
+            fe.complete(t(8.0), id);
+        }
+        let c = stripe(&mut fe, 8.0, nic_a, 32, 20);
+
+        for &id in b.iter().chain(&c) {
+            assert_eq!(fe.flow_rate(id).map(f64::to_bits), Some(8.0f64.to_bits()));
+        }
+        for (ids, left) in [(&b, 192.0f64), (&c, 32.0)] {
+            for &id in ids {
+                assert_eq!(
+                    fe.flow_remaining(id).map(f64::to_bits),
+                    Some(left.to_bits())
+                );
+            }
+        }
+        assert_eq!(fe.next_completion(), Some((t(12.0), c[0])));
+        let stats_bits = |fe: &FlowEngine<u32>, r| {
+            let s = fe.resource_stats(r);
+            [
+                s.bytes.to_bits(),
+                s.busy_secs.to_bits(),
+                s.util_integral.to_bits(),
+            ]
+        };
+        let bits = |v: [f64; 3]| v.map(f64::to_bits);
+        assert_eq!(stats_bits(&fe, nic_a), bits([512.0, 8.0, 4.0]));
+        assert_eq!(stats_bits(&fe, nic_b), bits([512.0, 8.0, 4.0]));
+        for &d in &disks {
+            assert_eq!(stats_bits(&fe, d), bits([128.0, 8.0, 4.0]));
+        }
+        // The removals of A1..A7 re-solve 14, 13, ..., 8 flows they do not
+        // visit, and C's solve passes over B's 8. The first solve at t=0
+        // reuses 7 + 7 re-syncs (A's legs, then B's), the one at t=8
+        // (order B7, A1..A7, B0..B6) reuses 6 + 6, and C's reuses 7.
+        assert_eq!(
+            fe.saved,
+            Saved {
+                skipped: 77 + 8,
+                reused: 14 + 12 + 7
+            }
+        );
+
+        for (ids, at) in [(&c, 12.0), (&b, 32.0)] {
+            for &id in ids {
+                assert_eq!(fe.next_completion(), Some((t(at), id)));
+                fe.complete(t(at), id);
+            }
+        }
+        assert_eq!(fe.next_completion(), None);
+        assert_eq!(stats_bits(&fe, nic_a), bits([768.0, 12.0, 6.0]));
+        assert_eq!(stats_bits(&fe, nic_b), bits([2048.0, 32.0, 16.0]));
+        for &d in &disks {
+            assert_eq!(stats_bits(&fe, d), bits([352.0, 32.0, 11.0]));
         }
     }
 

@@ -20,22 +20,24 @@ use crate::bus::ObsReport;
 use crate::event::Phase;
 use crate::fold::{AttemptFold, Step};
 use crate::name_or;
+use crate::text::push_u64;
 use std::collections::BTreeMap;
-
-/// Map a lifecycle phase to the storage operation kind it times, if any.
-fn phase_op(p: Phase) -> Option<&'static str> {
-    match p {
-        Phase::Ops => Some("op_storm"),
-        Phase::StageIn => Some("stage_in"),
-        Phase::Read => Some("read"),
-        Phase::Write => Some("write"),
-        Phase::StageOut => Some("stage_out"),
-        Phase::Compute => None,
-    }
-}
 
 /// Fixed render order for op-kind stacks (matches `OpKind` tag order).
 const OP_ORDER: [&str; 5] = ["read", "write", "stage_in", "stage_out", "op_storm"];
+
+/// The storage operation kind a lifecycle phase times, if any, as its
+/// index in [`OP_ORDER`].
+fn phase_op(p: Phase) -> Option<u8> {
+    match p {
+        Phase::Read => Some(0),
+        Phase::Write => Some(1),
+        Phase::StageIn => Some(2),
+        Phase::StageOut => Some(3),
+        Phase::Ops => Some(4),
+        Phase::Compute => None,
+    }
+}
 
 /// Render the storage-time flame graph of a Full-level report as folded
 /// stacks: `backend;op_kind;task weight` lines, weight in microseconds.
@@ -43,8 +45,8 @@ const OP_ORDER: [&str; 5] = ["read", "write", "stage_in", "stage_out", "op_storm
 /// `backend` is the storage backend label used as the stack root.
 /// Deterministic: stacks are ordered by op kind then task id.
 pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend: &str) -> String {
-    // (op label, task id) -> accumulated nanos.
-    let mut weights: BTreeMap<(&'static str, u32), u64> = BTreeMap::new();
+    // (op index, task id) -> accumulated nanos, in render order.
+    let mut weights: BTreeMap<(u8, u32), u64> = BTreeMap::new();
     let mut fold = AttemptFold::default();
     let mut add = |step: Step| {
         if let Step::Interval {
@@ -67,20 +69,19 @@ pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend:
     fold.finish(add);
 
     let mut out = String::new();
-    for op in OP_ORDER {
-        for (&(w_op, task), &nanos) in &weights {
-            if w_op != op {
-                continue;
-            }
-            let micros = nanos / 1_000;
-            if micros == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{backend};{op};{} {micros}\n",
-                name_or(task_names, "t", task)
-            ));
+    for (&(op, task), &nanos) in &weights {
+        let micros = nanos / 1_000;
+        if micros == 0 {
+            continue;
         }
+        out.push_str(backend);
+        out.push(';');
+        out.push_str(OP_ORDER[usize::from(op)]);
+        out.push(';');
+        out.push_str(&name_or(task_names, "t", task));
+        out.push(' ');
+        push_u64(&mut out, micros);
+        out.push('\n');
     }
     out
 }

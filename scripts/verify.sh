@@ -46,9 +46,9 @@
 #                      change with the thread count
 # Checked release:     the storage goldens, the fault goldens, the fault
 #                      metamorphic suite, the dispatch-window model check
-#                      and two paper-scale `wfsim run`s (Montage on NFS
-#                      with 4 workers, and on PVFS with 8) built with
-#                      --release and debug assertions on, in
+#                      and three paper-scale `wfsim run`s (Montage on NFS
+#                      with 4 workers, and on PVFS and S3 with 8) built
+#                      with --release and debug assertions on, in
 #                      target/checked
 # Typed events gate:   the engine's event path holds no boxed closure:
 #                      no `Box<dyn FnOnce`, `type Cont` or `Rc<Join>` in
@@ -211,11 +211,14 @@ if ! grep -q '^workload f2-sweep-bb-epi .* threads 1$' <<<"$out"; then
 fi
 
 echo "== debug assertions at release speed =="
-# The storage goldens again, then paper-scale Montage runs on NFS and on
-# PVFS, from a release build with debug assertions on: the LRU index
-# invariant, the flow solver's fast-path bit-equality check and its
-# check of every kept component against a fresh walk run under real
-# load. On PVFS @ 8 all flows share one component of ~260 flows. The
+# The storage goldens again, then paper-scale Montage runs on NFS, PVFS
+# and S3, from a release build with debug assertions on: the LRU index
+# invariant, the flow solver's fast-path bit-equality check, its check of
+# every kept component against a fresh walk, and its checks that a clean
+# component's re-solve and a reused re-sync match the full pass bit for
+# bit, run under real load. On PVFS @ 8 all flows share one component of
+# ~260 flows, and most of its solves are clean re-solves. S3 is the other
+# backend whose flows are all capped. The
 # fault goldens and the fault metamorphic suite drive the kill path
 # (a task's in-flight flow list, `cancel_flow`, the completion heap's
 # liveness check, freeing a killed plan's op slot) with the same checks
@@ -227,6 +230,7 @@ checked=(env CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target
 "${checked[@]}" cargo build --release -q -p expt --bin wfsim
 ./target/checked/release/wfsim run --app montage --storage nfs --workers 4 >/dev/null
 ./target/checked/release/wfsim run --app montage --storage pvfs --workers 8 >/dev/null
+./target/checked/release/wfsim run --app montage --storage s3 --workers 8 >/dev/null
 
 echo "== otlp conformance =="
 cargo test -q -p otlpcheck
