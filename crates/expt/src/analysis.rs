@@ -1,11 +1,11 @@
 //! Secondary analyses over the regenerated data: speedup/efficiency,
-//! seed robustness, bottleneck identification, and the clustering study.
+//! seed robustness, and the clustering study.
 
 use crate::figures::RuntimeFigure;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wfdag::cluster_horizontal;
-use wfengine::{phase_breakdown, run_workflow, RunConfig, RunStats};
+use wfengine::{run_workflow, RunConfig, RunStats};
 use wfgen::App;
 use wfstorage::StorageKind;
 
@@ -118,38 +118,6 @@ pub fn seed_robustness(app: App, workers: u32, seeds: &[u64]) -> Vec<RobustnessR
             max_secs: times.iter().copied().fold(0.0, f64::max),
         })
         .collect()
-}
-
-/// Where one configuration's time went: run the cell and report the
-/// phase breakdown plus the hottest resources.
-pub fn bottleneck_report(app: App, storage: StorageKind, workers: u32, seed: u64) -> String {
-    bottleneck_report_sized(app, storage, workers, seed, false)
-}
-
-/// [`bottleneck_report`] with a choice of workflow size; `tiny` swaps in
-/// the shrunken workflow so a probe finishes in seconds.
-pub fn bottleneck_report_sized(
-    app: App,
-    storage: StorageKind,
-    workers: u32,
-    seed: u64,
-    tiny: bool,
-) -> String {
-    let cfg = RunConfig::cell(storage, workers).with_seed(seed);
-    let wf = if tiny {
-        app.tiny_workflow()
-    } else {
-        app.paper_workflow()
-    };
-    let stats = run_workflow(wf, cfg).expect("cell runs");
-    let mut s = format!(
-        "BOTTLENECKS — {app} on {} @ {workers} nodes ({:.0}s makespan)\n",
-        storage.label(),
-        stats.makespan_secs
-    );
-    s.push_str(&wfengine::trace::render_phases(&phase_breakdown(&stats)));
-    s.push_str(&wfengine::trace::hottest_resources(&stats, 6));
-    s
 }
 
 /// The clustering study (A6): Montage with horizontal clustering, the

@@ -3,161 +3,40 @@
 //!
 //! ```text
 //! cargo run --release -p expt --bin repro [-- --seed N] [--skip-ablations]
-//! cargo run --release -p expt --bin repro -- --golden-digest [--update]
-//! cargo run --release -p expt --bin repro -- --golden-otlp [--update]
 //! ```
 //!
 //! Prints Table I, the §III.C disk microbenchmark, Figs 2–7, the XtreemFS
 //! note, the ablation table and the shape-check scoreboard; writes the
-//! whole dataset to `reports/repro-<seed>.json`.
+//! whole dataset to `reports/repro-<seed>.json`. Any other argument is
+//! rejected with exit status 2. The golden digest and OTLP fixtures are
+//! checked by `cargo test -p expt --test golden_run`.
 
 use expt::figures::{runtime_figure, table1, xtreemfs_note};
 use expt::{ablations, analysis, future_work, microbench, render, Report};
 use std::time::Instant;
 use wfgen::App;
 
-/// Path of the checked-in golden digest, relative to the repo root
-/// (where `scripts/verify.sh` runs).
-const GOLDEN_PATH: &str = "tests/golden_digest.txt";
-
-/// Path of the checked-in golden OTLP trace.
-const GOLDEN_OTLP_PATH: &str = "tests/golden_otlp.json";
-
-/// The fixed golden workflow: a small diamond, run on GlusterFS/NUFA
-/// with 2 workers, seed 42.
-fn golden_workflow() -> wfdag::Workflow {
-    let mut b = wfdag::WorkflowBuilder::new("golden");
-    let fin = b.file("in.dat", 5_000_000);
-    let f1 = b.file("f1.dat", 5_000_000);
-    let f2 = b.file("f2.dat", 5_000_000);
-    let f3 = b.file("f3.dat", 5_000_000);
-    let fout = b.file("out.dat", 5_000_000);
-    b.task("a", "gen", 2.0, 100 << 20, vec![fin], vec![f1, f2]);
-    b.task("b", "lhs", 3.0, 100 << 20, vec![f1], vec![f3]);
-    b.task("c", "rhs", 3.0, 100 << 20, vec![f2], vec![fout]);
-    let f4 = b.file("out2.dat", 5_000_000);
-    b.task("d", "join", 1.0, 100 << 20, vec![f3], vec![f4]);
-    b.build().expect("golden workflow is well-formed")
-}
-
-/// Run the golden workflow and return its run digest. Any change to
-/// event ordering, payloads or timing anywhere in the stack moves this
-/// value; `verify.sh` compares it against [`GOLDEN_PATH`].
-fn golden_digest_run() -> u64 {
-    let cfg = wfengine::RunConfig::cell(expt::StorageKind::GlusterNufa, 2)
-        .with_seed(42)
-        .with_obs(wfobs::ObsLevel::Digest);
-    wfengine::run_workflow(golden_workflow(), cfg)
-        .expect("golden run succeeds")
-        .digest
-        .expect("digest present at ObsLevel::Digest")
-}
-
-/// Run the golden workflow at Full observability and render its OTLP
-/// trace document. Pins the whole export pipeline — event stream, span
-/// mapping, id derivation, JSON shape — byte for byte; `verify.sh`
-/// compares it against [`GOLDEN_OTLP_PATH`].
-fn golden_otlp_run() -> String {
-    let wf = golden_workflow();
-    let cfg = wfengine::RunConfig::cell(expt::StorageKind::GlusterNufa, 2)
-        .with_seed(42)
-        .with_obs(wfobs::ObsLevel::Full);
-    let stats = wfengine::run_workflow(wf.clone(), cfg).expect("golden run succeeds");
-    let report = stats.obs.as_ref().expect("report present at Full");
-    let labels = wfengine::otlp_labels(&stats, &wf, expt::StorageKind::GlusterNufa.label(), 2);
-    let doc = wfobs::otlp_trace(report, &labels);
-    assert_eq!(
-        doc,
-        wfobs::otlp_trace(report, &labels),
-        "OTLP export must be byte-deterministic"
-    );
-    doc
-}
-
-/// Flags `repro` accepts besides `--seed N`.
-const FLAGS: [&str; 4] = [
-    "--skip-ablations",
-    "--golden-digest",
-    "--golden-otlp",
-    "--update",
-];
-
 /// Report a bad command line and exit with status 2.
 fn usage_error(msg: &str) -> ! {
-    eprintln!(
-        "repro: {msg}\nusage: repro [--seed N] [--skip-ablations] \
-         | --golden-digest [--update] | --golden-otlp [--update]"
-    );
+    eprintln!("repro: {msg}\nusage: repro [--seed N] [--skip-ablations]");
     std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed = 42u64;
-    let mut rest = args.iter();
+    let mut skip_ablations = false;
+    let mut rest = std::env::args().skip(1);
     while let Some(a) = rest.next() {
         if a == "--seed" {
             match rest.next().and_then(|v| v.parse().ok()) {
                 Some(s) => seed = s,
                 None => usage_error("--seed needs an unsigned integer"),
             }
-        } else if !FLAGS.contains(&a.as_str()) {
+        } else if a == "--skip-ablations" {
+            skip_ablations = true;
+        } else {
             usage_error(&format!("unknown argument `{a}`"));
         }
-    }
-    let skip_ablations = args.iter().any(|a| a == "--skip-ablations");
-
-    if args.iter().any(|a| a == "--golden-digest") {
-        // Replay-verification golden check: the tiny fixed workflow must
-        // reproduce the checked-in digest bit for bit.
-        let hex = format!("{:016x}", golden_digest_run());
-        if args.iter().any(|a| a == "--update") {
-            std::fs::write(GOLDEN_PATH, format!("{hex}\n")).expect("write golden digest");
-            println!("golden digest updated: {hex} -> {GOLDEN_PATH}");
-            return;
-        }
-        let want = std::fs::read_to_string(GOLDEN_PATH)
-            .unwrap_or_else(|e| panic!("read {GOLDEN_PATH} (run with --update to create): {e}"));
-        if want.trim() != hex {
-            eprintln!(
-                "golden digest mismatch: got {hex}, expected {} — the event \
-                 stream of the fixed workflow changed; if intentional, rerun \
-                 with --golden-digest --update",
-                want.trim()
-            );
-            std::process::exit(1);
-        }
-        println!("golden digest ok: {hex}");
-        return;
-    }
-
-    if args.iter().any(|a| a == "--golden-otlp") {
-        // Export-conformance golden check: the fixed workflow's OTLP
-        // trace must reproduce the checked-in document byte for byte.
-        let doc = golden_otlp_run();
-        if args.iter().any(|a| a == "--update") {
-            std::fs::write(GOLDEN_OTLP_PATH, &doc).expect("write golden OTLP");
-            println!(
-                "golden OTLP updated: {} bytes -> {GOLDEN_OTLP_PATH}",
-                doc.len()
-            );
-            return;
-        }
-        let want = std::fs::read_to_string(GOLDEN_OTLP_PATH).unwrap_or_else(|e| {
-            panic!("read {GOLDEN_OTLP_PATH} (run with --update to create): {e}")
-        });
-        if want != doc {
-            eprintln!(
-                "golden OTLP mismatch ({} bytes vs expected {}) — the exported \
-                 span tree of the fixed workflow changed; if intentional, rerun \
-                 with --golden-otlp --update",
-                doc.len(),
-                want.len()
-            );
-            std::process::exit(1);
-        }
-        println!("golden OTLP ok: {} bytes", doc.len());
-        return;
     }
 
     let t0 = Instant::now();
@@ -277,11 +156,6 @@ fn main() {
                 r.mean_secs
             );
         }
-        println!();
-        print!(
-            "{}",
-            analysis::bottleneck_report(wfgen::App::Broadband, expt::StorageKind::Nfs, 4, seed)
-        );
         println!();
     }
 

@@ -6,13 +6,15 @@
 //!              [--tiny] [--seed N] [--data-aware] [--cluster K]
 //!              [--failures P --retries K] [--gantt] [--live]
 //!              [--trace FILE] [--trace-out FILE] [--metrics-out FILE]
-//!              [--digest] [--otlp-out DIR] [--folded-out FILE]
+//!              [--otlp-out DIR] [--folded-out FILE]
 //! wfsim sweep  --app broadband [--tiny] [--seed N]
 //! wfsim profile --app epigenome
 //! wfsim export --app montage --tiny --out montage.json
 //! wfsim run    --dax montage.json --storage s3 --workers 2
-//! wfsim bottleneck --app broadband --storage nfs --workers 4 [--tiny]
 //! ```
+//!
+//! `run` prints the makespan, the phase breakdown, the hottest resources
+//! and the run digest: where one configuration's time went.
 //!
 //! Unknown options are rejected with a "did you mean" hint — a typo like
 //! `--otpl-out` fails fast instead of silently running without export.
@@ -90,21 +92,12 @@ const RUN_OPTS: &[&str] = &[
     "otlp-out",
     "folded-out",
 ];
-const RUN_FLAGS: &[&str] = &[
-    "tiny",
-    "data-aware",
-    "init-disks",
-    "gantt",
-    "digest",
-    "live",
-];
+const RUN_FLAGS: &[&str] = &["tiny", "data-aware", "init-disks", "gantt", "live"];
 const SWEEP_OPTS: &[&str] = &["app", "seed"];
 const SWEEP_FLAGS: &[&str] = &["tiny"];
 const PROFILE_OPTS: &[&str] = &["app"];
 const EXPORT_OPTS: &[&str] = &["dax", "app", "out", "cluster"];
 const EXPORT_FLAGS: &[&str] = &["tiny"];
-const BOTTLENECK_OPTS: &[&str] = &["app", "storage", "workers"];
-const BOTTLENECK_FLAGS: &[&str] = &["tiny"];
 
 fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
@@ -390,23 +383,19 @@ fn cmd_sweep(args: &Args) {
         .unwrap_or_else(|_| die("--seed must be a number"));
     if args.flags.iter().any(|f| f == "tiny") {
         println!("{:<24} {:>6} {:>10}", "storage", "nodes", "makespan");
-        for storage in StorageKind::EVALUATED {
-            for n in [1u32, 2, 4, 8] {
-                if !storage.admits(n) {
-                    continue;
-                }
-                let stats = run_workflow(
-                    app.tiny_workflow(),
-                    RunConfig::cell(storage, n).with_seed(seed),
-                )
-                .unwrap_or_else(|e| die(&format!("{storage:?}@{n}: {e}")));
-                println!(
-                    "{:<24} {:>6} {:>9.1}s",
-                    storage.label(),
-                    n,
-                    stats.makespan_secs
-                );
-            }
+        for cell in expt::figure_cells(app) {
+            let (storage, n) = (cell.storage, cell.workers);
+            let stats = run_workflow(
+                app.tiny_workflow(),
+                RunConfig::cell(storage, n).with_seed(seed),
+            )
+            .unwrap_or_else(|e| die(&format!("{storage:?}@{n}: {e}")));
+            println!(
+                "{:<24} {:>6} {:>9.1}s",
+                storage.label(),
+                n,
+                stats.makespan_secs
+            );
         }
         return;
     }
@@ -458,30 +447,10 @@ fn cmd_export(args: &Args) {
     );
 }
 
-fn cmd_bottleneck(args: &Args) {
-    let app = parse_app(
-        args.opts
-            .get("app")
-            .unwrap_or_else(|| die("--app required")),
-    );
-    let storage = parse_storage(args.opts.get("storage").map_or("nfs", |s| s));
-    let workers: u32 = args
-        .opts
-        .get("workers")
-        .map_or(Ok(4), |w| w.parse())
-        .unwrap_or_else(|_| die("--workers must be a number"));
-    require_deployable(storage, workers);
-    let tiny = args.flags.iter().any(|f| f == "tiny");
-    print!(
-        "{}",
-        expt::analysis::bottleneck_report_sized(app, storage, workers, 42, tiny)
-    );
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first().cloned() else {
-        die("missing subcommand (run|sweep|profile|export|bottleneck)");
+        die("missing subcommand (run|sweep|profile|export)");
     };
     let rest = &argv[1..];
     match cmd.as_str() {
@@ -489,12 +458,6 @@ fn main() {
         "sweep" => cmd_sweep(&parse_args("sweep", rest, SWEEP_OPTS, SWEEP_FLAGS)),
         "profile" => cmd_profile(&parse_args("profile", rest, PROFILE_OPTS, &[])),
         "export" => cmd_export(&parse_args("export", rest, EXPORT_OPTS, EXPORT_FLAGS)),
-        "bottleneck" => cmd_bottleneck(&parse_args(
-            "bottleneck",
-            rest,
-            BOTTLENECK_OPTS,
-            BOTTLENECK_FLAGS,
-        )),
         other => die(&format!("unknown subcommand {other:?}")),
     }
 }

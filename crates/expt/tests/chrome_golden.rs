@@ -7,6 +7,9 @@
 //! UPDATE_GOLDEN=1 cargo test -p expt --test chrome_golden
 //! ```
 
+mod common;
+
+use common::check_golden;
 use wfengine::{otlp_labels, run_workflow, RunConfig, RunStats};
 use wfgen::App;
 use wfobs::{ChromeLabels, ObsLevel};
@@ -24,20 +27,6 @@ fn montage_run() -> (RunStats, wfdag::Workflow) {
     (stats, wf)
 }
 
-fn check_golden(name: &str, got: &str) {
-    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, got).expect("write golden fixture");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; run with UPDATE_GOLDEN=1"));
-    assert!(
-        got == want,
-        "{name} drifted from {path}; rerun with UPDATE_GOLDEN=1 if intentional"
-    );
-}
-
 #[test]
 fn montage_chrome_trace_matches_golden() {
     let (stats, wf) = montage_run();
@@ -52,7 +41,7 @@ fn montage_chrome_trace_matches_golden() {
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     assert!(parsed.get("traceEvents").is_some(), "traceEvents missing");
 
-    check_golden("montage_chrome.json", &json);
+    check_golden("fixtures/montage_chrome.json", &json);
 }
 
 #[test]
@@ -71,6 +60,6 @@ fn montage_metrics_exports_match_golden() {
         assert!(otlp.contains(kind), "no {kind} metric");
     }
 
-    check_golden("montage_metrics.csv", &csv);
-    check_golden("montage_otlp_metrics.json", &otlp);
+    check_golden("fixtures/montage_metrics.csv", &csv);
+    check_golden("fixtures/montage_otlp_metrics.json", &otlp);
 }

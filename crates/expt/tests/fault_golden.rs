@@ -19,6 +19,9 @@
 //! UPDATE_GOLDEN=1 cargo test -p expt --test fault_golden
 //! ```
 
+mod common;
+
+use common::check_golden;
 use wfengine::{
     otlp_labels, run_workflow, FailureModel, FaultPlan, NodeCrashSpec, RunConfig, RunStats,
 };
@@ -57,20 +60,6 @@ fn crash_run() -> (RunStats, wfdag::Workflow) {
         "tasks were in flight"
     );
     (stats, wf)
-}
-
-fn check_golden(name: &str, got: &str) {
-    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, got).expect("write golden fixture");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; run with UPDATE_GOLDEN=1"));
-    assert!(
-        got == want,
-        "{name} drifted from {path}; rerun with UPDATE_GOLDEN=1 if intentional"
-    );
 }
 
 #[test]
@@ -112,11 +101,11 @@ fn crash_cell_exports_match_golden() {
         "no crash counter"
     );
 
-    check_golden("crash_chrome.json", &chrome);
-    check_golden("crash_otlp.json", &otlp);
-    check_golden("crash_folded.txt", &folded);
-    check_golden("crash_metrics.csv", &metrics_csv);
-    check_golden("crash_otlp_metrics.json", &otlp_metrics);
+    check_golden("fixtures/crash_chrome.json", &chrome);
+    check_golden("fixtures/crash_otlp.json", &otlp);
+    check_golden("fixtures/crash_folded.txt", &folded);
+    check_golden("fixtures/crash_metrics.csv", &metrics_csv);
+    check_golden("fixtures/crash_otlp_metrics.json", &otlp_metrics);
 }
 
 fn failure_run() -> (RunStats, wfdag::Workflow) {
@@ -164,9 +153,9 @@ fn transient_failure_cell_exports_match_golden() {
     );
     assert!(!folded.is_empty(), "no storage stacks");
 
-    check_golden("failure_chrome.json", &chrome);
-    check_golden("failure_otlp.json", &otlp);
-    check_golden("failure_folded.txt", &folded);
+    check_golden("fixtures/failure_chrome.json", &chrome);
+    check_golden("fixtures/failure_otlp.json", &otlp);
+    check_golden("fixtures/failure_folded.txt", &folded);
 }
 
 /// A stream cut off mid-run. On node 0, task 7 starts on sublane 0 and
@@ -274,8 +263,8 @@ fn truncated_stream_exports_match_golden() {
     assert_eq!(otlp.matches("\"stringValue\":\"unfinished\"").count(), 2);
     assert!(chrome.contains("\"name\":\"w0+1\""), "second sublane used");
 
-    check_golden("truncated_chrome.json", &chrome);
-    check_golden("truncated_otlp.json", &otlp);
-    check_golden("truncated_folded.txt", &folded);
-    check_golden("truncated_frame.txt", &frame);
+    check_golden("fixtures/truncated_chrome.json", &chrome);
+    check_golden("fixtures/truncated_otlp.json", &otlp);
+    check_golden("fixtures/truncated_folded.txt", &folded);
+    check_golden("fixtures/truncated_frame.txt", &frame);
 }

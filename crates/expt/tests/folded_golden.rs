@@ -7,15 +7,13 @@
 //! UPDATE_GOLDEN=1 cargo test -p expt --test folded_golden
 //! ```
 
+mod common;
+
+use common::check_golden;
 use wfengine::{run_workflow, RunConfig};
 use wfgen::App;
 use wfobs::ObsLevel;
 use wfstorage::StorageKind;
-
-const GOLDEN: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/montage_folded.txt"
-);
 
 #[test]
 fn montage_folded_stacks_match_golden() {
@@ -39,14 +37,5 @@ fn montage_folded_stacks_match_golden() {
         assert!(w > 0, "zero-weight lines are omitted: {line}");
     }
 
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &folded).expect("write golden fixture");
-        return;
-    }
-    let want = std::fs::read_to_string(GOLDEN)
-        .expect("golden fixture missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        folded, want,
-        "folded stacks drifted from {GOLDEN}; rerun with UPDATE_GOLDEN=1 if intentional"
-    );
+    check_golden("fixtures/montage_folded.txt", &folded);
 }

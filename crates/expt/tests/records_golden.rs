@@ -15,6 +15,9 @@
 //! UPDATE_GOLDEN=1 cargo test -p expt --test records_golden
 //! ```
 
+mod common;
+
+use common::check_golden;
 use std::fmt::Write as _;
 use wfengine::{
     jobstate_log, phase_breakdown, run_workflow, trace, FaultPlan, NodeCrashSpec, RunConfig,
@@ -24,20 +27,6 @@ use wfgen::App;
 use wfstorage::StorageKind;
 
 const WORKERS: u32 = 2;
-
-fn check_golden(name: &str, got: &str) {
-    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, got).expect("write golden fixture");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; run with UPDATE_GOLDEN=1"));
-    assert!(
-        got == want,
-        "{name} drifted from {path}; rerun with UPDATE_GOLDEN=1 if intentional"
-    );
-}
 
 /// A record's lifecycle instants in nanoseconds: ready, slot start, the
 /// start of each phase (ops, stage-in, read, compute, write, stage-out)
@@ -84,7 +73,7 @@ fn montage_records_match_golden() {
     let wf = App::Montage.tiny_workflow();
     let cfg = RunConfig::cell(StorageKind::GlusterNufa, WORKERS).with_seed(42);
     let stats = run_workflow(wf.clone(), cfg).expect("montage run succeeds");
-    check_golden("montage_records.txt", &render(&stats, &wf));
+    check_golden("fixtures/montage_records.txt", &render(&stats, &wf));
 }
 
 /// Every Gantt bucket of the pinned Montage run shows at most as many
@@ -128,5 +117,5 @@ fn crash_records_match_golden() {
         stats.records.iter().any(|r| r.attempts > 1),
         "a killed attempt retried"
     );
-    check_golden("crash_records.txt", &render(&stats, &wf));
+    check_golden("fixtures/crash_records.txt", &render(&stats, &wf));
 }

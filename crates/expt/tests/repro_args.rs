@@ -39,6 +39,15 @@ fn removed_bench_smoke_mode_is_rejected() {
 }
 
 #[test]
+fn removed_golden_modes_are_rejected() {
+    // The golden digest and OTLP checks are `cargo test -p expt --test
+    // golden_run` now; `repro` no longer runs or rewrites them.
+    for flag in ["--golden-digest", "--golden-otlp", "--update"] {
+        assert_rejected(&[flag], flag);
+    }
+}
+
+#[test]
 fn misspelt_flag_is_rejected() {
     assert_rejected(&["--golden-digset"], "--golden-digset");
 }

@@ -20,6 +20,9 @@
 //! The same cells also check that each backend's operation counters
 //! agree with the observability bus's counters at `ObsLevel::Full`.
 
+mod common;
+
+use common::check_golden;
 use simcore::{ResourceId, Sim, SimTime};
 use std::fmt::Write as _;
 use vcluster::Cluster;
@@ -28,11 +31,6 @@ use wfengine::{run_workflow, RunConfig, World};
 use wfgen::App;
 use wfobs::ObsLevel;
 use wfstorage::{build_storage, StorageKind};
-
-const GOLDEN: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/storage_golden.txt"
-);
 
 /// `run_workflow` rebuilt from its public parts, so the simulator's
 /// per-resource statistics can be read after the run. Returns the
@@ -144,20 +142,5 @@ fn op_stats_match_the_bus_counters() {
 
 #[test]
 fn every_storage_kind_matches_golden() {
-    let got = render();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &got).expect("write golden fixture");
-        return;
-    }
-    let want = std::fs::read_to_string(GOLDEN)
-        .expect("golden fixture missing — run with UPDATE_GOLDEN=1 to create it");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .find(|(g, w)| g != w)
-            .map(|(g, w)| format!("got `{g}`, want `{w}`"))
-            .unwrap_or_else(|| "line counts differ".to_string());
-        panic!("storage pins drifted from {GOLDEN} ({first}); rerun with UPDATE_GOLDEN=1 if intentional");
-    }
+    check_golden("fixtures/storage_golden.txt", &render());
 }

@@ -9,6 +9,9 @@
 //! UPDATE_GOLDEN=1 cargo test -p expt --test tui_golden
 //! ```
 
+mod common;
+
+use common::check_golden;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -70,23 +73,6 @@ fn captured_frames() -> Vec<(u64, String)> {
     captured
 }
 
-fn check_golden(name: &str, frame: &str) {
-    let path = format!(
-        "{}/tests/golden_frames/{name}.txt",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, frame).expect("write golden frame");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; run with UPDATE_GOLDEN=1 to create"));
-    assert_eq!(
-        frame, want,
-        "frame {name} drifted from {path}; if intentional, regenerate with UPDATE_GOLDEN=1"
-    );
-}
-
 #[test]
 fn golden_frames_are_stable() {
     let frames = captured_frames();
@@ -94,7 +80,7 @@ fn golden_frames_are_stable() {
     // Mid-run: a busy Gantt before the crash lands.
     let mid = &frames[frames.len() / 3].1;
     assert!(mid.contains('#'), "mid frame shows compute cells:\n{mid}");
-    check_golden("mid", mid);
+    check_golden("golden_frames/mid.txt", mid);
 
     // Fault: the first frame whose ticker shows the node crash.
     let fault = &frames
@@ -102,7 +88,7 @@ fn golden_frames_are_stable() {
         .find(|(_, f)| f.contains("node_crash"))
         .expect("a frame captured the crash")
         .1;
-    check_golden("fault", fault);
+    check_golden("golden_frames/fault.txt", fault);
 
     // Final: the flush-time frame, with every task accounted for.
     let last = &frames.last().expect("nonempty").1;
@@ -110,7 +96,7 @@ fn golden_frames_are_stable() {
         last.contains("tasks 66/66"),
         "final frame shows completion:\n{last}"
     );
-    check_golden("final", last);
+    check_golden("golden_frames/final.txt", last);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! `wfsim` refuses a storage option that cannot be deployed on the
 //! requested number of workers: it names the storage and the worker
 //! count on stderr and exits with status 2, instead of panicking while
-//! it builds the cluster or the storage backend. It refuses a workflow
+//! it builds the cluster or the storage backend. It refuses the removed
+//! `bottleneck` subcommand and `run --digest` flag, a workflow
 //! document that does not load the same way, a cluster size of 0 and a
 //! task-failure probability outside [0, 1]. A workflow too large to time
 //! (the simulated clock saturates) fails the same way instead of
@@ -67,10 +68,20 @@ fn local_on_two_workers_is_rejected() {
 }
 
 #[test]
-fn bottleneck_on_an_infeasible_cluster_is_rejected() {
+fn removed_bottleneck_subcommand_is_rejected() {
+    // `wfsim run` prints the same phase table and hottest resources.
     assert_rejected(
-        "bottleneck --app montage --tiny --storage pvfs --workers 1",
-        &["PVFS", "1 worker"],
+        "bottleneck --app broadband --tiny --storage nfs --workers 4",
+        &["unknown subcommand", "bottleneck"],
+    );
+}
+
+#[test]
+fn removed_digest_flag_is_rejected() {
+    // `wfsim run` always prints the run digest.
+    assert_rejected(
+        "run --app montage --tiny --storage nfs --workers 2 --digest",
+        &["unknown option --digest"],
     );
 }
 

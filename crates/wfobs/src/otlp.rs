@@ -42,23 +42,13 @@
 //! checked end to end through real bytes.
 
 use crate::bus::ObsReport;
+use crate::digest::{fnv_step, FNV_OFFSET};
 use crate::event::{Event, OpKind, Phase};
 use crate::fold::{AttemptFold, Outcome, Step};
 use crate::name_or;
 use crate::text::{push_esc, push_f64, push_hex16, push_i64, push_u64};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv_step(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
 
 /// Human-readable labels and run metadata the exporter joins back onto
 /// the integer-id event stream. Everything here is optional: missing

@@ -5,6 +5,11 @@
 #   scripts/verify.sh --quick  # tier-1 only
 #
 # Tier-1 (ROADMAP.md): cargo build --release && cargo test -q
+#                      (`cargo test -q --workspace` below also runs the
+#                      golden digest and golden OTLP checks: the expt
+#                      `golden_run` target pins a fixed tiny workflow's
+#                      digest and OTLP trace to
+#                      crates/expt/tests/fixtures/golden_{digest.txt,otlp.json})
 # Oracle tests:        cargo test -q -p simcore --features oracle (the
 #                      differential suite and the Montage-scale agreement
 #                      test against the reference solver)
@@ -17,10 +22,6 @@
 # Lint gates:          cargo clippy --workspace --all-targets -- -D warnings
 #                      cargo fmt --check
 #                      no #[ignore] without a reason string
-# Golden digest:       repro --golden-digest (the fixed tiny workflow must
-#                      reproduce tests/golden_digest.txt bit for bit)
-# Golden OTLP:         repro --golden-otlp (the fixed run must re-export
-#                      tests/golden_otlp.json byte for byte)
 # Repro golden:        the release `repro --seed 42`, run in a temp dir,
 #                      must write reports/ byte for byte as committed:
 #                      repro-42.json (every figure cell, ablation row,
@@ -144,12 +145,6 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== lint: rustfmt =="
 cargo fmt --check
 
-echo "== golden digest =="
-cargo run --release -q -p expt --bin repro -- --golden-digest
-
-echo "== golden OTLP =="
-cargo run --release -q -p expt --bin repro -- --golden-otlp
-
 echo "== repro golden: the seed-42 dataset and verdicts =="
 # Every number `repro` reports at seed 42, every shape-check verdict and
 # margin, byte for byte (≈12 s once built). After an intended change,
@@ -216,9 +211,12 @@ echo "== debug assertions at release speed =="
 # invariant, the flow solver's fast-path bit-equality check, its check of
 # every kept component against a fresh walk, and its checks that a clean
 # component's re-solve and a reused re-sync match the full pass bit for
-# bit, run under real load. On PVFS @ 8 all flows share one component of
-# ~260 flows, and most of its solves are clean re-solves. S3 is the other
-# backend whose flows are all capped. The
+# bit, run under real load. PVFS @ 8 is the run that drives those last
+# two: all its flows share one component of ~260 flows, and at seed 42
+# 616k of its 765k solves are clean re-solves and 23.8M of its 35.6M
+# re-syncs are reused. S3 @ 8 is the other backend whose flows are all
+# capped, but its components stay small: it reaches the clean re-solve
+# 20 times in 159k solves and the reused re-sync never. The
 # fault goldens and the fault metamorphic suite drive the kill path
 # (a task's in-flight flow list, `cancel_flow`, the completion heap's
 # liveness check, freeing a killed plan's op slot) with the same checks
