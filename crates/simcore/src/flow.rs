@@ -62,7 +62,7 @@
 //!   multiply-add per flow/resource), using reusable scratch buffers
 //!   instead of per-event allocations.
 //!
-//! Six shortcuts skip work that cannot change the answer:
+//! Seven shortcuts skip work that cannot change the answer:
 //!
 //! * **All-at-cap fast path** — when every flow of a component has a cap
 //!   and, on every resource, the caps crossing it sum to at most
@@ -70,10 +70,21 @@
 //!   exactly its cap in whatever order it runs (the smallest unfixed cap
 //!   stays strictly below every resource's fair share in every round, with
 //!   a margin far above the rounding carried in the remaining capacities).
-//!   The solver then sets each rate to its cap, with no sort by flow id and
-//!   no filling rounds; the kept per-resource cap sums are the new rate
-//!   sums bit for bit. Debug builds still run the full filling and assert
-//!   bit equality.
+//!   The solver then sets each rate to its cap, with no filling rounds;
+//!   the kept per-resource cap sums are the new rate sums bit for bit.
+//!   Debug builds still run the full filling and assert bit equality.
+//! * **Equal-share shortcut** — on a component that is not all at cap, the
+//!   filling's first round takes `share`, the least `capacity / flows` over
+//!   its resources (a flow list holds one entry per path crossing, so its
+//!   length is the initial load). If no flow's cap is at or below `share`,
+//!   the round freezes every flow on a resource that passes the saturation
+//!   test at `share`, and if those resources reach every flow, the filling
+//!   ends there with every rate equal to `share`. The solver then sets
+//!   every rate to `share` with no filling rounds, and each rate sum is
+//!   `share` folded once per list entry, the fold a walk over the list
+//!   would take, with no slab lookup. NFS components (clients crossing the
+//!   server's NIC) mostly solve this way. Debug builds still run the full
+//!   filling and assert bit equality of every rate and rate sum.
 //! * **One solve per burst of same-instant starts** — a start attaches its
 //!   flow (after closing the statistics interval of the flow's resources)
 //!   but does not solve. The pending solve runs when the engine is next
@@ -127,10 +138,13 @@
 //!   negative answer walks the pieces afresh.
 //!
 //! Keeping components changes the order in which a solve visits flows and
-//! resources, never a bit of its result, for four reasons: the filling
-//! sorts the component's flows by id, the bottleneck minimum and the
-//! saturation test do not depend on order, each rate sum folds its own
-//! resource's flow list, and heap keys `(time, id, slot, gen)` are unique.
+//! resources, never a bit of its result, for four reasons. Within one
+//! filling round every flow that freezes gets the same value (the round's
+//! `min_cap` or its `share`), and which flows freeze is decided before any
+//! does, so each remaining capacity sees the same subtractions in any
+//! order of the flows. The bottleneck minimum and the saturation test do
+//! not depend on order. Each rate sum folds its own resource's flow list.
+//! And heap keys `(time, id, slot, gen)` are unique.
 //! Debug builds check every component before solving it against a fresh
 //! stamped breadth-first walk of the graph: the walk must reach the same
 //! flows and resources, and every kept cap sum must equal its list's fold
@@ -430,6 +444,8 @@ struct Saved {
     skipped: u64,
     /// Re-syncs that reused the previous flow's result.
     reused: u64,
+    /// Solves that set every flow to one equal share without filling.
+    uniform: u64,
 }
 
 /// A connected component of the resource↔flow graph, kept between events.
@@ -460,16 +476,13 @@ struct Component {
 /// Reusable per-event buffers (no allocation on the hot path once warm).
 #[derive(Default)]
 struct Scratch {
-    /// The flow slots of the component being filled, sorted by external
-    /// id.
-    comp_slots: Vec<u32>,
     /// Per-resource local index into `cap_left`/`load`/`saturated`
     /// (valid for the resources of the component being filled).
     res_local: Vec<u32>,
     cap_left: Vec<f64>,
     load: Vec<u32>,
     saturated: Vec<bool>,
-    /// Whether each flow of `comp_slots` is frozen (parallel to it).
+    /// Whether each flow is frozen, by its position in the component.
     fixed: Vec<bool>,
     /// The filling's rate of each flow, by its position in the component.
     new_rate: Vec<f64>,
@@ -545,6 +558,18 @@ impl Hasher for IdHasher {
 /// `(time, id, gen)`, because a flow keeps one slot for life and
 /// `(time, id)` is unique among live entries.
 type HeapEntry = Reverse<(SimTime, u64, u32, u64)>;
+
+/// Where a solve's new rates come from.
+#[derive(Clone, Copy, PartialEq)]
+enum Rates {
+    /// Every flow runs at its cap (the all-at-cap fast path).
+    Caps,
+    /// Every flow runs at this one share, at least `f64::MIN_POSITIVE`
+    /// (the equal-share shortcut).
+    Uniform(f64),
+    /// Progressive filling, in `scratch.new_rate`.
+    Filled,
+}
 
 /// The fluid-flow engine. `C` is an opaque completion payload returned to
 /// the caller when a flow finishes (the simulation driver stores each
@@ -1200,20 +1225,83 @@ impl<C> FlowEngine<C> {
         // it `min_cap`) is strictly below `share` and only flows whose cap
         // equals `min_cap` freeze, at that cap. The rounding error carried
         // in `cap_left` is about load·2⁻⁵²·capacity, far below the 1e-9
-        // margin. Skipping the sort and the filling rounds then yields the
-        // same bits; debug builds run the full filling and check that.
+        // margin. Skipping the filling rounds then yields the same bits;
+        // debug builds run the full filling and check that.
         let at_cap = self.comps[c as usize].over == 0;
         if at_cap && self.comps[c as usize].clean == Some(now) {
             self.resolve_clean(now, c, removed);
             return;
         }
-        if cfg!(debug_assertions) || !at_cap {
+        let rates = if at_cap {
+            Rates::Caps
+        } else if let Some(share) = self.uniform_share(c) {
+            #[cfg(test)]
+            {
+                self.saved.uniform += 1;
+            }
+            Rates::Uniform(share)
+        } else {
+            Rates::Filled
+        };
+        // Debug builds fill after either shortcut too, and `apply` asserts
+        // that the filling gives every flow the rate the shortcut does.
+        if cfg!(debug_assertions) || rates == Rates::Filled {
             self.fill(c);
         }
-        self.apply(now, c, at_cap);
+        self.apply(now, c, rates);
         let comp = &mut self.comps[c as usize];
         comp.clean = at_cap.then_some(now);
         comp.fresh.clear();
+    }
+
+    /// The equal-share shortcut for component `c`, which is not all at
+    /// cap: the one share progressive filling gives every flow in a single
+    /// round, if it does. The filling's first round takes `share` = the
+    /// least `capacity / flows` over the resources (each flow list has one
+    /// entry per path crossing, so its length is the resource's initial
+    /// load). If no flow has a cap at or below `share`, the smallest cap is
+    /// above it and the round freezes, at `share`, every flow on a resource
+    /// whose `capacity / flows` is within `share + share · 1e-12`, the
+    /// filling's saturation test in the same expression. If those resources
+    /// reach every flow, the round freezes them all and the filling ends.
+    /// A share below `f64::MIN_POSITIVE` (or none, with no resource) is left
+    /// to the filling: above it, a flow's fast-path cap `cap.max(MIN_POSITIVE)`
+    /// is at or below `share` exactly when its cap is.
+    fn uniform_share(&mut self, c: u32) -> Option<f64> {
+        let comp = &self.comps[c as usize];
+        let fair = |res: &Resource| res.capacity / res.flows.len() as f64;
+        let share = comp
+            .res
+            .iter()
+            .map(|&r| &self.resources[r as usize])
+            .filter(|res| !res.flows.is_empty())
+            .map(fair)
+            .fold(f64::INFINITY, f64::min);
+        if !(f64::MIN_POSITIVE..f64::INFINITY).contains(&share)
+            || comp.hot.iter().any(|h| h.cap <= share)
+        {
+            return None;
+        }
+        let bound = share + share * 1e-12;
+        let sc = &mut self.scratch;
+        sc.stamp += 1;
+        let mut reached = 0;
+        for &r in &comp.res {
+            let res = &self.resources[r as usize];
+            if res.flows.is_empty() || fair(res) > bound {
+                continue;
+            }
+            for &(s, _) in &res.flows {
+                if sc.slot_stamp[s as usize] != sc.stamp {
+                    sc.slot_stamp[s as usize] = sc.stamp;
+                    reached += 1;
+                }
+            }
+            if reached == comp.slots.len() {
+                return Some(share);
+            }
+        }
+        None
     }
 
     /// Re-solve component `c`, solved on the all-at-cap path earlier at
@@ -1282,7 +1370,7 @@ impl<C> FlowEngine<C> {
             .collect();
         let heap_len = self.heap.len();
         self.fill(c);
-        self.apply(now, c, true);
+        self.apply(now, c, Rates::Caps);
         let comp = &self.comps[c as usize];
         assert!(
             comp.hot.iter().map(Hot::bits).eq(hot),
@@ -1362,9 +1450,11 @@ impl<C> FlowEngine<C> {
         }
     }
 
-    /// Apply the solve of component `c` at `now`: rates (the caps when
-    /// `at_cap`, else the filling's), then heap and statistics bookkeeping.
-    fn apply(&mut self, now: SimTime, c: u32, at_cap: bool) {
+    /// Apply the solve of component `c` at `now`: the new `rates`, then
+    /// heap and statistics bookkeeping. Debug builds have filled the
+    /// component whatever `rates` says, and check a shortcut's rates and
+    /// rate sums against the filling's.
+    fn apply(&mut self, now: SimTime, c: u32, rates: Rates) {
         // Bring each flow of the component forward to `now` under its old
         // rate, apply its new rate and recompute its completion prediction
         // (exactly what the reference engine's linear scan would derive).
@@ -1375,16 +1465,19 @@ impl<C> FlowEngine<C> {
         let new_rate = &self.scratch.new_rate;
         let mut resync = Resync::new(now);
         for (pos, h) in comp.hot.iter_mut().enumerate() {
-            let rate = if at_cap {
-                debug_assert_eq!(
-                    h.cap.to_bits(),
-                    new_rate[pos].max(f64::MIN_POSITIVE).to_bits(),
-                    "all-at-cap fast path disagrees with progressive filling"
-                );
-                h.cap
-            } else {
-                new_rate[pos].max(f64::MIN_POSITIVE)
+            let rate = match rates {
+                Rates::Caps => h.cap,
+                Rates::Uniform(share) => share,
+                Rates::Filled => new_rate[pos],
             };
+            let rate = rate.max(f64::MIN_POSITIVE);
+            if cfg!(debug_assertions) && rates != Rates::Filled {
+                assert_eq!(
+                    rate.to_bits(),
+                    new_rate[pos].max(f64::MIN_POSITIVE).to_bits(),
+                    "solver shortcut disagrees with progressive filling"
+                );
+            }
             // Same-instant skip. A flow already brought forward to `now`
             // whose rate keeps its bits would re-derive the same
             // `remaining` (no time passed) and the same prediction (the
@@ -1417,16 +1510,15 @@ impl<C> FlowEngine<C> {
         }
 
         // Each resource closes its constant-rate interval and opens a
-        // fresh one. On the fast path the applied rates are the caps, and
-        // the cap sum is their sum in list order. Every flow listed on a
-        // resource of `c` is a flow of `c`.
+        // fresh one. Its rate sum folds its flow list's rates from 0.0. On
+        // the fast path the rates are the caps, and the cap sum is that
+        // fold; under one equal share every term is that share. Every flow
+        // listed on a resource of `c` is a flow of `c`.
         let comp = &self.comps[c as usize];
         for &r in &comp.res {
             let res = &mut self.resources[r as usize];
             res.flush_stats(now);
-            res.rate_sum = if at_cap {
-                res.cap_sum
-            } else {
+            let fold_rates = || {
                 res.flows
                     .iter()
                     .map(|&(s, _)| {
@@ -1435,25 +1527,34 @@ impl<C> FlowEngine<C> {
                     })
                     .fold(0.0, |sum, rate| sum + rate)
             };
+            let rate_sum = match rates {
+                Rates::Caps => res.cap_sum,
+                Rates::Uniform(share) => res.flows.iter().fold(0.0, |sum, _| sum + share),
+                Rates::Filled => fold_rates(),
+            };
+            if cfg!(debug_assertions) && rates != Rates::Filled {
+                assert_eq!(
+                    rate_sum.to_bits(),
+                    fold_rates().to_bits(),
+                    "solver shortcut's rate sum differs from its list fold"
+                );
+            }
+            res.rate_sum = rate_sum;
         }
     }
 
     /// Progressive-filling max–min fair allocation over component `c` into
     /// `scratch.new_rate` (indexed by each flow's `comp_pos`). Flows are
-    /// solved in ascending external-id order so the arithmetic matches a
-    /// global recompute restricted to this component bit for bit.
+    /// visited in component order: every flow one round freezes gets the
+    /// same value (the round's `min_cap`, or its `share`), and which flows
+    /// freeze depends only on what the round computed before freezing any.
+    /// So each remaining capacity sees the same sequence of subtractions in
+    /// any visiting order, and the result matches a global recompute
+    /// restricted to this component bit for bit.
     fn fill(&mut self, c: u32) {
         let comp = &self.comps[c as usize];
         let sc = &mut self.scratch;
-        sc.comp_slots.clear();
-        sc.comp_slots.extend_from_slice(&comp.slots);
-        sc.comp_slots.sort_unstable_by_key(|&s| {
-            self.slots[s as usize]
-                .as_ref()
-                .expect("solving vacant slot")
-                .id
-        });
-        let k = sc.comp_slots.len();
+        let k = comp.slots.len();
         let nr = comp.res.len();
 
         sc.fixed.clear();
@@ -1465,23 +1566,23 @@ impl<C> FlowEngine<C> {
         sc.saturated.clear();
         sc.saturated.resize(nr, false);
         for (li, &r) in comp.res.iter().enumerate() {
+            let res = &self.resources[r as usize];
             sc.res_local[r as usize] = u32::try_from(li).expect("component fits u32");
-            sc.cap_left.push(self.resources[r as usize].capacity);
-            sc.load.push(0);
+            sc.cap_left.push(res.capacity);
+            // One list entry per path crossing.
+            sc.load
+                .push(u32::try_from(res.flows.len()).expect("flow list fits u32"));
         }
-
-        for (i, &s) in sc.comp_slots.iter().enumerate() {
-            let f = self.slots[s as usize]
-                .as_ref()
-                .expect("solving vacant slot");
-            if f.path.is_empty() {
-                // Only a cap constrains this flow.
-                sc.new_rate[f.comp_pos as usize] = f.cap.expect("uncapped pathless flow");
+        if nr == 0 {
+            // Only pathless flows have no resource (each is a component of
+            // its own), and only a cap constrains them.
+            for (i, &s) in comp.slots.iter().enumerate() {
+                let f = self.slots[s as usize]
+                    .as_ref()
+                    .expect("solving vacant slot");
+                debug_assert!(f.path.is_empty());
+                sc.new_rate[i] = f.cap.expect("uncapped pathless flow");
                 sc.fixed[i] = true;
-            } else {
-                for r in &f.path {
-                    sc.load[sc.res_local[r.index()] as usize] += 1;
-                }
             }
         }
 
@@ -1495,7 +1596,7 @@ impl<C> FlowEngine<C> {
             }
             // Bottleneck candidate from per-flow caps.
             let mut min_cap = f64::INFINITY;
-            for (i, &s) in sc.comp_slots.iter().enumerate() {
+            for (i, &s) in comp.slots.iter().enumerate() {
                 if !sc.fixed[i] {
                     if let Some(c) = self.slots[s as usize].as_ref().expect("vacant").cap {
                         min_cap = min_cap.min(c);
@@ -1509,14 +1610,14 @@ impl<C> FlowEngine<C> {
             let mut progressed = false;
             if min_cap <= share {
                 // Freeze every unfixed flow whose cap equals the bottleneck.
-                for (i, &s) in sc.comp_slots.iter().enumerate() {
+                for (i, &s) in comp.slots.iter().enumerate() {
                     if sc.fixed[i] {
                         continue;
                     }
                     let f = self.slots[s as usize].as_ref().expect("vacant");
                     if f.cap.is_some_and(|c| c <= share && c <= min_cap) {
                         let rate = f.cap.unwrap();
-                        sc.new_rate[f.comp_pos as usize] = rate;
+                        sc.new_rate[i] = rate;
                         sc.fixed[i] = true;
                         progressed = true;
                         for r in &f.path {
@@ -1533,7 +1634,7 @@ impl<C> FlowEngine<C> {
                     sc.saturated[li] = sc.load[li] > 0
                         && sc.cap_left[li].max(0.0) / f64::from(sc.load[li]) <= share + eps;
                 }
-                for (i, &s) in sc.comp_slots.iter().enumerate() {
+                for (i, &s) in comp.slots.iter().enumerate() {
                     if sc.fixed[i] {
                         continue;
                     }
@@ -1542,7 +1643,7 @@ impl<C> FlowEngine<C> {
                         .iter()
                         .any(|r| sc.saturated[sc.res_local[r.index()] as usize])
                     {
-                        sc.new_rate[f.comp_pos as usize] = share;
+                        sc.new_rate[i] = share;
                         sc.fixed[i] = true;
                         progressed = true;
                         for r in &f.path {
@@ -1888,7 +1989,8 @@ mod tests {
             fe.saved,
             Saved {
                 skipped: 77 + 8,
-                reused: 14 + 12 + 7
+                reused: 14 + 12 + 7,
+                uniform: 0
             }
         );
 
@@ -1904,6 +2006,175 @@ mod tests {
         for &d in &disks {
             assert_eq!(stats_bits(&fe, d), bits([352.0, 32.0, 11.0]));
         }
+    }
+
+    /// The bits of `id`'s current rate.
+    fn rate_bits<C>(fe: &mut FlowEngine<C>, id: FlowId) -> Option<u64> {
+        fe.flow_rate(id).map(f64::to_bits)
+    }
+
+    #[test]
+    fn equal_share_shortcut_fires_on_a_hub() {
+        // NFS-shaped: three clients F0..F2 and a capped flow G each cross
+        // their own NIC and the server's hub NIC, so the hub's fair share
+        // is the least one and every flow lies on it. G's cap of 64 stays
+        // above the share (24, then 32, then 48), so every solve sets all
+        // rates to that share with no filling rounds, until G runs alone at
+        // its cap (the all-at-cap path). Every value is exact.
+        let mut fe: FlowEngine<u32> = FlowEngine::new();
+        let hub = fe.add_resource("hub", 96.0);
+        let nic: Vec<ResourceId> = (0..4)
+            .map(|k| fe.add_resource(format!("nic{k}"), 96.0))
+            .collect();
+        let f: Vec<FlowId> = [24, 96, 144]
+            .into_iter()
+            .zip(0..)
+            .map(|(bytes, k)| fe.start(t(0.0), FlowSpec::new(bytes, vec![nic[k], hub]), k as u32))
+            .collect();
+        let g = fe.start(
+            t(0.0),
+            FlowSpec::new(288, vec![nic[3], hub]).with_cap(64.0),
+            3,
+        );
+        for &id in f.iter().chain([&g]) {
+            assert_eq!(rate_bits(&mut fe, id), Some(24.0f64.to_bits()));
+        }
+        for (k, at, share) in [(0, 1.0, 32.0f64), (1, 3.25, 48.0)] {
+            assert_eq!(fe.next_completion(), Some((t(at), f[k])));
+            fe.complete(t(at), f[k]);
+            for &id in f[k + 1..].iter().chain([&g]) {
+                assert_eq!(rate_bits(&mut fe, id), Some(share.to_bits()));
+            }
+        }
+        assert_eq!(
+            fe.flow_remaining(f[2]).map(f64::to_bits),
+            Some(48.0f64.to_bits())
+        );
+        assert_eq!(fe.next_completion(), Some((t(4.25), f[2])));
+        fe.complete(t(4.25), f[2]);
+        assert_eq!(rate_bits(&mut fe, g), Some(64.0f64.to_bits()));
+        assert_eq!(fe.next_completion(), Some((t(6.5), g)));
+        fe.complete(t(6.5), g);
+        // The solves at t=0, 1 and 3.25 took the shortcut; the one at 4.25
+        // was all at cap. Neighbouring flows never shared their re-sync
+        // inputs (each had its own remaining bytes).
+        assert_eq!(
+            fe.saved,
+            Saved {
+                skipped: 0,
+                reused: 0,
+                uniform: 3
+            }
+        );
+        let s = fe.resource_stats(hub);
+        assert_eq!(
+            [s.bytes, s.busy_secs].map(f64::to_bits),
+            [552.0, 6.5].map(f64::to_bits)
+        );
+    }
+
+    #[test]
+    fn equal_share_shortcut_skips_a_cap_at_or_below_the_share() {
+        // Two hubs, two components. On hub A the capped flow's cap (16) is
+        // below the hub's share of 112 / 4 = 28: the filling freezes it at
+        // 16 and gives the others 96 / 3 = 32 each. On hub B the cap (32)
+        // equals the share of 96 / 3: the filling freezes it at its cap in
+        // one round and the others at the share in the next, the rates the
+        // shortcut would give, but the shortcut must not fire.
+        let mut fe: FlowEngine<u32> = FlowEngine::new();
+        let hub_with = |fe: &mut FlowEngine<u32>, name: &str, capacity: f64, cap: f64, n: u32| {
+            let hub = fe.add_resource(name, capacity);
+            (0..n)
+                .map(|k| {
+                    let nic = fe.add_resource(format!("{name}-nic{k}"), 128.0);
+                    let spec = FlowSpec::new(1000, vec![nic, hub]);
+                    let spec = if k == 0 { spec.with_cap(cap) } else { spec };
+                    fe.start(t(0.0), spec, k)
+                })
+                .collect::<Vec<FlowId>>()
+        };
+        let a = hub_with(&mut fe, "a", 112.0, 16.0, 4);
+        let b = hub_with(&mut fe, "b", 96.0, 32.0, 3);
+        let expect = |id: &FlowId| if *id == a[0] { 16.0f64 } else { 32.0 };
+        for id in a.iter().chain(&b) {
+            assert_eq!(rate_bits(&mut fe, *id), Some(expect(id).to_bits()));
+        }
+        assert_eq!(fe.saved.uniform, 0);
+    }
+
+    #[test]
+    fn equal_share_shortcut_needs_every_flow_on_a_saturated_resource() {
+        // F0 and F1 share the hub (64 / 2 = 32, the least fair share); F2
+        // crosses only F1's NIC (256 / 2 = 128), so no saturated resource
+        // reaches it. The filling takes two rounds: F0 and F1 freeze at 32,
+        // then F2 takes what is left of the NIC, 256 − 32 = 224.
+        let mut fe: FlowEngine<u32> = FlowEngine::new();
+        let hub = fe.add_resource("hub", 64.0);
+        let nic0 = fe.add_resource("nic0", 256.0);
+        let nic1 = fe.add_resource("nic1", 256.0);
+        let f0 = fe.start(t(0.0), FlowSpec::new(1000, vec![nic0, hub]), 0);
+        let f1 = fe.start(t(0.0), FlowSpec::new(1000, vec![nic1, hub]), 1);
+        let f2 = fe.start(t(0.0), FlowSpec::new(1000, vec![nic1]), 2);
+        for (id, rate) in [(f0, 32.0f64), (f1, 32.0), (f2, 224.0)] {
+            assert_eq!(rate_bits(&mut fe, id), Some(rate.to_bits()));
+        }
+        assert_eq!(fe.saved.uniform, 0);
+    }
+
+    #[test]
+    fn fill_in_component_order_matches_the_oracle() {
+        // Cancelling flow 0 swap-removes it from its component, so flow 5
+        // moves to the front and the component's order is no longer the id
+        // order. The filling, which visits flows in component order, must
+        // still give every rate and completion the reference engine's bits.
+        // Capacities and caps are not binary fractions, so the rounding in
+        // the remaining capacities is real.
+        let mut fe: FlowEngine<u32> = FlowEngine::new();
+        let mut oracle: crate::naive::NaiveFlowEngine<u32> = crate::naive::NaiveFlowEngine::new();
+        let mut res = Vec::new();
+        for (name, capacity) in [("hub", 1000.0 / 3.0), ("a", 70.3), ("b", 45.1)] {
+            res.push(fe.add_resource(name, capacity));
+            oracle.add_resource(name, capacity);
+        }
+        let (hub, a, b) = (res[0], res[1], res[2]);
+        let specs = [
+            FlowSpec::new(5000, vec![a, hub]),
+            FlowSpec::new(3000, vec![hub]).with_cap(20.7),
+            FlowSpec::new(4000, vec![b, hub]),
+            FlowSpec::new(6000, vec![a, hub]).with_cap(33.3),
+            FlowSpec::new(2500, vec![b, hub]),
+            FlowSpec::new(7000, vec![hub]),
+        ];
+        let mut ids = Vec::new();
+        for (k, spec) in (0..).zip(specs) {
+            let id = fe.start(t(0.0), spec.clone(), k);
+            assert_eq!(oracle.start(t(0.0), spec, k), id);
+            ids.push(id);
+        }
+        assert_eq!(fe.cancel(t(1.0), ids[0]), oracle.cancel(t(1.0), ids[0]));
+        let slot = fe.by_id[&ids[5].0];
+        let comp = &fe.comps[fe.slots[slot as usize].as_ref().unwrap().comp as usize];
+        let order: Vec<u64> = comp
+            .slots
+            .iter()
+            .map(|&s| fe.slots[s as usize].as_ref().unwrap().id)
+            .collect();
+        assert_eq!(order, [5, 1, 2, 3, 4]);
+        loop {
+            for &id in &ids {
+                assert_eq!(
+                    rate_bits(&mut fe, id),
+                    oracle.flow_rate(id).map(f64::to_bits),
+                    "rate of {id:?}"
+                );
+            }
+            let Some((at, id)) = oracle.next_completion() else {
+                break;
+            };
+            assert_eq!(fe.next_completion(), Some((at, id)));
+            assert_eq!(fe.complete(at, id), oracle.complete(at, id));
+        }
+        assert_eq!(fe.next_completion(), None);
     }
 
     #[test]

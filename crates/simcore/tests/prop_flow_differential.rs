@@ -16,7 +16,7 @@
 //!   `remaining -= rate·dt` steps into one, which can move a prediction
 //!   by a few ULPs (bounded here at relative 1e-12, ≥2 ns).
 //!
-//! Four schedule shapes target the solver's shortcuts and its kept
+//! Five schedule shapes target the solver's shortcuts and its kept
 //! components:
 //!
 //! * **PVFS-shaped** — every operation stripes its bytes over every node
@@ -39,6 +39,12 @@
 //!   rates kept (all at cap) or moved (tight capacities). The engine skips
 //!   the flows a same-instant solve cannot change; debug builds re-derive
 //!   each skipped flow and compare.
+//! * **Hubs** — NFS-shaped: every flow crosses one hub resource (the
+//!   server's NIC) and its client's NIC, some also the server's disk, and
+//!   a few are capped. Where the hub's fair share is the least and no cap
+//!   is at or below it, one filling round gives every flow that share,
+//!   which the engine sets without filling; debug builds fill anyway and
+//!   compare.
 
 use proptest::prelude::*;
 use simcore::naive::NaiveFlowEngine;
@@ -240,6 +246,64 @@ fn gen_bridge_flow() -> impl Strategy<Value = GenFlow> {
                 2 => (vec![a, b], cap),
                 3 => (vec![a, b, a], cap),
                 _ => (vec![], Some(cap.unwrap_or(CAP_UNIT))),
+            };
+            GenFlow {
+                bytes,
+                path,
+                cap,
+                start_ms,
+            }
+        })
+}
+
+/// A hub-shaped cluster of `n` clients (laid out as in [`gen_hub_flow`]).
+/// The hub's capacity is a small whole number of [`CAP_UNIT`]s, below
+/// every slack capacity, so its fair share is mostly the least; the
+/// server's disk and the client NICs are slack, or tight enough to take
+/// that place.
+fn gen_hub_caps(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    // One in four of the others is tight.
+    let other = (0u8..4, 1e6f64..1e9, 1u32..=16).prop_map(|(k, slack, m)| {
+        if k == 0 {
+            f64::from(m) * CAP_UNIT
+        } else {
+            slack
+        }
+    });
+    (1u32..=8, proptest::collection::vec(other, n + 1)).prop_map(|(hub, mut rest)| {
+        rest.insert(0, f64::from(hub) * CAP_UNIT);
+        rest
+    })
+}
+
+/// A flow of a hub-shaped schedule over `n` clients. Resource 0 is the
+/// hub (the server's NIC), 1 the server's disk, and `2 + k` client `k`'s
+/// NIC. A flow is a read served from the server's cache (hub, NIC), a
+/// read from its disk (disk, hub, NIC), a write (NIC, hub) or a write
+/// through to the disk (NIC, hub, disk). Most flows are uncapped; a few
+/// have a cap of whole [`CAP_UNIT`]s (which can tie a fair share
+/// exactly) or any cap. Starts fall on the coarse burst instants.
+fn gen_hub_flow(n: usize) -> impl Strategy<Value = GenFlow> {
+    (
+        0..n,
+        0u8..4,
+        1_000u64..5_000_000,
+        (0u8..8, 1u32..=8, 10.0f64..1e8),
+        coarse_ms(),
+    )
+        .prop_map(|(client, shape, bytes, (k, units, any), start_ms)| {
+            // Six in eight uncapped.
+            let cap = match k {
+                0 => Some(f64::from(units) * CAP_UNIT),
+                1 => Some(any),
+                _ => None,
+            };
+            let nic = 2 + client;
+            let path = match shape {
+                0 => vec![0, nic],
+                1 => vec![1, 0, nic],
+                2 => vec![nic, 0],
+                _ => vec![nic, 0, 1],
             };
             GenFlow {
                 bytes,
@@ -696,6 +760,24 @@ proptest! {
     ) {
         run_differential(&caps, &flows, &cancels, &crashes, false, check,
             |t| 2 + (t as f64 * 1e-12) as u64)?;
+    }
+
+    /// Hub-shaped schedules: every flow crosses the hub, so all flows form
+    /// one component, solved by the equal-share shortcut wherever the hub
+    /// (or another resource reaching every flow) sets one share for all.
+    /// Starts, cancels and crashes fall on coarse instants, read after
+    /// every operation, at instant boundaries or after completions.
+    /// Bit-identical.
+    #[test]
+    fn hub_components_bit_identical(
+        n in 2usize..=6,
+        caps in gen_hub_caps(n),
+        flows in proptest::collection::vec(gen_hub_flow(n), 1..40),
+        cancels in proptest::collection::vec((0usize..64, coarse_ms()), 0..8),
+        crashes in proptest::collection::vec((0usize..8, coarse_ms()), 0..3),
+        check in any_check(),
+    ) {
+        run_differential(&caps, &flows, &cancels, &crashes, false, check, |_| 0)?;
     }
 
     /// Bursts of same-instant starts over disjoint components that merge

@@ -63,10 +63,19 @@ impl ScanLru {
 }
 
 /// Apply `ops` to both caches, failing at the first step where they
-/// disagree on a hit, an eviction vector, `used()` or `len()`.
+/// disagree on a hit, an eviction vector, `used()`, `len()` or whether a
+/// file the stream names is resident.
 fn assert_matches_scan(capacity: u64, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut cache = LruBytes::new(capacity);
     let mut model = ScanLru::new(capacity);
+    let mut named: Vec<FileId> = ops
+        .iter()
+        .map(|op| match *op {
+            Op::Insert(f, _) | Op::Touch(f) => FileId(f),
+        })
+        .collect();
+    named.sort_unstable();
+    named.dedup();
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Insert(f, b) => prop_assert_eq!(
@@ -86,6 +95,16 @@ fn assert_matches_scan(capacity: u64, ops: &[Op]) -> Result<(), TestCaseError> {
         }
         prop_assert_eq!(cache.used(), model.used, "step {}: {:?}", step, op);
         prop_assert_eq!(cache.len(), model.entries.len(), "step {}: {:?}", step, op);
+        for &f in &named {
+            prop_assert_eq!(
+                cache.contains(f),
+                model.entries.contains_key(&f),
+                "step {}: {:?}, file {:?}",
+                step,
+                op,
+                f
+            );
+        }
     }
     Ok(())
 }
@@ -118,6 +137,23 @@ fn model_ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![insert(), insert(), (0u32..48).prop_map(Op::Touch)],
         1..300,
     )
+}
+
+/// [`model_ops`] over sparse, large file ids: each case draws a pool of
+/// up to 32 ids below 100,000 and maps the stream's ids into it, so the
+/// cache's index by file id grows in jumps and most of it stays empty.
+/// The pool may repeat an id, which then stands for several of the
+/// stream's.
+fn sparse_ops() -> impl Strategy<Value = Vec<Op>> {
+    (proptest::collection::vec(0u32..100_000, 1..32), model_ops()).prop_map(|(pool, ops)| {
+        let id = |f: u32| pool[f as usize % pool.len()];
+        ops.into_iter()
+            .map(|op| match op {
+                Op::Insert(f, b) => Op::Insert(id(f), b),
+                Op::Touch(f) => Op::Touch(id(f)),
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -174,6 +210,12 @@ proptest! {
     fn matches_the_scan_model(capacity in 500u64..5000, ops in model_ops()) {
         assert_matches_scan(capacity, &ops)?;
     }
+
+    /// The same agreement over sparse, large file ids.
+    #[test]
+    fn matches_the_scan_model_on_sparse_ids(capacity in 500u64..5000, ops in sparse_ops()) {
+        assert_matches_scan(capacity, &ops)?;
+    }
 }
 
 /// A scripted stream that hits each case the random streams are meant to
@@ -212,4 +254,48 @@ fn scripted_stream_matches_the_scan_model() {
         cache.insert(FileId(6), 950),
         vec![FileId(2), FileId(4), FileId(1), FileId(3)]
     );
+}
+
+/// Sparse ids by hand: the first insert is the largest id, so the index
+/// grows to it at once; touches of an id inside the index that was never
+/// inserted and of one past its end both miss; an evicted file is no
+/// longer resident and a re-insert makes it resident again.
+#[test]
+fn scripted_sparse_ids_match_the_scan_model() {
+    let ops = [
+        Op::Insert(99_999, 400),
+        Op::Insert(3, 300),
+        Op::Touch(50_000),  // inside the index, never inserted
+        Op::Touch(250_000), // past the end of the index
+        Op::Insert(0, 200),
+        Op::Touch(99_999),
+        Op::Insert(70_001, 500), // evicts 3, then 0
+        Op::Touch(3),
+        Op::Insert(3, 100),
+        Op::Insert(120_000, 1000), // evicts the other three, oldest first
+    ];
+    assert_matches_scan(1000, &ops).unwrap();
+    let mut cache = LruBytes::new(1000);
+    for op in &ops[..6] {
+        match *op {
+            Op::Insert(f, b) => {
+                cache.insert(FileId(f), b);
+            }
+            Op::Touch(f) => {
+                cache.touch(FileId(f));
+            }
+        }
+    }
+    assert_eq!(
+        cache.insert(FileId(70_001), 500),
+        vec![FileId(3), FileId(0)]
+    );
+    assert!(!cache.contains(FileId(3)) && !cache.contains(FileId(250_000)));
+    assert!(!cache.touch(FileId(3)));
+    assert!(cache.insert(FileId(3), 100).is_empty());
+    assert_eq!(
+        cache.insert(FileId(120_000), 1000),
+        vec![FileId(99_999), FileId(70_001), FileId(3)]
+    );
+    assert_eq!((cache.len(), cache.used()), (1, 1000));
 }

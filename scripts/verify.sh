@@ -207,16 +207,22 @@ fi
 
 echo "== debug assertions at release speed =="
 # The storage goldens again, then paper-scale Montage runs on NFS, PVFS
-# and S3, from a release build with debug assertions on: the LRU index
-# invariant, the flow solver's fast-path bit-equality check, its check of
-# every kept component against a fresh walk, and its checks that a clean
-# component's re-solve and a reused re-sync match the full pass bit for
-# bit, run under real load. PVFS @ 8 is the run that drives those last
-# two: all its flows share one component of ~260 flows, and at seed 42
-# 616k of its 765k solves are clean re-solves and 23.8M of its 35.6M
-# re-syncs are reused. S3 @ 8 is the other backend whose flows are all
-# capped, but its components stay small: it reaches the clean re-solve
-# 20 times in 159k solves and the reused re-sync never. The
+# and S3, from a release build with debug assertions on: the LRU check
+# (after each insert that evicts, a walk of the recency list must count
+# as many entries as the cache holds, every link pointing back), the flow
+# solver's bit-equality checks of its all-at-cap and equal-share
+# shortcuts against the full filling, its check of every kept component
+# against a fresh walk, and its checks that a clean component's re-solve
+# and a reused re-sync match the full pass bit for bit, run under real
+# load. NFS @ 4 is the run that drives the equal-share check: at seed 42,
+# 165,790 of its 180,975 solves off the all-at-cap path take the
+# shortcut (S3 @ 8 takes it 61,554 times). PVFS @ 8 drives the clean
+# re-solve and reused re-sync checks: all its flows share one component
+# of ~260 flows, and at seed 42 616k of its 765k solves are clean
+# re-solves and 23.8M of its 35.6M re-syncs are reused. S3 @ 8 is the
+# other backend whose flows are all capped, but its components stay
+# small: it reaches the clean re-solve 20 times in 159k solves and the
+# reused re-sync never. The
 # fault goldens and the fault metamorphic suite drive the kill path
 # (a task's in-flight flow list, `cancel_flow`, the completion heap's
 # liveness check, freeing a killed plan's op slot) with the same checks
