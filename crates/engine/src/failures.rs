@@ -489,6 +489,7 @@ mod tests {
     use crate::{run_workflow, RunConfig, RunError};
     use simcore::SimDuration;
     use wfdag::{Workflow, WorkflowBuilder};
+    use wfobs::Phase;
     use wfstorage::StorageKind;
 
     fn chain(n: usize) -> Workflow {
@@ -838,6 +839,45 @@ mod tests {
         if stats.faults.counters.files_lost > 0 && stats.faults.counters.rescue_resubmits > 0 {
             assert!(stats.faults.counters.rescue_resubmits <= 2);
         }
+    }
+
+    #[test]
+    fn direct_transfer_crash_loses_files_only_that_node_held() {
+        // `join` waits for the slow `pc`, so each producer's output sits
+        // only on the node that wrote it until `join` stages it in. One of
+        // those nodes crashes after `join` is dispatched elsewhere and
+        // before its stage-in: the file is lost, the stage-in skips it,
+        // the read fails the execution, and the rescue pass re-runs its
+        // producer.
+        let mut b = WorkflowBuilder::new("fanin");
+        let fa = b.file("a", 4_000_000);
+        let fb = b.file("bb", 4_000_000);
+        let fc = b.file("c", 4_000_000);
+        let out = b.file("out", 1_000_000);
+        b.task("pa", "p", 2.0, 64 << 20, vec![], vec![fa]);
+        b.task("pb", "p", 2.0, 64 << 20, vec![], vec![fb]);
+        b.task("pc", "p", 60.0, 64 << 20, vec![], vec![fc]);
+        b.task("join", "j", 2.0, 64 << 20, vec![fa, fb, fc], vec![out]);
+        let wf = b.build().unwrap();
+
+        let cell = || RunConfig::cell(StorageKind::DirectTransfer, 2);
+        let clean = run_workflow(wf.clone(), cell()).unwrap();
+        let join = clean.records[3];
+        let producer = clean.records[..3].iter().find(|r| r.node != join.node);
+        let victim = producer.expect("a producer ran on the other node").node;
+        let at = (join.start_at.as_secs_f64() + join.start_of(Phase::StageIn).as_secs_f64()) / 2.0;
+        let mut cfg = cell();
+        // Workers are provisioned first, so a worker's node id is its index.
+        cfg.faults = Some(crash_plan(vec![(victim.0, at)], 10));
+        let stats = run_workflow(wf, cfg).unwrap();
+        assert_eq!(stats.tasks, 4);
+        assert!(stats.faults.counters.files_lost > 0, "the output was lost");
+        assert!(stats.faults.counters.tasks_killed > 0, "join's read failed");
+        assert!(
+            stats.faults.counters.rescue_resubmits > 0,
+            "the producer re-ran"
+        );
+        assert!(stats.makespan_secs > clean.makespan_secs);
     }
 
     #[test]

@@ -70,12 +70,13 @@ fn build_workflow(tasks: &[GenTask]) -> wfdag::Workflow {
     b.build().expect("generated DAG is acyclic by construction")
 }
 
-const KINDS: [StorageKind; 5] = [
+const KINDS: [StorageKind; 6] = [
     StorageKind::Nfs,
     StorageKind::S3,
     StorageKind::GlusterNufa,
     StorageKind::GlusterDistribute,
     StorageKind::Pvfs,
+    StorageKind::DirectTransfer,
 ];
 
 fn run(

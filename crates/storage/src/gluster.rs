@@ -11,14 +11,13 @@
 //! * **distribute**: files are placed by hashing the file name, spreading
 //!   reads and writes uniformly across the virtual cluster.
 
-use crate::ledger::OpLedger;
+use crate::ledger::{bookkeeping, FileDirectory, OpLedger};
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{FailoverResponse, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageSystem};
 use simcore::SimDuration;
-use std::collections::HashMap;
 use vcluster::{net_path, Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{ObsHandle, OpKind};
+use wfobs::OpKind;
 
 /// GlusterFS translator configuration (§IV.C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +64,8 @@ impl GlusterConfig {
 #[derive(Debug)]
 pub struct Gluster {
     cfg: GlusterConfig,
-    /// Where each file's data lives.
-    placement: HashMap<FileId, NodeId>,
+    /// Each file's owning brick.
+    files: FileDirectory,
     ledger: OpLedger,
     /// Reads served without crossing the network.
     local_reads: u64,
@@ -79,7 +78,7 @@ impl Gluster {
     pub fn new(cfg: GlusterConfig) -> Self {
         Gluster {
             cfg,
-            placement: HashMap::new(),
+            files: FileDirectory::default(),
             ledger: OpLedger::default(),
             local_reads: 0,
             remote_reads: 0,
@@ -103,9 +102,7 @@ impl Gluster {
 }
 
 impl StorageSystem for Gluster {
-    fn attach_obs(&mut self, obs: ObsHandle) {
-        self.ledger.attach(obs);
-    }
+    bookkeeping!();
 
     fn name(&self) -> &'static str {
         match self.cfg.mode {
@@ -126,15 +123,12 @@ impl StorageSystem for Gluster {
                     workers[i % workers.len()]
                 }
             };
-            self.placement.insert(*f, owner);
+            self.files.create(*f, Some(owner));
         }
     }
 
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        let owner = *self
-            .placement
-            .get(&file)
-            .unwrap_or_else(|| panic!("read of a file never written: {file:?}"));
+        let owner = self.files.read(file).expect("every file has an owner");
         self.ledger.op(OpKind::Read, node, size);
         let owner_node = cluster.node(owner);
         let reader = cluster.node(node);
@@ -160,8 +154,7 @@ impl StorageSystem for Gluster {
             GlusterMode::Nufa => node,
             GlusterMode::Distribute => self.hash_owner(file, cluster),
         };
-        let prev = self.placement.insert(file, owner);
-        assert!(prev.is_none(), "write-once violated for {file:?}");
+        self.files.create(file, Some(owner));
         self.ledger.op(OpKind::Write, node, size);
         let owner_node = cluster.node(owner);
         let writer = cluster.node(node);
@@ -182,39 +175,8 @@ impl StorageSystem for Gluster {
 
     fn on_node_failed(&mut self, _cluster: &Cluster, node: NodeId) -> FailoverResponse {
         // The brick restarts with an empty volume: every file whose only
-        // copy lived there is gone (neither mode replicates). Sorted for
-        // determinism — HashMap iteration order is not.
-        let mut lost: Vec<FileId> = self
-            .placement
-            .iter()
-            .filter(|(_, &owner)| owner == node)
-            .map(|(&f, _)| f)
-            .collect();
-        lost.sort_unstable_by_key(|f| f.0);
-        for f in &lost {
-            self.placement.remove(f);
-        }
-        FailoverResponse::LostFiles(lost)
-    }
-
-    fn missing_files(&self, files: &[FileRef]) -> Vec<FileId> {
-        files
-            .iter()
-            .filter(|(f, _)| !self.placement.contains_key(f))
-            .map(|(f, _)| *f)
-            .collect()
-    }
-
-    fn local_bytes(&self, _cluster: &Cluster, node: NodeId, files: &[FileRef]) -> u64 {
-        files
-            .iter()
-            .filter(|(f, _)| self.placement.get(f) == Some(&node))
-            .map(|(_, s)| *s)
-            .sum()
-    }
-
-    fn op_stats(&self) -> StorageOpStats {
-        self.ledger.stats()
+        // copy lived there is gone (neither mode replicates).
+        FailoverResponse::LostFiles(self.files.fail_node(node))
     }
 }
 
@@ -268,7 +230,7 @@ mod tests {
         for i in 0..1000u32 {
             let plan = g.plan_write(&c, c.workers()[0], (FileId(i), 10));
             assert!(!plan.stages.is_empty());
-            let owner = g.placement[&FileId(i)];
+            let owner = g.files.read(FileId(i)).expect("owned");
             *counts.entry(owner).or_insert(0u32) += 1;
         }
         assert_eq!(counts.len(), 4, "all nodes used");
@@ -299,9 +261,9 @@ mod tests {
         let (_, c) = cluster(2);
         let mut g = Gluster::new(GlusterConfig::new(GlusterMode::Nufa));
         g.prestage(&c, &[(FileId(0), 1), (FileId(1), 1), (FileId(2), 1)]);
-        assert_eq!(g.placement[&FileId(0)], c.workers()[0]);
-        assert_eq!(g.placement[&FileId(1)], c.workers()[1]);
-        assert_eq!(g.placement[&FileId(2)], c.workers()[0]);
+        assert_eq!(g.files.read(FileId(0)), Some(c.workers()[0]));
+        assert_eq!(g.files.read(FileId(1)), Some(c.workers()[1]));
+        assert_eq!(g.files.read(FileId(2)), Some(c.workers()[0]));
     }
 
     #[test]
@@ -340,19 +302,10 @@ mod tests {
         let mut g = Gluster::new(GlusterConfig::new(GlusterMode::Distribute));
         let w0 = c.workers()[0];
         g.plan_write(&c, w0, (FileId(0), 100));
-        let owner = g.placement[&FileId(0)];
+        let owner = g.files.read(FileId(0)).expect("owned");
         g.on_node_failed(&c, owner);
         // Re-creating the lost file is not a write-once violation.
         g.plan_write(&c, w0, (FileId(0), 100));
         assert!(g.missing_files(&[(FileId(0), 100)]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "write-once")]
-    fn double_write_panics() {
-        let (_, c) = cluster(2);
-        let mut g = Gluster::new(GlusterConfig::new(GlusterMode::Nufa));
-        g.plan_write(&c, c.workers()[0], (FileId(0), 10));
-        g.plan_write(&c, c.workers()[1], (FileId(0), 10));
     }
 }

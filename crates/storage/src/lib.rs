@@ -18,8 +18,9 @@
 //! engine executes against the simulator. See [`op`] for the plan
 //! vocabulary and [`factory::build_storage`] for construction by
 //! [`StorageKind`]. Every backend counts and reports its operations
-//! through one private op ledger, and [`StorageKind::admits`] is the one
-//! worker-count rule.
+//! through one private op ledger, records which files exist and where
+//! their data lives in one private file directory (which also enforces
+//! write-once), and [`StorageKind::admits`] is the one worker-count rule.
 
 #![warn(missing_docs)]
 

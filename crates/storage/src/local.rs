@@ -4,15 +4,13 @@
 //! `c1.xlarge` with tasks reading and writing the local ephemeral RAID
 //! directly. Writes of fresh data pay the first-write penalty (§III.C).
 
-use crate::ledger::OpLedger;
+use crate::ledger::{bookkeeping, FileDirectory, OpLedger};
 use crate::lru::LruBytes;
 use crate::op::{OpPlan, Stage};
-use crate::traits::{FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FileRef, StorageSystem};
 use simcore::SimDuration;
-use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
-use wfdag::FileId;
-use wfobs::{ObsHandle, OpKind};
+use wfobs::OpKind;
 
 /// Tunables for the local file system.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +35,7 @@ impl Default for LocalConfig {
 #[derive(Debug)]
 pub struct LocalDisk {
     cfg: LocalConfig,
-    present: HashSet<FileId>,
+    files: FileDirectory,
     page_cache: LruBytes,
     ledger: OpLedger,
 }
@@ -48,7 +46,7 @@ impl LocalDisk {
         let mem = cluster.node(cluster.workers()[0]).memory_bytes() as f64;
         LocalDisk {
             cfg,
-            present: HashSet::new(),
+            files: FileDirectory::default(),
             page_cache: LruBytes::new((mem * cfg.page_cache_fraction) as u64),
             ledger: OpLedger::default(),
         }
@@ -56,25 +54,20 @@ impl LocalDisk {
 }
 
 impl StorageSystem for LocalDisk {
+    bookkeeping!();
+
     fn name(&self) -> &'static str {
         "local"
     }
 
-    fn attach_obs(&mut self, obs: ObsHandle) {
-        self.ledger.attach(obs);
-    }
-
-    fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
+    fn prestage(&mut self, cluster: &Cluster, files: &[FileRef]) {
         for (f, _) in files {
-            self.present.insert(*f);
+            self.files.create(*f, Some(cluster.workers()[0]));
         }
     }
 
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.contains(&file),
-            "read of a file never written: {file:?}"
-        );
+        self.files.read(file);
         self.ledger.op(OpKind::Read, node, size);
         if self.page_cache.touch(file) {
             self.ledger.hit(node);
@@ -94,10 +87,7 @@ impl StorageSystem for LocalDisk {
     }
 
     fn plan_write(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.insert(file),
-            "write-once violated for {file:?}"
-        );
+        self.files.create(file, Some(node));
         self.ledger.op(OpKind::Write, node, size);
         self.page_cache.insert(file, size);
         let n = cluster.node(node);
@@ -111,18 +101,6 @@ impl StorageSystem for LocalDisk {
             },
         ))
     }
-
-    fn local_bytes(&self, _cluster: &Cluster, _node: NodeId, files: &[FileRef]) -> u64 {
-        files
-            .iter()
-            .filter(|(f, _)| self.present.contains(f))
-            .map(|(_, s)| *s)
-            .sum()
-    }
-
-    fn op_stats(&self) -> StorageOpStats {
-        self.ledger.stats()
-    }
 }
 
 #[cfg(test)]
@@ -130,6 +108,7 @@ mod tests {
     use super::*;
     use simcore::Sim;
     use vcluster::ClusterSpec;
+    use wfdag::FileId;
 
     fn setup() -> (Sim<()>, Cluster, LocalDisk) {
         let mut sim: Sim<()> = Sim::new();
@@ -158,21 +137,6 @@ mod tests {
         let n = c.node(c.workers()[0]);
         assert_eq!(leg.path, n.write_path());
         assert_eq!(leg.path.len(), 3, "spindle + write + penalty resource");
-    }
-
-    #[test]
-    #[should_panic(expected = "write-once")]
-    fn double_write_panics() {
-        let (_, c, mut s) = setup();
-        s.plan_write(&c, c.workers()[0], (FileId(1), 10));
-        s.plan_write(&c, c.workers()[0], (FileId(1), 10));
-    }
-
-    #[test]
-    #[should_panic(expected = "never written")]
-    fn read_before_write_panics() {
-        let (_, c, mut s) = setup();
-        s.plan_read(&c, c.workers()[0], (FileId(7), 10));
     }
 
     #[test]

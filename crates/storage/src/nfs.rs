@@ -21,15 +21,13 @@
 //! The alternative configuration of §VI (overloading a compute node
 //! instead of paying for a dedicated server) is ablation A4.
 
-use crate::ledger::OpLedger;
+use crate::ledger::{bookkeeping, FileDirectory, OpLedger};
 use crate::lru::LruBytes;
 use crate::op::{FlowLeg, Note, OpPlan, Stage};
-use crate::traits::{FailoverResponse, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageSystem};
 use simcore::{Model, ResourceId, Sim, SimDuration};
-use std::collections::HashSet;
 use vcluster::{net_path, Cluster, NodeId};
-use wfdag::FileId;
-use wfobs::{ObsHandle, OpKind};
+use wfobs::OpKind;
 
 /// Where the NFS daemon runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +107,9 @@ pub struct Nfs {
     client_caches: Vec<LruBytes>,
     dirty: u64,
     dirty_limit: u64,
-    present: HashSet<FileId>,
+    /// Every file lives on the server, so its data is local only to an
+    /// overloaded server-worker.
+    files: FileDirectory,
     ledger: OpLedger,
     throttled_writes: u64,
 }
@@ -142,7 +142,7 @@ impl Nfs {
             client_caches,
             dirty: 0,
             dirty_limit: (mem * cfg.dirty_fraction) as u64,
-            present: HashSet::new(),
+            files: FileDirectory::default(),
             ledger: OpLedger::default(),
             throttled_writes: 0,
         }
@@ -171,12 +171,10 @@ impl Nfs {
 }
 
 impl StorageSystem for Nfs {
+    bookkeeping!();
+
     fn name(&self) -> &'static str {
         "nfs"
-    }
-
-    fn attach_obs(&mut self, obs: ObsHandle) {
-        self.ledger.attach(obs);
     }
 
     fn plan_task_ops(&mut self, cluster: &Cluster, node: NodeId, io_ops: u32) -> OpPlan {
@@ -194,16 +192,13 @@ impl StorageSystem for Nfs {
         // Input data is copied onto the server before the run; recent
         // writes leave it warm in the page cache (as on the real system).
         for (f, size) in files {
-            self.present.insert(*f);
+            self.files.create(*f, Some(self.server));
             self.cache.insert(*f, *size);
         }
     }
 
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.contains(&file),
-            "read of a file never written: {file:?}"
-        );
+        self.files.read(file);
         self.ledger.op(OpKind::Read, node, size);
         let srv = cluster.node(self.server);
         let client = cluster.node(node);
@@ -237,10 +232,7 @@ impl StorageSystem for Nfs {
     }
 
     fn plan_write(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.insert(file),
-            "write-once violated for {file:?}"
-        );
+        self.files.create(file, Some(self.server));
         self.ledger.op(OpKind::Write, node, size);
         let srv = cluster.node(self.server);
         let client = cluster.node(node);
@@ -293,24 +285,6 @@ impl StorageSystem for Nfs {
             FailoverResponse::Unaffected
         }
     }
-
-    fn local_bytes(&self, _cluster: &Cluster, node: NodeId, files: &[FileRef]) -> u64 {
-        // Data lives on the server; it is "local" only to an overloaded
-        // server-worker.
-        if node == self.server {
-            files
-                .iter()
-                .filter(|(f, _)| self.present.contains(f))
-                .map(|(_, s)| *s)
-                .sum()
-        } else {
-            0
-        }
-    }
-
-    fn op_stats(&self) -> StorageOpStats {
-        self.ledger.stats()
-    }
 }
 
 #[cfg(test)]
@@ -318,6 +292,7 @@ mod tests {
     use super::*;
     use simcore::Sim;
     use vcluster::{ClusterSpec, InstanceType};
+    use wfdag::FileId;
 
     fn setup() -> (Sim<()>, Cluster, Nfs) {
         let mut sim: Sim<()> = Sim::new();

@@ -9,17 +9,16 @@
 //! and write the local disk. Compared to S3 staging this removes the
 //! central service and its request fees; compared to GlusterFS it removes
 //! the shared-namespace lookups — at the price of WMS-managed transfers
-//! and replica tracking.
+//! and replica tracking. A file lives only in its copies, so a dead node
+//! loses the files it held the last copy of.
 
-use crate::ledger::OpLedger;
+use crate::ledger::{bookkeeping, FileDirectory, OpLedger};
 use crate::lru::LruBytes;
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageSystem};
 use simcore::SimDuration;
-use std::collections::{HashMap, HashSet};
 use vcluster::{Cluster, NodeId};
-use wfdag::FileId;
-use wfobs::{ObsHandle, OpKind};
+use wfobs::OpKind;
 
 /// Tunables for the direct-transfer model.
 #[derive(Debug, Clone, Copy)]
@@ -50,7 +49,7 @@ impl Default for P2pConfig {
 pub struct DirectTransfer {
     cfg: P2pConfig,
     /// Every node currently holding a full copy of each file.
-    replicas: HashMap<FileId, HashSet<NodeId>>,
+    files: FileDirectory,
     /// Per-node OS page caches.
     page_caches: Vec<LruBytes>,
     ledger: OpLedger,
@@ -62,7 +61,7 @@ impl DirectTransfer {
     pub fn new(cluster: &Cluster, cfg: P2pConfig) -> Self {
         DirectTransfer {
             cfg,
-            replicas: HashMap::new(),
+            files: FileDirectory::default(),
             page_caches: cluster
                 .nodes()
                 .iter()
@@ -77,32 +76,21 @@ impl DirectTransfer {
     pub fn transfer_count(&self) -> u64 {
         self.transfers
     }
-
-    fn holder_for(&self, file: FileId, wanting: NodeId) -> Option<NodeId> {
-        let holders = self.replicas.get(&file)?;
-        if holders.contains(&wanting) {
-            return Some(wanting);
-        }
-        // Deterministic choice: the lowest-id holder (a real system would
-        // load-balance; determinism matters more here).
-        holders.iter().min().copied()
-    }
 }
 
 impl StorageSystem for DirectTransfer {
+    bookkeeping!();
+
     fn name(&self) -> &'static str {
         "direct-transfer"
-    }
-
-    fn attach_obs(&mut self, obs: ObsHandle) {
-        self.ledger.attach(obs);
     }
 
     fn prestage(&mut self, cluster: &Cluster, files: &[FileRef]) {
         // The WMS distributes workflow inputs round-robin, as with NUFA.
         for (i, (f, _)) in files.iter().enumerate() {
             let owner = cluster.workers()[i % cluster.workers().len()];
-            self.replicas.entry(*f).or_default().insert(owner);
+            self.files.create(*f, None);
+            self.files.add_copy(owner, *f);
         }
     }
 
@@ -110,9 +98,11 @@ impl StorageSystem for DirectTransfer {
         let dst = cluster.node(node);
         let mut plan = OpPlan::empty();
         for &(file, size) in inputs {
-            let holder = self
-                .holder_for(file, node)
-                .unwrap_or_else(|| panic!("stage-in of a file with no replica: {file:?}"));
+            // A file with no copy left was lost after this job became
+            // ready: its read fails the job, and the rescue pass reruns.
+            let Some(holder) = self.files.holder(file, node) else {
+                continue;
+            };
             if holder == node {
                 self.ledger.hit(node);
                 continue;
@@ -130,13 +120,14 @@ impl StorageSystem for DirectTransfer {
                     FlowLeg::new(size, path).with_cap(self.cfg.stream_bps),
                 ))
                 .then(Stage::leg(FlowLeg::new(size, dst.write_path())));
-            self.replicas.entry(file).or_default().insert(node);
+            self.files.add_copy(node, file);
             self.page_caches[node.index()].insert(file, size);
         }
         plan
     }
 
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
+        self.files.read(file);
         self.ledger.op(OpKind::Read, node, size);
         if self.page_caches[node.index()].touch(file) {
             return OpPlan::one(Stage::latency(self.cfg.open_latency));
@@ -149,9 +140,8 @@ impl StorageSystem for DirectTransfer {
     }
 
     fn plan_write(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        let holders = self.replicas.entry(file).or_default();
-        assert!(holders.is_empty(), "write-once violated for {file:?}");
-        holders.insert(node);
+        self.files.create(file, None);
+        self.files.add_copy(node, file);
         self.ledger.op(OpKind::Write, node, size);
         self.page_caches[node.index()].insert(file, size);
         OpPlan::one(Stage::lat_leg(
@@ -160,16 +150,11 @@ impl StorageSystem for DirectTransfer {
         ))
     }
 
-    fn local_bytes(&self, _cluster: &Cluster, node: NodeId, files: &[FileRef]) -> u64 {
-        files
-            .iter()
-            .filter(|(f, _)| self.replicas.get(f).is_some_and(|h| h.contains(&node)))
-            .map(|(_, s)| *s)
-            .sum()
-    }
-
-    fn op_stats(&self) -> StorageOpStats {
-        self.ledger.stats()
+    fn on_node_failed(&mut self, _cluster: &Cluster, node: NodeId) -> FailoverResponse {
+        // The replacement boots with empty ephemeral disks and page cache.
+        let cap = self.page_caches[node.index()].capacity();
+        self.page_caches[node.index()] = LruBytes::new(cap);
+        FailoverResponse::LostFiles(self.files.fail_node(node))
     }
 }
 
@@ -178,6 +163,7 @@ mod tests {
     use super::*;
     use simcore::Sim;
     use vcluster::ClusterSpec;
+    use wfdag::FileId;
 
     fn setup(n: u32) -> (Sim<()>, Cluster, DirectTransfer) {
         let mut sim: Sim<()> = Sim::new();
@@ -228,17 +214,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "write-once")]
-    fn double_write_panics() {
+    fn crash_loses_only_files_whose_last_copy_died() {
         let (_, c, mut p) = setup(2);
-        p.plan_write(&c, c.workers()[0], (FileId(0), 10));
-        p.plan_write(&c, c.workers()[1], (FileId(0), 10));
+        let (w0, w1) = (c.workers()[0], c.workers()[1]);
+        p.plan_write(&c, w0, (FileId(0), 100));
+        p.plan_write(&c, w0, (FileId(1), 100));
+        p.plan_write(&c, w1, (FileId(2), 100));
+        p.plan_stage_in(&c, w1, &[(FileId(1), 100)]);
+        let resp = p.on_node_failed(&c, w0);
+        assert_eq!(resp, FailoverResponse::LostFiles(vec![FileId(0)]));
+        // File 1 survives in w1's copy, and stage-ins now pull it from there.
+        let refs = [(FileId(0), 100), (FileId(1), 100), (FileId(2), 100)];
+        assert_eq!(p.missing_files(&refs), vec![FileId(0)]);
+        assert_eq!(p.local_bytes(&c, w0, &refs), 0);
+        let plan = p.plan_stage_in(&c, w0, &[(FileId(1), 100)]);
+        assert!(plan.stages[0].legs[0].path.contains(&c.node(w1).nic_out));
     }
 
     #[test]
-    #[should_panic(expected = "no replica")]
-    fn staging_unknown_file_panics() {
+    fn staging_a_file_with_no_copy_plans_no_transfer() {
         let (_, c, mut p) = setup(2);
-        p.plan_stage_in(&c, c.workers()[0], &[(FileId(9), 10)]);
+        let plan = p.plan_stage_in(&c, c.workers()[0], &[(FileId(9), 10)]);
+        assert!(plan.is_empty());
+        assert_eq!(p.transfer_count(), 0);
     }
 }

@@ -13,14 +13,12 @@
 //! striping bandwidth. The `optimized_small_files` flag models the later
 //! releases as an ablation.
 
-use crate::ledger::OpLedger;
+use crate::ledger::{bookkeeping, FileDirectory, OpLedger};
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{FailoverResponse, FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageSystem};
 use simcore::SimDuration;
-use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
-use wfdag::FileId;
-use wfobs::{ObsHandle, OpKind};
+use wfobs::OpKind;
 
 /// Tunables for the PVFS model.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +71,7 @@ impl PvfsConfig {
 #[derive(Debug)]
 pub struct Pvfs {
     cfg: PvfsConfig,
-    present: HashSet<FileId>,
+    files: FileDirectory,
     ledger: OpLedger,
 }
 
@@ -82,7 +80,7 @@ impl Pvfs {
     pub fn new(cfg: PvfsConfig) -> Self {
         Pvfs {
             cfg,
-            present: HashSet::new(),
+            files: FileDirectory::default(),
             ledger: OpLedger::default(),
         }
     }
@@ -153,9 +151,7 @@ impl Pvfs {
 }
 
 impl StorageSystem for Pvfs {
-    fn attach_obs(&mut self, obs: ObsHandle) {
-        self.ledger.attach(obs);
-    }
+    bookkeeping!();
 
     fn name(&self) -> &'static str {
         if self.cfg.optimized_small_files {
@@ -167,15 +163,12 @@ impl StorageSystem for Pvfs {
 
     fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
         for (f, _) in files {
-            self.present.insert(*f);
+            self.files.create(*f, None);
         }
     }
 
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.contains(&file),
-            "read of a file never written: {file:?}"
-        );
+        self.files.read(file);
         self.ledger.op(OpKind::Read, node, size);
         OpPlan::one(Stage {
             latency: self.op_latency(size),
@@ -184,10 +177,7 @@ impl StorageSystem for Pvfs {
     }
 
     fn plan_write(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.insert(file),
-            "write-once violated for {file:?}"
-        );
+        self.files.create(file, None);
         self.ledger.op(OpKind::Write, node, size);
         OpPlan::one(Stage {
             latency: self.op_latency(size),
@@ -202,21 +192,7 @@ impl StorageSystem for Pvfs {
         if !cluster.workers().contains(&node) {
             return FailoverResponse::Unaffected;
         }
-        let mut lost: Vec<FileId> = self.present.drain().collect();
-        lost.sort_unstable_by_key(|f| f.0);
-        FailoverResponse::LostFiles(lost)
-    }
-
-    fn missing_files(&self, files: &[FileRef]) -> Vec<FileId> {
-        files
-            .iter()
-            .filter(|(f, _)| !self.present.contains(f))
-            .map(|(f, _)| *f)
-            .collect()
-    }
-
-    fn op_stats(&self) -> StorageOpStats {
-        self.ledger.stats()
+        FailoverResponse::LostFiles(self.files.lose_all())
     }
 }
 
@@ -225,6 +201,7 @@ mod tests {
     use super::*;
     use simcore::Sim;
     use vcluster::ClusterSpec;
+    use wfdag::FileId;
 
     fn cluster(n: u32) -> (Sim<()>, Cluster) {
         let mut sim: Sim<()> = Sim::new();
@@ -294,15 +271,6 @@ mod tests {
         let plan = p.plan_write(&c, c.workers()[0], (FileId(0), 3));
         // 3 bytes over 4 workers: only 3 non-empty legs.
         assert_eq!(plan.stages[0].legs.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "write-once")]
-    fn double_write_panics() {
-        let (_, c) = cluster(2);
-        let mut p = Pvfs::new(PvfsConfig::default());
-        p.plan_write(&c, c.workers()[0], (FileId(0), 10));
-        p.plan_write(&c, c.workers()[0], (FileId(0), 10));
     }
 
     #[test]

@@ -15,15 +15,14 @@
 //! on Broadband's heavily reused inputs (§V.C) while losing on Montage's
 //! ~29,000 small files (§V.A).
 
-use crate::ledger::OpLedger;
+use crate::ledger::{bookkeeping, FileDirectory, OpLedger};
 use crate::lru::LruBytes;
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{FailoverResponse, FileRef, StorageBilling, StorageOpStats, StorageSystem};
+use crate::traits::{FailoverResponse, FileRef, StorageBilling, StorageSystem};
 use simcore::{Model, ResourceId, Sim, SimDuration};
-use std::collections::{HashMap, HashSet};
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{ObsHandle, OpKind};
+use wfobs::OpKind;
 
 /// Tunables for the S3 model.
 #[derive(Debug, Clone, Copy)]
@@ -68,10 +67,9 @@ pub struct S3 {
     backend_in: ResourceId,
     /// Backend egress (GETs traverse this).
     backend_out: ResourceId,
-    /// Objects currently in S3.
-    objects: HashMap<FileId, u64>,
-    /// Per-node whole-file cache (files resident on the node's local disk).
-    node_cache: HashMap<NodeId, HashSet<FileId>>,
+    /// Objects currently in S3, and each node's whole-file cache (its
+    /// copies on the local disk).
+    files: FileDirectory,
     /// Per-node OS page caches over the local copies.
     page_caches: Vec<LruBytes>,
     ledger: OpLedger,
@@ -93,8 +91,7 @@ impl S3 {
             cfg,
             backend_in: sim.add_resource("s3.in", cfg.backend_bps),
             backend_out: sim.add_resource("s3.out", cfg.backend_bps),
-            objects: HashMap::new(),
-            node_cache: HashMap::new(),
+            files: FileDirectory::default(),
             page_caches,
             ledger: OpLedger::default(),
             gets: 0,
@@ -106,16 +103,8 @@ impl S3 {
 
     fn cache_insert(&mut self, node: NodeId, file: FileId) {
         if self.cfg.client_cache {
-            self.node_cache.entry(node).or_default().insert(file);
+            self.files.add_copy(node, file);
         }
-    }
-
-    fn cached(&self, node: NodeId, file: FileId) -> bool {
-        self.cfg.client_cache
-            && self
-                .node_cache
-                .get(&node)
-                .is_some_and(|s| s.contains(&file))
     }
 
     /// (gets, puts) request counters.
@@ -125,17 +114,15 @@ impl S3 {
 }
 
 impl StorageSystem for S3 {
+    bookkeeping!();
+
     fn name(&self) -> &'static str {
         "s3"
     }
 
-    fn attach_obs(&mut self, obs: ObsHandle) {
-        self.ledger.attach(obs);
-    }
-
     fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
         for (f, size) in files {
-            self.objects.insert(*f, *size);
+            self.files.create(*f, None);
             self.stored_bytes += size;
         }
         self.peak_bytes = self.peak_bytes.max(self.stored_bytes);
@@ -145,14 +132,11 @@ impl StorageSystem for S3 {
         let n = cluster.node(node);
         let mut plan = OpPlan::empty();
         for &(file, size) in inputs {
-            if self.cached(node, file) {
+            if self.files.has_copy(node, file) {
                 self.ledger.hit(node);
                 continue;
             }
-            assert!(
-                self.objects.contains_key(&file),
-                "GET of an object not in S3: {file:?}"
-            );
+            self.files.read(file);
             self.ledger.miss(node);
             self.ledger.op(OpKind::StageIn, node, size);
             self.gets += 1;
@@ -174,7 +158,7 @@ impl StorageSystem for S3 {
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
         // Tasks read staged copies from the local disk.
         debug_assert!(
-            self.cached(node, file) || !self.cfg.client_cache,
+            self.files.has_copy(node, file) || !self.cfg.client_cache,
             "task read of a file that was never staged to {node:?}: {file:?}"
         );
         self.ledger.op(OpKind::Read, node, size);
@@ -207,8 +191,7 @@ impl StorageSystem for S3 {
         let n = cluster.node(node);
         let mut plan = OpPlan::empty();
         for &(file, size) in outputs {
-            let prev = self.objects.insert(file, size);
-            assert!(prev.is_none(), "write-once violated for S3 object {file:?}");
+            self.files.create(file, None);
             self.stored_bytes += size;
             self.ledger.op(OpKind::StageOut, node, size);
             self.puts += 1;
@@ -230,22 +213,10 @@ impl StorageSystem for S3 {
         // Objects live off-cluster; a node failure only loses that node's
         // local whole-file cache and page cache. Its replacement starts
         // cold and re-GETs what it needs.
-        self.node_cache.remove(&node);
+        self.files.drop_copies(node);
         let cap = self.page_caches[node.index()].capacity();
         self.page_caches[node.index()] = LruBytes::new(cap);
         FailoverResponse::Unaffected
-    }
-
-    fn local_bytes(&self, _cluster: &Cluster, node: NodeId, files: &[FileRef]) -> u64 {
-        files
-            .iter()
-            .filter(|(f, _)| self.cached(node, *f))
-            .map(|(_, s)| *s)
-            .sum()
-    }
-
-    fn op_stats(&self) -> StorageOpStats {
-        self.ledger.stats()
     }
 
     fn billing(&self) -> StorageBilling {
@@ -389,15 +360,5 @@ mod tests {
         s3.plan_stage_in(&c, w0, &[(FileId(0), 1000)]);
         assert_eq!(s3.local_bytes(&c, w0, &[(FileId(0), 1000)]), 1000);
         assert_eq!(s3.local_bytes(&c, c.workers()[1], &[(FileId(0), 1000)]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "write-once")]
-    fn double_put_panics() {
-        let (_, c, mut s3) = setup(1);
-        let w = c.workers()[0];
-        s3.plan_write(&c, w, (FileId(1), 10));
-        s3.plan_stage_out(&c, w, &[(FileId(1), 10)]);
-        s3.plan_stage_out(&c, w, &[(FileId(1), 10)]);
     }
 }

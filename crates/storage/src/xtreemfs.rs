@@ -7,14 +7,12 @@
 //! shared service capacity — enough to reproduce the ">2× slower"
 //! observation (experiment E8), not a calibrated model of the system.
 
-use crate::ledger::OpLedger;
+use crate::ledger::{bookkeeping, FileDirectory, OpLedger};
 use crate::op::{FlowLeg, OpPlan, Stage};
-use crate::traits::{FileRef, StorageOpStats, StorageSystem};
+use crate::traits::{FileRef, StorageSystem};
 use simcore::{Model, ResourceId, Sim, SimDuration};
-use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
-use wfdag::FileId;
-use wfobs::{ObsHandle, OpKind};
+use wfobs::OpKind;
 
 /// Tunables for the XtreemFS model.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +42,7 @@ pub struct XtreemFs {
     cfg: XtreemFsConfig,
     service_in: ResourceId,
     service_out: ResourceId,
-    present: HashSet<FileId>,
+    files: FileDirectory,
     ledger: OpLedger,
 }
 
@@ -55,32 +53,27 @@ impl XtreemFs {
             cfg,
             service_in: sim.add_resource("xtreemfs.in", cfg.service_bps),
             service_out: sim.add_resource("xtreemfs.out", cfg.service_bps),
-            present: HashSet::new(),
+            files: FileDirectory::default(),
             ledger: OpLedger::default(),
         }
     }
 }
 
 impl StorageSystem for XtreemFs {
+    bookkeeping!();
+
     fn name(&self) -> &'static str {
         "xtreemfs"
     }
 
-    fn attach_obs(&mut self, obs: ObsHandle) {
-        self.ledger.attach(obs);
-    }
-
     fn prestage(&mut self, _cluster: &Cluster, files: &[FileRef]) {
         for (f, _) in files {
-            self.present.insert(*f);
+            self.files.create(*f, None);
         }
     }
 
     fn plan_read(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.contains(&file),
-            "read of a file never written: {file:?}"
-        );
+        self.files.read(file);
         self.ledger.op(OpKind::Read, node, size);
         let n = cluster.node(node);
         OpPlan::one(Stage::lat_leg(
@@ -90,10 +83,7 @@ impl StorageSystem for XtreemFs {
     }
 
     fn plan_write(&mut self, cluster: &Cluster, node: NodeId, (file, size): FileRef) -> OpPlan {
-        assert!(
-            self.present.insert(file),
-            "write-once violated for {file:?}"
-        );
+        self.files.create(file, None);
         self.ledger.op(OpKind::Write, node, size);
         let n = cluster.node(node);
         OpPlan::one(Stage::lat_leg(
@@ -101,16 +91,13 @@ impl StorageSystem for XtreemFs {
             FlowLeg::new(size, vec![n.nic_out, self.service_in]).with_cap(self.cfg.stream_bps),
         ))
     }
-
-    fn op_stats(&self) -> StorageOpStats {
-        self.ledger.stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vcluster::ClusterSpec;
+    use wfdag::FileId;
 
     #[test]
     fn ops_pay_wan_latency_and_low_caps() {
@@ -122,15 +109,5 @@ mod tests {
         assert_eq!(plan.stages[0].legs[0].rate_cap, Some(6.0e6));
         let rplan = x.plan_read(&c, c.workers()[0], (FileId(0), 1_000_000));
         assert!(rplan.stages[0].latency.as_secs_f64() > 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "write-once")]
-    fn double_write_panics() {
-        let mut sim: Sim<()> = Sim::new();
-        let c = Cluster::provision(&mut sim, &ClusterSpec::workers_only(1));
-        let mut x = XtreemFs::new(&mut sim, XtreemFsConfig::default());
-        x.plan_write(&c, c.workers()[0], (FileId(0), 10));
-        x.plan_write(&c, c.workers()[0], (FileId(0), 10));
     }
 }

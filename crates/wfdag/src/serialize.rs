@@ -235,6 +235,19 @@ mod tests {
             ]
         }"#;
         assert!(matches!(from_json(json), Err(LoadError::Invalid(_))));
+        // Two tasks that each consume the other's output.
+        let json = r#"{
+            "version": 1, "name": "bad",
+            "files": [{"name": "f", "size": 1}, {"name": "g", "size": 1}],
+            "tasks": [
+                {"name": "a", "transformation": "x", "cpu_secs": 1.0, "peak_mem": 0, "io_ops": 1, "inputs": [1], "outputs": [0]},
+                {"name": "b", "transformation": "x", "cpu_secs": 1.0, "peak_mem": 0, "io_ops": 1, "inputs": [0], "outputs": [1]}
+            ]
+        }"#;
+        assert!(matches!(
+            from_json(json),
+            Err(LoadError::Invalid(WorkflowError::Cycle { .. }))
+        ));
     }
 
     #[test]

@@ -59,6 +59,12 @@
 #                      `CacheMiss` and no `.reads`/`.writes`/`.cache_hits`/
 #                      `.cache_misses +=` in crates/storage/src outside
 #                      crates/storage/src/ledger.rs
+# File directory gate: storage backends record which files exist and
+#                      where their data lives only in the file directory:
+#                      no `HashMap`/`HashSet` keyed by `FileId` or `NodeId`
+#                      and no write-once or read-of-a-file-never-written
+#                      panic message in crates/storage/src outside
+#                      crates/storage/src/ledger.rs
 # OTLP conformance:    the otlpcheck reader's own tests, the wfengine/expt
 #                      otlp test targets (well-formedness proptests, edge
 #                      cases, phase/cost parity), plus wfobs standing alone
@@ -124,6 +130,18 @@ echo "== op ledger gate: one place counts and reports storage operations =="
 if git grep -nE 'Event::(StorageOp|CacheHit|CacheMiss)|\.(reads|writes|cache_hits|cache_misses) \+= ' \
     -- crates/storage/src ':!crates/storage/src/ledger.rs'; then
     echo "error: a storage backend counts or reports an operation outside the op ledger" >&2
+    exit 1
+fi
+
+echo "== file directory gate: one place records which files exist and where =="
+# Every backend keeps existence, homes and copies in `FileDirectory`, which
+# also owns the write-once check and the check that a read finds its file.
+# A backend with its own set or map by file or node id, or its own copy of
+# either check, can drift from the others. The directory's own code sits
+# in the same file as the ledger.
+if git grep -nE '(HashMap|HashSet)<(FileId|NodeId)|write-once violated|read of a file never written' \
+    -- crates/storage/src ':!crates/storage/src/ledger.rs'; then
+    echo "error: a storage backend keeps file bookkeeping outside the file directory" >&2
     exit 1
 fi
 
