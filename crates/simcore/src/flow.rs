@@ -62,7 +62,7 @@
 //!   multiply-add per flow/resource), using reusable scratch buffers
 //!   instead of per-event allocations.
 //!
-//! Seven shortcuts skip work that cannot change the answer:
+//! Six shortcuts skip work that cannot change the answer:
 //!
 //! * **All-at-cap fast path** — when every flow of a component has a cap
 //!   and, on every resource, the caps crossing it sum to at most
@@ -85,17 +85,6 @@
 //!   would take, with no slab lookup. NFS components (clients crossing the
 //!   server's NIC) mostly solve this way. Debug builds still run the full
 //!   filling and assert bit equality of every rate and rate sum.
-//! * **One solve per burst of same-instant starts** — a start attaches its
-//!   flow (after closing the statistics interval of the flow's resources)
-//!   but does not solve. The pending solve runs when the engine is next
-//!   asked for a rate or a completion, on a removal, or on a start at a
-//!   later instant. It solves each component the burst's starts joined
-//!   once, on its own. Starts only merge components, so this is bit for
-//!   bit what one solve per start leaves behind. Removals solve
-//!   eagerly: solving the pieces of several removals jointly could move
-//!   ε-near ties. The `&self` getters (`flow_remaining`,
-//!   `resource_stats`) are exact during a burst, because no time passes
-//!   within it.
 //! * **Same-instant skip** — a solve computes each flow's new rate first.
 //!   A flow already brought forward to this instant (`sync == now`) whose
 //!   new rate has its old rate's bits is skipped: `dt` is 0, so
@@ -104,7 +93,7 @@
 //!   which left the flow's prediction at that value. A flow not solved yet
 //!   has rate 0.0, which no solve applies (applied rates are at least
 //!   `f64::MIN_POSITIVE`), so it is never skipped. Components solved
-//!   several times at one instant (a burst followed by removals, or many
+//!   several times at one instant (a run of starts or removals, or many
 //!   flows finishing together) mostly keep their rates, so most of such a
 //!   solve is skipped. Debug builds re-derive every skipped flow's
 //!   `remaining` and prediction and assert bit equality.
@@ -115,15 +104,14 @@
 //!   same instant that is still all at cap would skip every such flow (the
 //!   same-instant skip) and set every rate sum to its cap sum, which moved
 //!   only where a flow list changed. So it touches only what changed: a
-//!   removal sets the rate sums on the removed flow's path, and a burst of
-//!   starts re-syncs only the flows it attached (kept in a list while the
-//!   mark is current) and sets the rate sums on their paths. Statistics
-//!   need no flush: the solve and each start or removal since brought them
-//!   forward to that instant. A solve that is not all at cap clears the
-//!   mark, and so does a merge of components marked at different instants
-//!   (or one marked and one not); the pieces of a split keep it. Debug
-//!   builds run the full pass after the shortcut and assert that it
-//!   changes no bit of any flow, resource or the heap.
+//!   removal sets the rate sums on the removed flow's path, and a start
+//!   re-syncs only the flow it attached and sets the rate sums on its
+//!   path. Statistics need no flush: the solve and each start or removal
+//!   since brought them forward to that instant. A solve that is not all
+//!   at cap clears the mark, and so does a merge of components marked at
+//!   different instants (or one marked and one not); the pieces of a split
+//!   keep it. Debug builds run the full pass after the shortcut and assert
+//!   that it changes no bit of any flow, resource or the heap.
 //! * **Reused re-sync** — a flow's re-sync (`remaining` brought forward, the
 //!   new rate applied, the completion predicted) is a pure function of its
 //!   `(remaining, old rate, sync, new rate)` bits and `now`. Flows next to
@@ -135,7 +123,29 @@
 //!   that checks whether the removed flow's path resources are still
 //!   connected starts at the one with the fewest flows. Connectivity does
 //!   not depend on where the walk starts, and the split that follows a
-//!   negative answer walks the pieces afresh.
+//!   negative answer walks the pieces anew.
+//!
+//! What each is worth, as the median `wall_s` ratio of `perfbench` with
+//! it disabled alone to the solver as it is, on the four workloads
+//! `montage-pvfs-8`, `montage-nfs-4`, `f2-sweep-bb-epi` and
+//! `montage-gluster-nufa-8-full` (seed 42, `--seconds 3`, 6 alternating
+//! pairs, 10 for the skip, 2-core host; in brackets, the pairs in which
+//! disabling it was slower):
+//!
+//! | shortcut            | pvfs-8      | nfs-4      | f2-sweep    | gluster-full |
+//! |---------------------|-------------|------------|-------------|--------------|
+//! | all-at-cap          | 2.55 (6/6)  | 1.03 (4/6) | 1.35 (5/6)  | 0.95 (2/6)   |
+//! | equal-share         | 0.97 (2/6)  | 1.16 (5/6) | 0.99 (2/6)  | 0.99 (2/6)   |
+//! | same-instant skip   | 0.98 (5/10) | 0.99 (2/6) | 1.03 (7/10) | 1.04 (6/10)  |
+//! | clean re-solve      | 1.36 (6/6)  | 1.00 (2/6) | 1.07 (5/6)  | 1.00 (3/6)   |
+//! | reused re-sync      | 1.27 (6/6)  | 1.00 (3/6) | 1.07 (6/6)  | 1.01 (3/6)   |
+//! | split from smallest | 1.21 (6/6)  | 0.93 (1/6) | 1.00 (3/6)  | 1.00 (3/6)   |
+//!
+//! The kept heap entry of the lazy completion heap (push only when a
+//! prediction moved) is worth 2.44 (6/6) on pvfs-8. The same-instant
+//! skip is within noise on all four: it passes over 43k flows of a
+//! seed-42 PVFS @ 8 run, where the clean re-solve leaves the flows of
+//! 616k solves unvisited.
 //!
 //! Keeping components changes the order in which a solve visits flows and
 //! resources, never a bit of its result, for four reasons. Within one
@@ -145,7 +155,7 @@
 //! order of the flows. The bottleneck minimum and the saturation test do
 //! not depend on order. Each rate sum folds its own resource's flow list.
 //! And heap keys `(time, id, slot, gen)` are unique.
-//! Debug builds check every component before solving it against a fresh
+//! Debug builds check every component before solving it against a new
 //! stamped breadth-first walk of the graph: the walk must reach the same
 //! flows and resources, and every kept cap sum must equal its list's fold
 //! bit for bit.
@@ -381,7 +391,7 @@ impl Resync {
     }
 
     /// Re-sync `h` at its new `rate`. Returns the new prediction if it
-    /// moved (the flow then needs a fresh heap entry).
+    /// moved (the flow then needs a new heap entry).
     fn apply(&mut self, h: &mut Hot, rate: f64) -> Option<SimTime> {
         let key = (
             h.remaining.to_bits(),
@@ -461,16 +471,21 @@ struct Component {
     /// Number of `res` that fail the all-at-cap test
     /// ([`Resource::over_cap`]); zero means the fast path applies.
     over: u32,
-    /// Listed in `FlowEngine::pending`, waiting for its burst's solve.
-    pending: bool,
     /// The instant of this component's last solve, if that solve took the
     /// all-at-cap path and its result stands: every flow's rate is its cap
     /// and its `sync` is that instant, and every resource's rate sum is its
-    /// cap sum, except what `fresh` and a removal in flight changed since.
+    /// cap sum, except what the start or removal in flight changed.
     clean: Option<SimTime>,
-    /// The flows starts attached since the `clean` solve (kept only while
-    /// `clean` is the current instant).
-    fresh: Vec<u32>,
+}
+
+/// The start or removal a component's solve follows.
+#[derive(Clone, Copy)]
+enum Change {
+    /// The flow in this slot just joined the component.
+    Started(u32),
+    /// The flow in this slot just left it (detached; the slot is freed
+    /// after the solve).
+    Removed(u32),
 }
 
 /// Reusable per-event buffers (no allocation on the hot path once warm).
@@ -501,7 +516,7 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Start a walk under a fresh stamp.
+    /// Start a walk under a new stamp.
     fn begin_walk(&mut self) {
         self.stamp += 1;
         self.walk_res.clear();
@@ -592,10 +607,6 @@ pub struct FlowEngine<C> {
     last_advance: SimTime,
     flows_started: u64,
     flows_completed: u64,
-    /// Components that flows started at `last_advance` joined and that are
-    /// not solved yet (see [`Self::start`]). An id whose component is no
-    /// longer `pending` (solved, or merged away) is skipped.
-    pending: Vec<u32>,
     scratch: Scratch,
     #[cfg(test)]
     saved: Saved,
@@ -622,7 +633,6 @@ impl<C> FlowEngine<C> {
             last_advance: SimTime::ZERO,
             flows_started: 0,
             flows_completed: 0,
-            pending: Vec::new(),
             scratch: Scratch::default(),
             #[cfg(test)]
             saved: Saved::default(),
@@ -682,12 +692,8 @@ impl<C> FlowEngine<C> {
     /// Start a flow at time `now`. The spec must not be instantaneous
     /// (check [`FlowSpec::is_instant`] first); panics otherwise. Panics if a
     /// rate cap is present but not finite and positive, or if the path
-    /// names an unregistered resource.
-    ///
-    /// Starts at one instant form a burst: the flow is attached, but its
-    /// component is solved only when the engine is next asked for a rate
-    /// or a completion, or mutated otherwise (a removal, or a start at a
-    /// later instant).
+    /// names an unregistered resource. The flow's component is solved
+    /// before `start` returns.
     pub fn start(&mut self, now: SimTime, spec: FlowSpec, completion: C) -> FlowId {
         assert!(
             !spec.is_instant(),
@@ -698,9 +704,6 @@ impl<C> FlowEngine<C> {
         }
         for r in &spec.path {
             assert!(r.index() < self.resources.len(), "unknown resource in path");
-        }
-        if now != self.last_advance {
-            self.solve_pending();
         }
         self.advance_clock(now);
         // The new flow's resources close their constant-rate interval
@@ -733,14 +736,7 @@ impl<C> FlowEngine<C> {
         });
         self.attach(slot, comp, hot);
         self.by_id.insert(id.0, slot);
-        let k = &mut self.comps[comp as usize];
-        if k.clean == Some(now) {
-            k.fresh.push(slot);
-        }
-        if !k.pending {
-            k.pending = true;
-            self.pending.push(comp);
-        }
+        self.solve_component(now, comp, Change::Started(slot));
         id
     }
 
@@ -749,24 +745,20 @@ impl<C> FlowEngine<C> {
     /// nothing.
     pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<C> {
         let slot = *self.by_id.get(&id.0)?;
-        self.solve_pending();
         Some(self.remove_flow(now, id, slot))
     }
 
     /// Complete flow `id` at time `now` (as previously announced by
     /// [`Self::next_completion`]) and return its completion payload.
     pub fn complete(&mut self, now: SimTime, id: FlowId) -> C {
-        self.solve_pending();
         let slot = *self.by_id.get(&id.0).expect("completing unknown flow");
         self.flows_completed += 1;
         self.remove_flow(now, id, slot)
     }
 
     /// The earliest (time, flow) completion among active flows, if any.
-    /// Takes `&mut self` to solve a pending burst of starts and to discard
-    /// stale heap entries.
+    /// Takes `&mut self` to discard stale heap entries.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-        self.solve_pending();
         while let Some(&Reverse((t, id, slot, gen))) = self.heap.peek() {
             if self.is_live(id, slot, gen) {
                 return Some((t, FlowId(id)));
@@ -776,10 +768,8 @@ impl<C> FlowEngine<C> {
         None
     }
 
-    /// Instantaneous rate of an active flow (testing/diagnostics). Takes
-    /// `&mut self` to solve a pending burst of starts.
-    pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
-        self.solve_pending();
+    /// Instantaneous rate of an active flow (testing/diagnostics).
+    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
         self.hot(id).map(|h| h.rate)
     }
 
@@ -840,9 +830,7 @@ impl<C> FlowEngine<C> {
         debug_assert!(
             comp.slots.is_empty() && comp.hot.is_empty() && comp.res.is_empty() && comp.over == 0
         );
-        comp.pending = false;
         comp.clean = None;
-        comp.fresh.clear();
         self.free_comps.push(c);
     }
 
@@ -888,11 +876,8 @@ impl<C> FlowEngine<C> {
         }
         // The union is clean only where both sides are, at one instant.
         let joined = &mut self.comps[into as usize];
-        if joined.clean == moved.clean {
-            joined.fresh.extend_from_slice(&moved.fresh);
-        } else {
+        if joined.clean != moved.clean {
             joined.clean = None;
-            joined.fresh.clear();
         }
         moved.slots.clear();
         moved.hot.clear();
@@ -1036,7 +1021,7 @@ impl<C> FlowEngine<C> {
         self.detach(slot);
         // Whatever the removal splits apart is still one component here,
         // so all of its parts are solved jointly this event.
-        self.solve_component(now, c, Some(slot));
+        self.solve_component(now, c, Change::Removed(slot));
         self.prune(c, slot);
         let Slot {
             mut path_pos,
@@ -1106,10 +1091,6 @@ impl<C> FlowEngine<C> {
     /// holds part of `c`'s solve, so it inherits `c`'s `clean` mark.
     fn split(&mut self, c: u32) {
         let old = std::mem::take(&mut self.comps[c as usize]);
-        debug_assert!(
-            !old.pending && old.fresh.is_empty(),
-            "split during a burst of starts"
-        );
         self.scratch.begin_walk();
         let mut piece = None;
         for &r in &old.res {
@@ -1183,38 +1164,13 @@ impl<C> FlowEngine<C> {
         left == 0
     }
 
-    /// Solve the components of a pending burst of starts, at the burst's
-    /// instant `last_advance`, each once and on its own. Starts only merge
-    /// components, so each component solved here is the one the burst's
-    /// last start into it would have solved, and gets the same bits as one
-    /// solve per start. Solving components jointly instead could move
-    /// ε-near ties, so each is solved alone.
-    fn solve_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let now = self.last_advance;
-        let mut pending = std::mem::take(&mut self.pending);
-        for &c in &pending {
-            let comp = &mut self.comps[c as usize];
-            if !comp.pending {
-                continue; // merged away, or listed again after a merge
-            }
-            comp.pending = false;
-            self.solve_component(now, c, None);
-        }
-        pending.clear();
-        self.pending = pending;
-    }
-
-    /// Solve component `c` at `now`, after the flow in slot `removed` left
-    /// it (or for a burst of starts); its all-at-cap verdict is its count
-    /// of over-cap resources being zero. Debug builds first check the
-    /// maintained component against a walk (see
-    /// [`Self::check_component`]).
-    fn solve_component(&mut self, now: SimTime, c: u32, removed: Option<u32>) {
+    /// Solve component `c` at `now`, after the flow `change` names joined
+    /// or left it; its all-at-cap verdict is its count of over-cap
+    /// resources being zero. Debug builds first check the maintained
+    /// component against a walk (see [`Self::check_component`]).
+    fn solve_component(&mut self, now: SimTime, c: u32, change: Change) {
         if cfg!(debug_assertions) {
-            self.check_component(c, removed);
+            self.check_component(c, change);
         }
         // All-at-cap fast path. If every flow has a cap and, on every
         // resource, the caps crossing it sum to at most capacity·(1 − 1e-9),
@@ -1229,7 +1185,7 @@ impl<C> FlowEngine<C> {
         // debug builds run the full filling and check that.
         let at_cap = self.comps[c as usize].over == 0;
         if at_cap && self.comps[c as usize].clean == Some(now) {
-            self.resolve_clean(now, c, removed);
+            self.resolve_clean(now, c, change);
             return;
         }
         let rates = if at_cap {
@@ -1249,9 +1205,7 @@ impl<C> FlowEngine<C> {
             self.fill(c);
         }
         self.apply(now, c, rates);
-        let comp = &mut self.comps[c as usize];
-        comp.clean = at_cap.then_some(now);
-        comp.fresh.clear();
+        self.comps[c as usize].clean = at_cap.then_some(now);
     }
 
     /// The equal-share shortcut for component `c`, which is not all at
@@ -1308,45 +1262,36 @@ impl<C> FlowEngine<C> {
     /// `now` and all-at-cap still, touching only what changed since. The
     /// full pass would re-rate every flow to its cap; a flow of that solve
     /// already runs at its cap with `sync == now`, so the same-instant skip
-    /// would pass over it. Only the `fresh` flows change rate. A rate sum
-    /// is the cap sum on every resource, and a cap sum changes only when a
-    /// flow list does: on the fresh flows' paths and the removed flow's.
+    /// would pass over it. Only a started flow changes rate. A rate sum is
+    /// the cap sum on every resource, and a cap sum changes only when a
+    /// flow list does: on the path of the flow that started or left.
     /// Statistics need no flush, since every resource of `c` was brought
     /// forward to `now` by that solve or by the start or removal that
     /// changed its list since. Debug builds run the full pass after the
     /// shortcut and assert that it changes no bit.
-    fn resolve_clean(&mut self, now: SimTime, c: u32, removed: Option<u32>) {
-        let mut fresh = std::mem::take(&mut self.comps[c as usize].fresh);
-        #[cfg(test)]
-        {
-            self.saved.skipped += (self.comps[c as usize].slots.len() - fresh.len()) as u64;
-        }
-        let mut resync = Resync::new(now);
-        for &s in &fresh {
-            let f = self.slots[s as usize].as_mut().expect("fresh slot vacant");
-            debug_assert_eq!(f.comp, c, "fresh flow of another component");
-            let h = &mut self.comps[c as usize].hot[f.comp_pos as usize];
+    fn resolve_clean(&mut self, now: SimTime, c: u32, change: Change) {
+        let comp = &mut self.comps[c as usize];
+        let (Change::Started(s) | Change::Removed(s)) = change;
+        let f = self.slots[s as usize]
+            .as_mut()
+            .expect("changed slot vacant");
+        if let Change::Started(_) = change {
+            let h = &mut comp.hot[f.comp_pos as usize];
             let cap = h.cap;
-            if let Some(pred) = resync.apply(h, cap) {
+            if let Some(pred) = Resync::new(now).apply(h, cap) {
                 f.gen += 1;
                 self.heap.push(Reverse((pred, f.id, s, f.gen)));
             }
         }
         #[cfg(test)]
         {
-            self.saved.reused += resync.reused;
+            let started = matches!(change, Change::Started(_));
+            self.saved.skipped += (comp.slots.len() - usize::from(started)) as u64;
         }
-        for &s in fresh.iter().chain(&removed) {
-            let f = self.slots[s as usize]
-                .as_ref()
-                .expect("touched slot vacant");
-            for r in &f.path {
-                let res = &mut self.resources[r.index()];
-                res.rate_sum = res.cap_sum;
-            }
+        for r in &f.path {
+            let res = &mut self.resources[r.index()];
+            res.rate_sum = res.cap_sum;
         }
-        fresh.clear();
-        self.comps[c as usize].fresh = fresh;
         if cfg!(debug_assertions) {
             self.check_clean(now, c);
         }
@@ -1391,16 +1336,15 @@ impl<C> FlowEngine<C> {
     }
 
     /// Debug check of component `c`: a walk from the resources on the path
-    /// of the flow in slot `removed` (or, for a burst, from `c`'s first flow
-    /// and its path) must reach exactly its flows and resources. Each
-    /// resource's cap sum must equal its list's fold bit for bit, the
-    /// component's over-cap count must match, and every back-pointer must
-    /// point at its entry.
-    fn check_component(&mut self, c: u32, removed: Option<u32>) {
-        let from = removed.unwrap_or_else(|| self.comps[c as usize].slots[0]);
+    /// of the flow `change` names (and from that flow, if it started) must
+    /// reach exactly its flows and resources. Each resource's cap sum must
+    /// equal its list's fold bit for bit, the component's over-cap count
+    /// must match, and every back-pointer must point at its entry.
+    fn check_component(&mut self, c: u32, change: Change) {
+        let (Change::Started(from) | Change::Removed(from)) = change;
         let sc = &mut self.scratch;
         sc.begin_walk();
-        if removed.is_none() {
+        if let Change::Started(_) = change {
             sc.reach_slot(from);
         }
         let f = self.slots[from as usize]
@@ -1458,7 +1402,7 @@ impl<C> FlowEngine<C> {
         // Bring each flow of the component forward to `now` under its old
         // rate, apply its new rate and recompute its completion prediction
         // (exactly what the reference engine's linear scan would derive).
-        // A prediction that moved gets a fresh heap entry, and the
+        // A prediction that moved gets a new heap entry, and the
         // superseded one goes stale via `gen`; one that did not move keeps
         // its entry, since live entries are ordered by `(time, id)` alone.
         let comp = &mut self.comps[c as usize];
@@ -1510,7 +1454,7 @@ impl<C> FlowEngine<C> {
         }
 
         // Each resource closes its constant-rate interval and opens a
-        // fresh one. Its rate sum folds its flow list's rates from 0.0. On
+        // new one. Its rate sum folds its flow list's rates from 0.0. On
         // the fast path the rates are the caps, and the cap sum is that
         // fold; under one equal share every term is that share. Every flow
         // listed on a resource of `c` is a flow of `c`.
@@ -1866,67 +1810,6 @@ mod tests {
     }
 
     #[test]
-    fn reading_rates_mid_burst_changes_nothing() {
-        // Two engines see the same burst of starts at t=2.5 on top of a
-        // flow in flight since t=0. One reads each new flow's rate right
-        // after starting it, which solves per start; the other reads
-        // nothing until the burst is over, so it solves once. Rates,
-        // completion instants and statistics agree bit for bit, and the
-        // `&self` getters are exact in the middle of the burst.
-        let build = || {
-            let mut fe: FlowEngine<u32> = FlowEngine::new();
-            let r: Vec<ResourceId> = (0..4)
-                .map(|i| fe.add_resource(format!("r{i}"), 100.0 + 7.0 * f64::from(i)))
-                .collect();
-            let first = fe.start(t(0.0), FlowSpec::new(900, vec![r[0]]), 0);
-            (fe, r, first)
-        };
-        let (mut eager, r, first) = build();
-        let (mut lazy, _, _) = build();
-        let burst = [
-            FlowSpec::new(400, vec![r[1]]).with_cap(30.0),
-            FlowSpec::new(700, vec![r[2]]),
-            // Merges r0's component with r1's.
-            FlowSpec::new(500, vec![r[0], r[1]]),
-            FlowSpec::new(300, vec![r[2], r[3]]).with_cap(45.0),
-            FlowSpec::new(800, vec![]).with_cap(12.5),
-        ];
-        let mut ids = vec![first];
-        for (k, spec) in (1..).zip(burst) {
-            let id = eager.start(t(2.5), spec.clone(), k);
-            eager.flow_rate(id);
-            assert_eq!(lazy.start(t(2.5), spec, k), id);
-            assert_eq!(
-                lazy.flow_remaining(first).map(f64::to_bits),
-                eager.flow_remaining(first).map(f64::to_bits)
-            );
-            for &res in &r {
-                let (a, b) = (eager.resource_stats(res), lazy.resource_stats(res));
-                assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
-                assert_eq!(a.util_integral.to_bits(), b.util_integral.to_bits());
-            }
-            ids.push(id);
-        }
-        for &id in &ids {
-            assert_eq!(
-                eager.flow_rate(id).map(f64::to_bits),
-                lazy.flow_rate(id).map(f64::to_bits),
-                "rate of {id:?}"
-            );
-        }
-        while let Some((tt, id)) = eager.next_completion() {
-            assert_eq!(lazy.next_completion(), Some((tt, id)));
-            assert_eq!(eager.complete(tt, id), lazy.complete(tt, id));
-        }
-        assert_eq!(lazy.next_completion(), None);
-        for &res in &r {
-            let (a, b) = (eager.resource_stats(res), lazy.resource_stats(res));
-            assert_eq!(a.util_integral.to_bits(), b.util_integral.to_bits());
-            assert_eq!(a.busy_secs.to_bits(), b.busy_secs.to_bits());
-        }
-    }
-
-    #[test]
     fn clean_component_resolves_only_what_changed() {
         // Two clients A and B each stripe one file over eight disks, every
         // leg capped at 8 B/s, so the one component they form is all at
@@ -1981,15 +1864,17 @@ mod tests {
         for &d in &disks {
             assert_eq!(stats_bits(&fe, d), bits([128.0, 8.0, 4.0]));
         }
-        // The removals of A1..A7 re-solve 14, 13, ..., 8 flows they do not
-        // visit, and C's solve passes over B's 8. The first solve at t=0
-        // reuses 7 + 7 re-syncs (A's legs, then B's), the one at t=8
-        // (order B7, A1..A7, B0..B6) reuses 6 + 6, and C's reuses 7.
+        // Each start after the first re-syncs only its own leg: A's pass
+        // over 1, 2, ..., 7 flows, B's over 8, ..., 15 and C's (at t=8)
+        // over 8, ..., 15 of B's and C's. The removals of A1..A7 re-solve
+        // 14, 13, ..., 8 flows they do not visit. The one full pass after
+        // t=0, A0's removal at t=8 (order B7, A1..A7, B0..B6), reuses
+        // 6 + 6 re-syncs.
         assert_eq!(
             fe.saved,
             Saved {
-                skipped: 77 + 8,
-                reused: 14 + 12 + 7,
+                skipped: 28 + 92 + 77 + 92,
+                reused: 6 + 6,
                 uniform: 0
             }
         );
@@ -2009,7 +1894,7 @@ mod tests {
     }
 
     /// The bits of `id`'s current rate.
-    fn rate_bits<C>(fe: &mut FlowEngine<C>, id: FlowId) -> Option<u64> {
+    fn rate_bits<C>(fe: &FlowEngine<C>, id: FlowId) -> Option<u64> {
         fe.flow_rate(id).map(f64::to_bits)
     }
 
@@ -2037,13 +1922,13 @@ mod tests {
             3,
         );
         for &id in f.iter().chain([&g]) {
-            assert_eq!(rate_bits(&mut fe, id), Some(24.0f64.to_bits()));
+            assert_eq!(rate_bits(&fe, id), Some(24.0f64.to_bits()));
         }
         for (k, at, share) in [(0, 1.0, 32.0f64), (1, 3.25, 48.0)] {
             assert_eq!(fe.next_completion(), Some((t(at), f[k])));
             fe.complete(t(at), f[k]);
             for &id in f[k + 1..].iter().chain([&g]) {
-                assert_eq!(rate_bits(&mut fe, id), Some(share.to_bits()));
+                assert_eq!(rate_bits(&fe, id), Some(share.to_bits()));
             }
         }
         assert_eq!(
@@ -2052,18 +1937,19 @@ mod tests {
         );
         assert_eq!(fe.next_completion(), Some((t(4.25), f[2])));
         fe.complete(t(4.25), f[2]);
-        assert_eq!(rate_bits(&mut fe, g), Some(64.0f64.to_bits()));
+        assert_eq!(rate_bits(&fe, g), Some(64.0f64.to_bits()));
         assert_eq!(fe.next_completion(), Some((t(6.5), g)));
         fe.complete(t(6.5), g);
-        // The solves at t=0, 1 and 3.25 took the shortcut; the one at 4.25
-        // was all at cap. Neighbouring flows never shared their re-sync
-        // inputs (each had its own remaining bytes).
+        // The solves of the four starts at t=0 and the ones at 1 and 3.25
+        // took the shortcut; the one at 4.25 was all at cap. Neighbouring
+        // flows never shared their re-sync inputs (each had its own
+        // remaining bytes).
         assert_eq!(
             fe.saved,
             Saved {
                 skipped: 0,
                 reused: 0,
-                uniform: 3
+                uniform: 6
             }
         );
         let s = fe.resource_stats(hub);
@@ -2097,7 +1983,7 @@ mod tests {
         let b = hub_with(&mut fe, "b", 96.0, 32.0, 3);
         let expect = |id: &FlowId| if *id == a[0] { 16.0f64 } else { 32.0 };
         for id in a.iter().chain(&b) {
-            assert_eq!(rate_bits(&mut fe, *id), Some(expect(id).to_bits()));
+            assert_eq!(rate_bits(&fe, *id), Some(expect(id).to_bits()));
         }
         assert_eq!(fe.saved.uniform, 0);
     }
@@ -2107,18 +1993,21 @@ mod tests {
         // F0 and F1 share the hub (64 / 2 = 32, the least fair share); F2
         // crosses only F1's NIC (256 / 2 = 128), so no saturated resource
         // reaches it. The filling takes two rounds: F0 and F1 freeze at 32,
-        // then F2 takes what is left of the NIC, 256 − 32 = 224.
+        // then F2 takes what is left of the NIC, 256 − 32 = 224. The solves
+        // of F0's and F1's starts, with every flow on the hub, may take the
+        // shortcut; the one of F2's start must not.
         let mut fe: FlowEngine<u32> = FlowEngine::new();
         let hub = fe.add_resource("hub", 64.0);
         let nic0 = fe.add_resource("nic0", 256.0);
         let nic1 = fe.add_resource("nic1", 256.0);
         let f0 = fe.start(t(0.0), FlowSpec::new(1000, vec![nic0, hub]), 0);
         let f1 = fe.start(t(0.0), FlowSpec::new(1000, vec![nic1, hub]), 1);
+        let before = fe.saved.uniform;
         let f2 = fe.start(t(0.0), FlowSpec::new(1000, vec![nic1]), 2);
+        assert_eq!(fe.saved.uniform, before);
         for (id, rate) in [(f0, 32.0f64), (f1, 32.0), (f2, 224.0)] {
-            assert_eq!(rate_bits(&mut fe, id), Some(rate.to_bits()));
+            assert_eq!(rate_bits(&fe, id), Some(rate.to_bits()));
         }
-        assert_eq!(fe.saved.uniform, 0);
     }
 
     #[test]
@@ -2163,7 +2052,7 @@ mod tests {
         loop {
             for &id in &ids {
                 assert_eq!(
-                    rate_bits(&mut fe, id),
+                    rate_bits(&fe, id),
                     oracle.flow_rate(id).map(f64::to_bits),
                     "rate of {id:?}"
                 );
@@ -2188,7 +2077,6 @@ mod tests {
         assert_eq!(fe.next_completion(), Some((t(1.0), a)));
         assert_eq!(fe.cancel(t(0.5), a), Some('a'));
         let b = fe.start(t(0.5), FlowSpec::new(500, vec![r]), 'b');
-        fe.solve_pending();
         let stale = fe.heap.iter().find(|e| e.0 .1 == a.0).copied().unwrap();
         let live = fe.heap.iter().find(|e| e.0 .1 == b.0).copied().unwrap();
         assert_eq!(stale.0 .2, fe.by_id[&b.0], "B reuses A's slot");

@@ -257,15 +257,7 @@ impl<W: Model> Sim<W> {
     pub fn run(&mut self, world: &mut W) {
         loop {
             let tq = self.queue.peek().map(|s| s.time);
-            // A calendar event due now wins any tie, so it fires without
-            // asking the flow engine, which would solve a pending burst of
-            // same-instant starts early.
-            let tf = if tq == Some(self.now) {
-                None
-            } else {
-                self.flows.next_completion()
-            };
-            let next = match (tq, tf) {
+            let next = match (tq, self.flows.next_completion()) {
                 (None, None) => break,
                 (Some(q), None) => Step::Event(q),
                 (None, Some((t, id))) => Step::Flow(t, id),

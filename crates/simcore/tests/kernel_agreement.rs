@@ -6,8 +6,8 @@
 //!   instant, with every started flow completed.
 //! * The full [`Sim`] loop ends at the same instant with the event bus
 //!   `Off` and at `Full`. With the bus on, `start_flow` reads each new
-//!   flow's rate and so solves per start; with it off, the engine solves
-//!   once per burst of same-instant starts. Both must tell the same story.
+//!   flow's rate for the bus; with it off, nothing reads it until the
+//!   flow's completion. Both must tell the same story.
 //!
 //! The property suites check the same agreements event by event on small
 //! random schedules; this one checks them once on a schedule the size of

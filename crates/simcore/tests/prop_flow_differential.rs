@@ -332,11 +332,12 @@ enum Check {
     /// After every operation and completion.
     EveryOp,
     /// Only once no further operation shares the instant (and after every
-    /// completion), so same-instant starts reach the engine as a burst.
+    /// completion), so a burst of same-instant starts is read only after
+    /// its last start.
     InstantBoundary,
-    /// Only after completions, so a burst's solve is left to whatever
-    /// touches the engine next: a start at a later instant, a cancel, or
-    /// the next completion query.
+    /// Only after completions, so the rates that starts and cancels leave
+    /// are read only once the next completion has re-solved their
+    /// component or left it alone.
     Completions,
 }
 
@@ -701,7 +702,7 @@ proptest! {
 
     /// PVFS-shaped schedules read only at instant boundaries or only after
     /// completions: each operation's legs (and every operation sharing
-    /// its instant) reach the engine as one burst of starts.
+    /// its instant) start as one burst, read only after its last start.
     #[test]
     fn pvfs_stripe_bursts_bit_identical(
         n in 2usize..=4,

@@ -53,7 +53,6 @@ pub struct DirectTransfer {
     /// Per-node OS page caches.
     page_caches: Vec<LruBytes>,
     ledger: OpLedger,
-    transfers: u64,
 }
 
 impl DirectTransfer {
@@ -68,13 +67,7 @@ impl DirectTransfer {
                 .map(|n| LruBytes::new((n.memory_bytes() as f64 * cfg.page_cache_fraction) as u64))
                 .collect(),
             ledger: OpLedger::default(),
-            transfers: 0,
         }
-    }
-
-    /// Number of node-to-node transfers performed.
-    pub fn transfer_count(&self) -> u64 {
-        self.transfers
     }
 }
 
@@ -109,7 +102,6 @@ impl StorageSystem for DirectTransfer {
             }
             self.ledger.miss(node);
             self.ledger.op(OpKind::StageIn, node, size);
-            self.transfers += 1;
             let src = cluster.node(holder);
             // Pull across the network, spill to the local disk.
             let mut path = src.read_path();
@@ -179,11 +171,11 @@ mod tests {
         p.prestage(&c, &[(FileId(0), 1000)]); // lands on w0
         let plan = p.plan_stage_in(&c, w1, &[(FileId(0), 1000)]);
         assert_eq!(plan.stages.len(), 2, "network pull + local spill");
-        assert_eq!(p.transfer_count(), 1);
+        assert_eq!(p.op_stats().cache_misses, 1);
         // Second stage-in on w1: already replicated there.
         let plan = p.plan_stage_in(&c, w1, &[(FileId(0), 1000)]);
         assert!(plan.is_empty());
-        assert_eq!(p.transfer_count(), 1);
+        assert_eq!(p.op_stats().cache_misses, 1);
         // And w0 never needed a transfer at all.
         let plan = p.plan_stage_in(&c, w0, &[(FileId(0), 1000)]);
         assert!(plan.is_empty());
@@ -236,6 +228,6 @@ mod tests {
         let (_, c, mut p) = setup(2);
         let plan = p.plan_stage_in(&c, c.workers()[0], &[(FileId(9), 10)]);
         assert!(plan.is_empty());
-        assert_eq!(p.transfer_count(), 0);
+        assert_eq!(p.op_stats().cache_misses, 0);
     }
 }

@@ -73,10 +73,10 @@ pub struct S3 {
     /// Per-node OS page caches over the local copies.
     page_caches: Vec<LruBytes>,
     ledger: OpLedger,
-    gets: u64,
     puts: u64,
+    /// Bytes of every object ever stored: objects are never deleted, so
+    /// this is also the peak.
     stored_bytes: u64,
-    peak_bytes: u64,
 }
 
 impl S3 {
@@ -94,10 +94,8 @@ impl S3 {
             files: FileDirectory::default(),
             page_caches,
             ledger: OpLedger::default(),
-            gets: 0,
             puts: 0,
             stored_bytes: 0,
-            peak_bytes: 0,
         }
     }
 
@@ -105,11 +103,6 @@ impl S3 {
         if self.cfg.client_cache {
             self.files.add_copy(node, file);
         }
-    }
-
-    /// (gets, puts) request counters.
-    pub fn request_counts(&self) -> (u64, u64) {
-        (self.gets, self.puts)
     }
 }
 
@@ -125,7 +118,6 @@ impl StorageSystem for S3 {
             self.files.create(*f, None);
             self.stored_bytes += size;
         }
-        self.peak_bytes = self.peak_bytes.max(self.stored_bytes);
     }
 
     fn plan_stage_in(&mut self, cluster: &Cluster, node: NodeId, inputs: &[FileRef]) -> OpPlan {
@@ -139,7 +131,6 @@ impl StorageSystem for S3 {
             self.files.read(file);
             self.ledger.miss(node);
             self.ledger.op(OpKind::StageIn, node, size);
-            self.gets += 1;
             // Fetch over the network, then write to the local disk: the
             // "each file must be written twice" cost of §IV.A.
             plan = plan
@@ -205,7 +196,6 @@ impl StorageSystem for S3 {
                 FlowLeg::new(size, vec![n.nic_out, self.backend_in]).with_cap(self.cfg.stream_bps),
             ));
         }
-        self.peak_bytes = self.peak_bytes.max(self.stored_bytes);
         plan
     }
 
@@ -222,8 +212,9 @@ impl StorageSystem for S3 {
     fn billing(&self) -> StorageBilling {
         StorageBilling {
             s3_puts: self.puts,
-            s3_gets: self.gets,
-            s3_peak_bytes: self.peak_bytes,
+            // Every client-cache miss in `plan_stage_in` is one GET.
+            s3_gets: self.ledger.stats().cache_misses,
+            s3_peak_bytes: self.stored_bytes,
         }
     }
 }
@@ -240,6 +231,12 @@ mod tests {
         (sim, c, s3)
     }
 
+    /// The (GET, PUT) request counts `s3` bills.
+    fn requests(s3: &S3) -> (u64, u64) {
+        let b = s3.billing();
+        (b.s3_gets, b.s3_puts)
+    }
+
     #[test]
     fn stage_in_fetches_then_writes_disk() {
         let (_, c, mut s3) = setup(1);
@@ -252,7 +249,7 @@ mod tests {
         assert_eq!(fetch.rate_cap, Some(S3Config::default().stream_bps));
         let spill = &plan.stages[1].legs[0];
         assert_eq!(spill.path, c.node(w).write_path());
-        assert_eq!(s3.request_counts(), (1, 0));
+        assert_eq!(requests(&s3), (1, 0));
     }
 
     #[test]
@@ -261,12 +258,12 @@ mod tests {
         let w = c.workers()[0];
         s3.prestage(&c, &[(FileId(0), 1000)]);
         s3.plan_stage_in(&c, w, &[(FileId(0), 1000)]);
-        assert_eq!(s3.request_counts(), (1, 0));
+        assert_eq!(requests(&s3), (1, 0));
         assert_eq!(s3.on_node_failed(&c, w), FailoverResponse::Unaffected);
         assert!(s3.missing_files(&[(FileId(0), 1000)]).is_empty());
         // The replacement node has to GET the file again.
         s3.plan_stage_in(&c, w, &[(FileId(0), 1000)]);
-        assert_eq!(s3.request_counts(), (2, 0));
+        assert_eq!(requests(&s3), (2, 0));
     }
 
     #[test]
@@ -277,7 +274,7 @@ mod tests {
         s3.plan_stage_in(&c, w, &[(FileId(0), 1000)]);
         let plan = s3.plan_stage_in(&c, w, &[(FileId(0), 1000)]);
         assert!(plan.is_empty(), "second stage-in must hit the cache");
-        assert_eq!(s3.request_counts(), (1, 0));
+        assert_eq!(requests(&s3), (1, 0));
         assert_eq!(s3.op_stats().cache_hits, 1);
     }
 
@@ -287,7 +284,7 @@ mod tests {
         s3.prestage(&c, &[(FileId(0), 1000)]);
         s3.plan_stage_in(&c, c.workers()[0], &[(FileId(0), 1000)]);
         s3.plan_stage_in(&c, c.workers()[1], &[(FileId(0), 1000)]);
-        assert_eq!(s3.request_counts(), (2, 0), "one GET per node");
+        assert_eq!(requests(&s3), (2, 0), "one GET per node");
     }
 
     #[test]
@@ -297,7 +294,7 @@ mod tests {
         s3.plan_write(&c, w, (FileId(5), 2000));
         let out_plan = s3.plan_stage_out(&c, w, &[(FileId(5), 2000)]);
         assert_eq!(out_plan.stages.len(), 1, "warm output skips the disk read");
-        assert_eq!(s3.request_counts(), (0, 1));
+        assert_eq!(requests(&s3), (0, 1));
         // A later job on this node reuses the local copy: no GET.
         let plan = s3.plan_stage_in(&c, w, &[(FileId(5), 2000)]);
         assert!(plan.is_empty());
@@ -319,7 +316,7 @@ mod tests {
         s3.prestage(&c, &[(FileId(0), 1000)]);
         s3.plan_stage_in(&c, w, &[(FileId(0), 1000)]);
         s3.plan_stage_in(&c, w, &[(FileId(0), 1000)]);
-        assert_eq!(s3.request_counts(), (2, 0));
+        assert_eq!(requests(&s3), (2, 0));
     }
 
     #[test]

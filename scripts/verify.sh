@@ -234,11 +234,14 @@ echo "== debug assertions at release speed =="
 # and a reused re-sync match the full pass bit for bit, run under real
 # load. NFS @ 4 is the run that drives the equal-share check: at seed 42,
 # 165,790 of its 180,975 solves off the all-at-cap path take the
-# shortcut (S3 @ 8 takes it 61,554 times). PVFS @ 8 drives the clean
-# re-solve and reused re-sync checks: all its flows share one component
-# of ~260 flows, and at seed 42 616k of its 765k solves are clean
-# re-solves and 23.8M of its 35.6M re-syncs are reused. S3 @ 8 is the
-# other backend whose flows are all capped, but its components stay
+# shortcut (S3 @ 8 takes it 61,554 times). PVFS @ 4 drives the clean
+# re-solve and reused re-sync checks: all its flows share one component,
+# and at seed 42 240k of its 382k solves are clean re-solves (137k after
+# a start, 103k after a removal), 4.0M of its 9.1M re-syncs are reused,
+# and 166k removals run the split check (13 of them split). PVFS @ 8
+# drives the same checks about twice as often (616k clean re-solves,
+# 23.8M reused re-syncs, 12 splits) in ~26 s against ~3.4 s. S3 @ 8 is
+# the other backend whose flows are all capped, but its components stay
 # small: it reaches the clean re-solve 20 times in 159k solves and the
 # reused re-sync never. The
 # fault goldens and the fault metamorphic suite drive the kill path
@@ -251,7 +254,7 @@ checked=(env CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target
 "${checked[@]}" cargo test --release -q -p wfengine --test prop_fault_metamorphic --test prop_dispatch
 "${checked[@]}" cargo build --release -q -p expt --bin wfsim
 ./target/checked/release/wfsim run --app montage --storage nfs --workers 4 >/dev/null
-./target/checked/release/wfsim run --app montage --storage pvfs --workers 8 >/dev/null
+./target/checked/release/wfsim run --app montage --storage pvfs --workers 4 >/dev/null
 ./target/checked/release/wfsim run --app montage --storage s3 --workers 8 >/dev/null
 
 echo "== otlp conformance =="
