@@ -57,12 +57,6 @@ impl DetRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal draw with the given mean and standard deviation, truncated
-    /// below at `floor` (useful for service times that must stay positive).
-    pub fn normal_at_least(&mut self, mean: f64, sd: f64, floor: f64) -> f64 {
-        (mean + sd * self.standard_normal()).max(floor)
-    }
-
     /// Log-normal draw parameterised by the *target* mean and a coefficient
     /// of variation (sd/mean of the resulting distribution).
     pub fn lognormal_mean_cv(&mut self, mean: f64, cv: f64) -> f64 {
@@ -126,14 +120,6 @@ mod tests {
         let mut r = DetRng::stream(7, "u");
         assert_eq!(r.uniform(5.0, 5.0), 5.0);
         assert_eq!(r.uniform(5.0, 1.0), 5.0);
-    }
-
-    #[test]
-    fn normal_at_least_respects_floor() {
-        let mut r = DetRng::stream(7, "n");
-        for _ in 0..1000 {
-            assert!(r.normal_at_least(1.0, 10.0, 0.25) >= 0.25);
-        }
     }
 
     #[test]

@@ -27,18 +27,19 @@
 //!   exactly on its capacity or above it (the full progressive filling).
 //! * **Bursts** — many starts share an instant, and rates are compared
 //!   only once the instant's last operation has been applied, or only
-//!   after completions. The engine may defer solving until it is read;
-//!   reading after every start would force a solve per start and never
-//!   test the deferred path.
+//!   after completions. The engine solves at every start, so a burst
+//!   into one all-at-cap component is a run of clean re-solves at one
+//!   instant, and no read is needed to settle it.
 //! * **Bridges** — flows join two resource clusters and leave again, so
 //!   the components the engine keeps between events merge and split.
 //! * **Same instant** — PVFS-shaped stripes of equal legs on a time grid
 //!   where, at their caps, they finish exactly on the grid: many flows
 //!   finish at one instant, and others start or are cancelled at it. A
 //!   component is then solved several times at one instant, with its
-//!   rates kept (all at cap) or moved (tight capacities). The engine skips
-//!   the flows a same-instant solve cannot change; debug builds re-derive
-//!   each skipped flow and compare.
+//!   rates kept (all at cap) or moved (tight capacities). A re-sync at
+//!   the instant a flow was last synced, at the rate it already has, must
+//!   re-derive the bits it holds, and the clean re-solve relies on that to
+//!   leave such flows unvisited; these cases hold both to the reference.
 //! * **Hubs** — NFS-shaped: every flow crosses one hub resource (the
 //!   server's NIC) and its client's NIC, some also the server's disk, and
 //!   a few are capped. Where the hub's fair share is the least and no cap

@@ -67,10 +67,6 @@ pub struct Gluster {
     /// Each file's owning brick.
     files: FileDirectory,
     ledger: OpLedger,
-    /// Reads served without crossing the network.
-    local_reads: u64,
-    /// Reads that crossed the network.
-    remote_reads: u64,
 }
 
 impl Gluster {
@@ -80,15 +76,7 @@ impl Gluster {
             cfg,
             files: FileDirectory::default(),
             ledger: OpLedger::default(),
-            local_reads: 0,
-            remote_reads: 0,
         }
-    }
-
-    /// (local, remote) read counters — NUFA's Broadband advantage shows up
-    /// here.
-    pub fn read_locality(&self) -> (u64, u64) {
-        (self.local_reads, self.remote_reads)
     }
 
     /// The distribute-mode hash: deterministic placement by file id (the
@@ -133,13 +121,11 @@ impl StorageSystem for Gluster {
         let owner_node = cluster.node(owner);
         let reader = cluster.node(node);
         if owner == node {
-            self.local_reads += 1;
             OpPlan::one(Stage::lat_leg(
                 self.cfg.local_latency,
                 FlowLeg::new(size, owner_node.read_path()).with_cap(self.cfg.local_stream_bps),
             ))
         } else {
-            self.remote_reads += 1;
             let mut path = owner_node.read_path();
             path.extend(net_path(owner_node, reader));
             OpPlan::one(Stage::lat_leg(
@@ -219,7 +205,6 @@ mod tests {
             4,
             "disk (2) + two NICs"
         );
-        assert_eq!(g.read_locality(), (1, 1));
     }
 
     #[test]

@@ -251,11 +251,6 @@ impl Cluster {
         &self.spec
     }
 
-    /// Total core count across workers.
-    pub fn total_worker_cores(&self) -> u32 {
-        self.workers.len() as u32 * self.spec.worker_type.cores()
-    }
-
     /// VM boot-and-contextualise delay (§V: 70–90 s, excluded from
     /// makespans but reported separately).
     pub fn boot_delay(rng: &mut DetRng) -> SimDuration {
@@ -288,7 +283,6 @@ mod tests {
         let mut sim: Sim<()> = Sim::new();
         let c = Cluster::provision(&mut sim, &ClusterSpec::workers_only(2));
         assert_eq!(c.server(), None);
-        assert_eq!(c.total_worker_cores(), 16);
         assert_eq!(c.spec().total_instances(), 2);
     }
 

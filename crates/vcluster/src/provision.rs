@@ -88,18 +88,6 @@ pub fn provision_timeline(
     }
 }
 
-/// §VI's amortization question, quantified: the fraction of paid wall
-/// time lost to provisioning when a cluster is provisioned once and used
-/// for `runs` workflows of `makespan_secs` each.
-pub fn provisioning_overhead_fraction(
-    report: &ProvisionReport,
-    makespan_secs: f64,
-    runs: u32,
-) -> f64 {
-    let useful = makespan_secs * f64::from(runs.max(1));
-    report.total_secs() / (report.total_secs() + useful)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,16 +129,6 @@ mod tests {
             provision_timeline(&spec(4), &cfg, &mut a),
             provision_timeline(&spec(4), &cfg, &mut b)
         );
-    }
-
-    #[test]
-    fn amortization_shrinks_the_overhead() {
-        let mut rng = DetRng::stream(42, "prov");
-        let r = provision_timeline(&spec(4), &ProvisionConfig::default(), &mut rng);
-        let one = provisioning_overhead_fraction(&r, 1800.0, 1);
-        let ten = provisioning_overhead_fraction(&r, 1800.0, 10);
-        assert!(one > ten * 5.0, "one run {one}, ten runs {ten}");
-        assert!(one < 0.1, "provisioning is minutes against a half-hour run");
     }
 
     #[test]

@@ -37,8 +37,9 @@ impl WorkflowBuilder {
 
     /// Declare a task.
     ///
-    /// `cpu_secs` is pure compute demand on a reference core; `peak_mem`
-    /// the peak RSS in bytes; `inputs`/`outputs` the files read/written.
+    /// `cpu_secs` is pure compute demand on a reference core (`build`
+    /// rejects a negative or non-finite one); `peak_mem` the peak RSS in
+    /// bytes; `inputs`/`outputs` the files read/written.
     pub fn task(
         &mut self,
         name: impl Into<String>,
@@ -48,10 +49,6 @@ impl WorkflowBuilder {
         inputs: Vec<FileId>,
         outputs: Vec<FileId>,
     ) -> TaskId {
-        assert!(
-            cpu_secs.is_finite() && cpu_secs >= 0.0,
-            "cpu_secs must be non-negative"
-        );
         let id = TaskId(u32::try_from(self.tasks.len()).expect("task count fits u32"));
         // Default operation count: a few calls per file touched.
         let io_ops = 4 * (inputs.len() + outputs.len()) as u32 + 4;
@@ -106,9 +103,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn negative_cpu_rejected() {
-        let mut b = WorkflowBuilder::new("w");
-        b.task("t", "x", -1.0, 0, vec![], vec![]);
+        for cpu_secs in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut b = WorkflowBuilder::new("w");
+            b.task("ok", "x", 1.0, 0, vec![], vec![]);
+            let t = b.task("t", "x", cpu_secs, 0, vec![], vec![]);
+            assert_eq!(b.build().err(), Some(WorkflowError::CpuSecs { task: t }));
+        }
     }
 }

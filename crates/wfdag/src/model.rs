@@ -97,6 +97,11 @@ pub enum WorkflowError {
         /// A task on the cycle.
         witness: TaskId,
     },
+    /// A task's compute demand is negative or not finite.
+    CpuSecs {
+        /// The offending task.
+        task: TaskId,
+    },
     /// A task references a file id outside the file table.
     DanglingFile {
         /// The offending task.
@@ -130,6 +135,9 @@ impl std::fmt::Display for WorkflowError {
             }
             WorkflowError::Cycle { witness } => {
                 write!(f, "dependency cycle through task {witness:?}")
+            }
+            WorkflowError::CpuSecs { task } => {
+                write!(f, "task {task:?} has a negative or non-finite cpu_secs")
             }
             WorkflowError::DanglingFile { task } => {
                 write!(f, "task {task:?} references an unknown file id")
@@ -220,6 +228,14 @@ impl Workflow {
     ) -> Result<Workflow, WorkflowError> {
         use std::collections::HashSet;
 
+        if let Some(ti) = tasks
+            .iter()
+            .position(|t| !(t.cpu_secs.is_finite() && t.cpu_secs >= 0.0))
+        {
+            return Err(WorkflowError::CpuSecs {
+                task: TaskId(ti as u32),
+            });
+        }
         let mut names = HashSet::new();
         for f in &files {
             if !names.insert(f.name.as_str()) {

@@ -123,13 +123,7 @@ pub fn from_json(json: &str) -> Result<Workflow, LoadError> {
         b.file(f.name.clone(), f.size);
     }
     let nfiles = doc.files.len() as u32;
-    for t in doc.tasks {
-        if !(t.cpu_secs.is_finite() && t.cpu_secs >= 0.0) {
-            return Err(LoadError::CpuSecs {
-                task: t.name,
-                found: t.cpu_secs,
-            });
-        }
+    for t in &doc.tasks {
         // Out-of-range indices surface as DanglingFile through build();
         // map them eagerly so the error names the right task.
         let to_ids = |ixs: &[u32]| {
@@ -138,8 +132,8 @@ pub fn from_json(json: &str) -> Result<Workflow, LoadError> {
                 .collect::<Vec<_>>()
         };
         let tid = b.task(
-            t.name,
-            t.transformation,
+            t.name.clone(),
+            t.transformation.clone(),
             t.cpu_secs,
             t.peak_mem,
             to_ids(&t.inputs),
@@ -147,7 +141,16 @@ pub fn from_json(json: &str) -> Result<Workflow, LoadError> {
         );
         b.set_io_ops(tid, t.io_ops);
     }
-    b.build().map_err(LoadError::Invalid)
+    b.build().map_err(|e| match e {
+        WorkflowError::CpuSecs { task } => {
+            let t = &doc.tasks[task.index()];
+            LoadError::CpuSecs {
+                task: t.name.clone(),
+                found: t.cpu_secs,
+            }
+        }
+        e => LoadError::Invalid(e),
+    })
 }
 
 #[cfg(test)]

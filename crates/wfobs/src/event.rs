@@ -14,20 +14,21 @@
 
 /// A task-lifecycle phase, in execution order. Dispatch overhead is the
 /// implicit phase between `TaskStart` and the first `TaskPhase` mark.
+/// The discriminants are the run digest's encoding (`p as u8`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// POSIX operation storm (NFS per-op bottleneck).
-    Ops,
+    Ops = 0,
     /// Stage-in transfers (S3 GETs, direct-transfer pulls).
-    StageIn,
+    StageIn = 1,
     /// Input reads through the storage system.
-    Read,
+    Read = 2,
     /// Pure compute.
-    Compute,
+    Compute = 3,
     /// Output writes through the storage system.
-    Write,
+    Write = 4,
     /// Stage-out transfers (S3 PUTs).
-    StageOut,
+    StageOut = 5,
 }
 
 impl Phase {
@@ -52,32 +53,22 @@ impl Phase {
             Phase::StageOut => "stage-out",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            Phase::Ops => 0,
-            Phase::StageIn => 1,
-            Phase::Read => 2,
-            Phase::Compute => 3,
-            Phase::Write => 4,
-            Phase::StageOut => 5,
-        }
-    }
 }
 
-/// The kind of a planned storage operation.
+/// The kind of a planned storage operation. The discriminants are the run
+/// digest's encoding (`k as u8`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// A task read of one file.
-    Read,
+    Read = 0,
     /// A task write of one file.
-    Write,
+    Write = 1,
     /// Per-job stage-in of inputs.
-    StageIn,
+    StageIn = 2,
     /// Per-job stage-out of outputs.
-    StageOut,
+    StageOut = 3,
     /// A POSIX operation storm (metadata calls, no payload bytes).
-    OpStorm,
+    OpStorm = 4,
 }
 
 impl OpKind {
@@ -91,27 +82,18 @@ impl OpKind {
             OpKind::OpStorm => "op_storm",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            OpKind::Read => 0,
-            OpKind::Write => 1,
-            OpKind::StageIn => 2,
-            OpKind::StageOut => 3,
-            OpKind::OpStorm => 4,
-        }
-    }
 }
 
-/// An injected fault class.
+/// An injected fault class. The discriminants are the run digest's
+/// encoding (`k as u8`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A worker instance crashed.
-    NodeCrash,
+    NodeCrash = 0,
     /// The spot market revoked an instance.
-    SpotTermination,
+    SpotTermination = 1,
     /// A storage service/peer failed.
-    StorageFailure,
+    StorageFailure = 2,
 }
 
 impl FaultKind {
@@ -121,14 +103,6 @@ impl FaultKind {
             FaultKind::NodeCrash => "node_crash",
             FaultKind::SpotTermination => "spot_termination",
             FaultKind::StorageFailure => "storage_failure",
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            FaultKind::NodeCrash => 0,
-            FaultKind::SpotTermination => 1,
-            FaultKind::StorageFailure => 2,
         }
     }
 }
@@ -312,7 +286,7 @@ impl Event {
                 sink(&attempt.to_le_bytes());
             }
             Event::TaskPhase { task, node, phase } => {
-                sink(&[2, phase.tag()]);
+                sink(&[2, phase as u8]);
                 sink(&task.to_le_bytes());
                 sink(&node.to_le_bytes());
             }
@@ -369,7 +343,7 @@ impl Event {
                 sink(&id.to_le_bytes());
             }
             Event::StorageOp { op, node, bytes } => {
-                sink(&[11, op.tag()]);
+                sink(&[11, op as u8]);
                 sink(&node.to_le_bytes());
                 sink(&bytes.to_le_bytes());
             }
@@ -391,7 +365,7 @@ impl Event {
             }
             Event::BgDone => sink(&[16]),
             Event::Fault { kind, node } => {
-                sink(&[17, kind.tag()]);
+                sink(&[17, kind as u8]);
                 sink(&node.to_le_bytes());
             }
             Event::FilesLost { count } => {

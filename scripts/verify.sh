@@ -48,7 +48,7 @@
 # Checked release:     the storage goldens, the fault goldens, the fault
 #                      metamorphic suite, the dispatch-window model check
 #                      and three paper-scale `wfsim run`s (Montage on NFS
-#                      with 4 workers, and on PVFS and S3 with 8) built
+#                      and PVFS with 4 workers, and on S3 with 8) built
 #                      with --release and debug assertions on, in
 #                      target/checked
 # Typed events gate:   the engine's event path holds no boxed closure:
@@ -243,7 +243,7 @@ echo "== debug assertions at release speed =="
 # 23.8M reused re-syncs, 12 splits) in ~26 s against ~3.4 s. S3 @ 8 is
 # the other backend whose flows are all capped, but its components stay
 # small: it reaches the clean re-solve 20 times in 159k solves and the
-# reused re-sync never. The
+# reused re-sync 13 times. The
 # fault goldens and the fault metamorphic suite drive the kill path
 # (a task's in-flight flow list, `cancel_flow`, the completion heap's
 # liveness check, freeing a killed plan's op slot) with the same checks
