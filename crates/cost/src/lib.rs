@@ -28,11 +28,11 @@
 
 pub mod transfer;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vcluster::InstanceType;
 
 /// How VM time is charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BillingGranularity {
     /// Amazon's 2010 billing: every started hour costs a full hour.
     PerHour,
@@ -47,7 +47,7 @@ impl BillingGranularity {
 }
 
 /// The S3 fee schedule (2010).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct S3Fees {
     /// Cents per 1,000 PUT requests.
     pub put_cents_per_1k: f64,
@@ -68,14 +68,14 @@ impl Default for S3Fees {
 }
 
 /// The complete cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct CostModel {
     /// S3 fee schedule.
     pub s3: S3Fees,
 }
 
 /// What a run consumed, for billing purposes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UsageReport {
     /// Wall-clock seconds every instance was held (the makespan; boot and
     /// data-transfer time are excluded in the paper's accounting, §V).
@@ -93,7 +93,7 @@ pub struct UsageReport {
 /// One continuous interval an instance was held. Fault injection splits a
 /// node's lifetime into several segments (crash → replacement); a clean
 /// run has exactly one per node spanning the makespan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BilledSegment {
     /// Cluster node id the incarnation belonged to. Not priced — carried
     /// so exporters can attach billing records to the right node span.
@@ -108,7 +108,7 @@ pub struct BilledSegment {
 }
 
 /// A cost breakdown in cents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostBreakdown {
     /// VM instance charges.
     pub resource_cents: f64,

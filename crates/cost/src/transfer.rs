@@ -7,10 +7,10 @@
 //! submit host and EC2, plus Amazon's 2010 transfer prices ($0.10/GB in,
 //! $0.17/GB out; transfers within EC2 are free).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Amazon's 2010 internet-transfer price schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TransferPricing {
     /// Cents per GB into EC2/S3.
     pub in_cents_per_gb: f64,
@@ -28,7 +28,7 @@ impl Default for TransferPricing {
 }
 
 /// The WAN link between the submit host and the cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WanLink {
     /// Sustained throughput, bytes/s (a well-connected 2010 campus saw
     /// 10–40 MB/s to us-east-1).
@@ -47,7 +47,7 @@ impl Default for WanLink {
 }
 
 /// One staging movement (in or out).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StagingEstimate {
     /// Bytes moved.
     pub bytes: u64,

@@ -10,9 +10,9 @@
 //! re-run regenerates only what was actually lost.
 
 use crate::event::{Ev, Job};
-use crate::exec::exec_plan_guarded;
+use crate::exec::exec_plan;
 use crate::failures;
-use crate::world::{TaskRecord, World};
+use crate::world::{Progress, TaskRecord, World};
 use simcore::{Action, Sim, SimDuration, SimTime};
 use vcluster::NodeId;
 use wfdag::TaskId;
@@ -24,25 +24,14 @@ use wfstorage::op::OpPlan;
 /// smaller jobs behind it, but the scan stays bounded.
 const BACKFILL_WINDOW: usize = 64;
 
-/// Kick off the run: pre-stage inputs, arm the fault plan, release root
-/// tasks, dispatch.
+/// Kick off the run: pre-stage inputs, open every node's billing
+/// segment, arm the fault plan, release root tasks, dispatch.
 pub fn start_run(sim: &mut Sim<World>, world: &mut World) {
     let inputs = world.workflow_inputs();
     world.storage.prestage(&world.cluster, &inputs);
-    if world.obs.enabled() {
-        // The initial billing segments were opened in `World::new`,
-        // before the bus was attached; replay them onto the bus so the
-        // segment stream is complete.
-        for (ix, segs) in world.node_segments.iter().enumerate() {
-            if let Some(seg) = segs.last() {
-                if seg.close.is_none() {
-                    world.obs.emit(Event::SegmentOpen {
-                        node: ix as u32,
-                        spot: seg.spot,
-                    });
-                }
-            }
-        }
+    for ix in 0..world.node_segments.len() {
+        let spot = world.workers.iter().any(|w| w.spot && w.id.index() == ix);
+        world.open_segment(ix, sim.now(), spot);
     }
     failures::install_faults(sim, world);
     for t in world.wf.roots() {
@@ -112,10 +101,9 @@ pub fn try_dispatch(sim: &mut Sim<World>, world: &mut World) {
 
 fn dispatch(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: usize) {
     world.reserve(worker_ix, task);
-    world.running[worker_ix].push(task);
-    world.open_inflight(task);
+    world.workers[worker_ix].running.push(task);
     let epoch = world.epoch[task.index()];
-    let node = world.cluster.workers()[worker_ix];
+    let node = world.workers[worker_ix].id;
     let attempt = {
         let rec = &mut world.records[task.index()];
         rec.node = node;
@@ -145,13 +133,7 @@ fn enter_phase(world: &mut World, task: TaskId, node: NodeId, phase: Phase, now:
 
 /// Execute `plan` on behalf of `j`; `next` fires when it completes.
 fn exec_job_plan(sim: &mut Sim<World>, world: &mut World, j: Job, plan: OpPlan, next: Ev) {
-    exec_plan_guarded(
-        sim,
-        world,
-        plan,
-        Some((j.task, j.epoch)),
-        Action::Event(next),
-    );
+    exec_plan(sim, world, plan, Some(j.task), Action::Event(next));
 }
 
 /// The task's POSIX operation storm, charged to storage systems with a
@@ -160,7 +142,7 @@ pub(crate) fn job_ops(sim: &mut Sim<World>, world: &mut World, j: Job) {
     if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[j.worker()];
+    let node = world.workers[j.worker()].id;
     enter_phase(world, j.task, node, Phase::Ops, sim.now());
     let io_ops = world.wf.task(j.task).io_ops;
     let plan = world.storage.plan_task_ops(&world.cluster, node, io_ops);
@@ -171,7 +153,7 @@ pub(crate) fn job_stage_in(sim: &mut Sim<World>, world: &mut World, j: Job) {
     if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[j.worker()];
+    let node = world.workers[j.worker()].id;
     enter_phase(world, j.task, node, Phase::StageIn, sim.now());
     let inputs = world.task_inputs(j.task);
     let plan = world.storage.plan_stage_in(&world.cluster, node, &inputs);
@@ -182,7 +164,7 @@ pub(crate) fn job_read(sim: &mut Sim<World>, world: &mut World, j: Job, idx: usi
     if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[j.worker()];
+    let node = world.workers[j.worker()].id;
     if idx == 0 {
         enter_phase(world, j.task, node, Phase::Read, sim.now());
     }
@@ -204,7 +186,7 @@ pub(crate) fn job_read(sim: &mut Sim<World>, world: &mut World, j: Job, idx: usi
 }
 
 fn job_compute(sim: &mut Sim<World>, world: &mut World, j: Job) {
-    let node = world.cluster.workers()[j.worker()];
+    let node = world.workers[j.worker()].id;
     let speed = world.cluster.node(node).itype.core_speed();
     let dur = SimDuration::from_secs_f64(world.wf.task(j.task).cpu_secs / speed);
     enter_phase(world, j.task, node, Phase::Compute, sim.now());
@@ -227,7 +209,7 @@ pub(crate) fn job_compute_end(sim: &mut Sim<World>, world: &mut World, j: Job) {
             return;
         }
     }
-    let node = world.cluster.workers()[j.worker()];
+    let node = world.workers[j.worker()].id;
     enter_phase(world, j.task, node, Phase::Write, sim.now());
     job_write(sim, world, j, 0);
 }
@@ -244,11 +226,11 @@ pub(crate) fn job_write(sim: &mut Sim<World>, world: &mut World, j: Job, idx: us
     // killed mid-write must not write twice, and a rescue re-run reuses
     // outputs that survived on healthy nodes (failover removed only the
     // lost ones from `written`).
-    if !world.written.insert(output.0) {
+    if std::mem::replace(&mut world.written[output.0.index()], true) {
         job_write(sim, world, j, idx + 1);
         return;
     }
-    let node = world.cluster.workers()[j.worker()];
+    let node = world.workers[j.worker()].id;
     let plan = world.storage.plan_write(&world.cluster, node, output);
     exec_job_plan(sim, world, j, plan, Ev::Write(j, idx as u32 + 1));
 }
@@ -257,7 +239,7 @@ fn job_stage_out(sim: &mut Sim<World>, world: &mut World, j: Job) {
     if !world.live(j.task, j.epoch) {
         return;
     }
-    let node = world.cluster.workers()[j.worker()];
+    let node = world.workers[j.worker()].id;
     enter_phase(world, j.task, node, Phase::StageOut, sim.now());
     // Only stage out (and bill) each output once, even across retries.
     let (wf, staged_out) = (&world.wf, &mut world.staged_out);
@@ -265,7 +247,7 @@ fn job_stage_out(sim: &mut Sim<World>, world: &mut World, j: Job) {
         .task(j.task)
         .outputs
         .iter()
-        .filter(|&&f| staged_out.insert(f))
+        .filter(|&&f| !std::mem::replace(&mut staged_out[f.index()], true))
         .map(|&f| (f, wf.file(f).size))
         .collect();
     let plan = world.storage.plan_stage_out(&world.cluster, node, &outputs);
@@ -278,8 +260,7 @@ pub(crate) fn job_done(sim: &mut Sim<World>, world: &mut World, j: Job) {
     }
     let (task, worker_ix) = (j.task, j.worker());
     world.release(worker_ix, task);
-    world.running[worker_ix].retain(|&t| t != task);
-    world.close_inflight(task);
+    world.workers[worker_ix].running.retain(|&t| t != task);
     let attempt = {
         let rec = &mut world.records[task.index()];
         rec.end_at = sim.now();
@@ -287,18 +268,18 @@ pub(crate) fn job_done(sim: &mut Sim<World>, world: &mut World, j: Job) {
     };
     world.obs.emit(Event::TaskEnd {
         task: task.0,
-        node: world.cluster.workers()[worker_ix].0,
+        node: world.workers[worker_ix].id.0,
         attempt,
     });
-    world.completed[task.index()] = true;
+    let was = std::mem::replace(&mut world.progress[task.index()], Progress::Done);
     world.done += 1;
     if world.done == world.wf.task_count() {
         world.finished_at = Some(sim.now());
     }
-    if world.rescued.remove(&task) {
+    if was == Progress::Rescued {
         // A rescue re-run releases only the tasks that were deferred on
         // it — its original children already ran.
-        let waiters = world.rescue_waiters.remove(&task).unwrap_or_default();
+        let waiters = std::mem::take(&mut world.rescue_waiters[task.index()]);
         for w in waiters {
             let p = &mut world.pending_parents[w.index()];
             debug_assert!(*p > 0, "rescue waiter with no pending parents");

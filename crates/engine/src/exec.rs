@@ -2,22 +2,24 @@
 //!
 //! A plan in flight is one slot of the world's [`Ops`] slab: its stages,
 //! the index of the current one, the countdown of that stage's legs
-//! still in flight, and the action to perform when the last stage lands.
-//! Calendar events name the slot by an [`OpRef`], so a stage's latency
-//! and each of its legs fire plain [`Ev::StageStart`] / [`Ev::LegDone`]
-//! values and nothing is boxed per stage or per leg.
+//! still in flight, the flows those legs started, and the action to
+//! perform when the last stage lands. Calendar events name the slot by
+//! an [`OpRef`], so a stage's latency and each of its legs fire plain
+//! [`Ev::StageStart`] / [`Ev::LegDone`] values and nothing is boxed per
+//! stage or per leg. A task's plan is also [`World::plan`]'s entry for
+//! the task, so a kill finds its flows there.
 
 use crate::event::Ev;
 use crate::world::World;
-use simcore::{Action, Sim};
+use simcore::{Action, FlowId, Sim};
 use wfdag::TaskId;
 use wfobs::Event;
 use wfstorage::op::{Note, OpPlan, Stage};
 
-/// A `(task, epoch)` pair identifying one task execution. Guarded stages
-/// check it before starting work (a killed execution's stale events
-/// no-op) and register their flows so a kill can cancel them.
-pub type ExecGuard = Option<(TaskId, u32)>;
+/// The task whose running execution a plan belongs to. A guarded plan is
+/// the task's entry in [`World::plan`] while it is in flight, so a kill
+/// can cancel its flows and free it.
+pub type ExecGuard = Option<TaskId>;
 
 /// A plan in flight: its slot in [`Ops`] and the slot's generation when
 /// the plan took it. A reference outlives its plan only in events a
@@ -38,6 +40,9 @@ struct Op {
     stage: usize,
     /// Legs of the current stage still in flight.
     left: usize,
+    /// Flows the current stage started, in start order. Some may have
+    /// landed: flow ids are never reused, so cancelling one is a no-op.
+    flows: Vec<FlowId>,
     guard: ExecGuard,
     /// Performed when the last stage lands; `None` while the slot is free.
     then: Option<Action<World>>,
@@ -58,6 +63,7 @@ impl Ops {
                 stages: Vec::new(),
                 stage: 0,
                 left: 0,
+                flows: Vec::new(),
                 guard: None,
                 then: None,
             });
@@ -84,9 +90,16 @@ impl Ops {
         let op = self.get(r)?;
         op.gen = op.gen.wrapping_add(1);
         op.stages = Vec::new();
+        op.flows.clear();
         let then = op.then.take();
         self.free.push(r.ix);
         then
+    }
+
+    /// The flows `r`'s current stage started, in start order (none once
+    /// `r` is freed).
+    pub(crate) fn flows(&mut self, r: OpRef) -> &[FlowId] {
+        self.get(r).map_or(&[], |op| &op.flows)
     }
 
     /// Whether no plan is in flight.
@@ -98,16 +111,13 @@ impl Ops {
 /// Execute a plan: background stages are queued onto the world's single
 /// writeback stream; foreground stages run in order; `then` is performed
 /// when the last foreground stage completes.
-pub fn exec_plan(sim: &mut Sim<World>, world: &mut World, plan: OpPlan, then: Action<World>) {
-    exec_plan_guarded(sim, world, plan, None, then);
-}
-
-/// [`exec_plan`] on behalf of one task execution: if the execution dies
-/// (node crash, storage failover, spot termination), pending latency
-/// events no-op and registered flows are cancelled by the kill path.
-/// Background stages stay unguarded — writeback belongs to the storage
-/// service, not the task.
-pub fn exec_plan_guarded(
+///
+/// A plan guarded by a task belongs to that task's running execution: if
+/// the execution dies (node crash, storage failover, spot termination),
+/// the kill cancels the plan's flows and frees it, and its pending events
+/// no-op. Background stages stay unguarded — writeback belongs to the
+/// storage service, not the task.
+pub fn exec_plan(
     sim: &mut Sim<World>,
     world: &mut World,
     plan: OpPlan,
@@ -123,35 +133,31 @@ pub fn exec_plan_guarded(
     }
     let latency = plan.stages[0].latency;
     let op = world.ops.open(plan.stages, guard, then);
+    if let Some(task) = guard {
+        let prev = world.plan[task.index()].replace(op);
+        debug_assert!(prev.is_none(), "an execution runs one plan at a time");
+    }
     sim.post_in(latency, Ev::StageStart(op));
 }
 
 /// A stage's latency has passed: run all its legs in parallel.
 pub(crate) fn stage_start(sim: &mut Sim<World>, world: &mut World, r: OpRef) {
+    // A plan freed by a kill has nothing left to start.
     let Some(op) = world.ops.get(r) else {
         return;
     };
-    let guard = op.guard;
     let legs = std::mem::take(&mut op.stages[op.stage].legs);
     op.left = legs.len();
-    if let Some((task, epoch)) = guard {
-        if !world.live(task, epoch) {
-            world.ops.close(r);
-            return;
-        }
-        // The task's stages run one after another, so every flow of
-        // its previous stage has landed.
-        world.inflight_mut(task).clear();
-    }
+    // The stages run one after another, so every flow of the previous
+    // stage has landed.
+    op.flows.clear();
     if legs.is_empty() {
         stage_done(sim, world, r);
         return;
     }
     for leg in legs {
-        let id = sim.start_flow_ev(leg.into(), Ev::LegDone(r));
-        if let (Some((task, _)), Some(id)) = (guard, id) {
-            world.inflight_mut(task).push(id);
-        }
+        op.flows
+            .extend(sim.start_flow_ev(leg.into(), Ev::LegDone(r)));
     }
 }
 
@@ -174,6 +180,9 @@ fn stage_done(sim: &mut Sim<World>, world: &mut World, r: OpRef) {
     match op.stages.get(op.stage) {
         Some(next) => sim.post_in(next.latency, Ev::StageStart(r)),
         None => {
+            if let Some(task) = op.guard {
+                world.plan[task.index()] = None;
+            }
             let then = world.ops.close(r).expect("the plan was open");
             sim.dispatch(world, then);
         }

@@ -8,14 +8,15 @@
 //! property `tests/prop_fault_metamorphic.rs` enforces.
 //!
 //! Kill mechanics: each task execution carries an epoch
-//! ([`World::epoch`]); killing an execution bumps it, cancels the
-//! execution's registered flows, and schedules a backoff re-queue. Stale
-//! continuations of the dead execution compare epochs and no-op.
+//! ([`World::epoch`]); killing an execution bumps it, cancels the flows
+//! of its plan in flight and frees the plan, and schedules a backoff
+//! re-queue. Stale continuations of the dead execution compare epochs
+//! and no-op; stale stage events find their plan freed.
 
 use crate::driver::{mark_ready, try_dispatch};
 use crate::event::Ev;
-use crate::world::{NodeSched, World};
-use simcore::{Action, DetRng, Sim, SimDuration, SimTime};
+use crate::world::{Progress, World};
+use simcore::{DetRng, Sim, SimDuration, SimTime};
 use vcluster::{Cluster, NodeId};
 use wfdag::TaskId;
 use wfobs::{Event, FaultKind};
@@ -37,10 +38,10 @@ pub(crate) fn install_faults(sim: &mut Sim<World>, world: &mut World) {
     if let Some(nc) = &plan.node_crash {
         for &(ix, at) in &nc.scheduled {
             let ix = ix as usize;
-            if ix >= world.node_up.len() {
+            let Some(w) = world.workers.get(ix) else {
                 continue;
-            }
-            let incarnation = world.node_incarnation[ix];
+            };
+            let incarnation = w.incarnation;
             sim.post_at(
                 SimTime::from_secs_f64(at),
                 Ev::NodeCrash {
@@ -50,14 +51,14 @@ pub(crate) fn install_faults(sim: &mut Sim<World>, world: &mut World) {
             );
         }
         if nc.rate_per_hour > 0.0 {
-            for ix in 0..world.node_up.len() {
+            for ix in 0..world.workers.len() {
                 schedule_next_crash(sim, world, ix);
             }
         }
     }
     if let Some(sp) = &plan.spot {
         if sp.rate_per_hour > 0.0 {
-            for ix in 0..world.node_up.len() {
+            for ix in 0..world.workers.len() {
                 schedule_spot_termination(sim, world, ix, sp.rate_per_hour);
             }
         }
@@ -80,8 +81,8 @@ fn pick_storage_victim(world: &mut World) -> NodeId {
     match world.cluster.server() {
         Some(s) => s,
         None => {
-            let ix = world.fault_rng_storage.index(world.cluster.workers().len());
-            world.cluster.workers()[ix]
+            let ix = world.fault_rng_storage.index(world.workers.len());
+            world.workers[ix].id
         }
     }
 }
@@ -96,8 +97,9 @@ fn schedule_next_crash(sim: &mut Sim<World>, world: &mut World, ix: usize) {
     if rate <= 0.0 {
         return;
     }
-    let dt = exp_secs(&mut world.fault_rng_node[ix], rate);
-    let incarnation = world.node_incarnation[ix];
+    let w = &mut world.workers[ix];
+    let dt = exp_secs(&mut w.crash_rng, rate);
+    let incarnation = w.incarnation;
     sim.post_in(
         SimDuration::from_secs_f64(dt),
         Ev::NodeCrash {
@@ -111,13 +113,14 @@ pub(crate) fn node_crash(sim: &mut Sim<World>, world: &mut World, ix: usize, inc
     if world.run_over() {
         return; // post-run faults change nothing, and the sim drains
     }
-    if world.node_incarnation[ix] != incarnation || !world.node_up[ix] {
+    let w = &world.workers[ix];
+    if w.incarnation != incarnation || !w.up {
         return; // stale event for an earlier incarnation
     }
     world.fault_counters.node_crashes += 1;
     world.obs.emit(Event::Fault {
         kind: FaultKind::NodeCrash,
-        node: world.cluster.workers()[ix].0,
+        node: w.id.0,
     });
     take_down_worker(sim, world, ix);
     let reprovision = world
@@ -132,11 +135,12 @@ pub(crate) fn node_crash(sim: &mut Sim<World>, world: &mut World, ix: usize, inc
 }
 
 fn schedule_spot_termination(sim: &mut Sim<World>, world: &mut World, ix: usize, rate: f64) {
-    if !world.node_spot[ix] {
+    let w = &mut world.workers[ix];
+    if !w.spot {
         return;
     }
-    let dt = exp_secs(&mut world.fault_rng_spot[ix], rate);
-    let incarnation = world.node_incarnation[ix];
+    let dt = exp_secs(&mut w.spot_rng, rate);
+    let incarnation = w.incarnation;
     sim.post_in(
         SimDuration::from_secs_f64(dt),
         Ev::SpotTermination {
@@ -155,13 +159,14 @@ pub(crate) fn spot_termination(
     if world.run_over() {
         return;
     }
-    if world.node_incarnation[ix] != incarnation || !world.node_up[ix] || !world.node_spot[ix] {
+    let w = &world.workers[ix];
+    if w.incarnation != incarnation || !w.up || !w.spot {
         return;
     }
     world.fault_counters.spot_terminations += 1;
     world.obs.emit(Event::Fault {
         kind: FaultKind::SpotTermination,
-        node: world.cluster.workers()[ix].0,
+        node: w.id.0,
     });
     take_down_worker(sim, world, ix);
     // The replacement is on-demand: recovery clears the spot flag, so
@@ -174,16 +179,17 @@ pub(crate) fn spot_termination(
 /// segment closes, and the storage layer hears about the lost peer.
 fn take_down_worker(sim: &mut Sim<World>, world: &mut World, ix: usize) {
     let now = sim.now();
-    world.node_up[ix] = false;
-    world.node_incarnation[ix] += 1;
-    let node_id = world.cluster.workers()[ix];
-    for t in world.running[ix].clone() {
+    let w = &mut world.workers[ix];
+    w.up = false;
+    w.incarnation += 1;
+    let node_id = w.id;
+    for t in std::mem::take(&mut w.running) {
         // The slot vanishes with the node: no release.
         kill_task(sim, world, t, ix, false);
     }
-    world.running[ix].clear();
-    world.node_sched[ix].free_slots = 0;
-    world.node_sched[ix].free_mem = 0;
+    let w = &mut world.workers[ix];
+    w.free_slots = 0;
+    w.free_mem = 0;
     world.close_segment(node_id.index(), now);
     let resp = world.storage.on_node_failed(&world.cluster, node_id);
     apply_failover(sim, world, resp);
@@ -191,8 +197,9 @@ fn take_down_worker(sim: &mut Sim<World>, world: &mut World, ix: usize) {
 
 /// Re-provision a replacement instance after the §V boot delay.
 fn schedule_recovery(sim: &mut Sim<World>, world: &mut World, ix: usize) {
-    let delay = Cluster::boot_delay(&mut world.fault_rng_node[ix]);
-    let incarnation = world.node_incarnation[ix];
+    let w = &mut world.workers[ix];
+    let delay = Cluster::boot_delay(&mut w.crash_rng);
+    let incarnation = w.incarnation;
     sim.post_in(
         delay,
         Ev::Recover {
@@ -207,18 +214,13 @@ pub(crate) fn recover(sim: &mut Sim<World>, world: &mut World, ix: usize, incarn
     if world.run_over() {
         return;
     }
-    if world.node_incarnation[ix] != incarnation || world.node_up[ix] {
+    let w = &mut world.workers[ix];
+    if w.incarnation != incarnation || w.up {
         return;
     }
-    let node_id = world.cluster.workers()[ix];
-    let node = world.cluster.node(node_id);
-    let sched = NodeSched {
-        free_slots: node.slots(),
-        free_mem: (node.memory_bytes() as f64 * 0.9) as u64,
-    };
-    world.node_up[ix] = true;
-    world.node_spot[ix] = false;
-    world.node_sched[ix] = sched;
+    let node_id = w.id;
+    w.boot(world.cluster.node(node_id));
+    w.spot = false;
     world.obs.emit(Event::NodeRecovered { node: node_id.0 });
     world.open_segment(node_id.index(), sim.now(), false);
     schedule_next_crash(sim, world, ix);
@@ -297,11 +299,11 @@ fn apply_failover(sim: &mut Sim<World>, world: &mut World, resp: FailoverRespons
                 }
             }
             world.stall_until = Some(until);
-            for ix in 0..world.running.len() {
-                if !world.node_up[ix] {
+            for ix in 0..world.workers.len() {
+                if !world.workers[ix].up {
                     continue;
                 }
-                for t in world.running[ix].clone() {
+                for t in std::mem::take(&mut world.workers[ix].running) {
                     kill_task(sim, world, t, ix, true);
                 }
             }
@@ -315,8 +317,8 @@ fn apply_failover(sim: &mut Sim<World>, world: &mut World, resp: FailoverRespons
             });
             for f in files {
                 // Lost outputs become writable again for rescue re-runs.
-                world.written.remove(&f);
-                world.staged_out.remove(&f);
+                world.written[f.index()] = false;
+                world.staged_out[f.index()] = false;
             }
         }
     }
@@ -334,9 +336,9 @@ pub(crate) fn stall_lift(sim: &mut Sim<World>, world: &mut World) {
 }
 
 /// Kill one in-flight execution: bump its epoch (stale continuations
-/// no-op), cancel its registered flows, charge the wasted work, and
-/// re-queue it after backoff — or abort the run if the fault-retry
-/// budget is exhausted.
+/// no-op), cancel its plan's flows and free the plan, charge the wasted
+/// work, and re-queue it after backoff — or abort the run if the
+/// fault-retry budget is exhausted.
 pub(crate) fn kill_task(
     sim: &mut Sim<World>,
     world: &mut World,
@@ -354,23 +356,19 @@ pub(crate) fn kill_task(
     world.fault_counters.wasted_task_secs += now.since(start_at).as_secs_f64();
     world.obs.emit(Event::TaskKilled {
         task: task.0,
-        node: world.cluster.workers()[worker_ix].0,
+        node: world.workers[worker_ix].id.0,
         wasted_nanos: now.since(start_at).as_nanos(),
     });
     world.epoch[task.index()] += 1;
-    let mut stranded = None;
-    for &id in world.inflight(task) {
-        if let Some(Action::Event(Ev::LegDone(op))) = sim.cancel_flow(id) {
-            stranded = Some(op);
+    // The dead execution's plan must not go on: cancel its flows and
+    // free it. Its pending events carry a stale reference and no-op.
+    if let Some(op) = world.plan[task.index()].take() {
+        for &id in world.ops.flows(op) {
+            sim.cancel_flow(id);
         }
-    }
-    // A cancelled leg never lands, so its plan can never finish: free it
-    // now. Its other pending events carry a stale reference and no-op.
-    if let Some(op) = stranded {
         world.ops.close(op);
     }
-    world.close_inflight(task);
-    world.running[worker_ix].retain(|&t| t != task);
+    world.workers[worker_ix].running.retain(|&t| t != task);
     if release_slot {
         world.release(worker_ix, task);
     }
@@ -388,13 +386,12 @@ pub(crate) fn fail_execution(
     worker_ix: usize,
     budget: u32,
 ) {
-    world.running[worker_ix].retain(|&t| t != task);
+    world.workers[worker_ix].running.retain(|&t| t != task);
     world.release(worker_ix, task);
-    world.close_inflight(task);
     world.epoch[task.index()] += 1;
     world.obs.emit(Event::TaskFailed {
         task: task.0,
-        node: world.cluster.workers()[worker_ix].0,
+        node: world.workers[worker_ix].id.0,
     });
     finish_failure(sim, world, task, budget);
 }
@@ -463,15 +460,14 @@ pub(crate) fn rescue_defer(sim: &mut Sim<World>, world: &mut World, task: TaskId
         return false; // everything missing was re-stageable
     }
     for p in producers {
-        let waiters = world.rescue_waiters.entry(p).or_default();
+        let waiters = &mut world.rescue_waiters[p.index()];
         if !waiters.contains(&task) {
             waiters.push(task);
             world.pending_parents[task.index()] += 1;
         }
-        if world.completed[p.index()] {
-            world.completed[p.index()] = false;
+        if world.progress[p.index()] == Progress::Done {
+            world.progress[p.index()] = Progress::Rescued;
             world.done -= 1;
-            world.rescued.insert(p);
             world.fault_counters.rescue_resubmits += 1;
             world.obs.emit(Event::RescueResubmit { task: p.0 });
             mark_ready(sim, world, p);

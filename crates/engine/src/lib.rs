@@ -45,7 +45,7 @@ pub use run::{run_workflow, run_workflow_with_obs, FaultSummary, ResourceRow, Ru
 pub use trace::{
     jobstate_log, otlp_labels, phase_breakdown, phase_breakdown_from_bus, PhaseBreakdown,
 };
-pub use world::{FaultCounters, NodeSched, NodeSegment, TaskRecord, World};
+pub use world::{FaultCounters, NodeSegment, TaskRecord, Worker, World};
 
 #[cfg(test)]
 mod tests {

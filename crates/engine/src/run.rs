@@ -2,8 +2,8 @@
 
 use crate::config::RunConfig;
 use crate::driver::{makespan, start_run};
-use crate::world::{FaultCounters, TaskRecord, World};
-use serde::{Deserialize, Serialize};
+use crate::world::{usable_memory, FaultCounters, TaskRecord, World};
+use serde::Serialize;
 use simcore::{Sim, SimTime};
 use vcluster::Cluster;
 use wfcost::BilledSegment;
@@ -13,7 +13,7 @@ use wfstorage::{build_storage, StorageBilling, StorageKind, StorageOpStats};
 
 /// Injected faults and the recovery work they caused, plus the billing
 /// segments the instance churn produced (feed them to
-/// `wfcost::PriceBook::segments_cents` for the fault-adjusted bill).
+/// `wfcost::CostModel::segments_cents` for the fault-adjusted bill).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSummary {
     /// Fault and recovery counters, as the world accumulated them.
@@ -59,7 +59,7 @@ pub struct RunStats {
 }
 
 /// Usage of one simulated resource over the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResourceRow {
     /// Resource name (e.g. `w0.disk.fw`, `srv.nic.out`, `nfs.ops`).
     pub name: String,
@@ -180,7 +180,7 @@ pub fn run_workflow_with_obs(
     let cluster = Cluster::provision(&mut sim, &cfg.cluster_spec());
 
     // Feasibility: every task must fit in some worker's usable memory.
-    let usable = (cluster.node(cluster.workers()[0]).memory_bytes() as f64 * 0.9) as u64;
+    let usable = usable_memory(cluster.node(cluster.workers()[0]));
     if let Some(t) = workflow.tasks().iter().find(|t| t.peak_mem > usable) {
         return Err(RunError::TaskTooLarge {
             task: t.name.clone(),

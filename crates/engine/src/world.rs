@@ -1,25 +1,66 @@
 //! The simulation world: cluster + storage + workflow-management state.
 
 use crate::config::{RunConfig, SchedulerPolicy};
-use crate::exec::Ops;
-use simcore::{DetRng, FlowId, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
-use vcluster::{Cluster, NodeId};
-use wfdag::{FileClass, FileId, TaskId, Workflow};
+use crate::exec::{OpRef, Ops};
+use simcore::{DetRng, SimTime};
+use std::collections::VecDeque;
+use vcluster::{Cluster, Node, NodeId};
+use wfdag::{FileClass, TaskId, Workflow};
 use wfobs::{Event, ObsHandle, Phase};
 use wfstorage::op::{Note, Stage};
 use wfstorage::{FileRef, StorageSystem};
 
-/// `World::lane` of a task that is not running.
-const NO_LANE: u32 = u32::MAX;
+/// Memory a worker offers to tasks: its RAM less a slice reserved for
+/// the OS and page cache.
+pub fn usable_memory(node: &Node) -> u64 {
+    (node.memory_bytes() as f64 * 0.9) as u64
+}
 
-/// Scheduling state of one worker node.
+/// One worker node, as the matchmaker and the fault injector see it.
 #[derive(Debug, Clone)]
-pub struct NodeSched {
+pub struct Worker {
+    /// The cluster node.
+    pub id: NodeId,
     /// Free Condor slots (one per core).
     pub free_slots: u32,
     /// Free memory in bytes.
     pub free_mem: u64,
+    /// Tasks holding a slot here.
+    pub running: Vec<TaskId>,
+    /// Whether the instance is up.
+    pub up: bool,
+    /// Incarnation counter; crash and recovery events carry the
+    /// incarnation they were scheduled against and skip if stale.
+    pub incarnation: u32,
+    /// Whether the current incarnation is a spot instance.
+    pub spot: bool,
+    /// Fault stream: crash timing and boot delays. Per-node streams keep
+    /// draws independent of event interleaving.
+    pub crash_rng: DetRng,
+    /// Fault stream: spot termination timing.
+    pub spot_rng: DetRng,
+}
+
+impl Worker {
+    /// A fresh instance of `node` is up: every slot and all usable
+    /// memory are free.
+    pub fn boot(&mut self, node: &Node) {
+        self.free_slots = node.slots();
+        self.free_mem = usable_memory(node);
+        self.up = true;
+    }
+}
+
+/// Where a task stands in the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Progress {
+    /// Not finished.
+    Open,
+    /// Finished.
+    Done,
+    /// Finished, then resubmitted by the rescue pass because an output
+    /// of it was lost; not yet re-finished.
+    Rescued,
 }
 
 /// One billed lease interval of a cluster node. Crashes and spot
@@ -141,8 +182,8 @@ pub struct World {
     pub pending_parents: Vec<u32>,
     /// Ready-but-unscheduled tasks (FIFO with a bounded backfill window).
     pub ready: VecDeque<TaskId>,
-    /// Per-worker scheduling state (indexed like `cluster.workers()`).
-    pub node_sched: Vec<NodeSched>,
+    /// The workers, indexed like `cluster.workers()`.
+    pub workers: Vec<Worker>,
     /// Per-task execution records, indexed by task id (each reset when
     /// its task becomes ready).
     pub records: Vec<TaskRecord>,
@@ -170,40 +211,23 @@ pub struct World {
     /// Per-task execution epoch. A fault kill bumps it, so continuations
     /// of the dead execution (which captured the old epoch) no-op.
     pub epoch: Vec<u32>,
-    /// Tasks currently holding a slot on each worker.
-    pub running: Vec<Vec<TaskId>>,
-    /// Flows of each running execution's current guarded stage, one
-    /// list per lane, cancelled when the execution is killed. Some may
-    /// have landed already: flow ids are never reused, so cancelling one
-    /// is a no-op. A stage clears its execution's list when it starts.
-    inflight: Vec<Vec<FlowId>>,
-    /// Lane in `inflight` of each task's running execution (indexed by
-    /// task; `NO_LANE` while it is not running). Lanes are recycled, so
-    /// there are only as many lists as executions ever ran at once.
-    lane: Vec<u32>,
-    free_lanes: Vec<u32>,
-    /// Whether each worker is up.
-    pub node_up: Vec<bool>,
-    /// Per-worker incarnation counter; crash and recovery events carry
-    /// the incarnation they were scheduled against and skip if stale.
-    pub node_incarnation: Vec<u32>,
-    /// Whether each worker's current incarnation is a spot instance.
-    pub node_spot: Vec<bool>,
-    /// Per-task completion flags (the rescue-DAG pass clears one when it
-    /// resubmits a finished task whose outputs were lost).
-    pub completed: Vec<bool>,
-    /// Tasks resubmitted by the rescue pass and not yet re-finished.
-    pub rescued: HashSet<TaskId>,
-    /// Tasks deferred until a rescued producer re-finishes.
-    pub rescue_waiters: HashMap<TaskId, Vec<TaskId>>,
-    /// Files whose `plan_write` was issued. A retry of an execution
-    /// killed mid-write skips these (re-writing would violate the
-    /// storage write-once discipline); storage failover removes lost
+    /// Each task's plan in flight, if its running execution has one. A
+    /// kill cancels the plan's flows and frees its slot.
+    pub(crate) plan: Vec<Option<OpRef>>,
+    /// Per-task progress (the rescue-DAG pass reopens a finished task
+    /// whose outputs were lost).
+    pub progress: Vec<Progress>,
+    /// Per task: the tasks deferred until its rescue re-run finishes.
+    pub rescue_waiters: Vec<Vec<TaskId>>,
+    /// Per file: whether its `plan_write` was issued. A retry of an
+    /// execution killed mid-write skips these (re-writing would violate
+    /// the storage write-once discipline); storage failover clears lost
     /// files so rescue re-runs regenerate exactly what vanished.
-    pub written: HashSet<FileId>,
-    /// Files already covered by a `plan_stage_out` call, so a retried
-    /// execution does not stage out (and bill) the same output twice.
-    pub staged_out: HashSet<FileId>,
+    pub written: Vec<bool>,
+    /// Per file: whether a `plan_stage_out` call covered it already, so a
+    /// retried execution does not stage out (and bill) the same output
+    /// twice.
+    pub staged_out: Vec<bool>,
     /// Set once any storage failover reported lost files; gates the
     /// rescue checks so fault-free runs skip them entirely.
     pub any_files_lost: bool,
@@ -212,17 +236,13 @@ pub struct World {
     pub stall_until: Option<SimTime>,
     /// Fault/recovery counters for the run report.
     pub fault_counters: FaultCounters,
-    /// Billing segments per cluster node (indexed by `NodeId::index`).
+    /// Billing segments per cluster node (indexed by `NodeId::index`),
+    /// opened when the run starts.
     pub node_segments: Vec<Vec<NodeSegment>>,
     /// Fault stream: transient task-failure coin flips.
     pub fault_rng_task: DetRng,
     /// Fault stream: storage failure timing and victim choice.
     pub fault_rng_storage: DetRng,
-    /// Per-worker fault streams: crash timing and boot delays. Per-node
-    /// streams keep draws independent of event interleaving.
-    pub fault_rng_node: Vec<DetRng>,
-    /// Per-worker fault streams: spot termination timing.
-    pub fault_rng_spot: Vec<DetRng>,
     /// Observability bus handle (shared with the sim; disabled by
     /// default). Cloning is one `Rc` bump.
     pub obs: ObsHandle,
@@ -238,52 +258,42 @@ impl World {
     ) -> Self {
         let n = wf.task_count();
         let pending_parents = (0..n).map(|i| wf.parent_count(TaskId(i as u32))).collect();
-        let node_sched = cluster
-            .workers()
-            .iter()
-            .map(|&id| {
-                let node = cluster.node(id);
-                NodeSched {
-                    free_slots: node.slots(),
-                    // Reserve a slice of RAM for OS + page cache.
-                    free_mem: (node.memory_bytes() as f64 * 0.9) as u64,
-                }
-            })
-            .collect();
-        let workers = cluster.workers().len();
         // A zero-rate spot spec is inert: workers stay on-demand, so a
         // FaultPlan::zero() run bills identically to a plan-free run.
-        let spot_active = cfg
+        let spot = cfg
             .faults
             .as_ref()
             .and_then(|p| p.spot.as_ref())
             .is_some_and(|s| s.rate_per_hour > 0.0);
-        let worker_set: HashSet<NodeId> = cluster.workers().iter().copied().collect();
-        let node_segments = cluster
-            .nodes()
+        let workers = cluster
+            .workers()
             .iter()
             .enumerate()
-            .map(|(i, _)| {
-                vec![NodeSegment {
-                    open: SimTime::ZERO,
-                    close: None,
-                    spot: spot_active && worker_set.contains(&NodeId(i as u32)),
-                }]
+            .map(|(i, &id)| {
+                let mut w = Worker {
+                    id,
+                    free_slots: 0,
+                    free_mem: 0,
+                    running: Vec::new(),
+                    up: true,
+                    incarnation: 0,
+                    spot,
+                    crash_rng: DetRng::stream(cfg.seed, &format!("engine.faults.node.{i}")),
+                    spot_rng: DetRng::stream(cfg.seed, &format!("engine.faults.spot.{i}")),
+                };
+                w.boot(cluster.node(id));
+                w
             })
             .collect();
-        let fault_rng_node = (0..workers)
-            .map(|i| DetRng::stream(cfg.seed, &format!("engine.faults.node.{i}")))
-            .collect();
-        let fault_rng_spot = (0..workers)
-            .map(|i| DetRng::stream(cfg.seed, &format!("engine.faults.spot.{i}")))
-            .collect();
+        let files = wf.file_count();
+        let node_segments = vec![Vec::new(); cluster.nodes().len()];
         World {
             cluster,
             storage,
             wf,
             pending_parents,
             ready: VecDeque::new(),
-            node_sched,
+            workers,
             records: (0..n)
                 .map(|i| TaskRecord::new(TaskId(i as u32), SimTime::ZERO, 0))
                 .collect(),
@@ -296,26 +306,17 @@ impl World {
             ops: Ops::default(),
             rr_cursor: 0,
             epoch: vec![0; n],
-            running: vec![Vec::new(); workers],
-            inflight: Vec::new(),
-            lane: vec![NO_LANE; n],
-            free_lanes: Vec::new(),
-            node_up: vec![true; workers],
-            node_incarnation: vec![0; workers],
-            node_spot: vec![spot_active; workers],
-            completed: vec![false; n],
-            rescued: HashSet::new(),
-            rescue_waiters: HashMap::new(),
-            written: HashSet::new(),
-            staged_out: HashSet::new(),
+            plan: vec![None; n],
+            progress: vec![Progress::Open; n],
+            rescue_waiters: vec![Vec::new(); n],
+            written: vec![false; files],
+            staged_out: vec![false; files],
             any_files_lost: false,
             stall_until: None,
             fault_counters: FaultCounters::default(),
             node_segments,
             fault_rng_task: DetRng::stream(cfg.seed, "engine.faults.task"),
             fault_rng_storage: DetRng::stream(cfg.seed, "engine.faults.storage"),
-            fault_rng_node,
-            fault_rng_spot,
             obs: ObsHandle::disabled(),
             cfg,
         }
@@ -331,34 +332,6 @@ impl World {
     /// no-ops and the simulation drains.
     pub fn run_over(&self) -> bool {
         self.done == self.wf.task_count() || self.aborted.is_some()
-    }
-
-    /// Give `task`'s new execution an empty in-flight flow list.
-    pub fn open_inflight(&mut self, task: TaskId) {
-        debug_assert_eq!(self.lane[task.index()], NO_LANE, "execution already open");
-        let lane = self.free_lanes.pop().unwrap_or_else(|| {
-            self.inflight.push(Vec::new());
-            u32::try_from(self.inflight.len() - 1).expect("lane fits u32")
-        });
-        self.inflight[lane as usize].clear();
-        self.lane[task.index()] = lane;
-    }
-
-    /// The in-flight flow list of `task`'s running execution.
-    pub fn inflight(&self, task: TaskId) -> &[FlowId] {
-        &self.inflight[self.lane[task.index()] as usize]
-    }
-
-    /// The in-flight flow list of `task`'s running execution, to update.
-    pub fn inflight_mut(&mut self, task: TaskId) -> &mut Vec<FlowId> {
-        &mut self.inflight[self.lane[task.index()] as usize]
-    }
-
-    /// Release `task`'s in-flight flow list: its execution ended.
-    pub fn close_inflight(&mut self, task: TaskId) {
-        let lane = std::mem::replace(&mut self.lane[task.index()], NO_LANE);
-        debug_assert_ne!(lane, NO_LANE, "execution not open");
-        self.free_lanes.push(lane);
     }
 
     /// Close the open billing segment of cluster node `node_ix`.
@@ -422,21 +395,21 @@ impl World {
     /// Whether any worker has a free slot. When none has, `pick_node`
     /// answers `None` for every task and changes nothing.
     pub fn any_free_slot(&self) -> bool {
-        self.node_sched.iter().any(|s| s.free_slots > 0)
+        self.workers.iter().any(|w| w.free_slots > 0)
     }
 
     /// Pick a worker for `task` under the configured policy, or `None` if
     /// nothing fits right now.
     pub fn pick_node(&mut self, task: TaskId) -> Option<usize> {
         let need_mem = self.wf.task(task).peak_mem;
-        let n = self.node_sched.len();
-        let fits = |s: &NodeSched| s.free_slots > 0 && s.free_mem >= need_mem;
+        let n = self.workers.len();
+        let fits = |w: &Worker| w.free_slots > 0 && w.free_mem >= need_mem;
         match self.cfg.scheduler {
             SchedulerPolicy::LocalityBlind => {
                 // Rotating first-fit: spreads load without looking at data.
                 for off in 0..n {
                     let i = (self.rr_cursor + off) % n;
-                    if fits(&self.node_sched[i]) {
+                    if fits(&self.workers[i]) {
                         self.rr_cursor = (i + 1) % n;
                         return Some(i);
                     }
@@ -447,11 +420,11 @@ impl World {
                 let inputs = self.task_inputs(task);
                 let mut best: Option<(u64, usize)> = None;
                 for i in 0..n {
-                    if !fits(&self.node_sched[i]) {
+                    if !fits(&self.workers[i]) {
                         continue;
                     }
-                    let node_id = self.cluster.workers()[i];
-                    let local = self.storage.local_bytes(&self.cluster, node_id, &inputs);
+                    let node = self.workers[i].id;
+                    let local = self.storage.local_bytes(&self.cluster, node, &inputs);
                     // Ties broken by index for determinism.
                     if best.is_none_or(|(b, _)| local > b) {
                         best = Some((local, i));
@@ -465,17 +438,17 @@ impl World {
     /// Reserve a slot + memory on worker index `i` for `task`.
     pub fn reserve(&mut self, i: usize, task: TaskId) {
         let need = self.wf.task(task).peak_mem;
-        let s = &mut self.node_sched[i];
-        debug_assert!(s.free_slots > 0 && s.free_mem >= need);
-        s.free_slots -= 1;
-        s.free_mem -= need;
+        let w = &mut self.workers[i];
+        debug_assert!(w.free_slots > 0 && w.free_mem >= need);
+        w.free_slots -= 1;
+        w.free_mem -= need;
     }
 
     /// Release the slot + memory held by `task` on worker index `i`.
     pub fn release(&mut self, i: usize, task: TaskId) {
         let need = self.wf.task(task).peak_mem;
-        let s = &mut self.node_sched[i];
-        s.free_slots += 1;
-        s.free_mem += need;
+        let w = &mut self.workers[i];
+        w.free_slots += 1;
+        w.free_mem += need;
     }
 }

@@ -104,9 +104,9 @@ fn build(case: &Case) -> (Sim<World>, World) {
         .collect();
     world.storage.prestage(&world.cluster, &staged);
 
-    for (s, &(slots, eighths)) in world.node_sched.iter_mut().zip(&case.free) {
-        s.free_slots = slots;
-        s.free_mem = usable / 8 * u64::from(eighths);
+    for (w, &(slots, eighths)) in world.workers.iter_mut().zip(&case.free) {
+        w.free_slots = slots;
+        w.free_mem = usable / 8 * u64::from(eighths);
     }
     world.rr_cursor = case.rr_cursor;
     world.ready = case.ready.iter().map(|&i| TaskId(u32::from(i))).collect();
@@ -167,7 +167,7 @@ proptest! {
         prop_assert_eq!(&got, &want, "dispatch sequence");
         prop_assert_eq!(&world.ready, &model.ready, "queue order afterwards");
         prop_assert_eq!(world.rr_cursor, model.rr_cursor, "rr_cursor");
-        for (a, b) in world.node_sched.iter().zip(&model.node_sched) {
+        for (a, b) in world.workers.iter().zip(&model.workers) {
             prop_assert_eq!((a.free_slots, a.free_mem), (b.free_slots, b.free_mem));
         }
     }

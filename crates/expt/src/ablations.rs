@@ -13,13 +13,13 @@
 //!   the paper had to use vs a model of the ≥2.8 improvements.
 
 use crate::grid::{run_configs, CellResult};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfengine::{RunConfig, SchedulerPolicy};
 use wfgen::App;
 use wfstorage::{NfsConfig, NfsPlacement, PvfsConfig, S3Config, StorageKind};
 
 /// A baseline/variant pair for one ablated design choice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AblationRow {
     /// Stable identifier (`a1.montage-local` …).
     pub id: String,
@@ -40,7 +40,7 @@ impl AblationRow {
 }
 
 /// All ablation results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Ablations {
     /// One row per ablated choice.
     pub rows: Vec<AblationRow>,

@@ -3,7 +3,7 @@
 
 use crate::figures::RuntimeFigure;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfdag::cluster_horizontal;
 use wfengine::{run_workflow, RunConfig, RunStats};
 use wfgen::App;
@@ -11,7 +11,7 @@ use wfstorage::StorageKind;
 
 /// Speedup and parallel efficiency of one (storage, n) point, relative to
 /// that storage option's smallest valid cluster.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SpeedupRow {
     /// Storage option.
     pub storage: StorageKind,
@@ -77,7 +77,7 @@ pub fn render_speedup(app: App, rows: &[SpeedupRow]) -> String {
 
 /// Seed-robustness: min/mean/max makespan over several engine seeds for
 /// one (app, storage, workers) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RobustnessRow {
     /// Storage option.
     pub storage: StorageKind,
@@ -129,7 +129,7 @@ pub fn seed_robustness(app: App, workers: u32, seeds: &[u64]) -> Vec<RobustnessR
 /// overhead: at our calibrated 0.25 s overhead clustering *loses*, while
 /// at the ~2 s overheads a loaded 2010 Condor schedd exhibited it wins —
 /// which is exactly when Pegasus deployments reached for it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ClusteringRow {
     /// Storage option.
     pub storage: StorageKind,

@@ -9,7 +9,7 @@
 //! rates are all zero must be bit-identical to no plan at all.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfcost::{BilledSegment, BillingGranularity, CostModel};
 use wfdag::Workflow;
 use wfengine::{
@@ -38,7 +38,7 @@ pub const F2_STORAGES: [StorageKind; 4] = [
 pub const F2_WORKERS: u32 = 4;
 
 /// One injected-fault scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultScenario {
     /// A present-but-all-zero plan — must change nothing (metamorphic).
     ZeroRate,
@@ -107,7 +107,7 @@ impl FaultScenario {
 }
 
 /// One (app, storage, scenario) measurement, with its clean baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultRow {
     /// The application.
     pub app: App,
@@ -148,7 +148,7 @@ pub struct FaultRow {
 }
 
 /// The full F2 study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultStudy {
     /// Experiment seed.
     pub seed: u64,

@@ -1,14 +1,14 @@
 //! Experiments E1–E8: regenerating every table and figure of the paper.
 
 use crate::grid::{figure_cells, run_cells, Cell, CellResult};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vcluster::InstanceType;
 use wfgen::profiler::{classify, profile, ResourceUsage};
 use wfgen::App;
 use wfstorage::StorageKind;
 
 /// Table I: per-application resource-usage grades.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table1 {
     /// (application, grades) rows in the paper's order.
     pub rows: Vec<(App, ResourceUsage)>,
@@ -26,7 +26,7 @@ pub fn table1() -> Table1 {
 
 /// One runtime figure (Figs 2–4): every storage × node-count cell of one
 /// application, plus — for Broadband — the §V.C m2.4xlarge NFS run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RuntimeFigure {
     /// The application.
     pub app: App,
@@ -74,7 +74,7 @@ pub fn runtime_figure(app: App, seed: u64) -> RuntimeFigure {
 /// Figs 5–7 are pure views over the same cell results (per-hour and
 /// per-second total cost); this type exists so reports can serialise them
 /// separately.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CostFigure {
     /// The application.
     pub app: App,
@@ -103,7 +103,7 @@ pub fn cost_figure(fig: &RuntimeFigure) -> CostFigure {
 
 /// Experiment E8: the XtreemFS anecdote (§IV) — both I/O-heavy apps take
 /// more than twice as long as on the systems reported in the figures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct XtreemFsNote {
     /// (app, xtreemfs makespan, best reported makespan at same size).
     pub rows: Vec<(App, f64, f64)>,

@@ -4,13 +4,13 @@
 
 use crate::figures::RuntimeFigure;
 use crate::grid::{run_configs, CellResult};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfengine::{RunConfig, SchedulerPolicy};
 use wfgen::App;
 use wfstorage::StorageKind;
 
 /// One (app, workers) comparison row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FutureWorkRow {
     /// The application.
     pub app: App,
@@ -28,7 +28,7 @@ pub struct FutureWorkRow {
 }
 
 /// The full F1 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FutureWork {
     /// Comparison rows for every app × size.
     pub rows: Vec<FutureWorkRow>,

@@ -2,7 +2,7 @@
 //! size), exactly the axes of Figs 2–7.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vcluster::InstanceType;
 use wfcost::{BillingGranularity, CostModel, UsageReport};
 use wfdag::Workflow;
@@ -11,7 +11,7 @@ use wfgen::App;
 use wfstorage::StorageKind;
 
 /// One cell of the paper's grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Cell {
     /// The application.
     pub app: App,
@@ -48,7 +48,7 @@ impl Cell {
 }
 
 /// The result of one cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CellResult {
     /// The cell.
     pub cell: Cell,

@@ -7,12 +7,12 @@
 //! device end-to-end (a timed single-stream transfer through the actual
 //! resources) rather than echoing configuration constants.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{FlowSpec, ResourceId, Sim, SimTime};
 use vcluster::{DiskProfile, RaidEfficiency};
 
 /// One measured device row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DiskRow {
     /// Number of disks in the array (1 = bare ephemeral disk).
     pub disks: u32,
@@ -25,7 +25,7 @@ pub struct DiskRow {
 }
 
 /// The full microbenchmark table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DiskMicrobench {
     /// Rows for 1-disk and 4-disk configurations.
     pub rows: Vec<DiskRow>,

@@ -7,10 +7,10 @@ use crate::figures::{cost_figure, CostFigure, RuntimeFigure, Table1, XtreemFsNot
 use crate::future_work::FutureWork;
 use crate::microbench::DiskMicrobench;
 use crate::shape::ShapeCheck;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A complete regeneration of the paper's evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Report {
     /// Experiment seed.
     pub seed: u64,

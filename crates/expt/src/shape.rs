@@ -13,7 +13,7 @@
 
 use crate::figures::{RuntimeFigure, Table1, XtreemFsNote};
 use crate::{CellResult, NODE_COUNTS};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use wfgen::{App, Grade};
 use wfstorage::StorageKind::{
@@ -21,7 +21,7 @@ use wfstorage::StorageKind::{
 };
 
 /// One verified claim.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ShapeCheck {
     /// Stable identifier, e.g. `fig2.gluster-best`.
     pub id: String,

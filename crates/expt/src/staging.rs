@@ -3,7 +3,7 @@
 //! so a complete "submit to archived outputs" timeline and bill can be
 //! reported per application.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::DetRng;
 use vcluster::{provision_timeline, ClusterSpec, InstanceType, ProvisionConfig};
 use wfcost::transfer::{stage_in, stage_out, TransferPricing, WanLink};
@@ -12,7 +12,7 @@ use wfgen::App;
 
 /// The end-to-end picture for one application at a reference cluster
 /// size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EndToEndRow {
     /// The application.
     pub app: App,

@@ -165,11 +165,6 @@ impl<W: Model> Sim<W> {
         self.push(t, Action::Call(Box::new(f)));
     }
 
-    /// Schedule the closure `f` after a delay.
-    pub fn schedule_in(&mut self, d: SimDuration, f: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
-        self.push(self.now + d, Action::Call(Box::new(f)));
-    }
-
     /// Schedule the event `ev` at absolute time `t` (clamped to the
     /// present if `t` is in the past).
     pub fn post_at(&mut self, t: SimTime, ev: W::Ev) {
@@ -349,7 +344,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = World::default();
         sim.schedule_at(secs(1.0), |s, _| {
-            s.schedule_in(SimDuration::from_secs(2), |s, w| {
+            s.schedule_at(s.now() + SimDuration::from_secs(2), |s, w| {
                 w.log.push((s.now().as_secs_f64(), "chained"));
             });
         });

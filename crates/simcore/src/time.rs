@@ -5,7 +5,7 @@
 //! bit-for-bit. Floating-point seconds are only used at the edges (rate
 //! computations in the fluid-flow engine and human-readable output).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -13,15 +13,11 @@ use std::ops::{Add, AddAssign, Sub};
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An absolute instant on the simulation clock (nanoseconds since t=0).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 /// A span of simulated time (nanoseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -10,7 +10,7 @@
 //! committed when the plan is made — sound here because the paper's
 //! workloads are strictly write-once (§V).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{FlowSpec, ResourceId, SimDuration};
 
 /// One fluid-flow leg of a stage.
@@ -97,7 +97,7 @@ impl Stage {
 /// Bookkeeping messages a background stage can deliver back to the storage
 /// system when it completes (see
 /// [`StorageSystem::on_background_done`](crate::traits::StorageSystem::on_background_done)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Note {
     /// An NFS write-back flush of `bytes` reached the server disk.
     NfsFlushed {

@@ -1,7 +1,7 @@
 //! The [`StorageSystem`] trait: what every data-sharing option implements.
 
 use crate::op::{Note, OpPlan};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
 
@@ -10,7 +10,7 @@ pub type FileRef = (FileId, u64);
 
 /// Aggregate operation counters a storage system maintains (for reports
 /// and, for S3, billing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StorageOpStats {
     /// Foreground read operations planned.
     pub reads: u64,
@@ -27,7 +27,7 @@ pub struct StorageOpStats {
 }
 
 /// Billing-relevant usage (only S3 charges per request, §VI).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StorageBilling {
     /// S3 PUT requests issued.
     pub s3_puts: u64,
@@ -41,7 +41,7 @@ pub struct StorageBilling {
 /// keeps the default: the worker-count rule is [`StorageKind::admits`],
 /// and whether a dedicated server is provisioned is decided by
 /// [`cluster_spec_with`](crate::factory::cluster_spec_with).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Constraints {
     /// Minimum worker count for a valid deployment.
     pub min_workers: u32,
@@ -170,7 +170,7 @@ pub trait StorageSystem {
 
 /// The storage options evaluated in the paper (plus XtreemFS, which §IV
 /// reports was >2× slower and not fully evaluated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum StorageKind {
     /// Single-node local RAID 0 ("Local" in Figs 2–7).
     Local,

@@ -3,11 +3,11 @@
 
 use crate::disk::DiskProfile;
 use crate::instance::InstanceType;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{DetRng, FlowSpec, Model, ResourceId, Sim, SimDuration};
 
 /// Identifier of a node within one provisioned cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -18,7 +18,7 @@ impl NodeId {
 }
 
 /// Why a node exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum NodeRole {
     /// Runs workflow tasks (a Condor worker).
     Worker,
@@ -106,7 +106,7 @@ pub fn net_path(src: &Node, dst: &Node) -> Vec<ResourceId> {
 }
 
 /// What to provision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSpec {
     /// Number of worker nodes (the paper sweeps 1, 2, 4, 8).
     pub workers: u32,

@@ -14,14 +14,14 @@
 //! the disk was pre-initialised (the mitigation Amazon suggests and the
 //! paper rejects as uneconomical — our ablation A1 quantifies it).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One megabyte per second, in bytes/second.
 pub const MBPS: f64 = 1e6;
 
 /// Bandwidth profile of a block device (a single ephemeral disk or a RAID 0
 /// array of them).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DiskProfile {
     /// Peak sequential read bandwidth, bytes/s.
     pub read_bps: f64,
@@ -105,17 +105,11 @@ impl DiskProfile {
             initialized: self.initialized,
         }
     }
-
-    /// The stock worker-node storage of the paper: 4 ephemeral disks in
-    /// RAID 0 on a `c1.xlarge`.
-    pub fn ec2_raid0_x4() -> Self {
-        DiskProfile::ec2_ephemeral().raid0(4, RaidEfficiency::default())
-    }
 }
 
 /// Striping efficiency factors for RAID 0 aggregation (fraction of the
 /// ideal `n ×` scaling actually achieved per operation class).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RaidEfficiency {
     /// Read scaling efficiency.
     pub read: f64,
@@ -153,7 +147,9 @@ mod tests {
 
     #[test]
     fn raid0_x4_lands_in_paper_ranges() {
-        let r = DiskProfile::ec2_raid0_x4();
+        // The stock worker-node storage: 4 ephemeral disks in RAID 0 on
+        // a `c1.xlarge`.
+        let r = crate::InstanceType::C1Xlarge.raid0_profile();
         // §III.C: reads ~310, rewrites 350-400, first writes 80-100 MB/s.
         assert!(
             (300.0 * MBPS..=320.0 * MBPS).contains(&r.read_bps),

@@ -2,13 +2,13 @@
 //! prices the paper used.
 
 use crate::disk::{DiskProfile, RaidEfficiency, MBPS};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One gibibyte in bytes.
 pub const GIB: u64 = 1 << 30;
 
 /// EC2 instance types that appear in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum InstanceType {
     /// Worker node of every experiment: 8 cores (2 × quad 2.33–2.66 GHz
     /// Xeon), 7 GB RAM, 4 ephemeral disks, $0.68/h.

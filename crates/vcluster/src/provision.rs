@@ -12,7 +12,7 @@
 //! quantified.
 
 use crate::cluster::ClusterSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simcore::{DetRng, SimDuration};
 
 /// Tunables for the provisioning model.
@@ -42,7 +42,7 @@ impl Default for ProvisionConfig {
 }
 
 /// The timeline of one provisioning round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProvisionReport {
     /// Per-instance boot times, seconds (all requested concurrently).
     pub boot_secs: Vec<f64>,

@@ -2,11 +2,11 @@
 
 use crate::ids::TaskId;
 use crate::model::{FileClass, Workflow};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregate statistics of a workflow, in the units the paper reports
 /// (§II: task counts, input/output volume, file counts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkflowStats {
     /// Number of tasks.
     pub tasks: usize,

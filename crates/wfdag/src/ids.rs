@@ -1,13 +1,13 @@
 //! Compact identifiers for tasks and files.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a file within one workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct FileId(pub u32);
 
 /// Identifier of a task within one workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TaskId(pub u32);
 
 impl FileId {

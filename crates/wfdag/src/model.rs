@@ -5,11 +5,10 @@
 //! precedes task B iff B consumes a file A produces.
 
 use crate::ids::{FileId, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// How a file relates to the workflow as a whole (derived during
 /// validation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
     /// No producer task: must be pre-staged to the cluster (§III.C).
     Input,
@@ -20,7 +19,7 @@ pub enum FileClass {
 }
 
 /// A workflow file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct File {
     /// Logical file name (unique within the workflow).
     pub name: String,
@@ -35,7 +34,7 @@ pub struct File {
 }
 
 /// A workflow task.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Task {
     /// Unique task name, e.g. `mProjectPP_0042`.
     pub name: String,
@@ -74,7 +73,7 @@ impl Task {
 }
 
 /// Validation failures for a workflow under construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkflowError {
     /// Two tasks claim to produce the same file (violates write-once).
     MultipleProducers {
@@ -151,7 +150,7 @@ impl std::fmt::Display for WorkflowError {
 impl std::error::Error for WorkflowError {}
 
 /// A validated workflow DAG.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workflow {
     /// Human-readable workflow name (e.g. `montage-8deg`).
     pub name: String,

@@ -14,7 +14,7 @@
 //! the S3 client cache shine.
 
 use crate::jitter::Jitter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfdag::{FileId, Workflow, WorkflowBuilder};
 
 /// Megabyte, decimal.
@@ -23,7 +23,7 @@ pub const MB: u64 = 1_000_000;
 const GIB: u64 = 1 << 30;
 
 /// Shape parameters of a Broadband instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BroadbandConfig {
     /// Scenario earthquakes.
     pub sources: u32,

@@ -11,14 +11,14 @@
 //! + 1 density = **529**.
 
 use crate::jitter::Jitter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfdag::{FileId, Workflow, WorkflowBuilder};
 
 /// Megabyte, decimal.
 pub const MB: u64 = 1_000_000;
 
 /// Shape parameters of an Epigenome instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct EpigenomeConfig {
     /// Sequencing lane files.
     pub lanes: u32,

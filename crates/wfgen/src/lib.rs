@@ -41,7 +41,7 @@ pub use profiler::{classify, profile, Grade, Profile, ResourceUsage};
 pub use synthetic::{synthetic, Shape, SyntheticConfig};
 
 /// The three applications, for iteration in harnesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum App {
     /// Montage (astronomy, I/O-bound).
     Montage,

@@ -22,14 +22,14 @@
 //! tasks for the paper-scale instance, with byte totals matching §II.
 
 use crate::jitter::Jitter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfdag::{FileId, Workflow, WorkflowBuilder};
 
 /// Megabyte, decimal (the unit the paper speaks in).
 pub const MB: u64 = 1_000_000;
 
 /// Shape parameters of a Montage instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MontageConfig {
     /// Number of raw input images (and thus mProjectPP / mBackground
     /// tasks).

@@ -12,11 +12,11 @@
 //! This module reproduces that classification from the workflow
 //! declarations: per-task bytes moved, compute seconds, and peak RSS.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfdag::Workflow;
 
 /// A Low/Medium/High grade, as in Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Grade {
     /// Lowest of the three usage classes.
     Low,
@@ -37,7 +37,7 @@ impl std::fmt::Display for Grade {
 }
 
 /// The profiler's raw measurements for one workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Profile {
     /// Workflow name.
     pub workflow: String,
@@ -81,7 +81,7 @@ pub mod thresholds {
 }
 
 /// Table-I style classification of one workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ResourceUsage {
     /// I/O grade.
     pub io: Grade,

@@ -7,11 +7,11 @@
 //! `examples/storage_shootout.rs` does with hand-rolled DAGs.
 
 use crate::jitter::Jitter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wfdag::{FileId, Workflow, WorkflowBuilder};
 
 /// The macro-structure of the generated DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Shape {
     /// `width` independent pipelines of `depth` tasks (Broadband-like).
     Pipelines,
@@ -27,7 +27,7 @@ pub enum Shape {
 }
 
 /// Parameters of a synthetic workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SyntheticConfig {
     /// DAG macro-structure.
     pub shape: Shape,

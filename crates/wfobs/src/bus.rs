@@ -254,7 +254,7 @@ impl BusInner {
 
     fn fire_tick(&mut self, t: u64) {
         for s in &mut self.sinks {
-            s.on_metric_tick(t, &self.recorder.metrics);
+            s.on_metric_tick(t);
         }
         self.last_tick = Some(t);
         self.events_since_tick = false;
@@ -319,11 +319,6 @@ impl ObsHandle {
             }
             inner.sinks.push(sink);
         }
-    }
-
-    /// Number of attached live sinks.
-    pub fn sink_count(&self) -> usize {
-        self.0.as_ref().map_or(0, |b| b.borrow().sinks.len())
     }
 
     /// Set the sim-time metric-tick interval (nanoseconds; clamped to
@@ -428,11 +423,14 @@ mod tests {
     fn null_handle_is_inert() {
         let h = ObsHandle::disabled();
         assert!(!h.enabled());
+        let shared = Rc::new(RefCell::new(Shared::default()));
+        h.add_sink(Box::new(SharedSink(shared.clone())));
         h.set_now(5);
         h.emit(Event::BgDone);
-        h.add_sink(Box::new(RingBufferSink::new(4)));
         h.flush_sinks();
-        assert_eq!(h.sink_count(), 0);
+        let s = shared.borrow();
+        assert!(s.events.is_empty() && s.ticks.is_empty());
+        assert_eq!(s.flushes, 0, "the null handle kept no sink");
         assert_eq!(h.digest(), None);
         assert!(h.take_report().is_none());
     }
@@ -510,7 +508,7 @@ mod tests {
         fn on_event(&mut self, t: u64, ev: &Event) {
             self.0.borrow_mut().events.push((t, *ev));
         }
-        fn on_metric_tick(&mut self, t: u64, _m: &Metrics) {
+        fn on_metric_tick(&mut self, t: u64) {
             self.0.borrow_mut().ticks.push(t);
         }
         fn on_flush(&mut self, _t: u64) {

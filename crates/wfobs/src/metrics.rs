@@ -105,11 +105,6 @@ impl Metrics {
         self.series.get(name).map(Vec::as_slice)
     }
 
-    /// All series names, sorted.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-
     /// All series with their points, sorted by name.
     pub fn all_series(&self) -> impl Iterator<Item = (&str, &[SeriesPoint])> {
         self.series.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
@@ -210,7 +205,7 @@ mod tests {
     fn empty_series_reads_and_renders_as_absent() {
         let m = Metrics::default();
         assert!(m.series("never_sampled").is_none());
-        assert_eq!(m.series_names().count(), 0);
+        assert_eq!(m.all_series().count(), 0);
         // CSV carries the header only — no phantom series rows.
         assert_eq!(m.to_csv(), "kind,name,field,value\n");
     }
@@ -220,7 +215,8 @@ mod tests {
         let mut m = Metrics::default();
         m.sample("lonely", 0, 0.0);
         assert_eq!(m.series("lonely").unwrap(), &[(0, 0.0)]);
-        assert_eq!(m.series_names().collect::<Vec<_>>(), vec!["lonely"]);
+        let names: Vec<&str> = m.all_series().map(|(name, _)| name).collect();
+        assert_eq!(names, vec!["lonely"]);
         assert!(m.to_csv().contains("series,lonely,t=0.000000000,0\n"));
     }
 

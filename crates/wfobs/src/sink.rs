@@ -21,7 +21,6 @@
 //!   simulation computes.
 
 use crate::event::Event;
-use crate::metrics::Metrics;
 
 /// A live consumer of the observability stream.
 ///
@@ -44,11 +43,10 @@ pub trait ObsSink {
 
     /// At most one call per simulated throttle interval (see
     /// [`crate::ObsHandle::set_tick_interval`]), plus exactly one final
-    /// tick at flush time if the run did not end on a boundary. The
-    /// metrics registry is populated only at `Full` level; at `Digest`
-    /// level it is empty and sinks should rely on their own accumulators.
-    fn on_metric_tick(&mut self, t_nanos: u64, metrics: &Metrics) {
-        let _ = (t_nanos, metrics);
+    /// tick at flush time if the run did not end on a boundary. Sinks
+    /// keep their own accumulators of what they saw in `on_event`.
+    fn on_metric_tick(&mut self, t_nanos: u64) {
+        let _ = t_nanos;
     }
 
     /// The run is over; flush any buffered output and restore terminal
@@ -104,7 +102,7 @@ impl ObsSink for RingBufferSink {
         self.events.push_back((t_nanos, *ev));
     }
 
-    fn on_metric_tick(&mut self, t_nanos: u64, _metrics: &Metrics) {
+    fn on_metric_tick(&mut self, t_nanos: u64) {
         self.ticks.push(t_nanos);
     }
 

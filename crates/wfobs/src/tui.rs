@@ -28,7 +28,6 @@ use std::io::Write;
 
 use crate::event::{Event, FaultKind, Phase};
 use crate::fold::{Attempt, AttemptFold, Outcome, Step};
-use crate::metrics::Metrics;
 use crate::name_or;
 use crate::sink::ObsSink;
 
@@ -782,7 +781,7 @@ impl ObsSink for LiveSink {
         self.state.apply(t_nanos, ev);
     }
 
-    fn on_metric_tick(&mut self, t_nanos: u64, _metrics: &Metrics) {
+    fn on_metric_tick(&mut self, t_nanos: u64) {
         self.state.tick(t_nanos);
         self.draw(false);
     }
@@ -836,7 +835,7 @@ impl ObsSink for FrameSink {
         self.state.apply(t_nanos, ev);
     }
 
-    fn on_metric_tick(&mut self, t_nanos: u64, _metrics: &Metrics) {
+    fn on_metric_tick(&mut self, t_nanos: u64) {
         self.state.tick(t_nanos);
         let mut frames = self.frames.borrow_mut();
         if frames.len() == self.cap {

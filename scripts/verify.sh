@@ -65,6 +65,9 @@
 #                      and no write-once or read-of-a-file-never-written
 #                      panic message in crates/storage/src outside
 #                      crates/storage/src/ledger.rs
+# Engine state gate:   the engine's world indexes its state by dense ids:
+#                      no `HashMap` or `HashSet` in crates/engine/src
+#                      outside the executor's tests
 # OTLP conformance:    the otlpcheck reader's own tests, the wfengine/expt
 #                      otlp test targets (well-formedness proptests, edge
 #                      cases, phase/cost parity), plus wfobs standing alone
@@ -142,6 +145,15 @@ echo "== file directory gate: one place records which files exist and where =="
 if git grep -nE '(HashMap|HashSet)<(FileId|NodeId)|write-once violated|read of a file never written' \
     -- crates/storage/src ':!crates/storage/src/ledger.rs'; then
     echo "error: a storage backend keeps file bookkeeping outside the file directory" >&2
+    exit 1
+fi
+
+echo "== engine state gate: the world keeps its state in dense vectors =="
+# Tasks, files and workers have dense ids, so the world keeps a vector
+# per fact, indexed by id. A hash container keyed by one of them keeps a
+# second copy of an order the ids already give.
+if git grep -nE 'HashMap|HashSet' -- crates/engine/src ':!crates/engine/src/exec_tests.rs'; then
+    echo "error: the engine keeps state in a hash container" >&2
     exit 1
 fi
 
@@ -245,7 +257,7 @@ echo "== debug assertions at release speed =="
 # small: it reaches the clean re-solve 20 times in 159k solves and the
 # reused re-sync 13 times. The
 # fault goldens and the fault metamorphic suite drive the kill path
-# (a task's in-flight flow list, `cancel_flow`, the completion heap's
+# (the flows of a task's plan, `cancel_flow`, the completion heap's
 # liveness check, freeing a killed plan's op slot) with the same checks
 # on, and every run asserts that no op slot outlives it. A separate
 # target dir keeps the normal release build cached.
