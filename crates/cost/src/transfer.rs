@@ -9,50 +9,19 @@
 
 use serde::Serialize;
 
-/// Amazon's 2010 internet-transfer price schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct TransferPricing {
-    /// Cents per GB into EC2/S3.
-    pub in_cents_per_gb: f64,
-    /// Cents per GB out of EC2/S3.
-    pub out_cents_per_gb: f64,
-}
-
-impl Default for TransferPricing {
-    fn default() -> Self {
-        TransferPricing {
-            in_cents_per_gb: 10.0,
-            out_cents_per_gb: 17.0,
-        }
-    }
-}
-
-/// The WAN link between the submit host and the cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct WanLink {
-    /// Sustained throughput, bytes/s (a well-connected 2010 campus saw
-    /// 10–40 MB/s to us-east-1).
-    pub bandwidth_bps: f64,
-    /// Per-file overhead, seconds (connection setup, GridFTP handshake).
-    pub per_file_secs: f64,
-}
-
-impl Default for WanLink {
-    fn default() -> Self {
-        WanLink {
-            bandwidth_bps: 20.0e6,
-            per_file_secs: 0.5,
-        }
-    }
-}
+/// Sustained WAN throughput between the submit host and EC2, bytes/s (a
+/// well-connected 2010 campus saw 10–40 MB/s to us-east-1).
+pub const WAN_BYTES_PER_SEC: f64 = 20.0e6;
+/// Per-file WAN overhead, seconds (connection setup, GridFTP handshake).
+pub const WAN_SECS_PER_FILE: f64 = 0.5;
+/// Amazon's 2010 price for transfers into EC2/S3, cents per GB.
+pub const IN_CENTS_PER_GB: f64 = 10.0;
+/// Amazon's 2010 price for transfers out of EC2/S3, cents per GB.
+pub const OUT_CENTS_PER_GB: f64 = 17.0;
 
 /// One staging movement (in or out).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StagingEstimate {
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Files moved.
-    pub files: u64,
     /// Wall time, seconds.
     pub secs: f64,
     /// Transfer charge, cents.
@@ -60,30 +29,18 @@ pub struct StagingEstimate {
 }
 
 /// Estimate moving `bytes` across `files` into the cloud.
-pub fn stage_in(
-    bytes: u64,
-    files: u64,
-    link: &WanLink,
-    pricing: &TransferPricing,
-) -> StagingEstimate {
-    estimate(bytes, files, link, pricing.in_cents_per_gb)
+pub fn stage_in(bytes: u64, files: u64) -> StagingEstimate {
+    estimate(bytes, files, IN_CENTS_PER_GB)
 }
 
 /// Estimate moving `bytes` across `files` out of the cloud.
-pub fn stage_out(
-    bytes: u64,
-    files: u64,
-    link: &WanLink,
-    pricing: &TransferPricing,
-) -> StagingEstimate {
-    estimate(bytes, files, link, pricing.out_cents_per_gb)
+pub fn stage_out(bytes: u64, files: u64) -> StagingEstimate {
+    estimate(bytes, files, OUT_CENTS_PER_GB)
 }
 
-fn estimate(bytes: u64, files: u64, link: &WanLink, cents_per_gb: f64) -> StagingEstimate {
+fn estimate(bytes: u64, files: u64, cents_per_gb: f64) -> StagingEstimate {
     StagingEstimate {
-        bytes,
-        files,
-        secs: bytes as f64 / link.bandwidth_bps + files as f64 * link.per_file_secs,
+        secs: bytes as f64 / WAN_BYTES_PER_SEC + files as f64 * WAN_SECS_PER_FILE,
         cents: bytes as f64 / 1e9 * cents_per_gb,
     }
 }
@@ -95,29 +52,23 @@ mod tests {
     #[test]
     fn montage_scale_staging_matches_hand_arithmetic() {
         // 4.2 GB in over 2102 files at 20 MB/s + 0.5 s/file.
-        let link = WanLink::default();
-        let p = TransferPricing::default();
-        let e = stage_in(4_200_000_000, 2102, &link, &p);
+        let e = stage_in(4_200_000_000, 2102);
         assert!((e.secs - (210.0 + 1051.0)).abs() < 1.0, "{}", e.secs);
         assert!((e.cents - 42.0).abs() < 0.1, "{}", e.cents);
     }
 
     #[test]
     fn outbound_is_pricier_per_gb() {
-        let link = WanLink::default();
-        let p = TransferPricing::default();
-        let i = stage_in(1_000_000_000, 1, &link, &p);
-        let o = stage_out(1_000_000_000, 1, &link, &p);
+        let i = stage_in(1_000_000_000, 1);
+        let o = stage_out(1_000_000_000, 1);
         assert!(o.cents > i.cents);
         assert!((o.secs - i.secs).abs() < 1e-9, "same link both ways");
     }
 
     #[test]
     fn per_file_overhead_dominates_many_small_files() {
-        let link = WanLink::default();
-        let p = TransferPricing::default();
-        let few_big = stage_in(1_000_000_000, 10, &link, &p);
-        let many_small = stage_in(1_000_000_000, 10_000, &link, &p);
+        let few_big = stage_in(1_000_000_000, 10);
+        let many_small = stage_in(1_000_000_000, 10_000);
         assert!(many_small.secs > few_big.secs * 10.0);
         assert!(
             (many_small.cents - few_big.cents).abs() < 1e-9,
@@ -127,9 +78,7 @@ mod tests {
 
     #[test]
     fn zero_bytes_costs_nothing_but_still_pays_handshakes() {
-        let link = WanLink::default();
-        let p = TransferPricing::default();
-        let e = stage_in(0, 4, &link, &p);
+        let e = stage_in(0, 4);
         assert_eq!(e.cents, 0.0);
         assert!((e.secs - 2.0).abs() < 1e-12);
     }

@@ -6,14 +6,13 @@ use crate::world::{usable_memory, FaultCounters, TaskRecord, World};
 use serde::Serialize;
 use simcore::{Sim, SimTime};
 use vcluster::Cluster;
-use wfcost::BilledSegment;
+use wfcost::{BilledSegment, BillingGranularity, CostBreakdown};
 use wfdag::Workflow;
 use wfobs::Phase;
 use wfstorage::{build_storage, StorageBilling, StorageKind, StorageOpStats};
 
 /// Injected faults and the recovery work they caused, plus the billing
-/// segments the instance churn produced (feed them to
-/// `wfcost::CostModel::segments_cents` for the fault-adjusted bill).
+/// segments the instance churn produced ([`RunStats::cost`] bills them).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSummary {
     /// Fault and recovery counters, as the world accumulated them.
@@ -72,6 +71,21 @@ pub struct ResourceRow {
 }
 
 impl RunStats {
+    /// The run's bill under `granularity` ([`wfcost::bill`]): every
+    /// billing segment, plus the S3 requests and peak S3 bytes held for
+    /// the makespan.
+    pub fn cost(&self, granularity: BillingGranularity) -> CostBreakdown {
+        let b = &self.billing;
+        wfcost::bill(
+            &self.faults.segments,
+            b.s3_puts,
+            b.s3_gets,
+            b.s3_peak_bytes,
+            self.makespan_secs,
+            granularity,
+        )
+    }
+
     /// Fraction of occupied-slot time spent on I/O (and WMS overhead)
     /// rather than compute — the paper calls Montage >95% I/O by this
     /// style of measure.

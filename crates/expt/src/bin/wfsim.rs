@@ -20,7 +20,7 @@
 //! `--otpl-out` fails fast instead of silently running without export.
 
 use std::collections::HashMap;
-use wfcost::{BillingGranularity, CostModel};
+use wfcost::BillingGranularity;
 use wfdag::{cluster_horizontal, Workflow};
 use wfengine::{
     jobstate_log, phase_breakdown, run_workflow, run_workflow_with_obs, trace, FailureModel,
@@ -353,9 +353,7 @@ fn cmd_run(args: &Args) {
             }
             // One-line machine-greppable summary on stderr, so runs
             // without exporters aren't silent.
-            let cost = CostModel::default()
-                .segments_cents(&stats.faults.segments, BillingGranularity::PerHour)
-                / 100.0;
+            let cost = stats.cost(BillingGranularity::PerHour).total_dollars();
             let f = &stats.faults.counters;
             let fault_count = f.node_crashes + f.spot_terminations + f.storage_failures;
             let digest = stats

@@ -10,11 +10,9 @@
 
 use rayon::prelude::*;
 use serde::Serialize;
-use wfcost::{BilledSegment, BillingGranularity, CostModel};
+use wfcost::{BilledSegment, BillingGranularity};
 use wfdag::Workflow;
-use wfengine::{
-    run_workflow, FaultPlan, NodeCrashSpec, RunConfig, RunStats, SpotSpec, StorageFailureSpec,
-};
+use wfengine::{run_workflow, FaultPlan, NodeCrashSpec, RunConfig, SpotSpec, StorageFailureSpec};
 use wfgen::App;
 use wfstorage::StorageKind;
 
@@ -121,10 +119,10 @@ pub struct FaultRow {
     pub clean_makespan_secs: f64,
     /// `makespan / clean_makespan` — the degradation factor.
     pub inflation: f64,
-    /// Instance cost in dollars under per-hour, per-incarnation billing
-    /// (crashes forfeit started hours).
+    /// The run's bill in dollars under per-hour, per-incarnation billing
+    /// (crashes forfeit started hours), S3 fees included.
     pub cost_usd: f64,
-    /// Fault-free instance cost of the same cell.
+    /// Fault-free bill of the same cell.
     pub clean_cost_usd: f64,
     /// `cost / clean_cost` — the wasted-money factor.
     pub cost_inflation: f64,
@@ -178,12 +176,6 @@ impl FaultStudy {
     }
 }
 
-/// Per-hour instance cost of a run, in dollars, from its billing
-/// segments (per-incarnation rounding — the fault-adjusted bill).
-fn segment_cost_usd(stats: &RunStats) -> f64 {
-    CostModel::default().segments_cents(&stats.faults.segments, BillingGranularity::PerHour) / 100.0
-}
-
 /// What a unit's scenario rows need from its clean run. `unit` is the
 /// app's index in `apps` and the storage option.
 struct CleanRun {
@@ -217,7 +209,7 @@ pub fn run_f2(apps: &[App], seed: u64) -> FaultStudy {
             CleanRun {
                 unit,
                 makespan_secs: stats.makespan_secs,
-                cost_usd: segment_cost_usd(&stats),
+                cost_usd: stats.cost(BillingGranularity::PerHour).total_dollars(),
                 events: stats.events,
                 segments: stats.faults.segments,
             }
@@ -232,7 +224,7 @@ pub fn run_f2(apps: &[App], seed: u64) -> FaultStudy {
         .map(|&(clean, scenario)| {
             let plan = scenario.plan(clean.makespan_secs);
             let stats = run(clean.unit, Some(plan), scenario.label());
-            let cost = segment_cost_usd(&stats);
+            let cost = stats.cost(BillingGranularity::PerHour).total_dollars();
             let f = &stats.faults.counters;
             FaultRow {
                 app: apps[clean.unit.0],

@@ -4,7 +4,7 @@
 use rayon::prelude::*;
 use serde::Serialize;
 use vcluster::InstanceType;
-use wfcost::{BillingGranularity, CostModel, UsageReport};
+use wfcost::BillingGranularity;
 use wfdag::Workflow;
 use wfengine::{run_workflow, RunConfig, RunError, RunStats};
 use wfgen::App;
@@ -91,39 +91,13 @@ pub fn run_cell(cell: Cell, seed: u64) -> Result<CellResult, RunError> {
     run_cell_with(cell.app, cell.config(seed))
 }
 
-/// Bill the instances the run provisioned and assemble the result
-/// record. Each node's leases (one per incarnation; one per node in a
-/// fault-free run) count as one instance, grouped into runs of equal
-/// type in node order: the workers, then any storage server.
+/// Bill the run ([`RunStats::cost`]) and assemble the result record.
 pub fn summarize(cell: Cell, stats: &RunStats) -> CellResult {
-    let mut instances: Vec<(InstanceType, u32)> = Vec::new();
-    let mut last_node = None;
-    for seg in &stats.faults.segments {
-        if last_node.replace(seg.node) == Some(seg.node) {
-            continue;
-        }
-        match instances.last_mut() {
-            Some((itype, n)) if *itype == seg.itype => *n += 1,
-            _ => instances.push((seg.itype, 1)),
-        }
-    }
-    let usage = UsageReport {
-        wall_secs: stats.makespan_secs,
-        instances,
-        s3_puts: stats.billing.s3_puts,
-        s3_gets: stats.billing.s3_gets,
-        s3_peak_bytes: stats.billing.s3_peak_bytes,
-    };
-    let model = CostModel::default();
     CellResult {
         cell,
         makespan_secs: stats.makespan_secs,
-        cost_per_hour_usd: model
-            .workflow_cost(&usage, BillingGranularity::PerHour)
-            .total_dollars(),
-        cost_per_second_usd: model
-            .workflow_cost(&usage, BillingGranularity::PerSecond)
-            .total_dollars(),
+        cost_per_hour_usd: stats.cost(BillingGranularity::PerHour).total_dollars(),
+        cost_per_second_usd: stats.cost(BillingGranularity::PerSecond).total_dollars(),
         s3_requests: (stats.billing.s3_gets, stats.billing.s3_puts),
         cache: (stats.op_stats.cache_hits, stats.op_stats.cache_misses),
         io_fraction: stats.io_fraction(),

@@ -419,7 +419,7 @@ pub fn check_costs(figs: &[RuntimeFigure]) -> Vec<ShapeCheck> {
         let s3 = by_app(app).cells.iter().filter(|c| c.cell.storage == S3);
         let usd = s3.map(|c| {
             let (gets, puts) = c.s3_requests;
-            puts as f64 / 1000.0 * 0.01 + gets as f64 / 10_000.0 * 0.01
+            wfcost::request_cents(puts, gets) / 100.0
         });
         (app.to_string(), usd.fold(0.0f64, f64::max))
     };

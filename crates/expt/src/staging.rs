@@ -6,7 +6,7 @@
 use serde::Serialize;
 use simcore::DetRng;
 use vcluster::{provision_timeline, ClusterSpec, InstanceType, ProvisionConfig};
-use wfcost::transfer::{stage_in, stage_out, TransferPricing, WanLink};
+use wfcost::transfer::{stage_in, stage_out};
 use wfdag::FileClass;
 use wfgen::App;
 
@@ -45,8 +45,6 @@ impl EndToEndRow {
 /// Build the E9 table at 4 workers on each app's best-performing storage
 /// option, given the already-measured makespans.
 pub fn end_to_end(makespans: &[(App, f64)], seed: u64) -> Vec<EndToEndRow> {
-    let link = WanLink::default();
-    let pricing = TransferPricing::default();
     let pcfg = ProvisionConfig::default();
     makespans
         .iter()
@@ -78,8 +76,8 @@ pub fn end_to_end(makespans: &[(App, f64)], seed: u64) -> Vec<EndToEndRow> {
                 &pcfg,
                 &mut rng,
             );
-            let si = stage_in(in_bytes, in_files, &link, &pricing);
-            let so = stage_out(out_bytes, out_files, &link, &pricing);
+            let si = stage_in(in_bytes, in_files);
+            let so = stage_out(out_bytes, out_files);
             EndToEndRow {
                 app,
                 provision_secs: prov.total_secs(),

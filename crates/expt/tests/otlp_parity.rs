@@ -2,12 +2,12 @@
 //! phase breakdown and the resource bill reconstructed purely from the
 //! decoded `ExportTraceServiceRequest` have to agree with the bus
 //! accounting (`phase_breakdown_from_bus`) and the engine's billed
-//! segments (`wfcost::CostModel::segments_cents`) to 1e-6 — on every
+//! segments (`wfcost::segments_cents`) to 1e-6 — on every
 //! paper application and storage kind, and under node-crash and
 //! spot-market churn where the billing is segment-per-incarnation.
 
 use otlpcheck as decode;
-use wfcost::{BilledSegment, BillingGranularity, CostModel};
+use wfcost::{segments_cents, BilledSegment, BillingGranularity};
 use wfengine::{
     phase_breakdown_from_bus, run_workflow, FaultPlan, NodeCrashSpec, PhaseBreakdown, RunConfig,
     RunStats, SpotSpec,
@@ -64,7 +64,7 @@ fn phase_breakdown_from_otlp(trace: &decode::Trace) -> PhaseBreakdown {
 /// Rebuild the billed lease intervals from a decoded OTLP trace: every
 /// node-incarnation span carries `wf.billing.*` attributes, and the
 /// instance type parses back through `InstanceType::from_api_name`.
-/// Feeding the result to `CostModel::segments_cents` reproduces the run's
+/// Feeding the result to `wfcost::segments_cents` reproduces the run's
 /// resource bill.
 fn segments_from_otlp(trace: &decode::Trace) -> Vec<BilledSegment> {
     let mut out = Vec::new();
@@ -114,10 +114,9 @@ fn assert_cost_parity(ctx: &str, stats: &RunStats, trace: &decode::Trace) {
         stats.faults.segments.len(),
         "{ctx}: one billing record per incarnation span"
     );
-    let m = CostModel::default();
-    for g in [BillingGranularity::PerHour, BillingGranularity::PerSecond] {
-        let engine = m.segments_cents(&stats.faults.segments, g);
-        let otlp = m.segments_cents(&from_otlp, g);
+    for g in BillingGranularity::BOTH {
+        let engine = segments_cents(&stats.faults.segments, g);
+        let otlp = segments_cents(&from_otlp, g);
         assert!(
             (engine - otlp).abs() <= 1e-6,
             "{ctx} {g:?}: engine {engine} vs otlp {otlp} cents"
@@ -218,7 +217,6 @@ fn otlp_cost_parity_on_spot_instances() {
 
     // Spot billing genuinely discounts: same run priced as on-demand
     // segments costs strictly more, so the attribute is load-bearing.
-    let m = CostModel::default();
     let on_demand: Vec<_> = stats
         .faults
         .segments
@@ -226,8 +224,8 @@ fn otlp_cost_parity_on_spot_instances() {
         .map(|s| BilledSegment { spot: false, ..*s })
         .collect();
     assert!(
-        m.segments_cents(&on_demand, BillingGranularity::PerHour)
-            > m.segments_cents(&stats.faults.segments, BillingGranularity::PerHour),
+        segments_cents(&on_demand, BillingGranularity::PerHour)
+            > segments_cents(&stats.faults.segments, BillingGranularity::PerHour),
         "spot attribute must change the bill"
     );
 }

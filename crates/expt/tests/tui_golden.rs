@@ -2,8 +2,10 @@
 //! run with a scheduled node crash — a mid-run Gantt, the frame where
 //! the fault ticker first shows the crash, and the final frame. The
 //! renderer is wall-clock-free, so these are byte-stable across
-//! machines; regenerate after an intentional event-stream or layout
-//! change with:
+//! machines. The final frame's cost readout must equal
+//! `wfcost::segments_cents` of the run's billing segments, so the
+//! viewer's live bill keeps `wfcost`'s rounding rule. Regenerate after an
+//! intentional event-stream or layout change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p expt --test tui_golden
@@ -15,7 +17,9 @@ use common::check_golden;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use wfengine::{run_workflow_with_obs, FaultPlan, NodeCrashSpec, RunConfig};
+use vcluster::InstanceType;
+use wfcost::{segments_cents, BillingGranularity};
+use wfengine::{run_workflow_with_obs, FaultPlan, NodeCrashSpec, RunConfig, RunStats};
 use wfgen::App;
 use wfobs::{FrameSink, NodeRate, ObsHandle, ObsLevel, TuiConfig};
 use wfstorage::StorageKind;
@@ -23,7 +27,7 @@ use wfstorage::StorageKind;
 const COLS: usize = 100;
 const ROWS: usize = 24;
 
-fn captured_frames() -> Vec<(u64, String)> {
+fn captured_frames() -> (Vec<(u64, String)>, RunStats) {
     let wf = App::Montage.tiny_workflow();
     let mut plan = FaultPlan::zero();
     plan.node_crash = Some(NodeCrashSpec {
@@ -47,11 +51,11 @@ fn captured_frames() -> Vec<(u64, String)> {
             total_tasks: wf.task_count() as u32,
             task_names: wf.tasks().iter().map(|t| t.name.clone()).collect(),
             node_names: vec!["w0".into(), "w1".into(), "w2".into()],
-            // c1.xlarge on-demand/spot rates, so cost-so-far is visible.
+            // c1.xlarge's catalog rates, as `wfsim` fills them in.
             node_rates: vec![
                 NodeRate {
-                    cents_per_hour: 68,
-                    spot_cents_per_hour: 23,
+                    cents_per_hour: InstanceType::C1Xlarge.price_cents_per_hour(),
+                    spot_cents_per_hour: InstanceType::C1Xlarge.spot_price_cents_per_hour(),
                 };
                 3
             ],
@@ -70,12 +74,12 @@ fn captured_frames() -> Vec<(u64, String)> {
     );
     let captured = frames.borrow().clone();
     assert!(captured.len() > 10, "enough frames to choose from");
-    captured
+    (captured, stats)
 }
 
 #[test]
 fn golden_frames_are_stable() {
-    let frames = captured_frames();
+    let (frames, stats) = captured_frames();
 
     // Mid-run: a busy Gantt before the crash lands.
     let mid = &frames[frames.len() / 3].1;
@@ -97,11 +101,19 @@ fn golden_frames_are_stable() {
         "final frame shows completion:\n{last}"
     );
     check_golden("golden_frames/final.txt", last);
+
+    // The live bill is `wfcost`'s: every segment per started hour.
+    let cents = segments_cents(&stats.faults.segments, BillingGranularity::PerHour);
+    let billed = format!("cost ${:.2}", cents / 100.0);
+    assert!(
+        last.contains(&billed),
+        "final frame bills `{billed}`:\n{last}"
+    );
 }
 
 #[test]
 fn frames_fit_requested_geometry() {
-    for (t, frame) in captured_frames() {
+    for (t, frame) in captured_frames().0 {
         let lines: Vec<&str> = frame.split('\n').collect();
         assert_eq!(lines.len(), ROWS, "rows at t={t}");
         assert!(

@@ -41,7 +41,8 @@ const BAR_W: usize = 20;
 /// Per-node billing rates, used for the cost-so-far readout. `wfobs` is
 /// dependency-free, so the caller (which knows the instance types)
 /// supplies cents-per-hour figures; segments bill per started hour,
-/// matching `wfcost::CostModel::segments_cents`.
+/// matching `wfcost::segments_cents` (`expt`'s `tui_golden` test pins
+/// the final frame's cost to it).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeRate {
     /// On-demand cents per hour.

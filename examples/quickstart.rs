@@ -78,17 +78,9 @@ fn main() {
         stats.total_cpu_secs
     );
 
-    // What did it cost? Amazon billed by the hour in 2010, rounding up.
-    let model = CostModel::default();
-    let usage = ec2_workflow_sim::wfcost::UsageReport {
-        wall_secs: stats.makespan_secs,
-        instances: vec![(InstanceType::C1Xlarge, 2)],
-        s3_puts: 0,
-        s3_gets: 0,
-        s3_peak_bytes: 0,
-    };
+    // What did it cost? Amazon billed by the hour in 2010, rounding up
+    // each instance's lease on its own clock.
     for g in BillingGranularity::BOTH {
-        let cost = model.workflow_cost(&usage, g);
-        println!("cost ({g:?}): ${:.3}", cost.total_dollars());
+        println!("cost ({g:?}): ${:.3}", stats.cost(g).total_dollars());
     }
 }

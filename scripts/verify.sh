@@ -68,6 +68,10 @@
 # Engine state gate:   the engine's world indexes its state by dense ids:
 #                      no `HashMap` or `HashSet` in crates/engine/src
 #                      outside the executor's tests
+# One bill gate:       experiments bill a run only through
+#                      `RunStats::cost` (`wfcost::bill`: billing segments
+#                      plus S3 fees): no `segments_cents(` call in
+#                      crates/expt/src, src or examples
 # OTLP conformance:    the otlpcheck reader's own tests, the wfengine/expt
 #                      otlp test targets (well-formedness proptests, edge
 #                      cases, phase/cost parity), plus wfobs standing alone
@@ -154,6 +158,15 @@ echo "== engine state gate: the world keeps its state in dense vectors =="
 # second copy of an order the ids already give.
 if git grep -nE 'HashMap|HashSet' -- crates/engine/src ':!crates/engine/src/exec_tests.rs'; then
     echo "error: the engine keeps state in a hash container" >&2
+    exit 1
+fi
+
+echo "== one bill gate: every run is billed by RunStats::cost =="
+# `RunStats::cost` bills a run's segments and its S3 requests and storage
+# together. A caller that prices the segments alone drops S3's fees, and
+# its bill disagrees with the figures' for the same run.
+if git grep -n 'segments_cents(' -- crates/expt/src src examples; then
+    echo "error: an experiment bills instance segments outside RunStats::cost" >&2
     exit 1
 fi
 

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use expt::{Cell, CellResult};
     pub use simcore::{Sim, SimDuration, SimTime};
     pub use vcluster::{Cluster, ClusterSpec, InstanceType};
-    pub use wfcost::{BillingGranularity, CostModel};
+    pub use wfcost::BillingGranularity;
     pub use wfdag::Workflow;
     pub use wfengine::{RunConfig, RunStats, SchedulerPolicy};
     pub use wfgen::{broadband, epigenome, montage};

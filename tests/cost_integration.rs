@@ -32,7 +32,7 @@ fn s3_request_fees_scale_with_file_count() {
     let epigenome = run_cell(Cell::new(App::Epigenome, StorageKind::S3, 2), 42).unwrap();
     let fee = |c: &ec2_workflow_sim::expt::CellResult| {
         let (gets, puts) = c.s3_requests;
-        puts as f64 / 1000.0 * 0.01 + gets as f64 / 10_000.0 * 0.01
+        ec2_workflow_sim::wfcost::request_cents(puts, gets) / 100.0
     };
     assert!(
         fee(&montage) > 10.0 * fee(&epigenome),
